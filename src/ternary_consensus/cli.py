@@ -2,8 +2,10 @@
 
 Verbs: run (simulate and emit CSV), bound (evaluate the convergence-time
 bound), check-core (test a generated window for a connected persistent core),
-sweep (convergence-time vs node count). Exit codes: 0 ok, 1 config error,
-2 invariant violation or run failure, 3 core-connectivity check failed.
+sweep (convergence-time vs node count). Exit codes: 0 ok, 1 config error
+(including a fixed degree bound the graph violates), 2 invariant violation
+or run failure, 3 core-connectivity check failed. ``main`` alone maps
+exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from .config import (
     resolve_config,
 )
 from .engine import run
-from .errors import ConfigError, DivergenceError, InvariantViolationError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    InvariantViolationError,
+    ProtocolError,
+)
 from .graphs import check_core_connected
 from .metropolis import run_metropolis
 
@@ -40,7 +47,8 @@ def _metrics_line(row) -> str:
     )
 
 
-def _load_with_overrides(args) -> ExperimentConfig:
+def _read_with_overrides(args) -> tuple[dict, Path]:
+    """Read the config document and patch the command-line overrides in."""
     doc, base_dir = read_config_doc(resolve_config(args.config))
     if args.seed is not None:
         doc.setdefault("graph", {})["seed"] = args.seed
@@ -51,40 +59,42 @@ def _load_with_overrides(args) -> ExperimentConfig:
         doc.setdefault("run", {})["check"] = True
     if args.out is not None:
         doc.setdefault("output", {})["dir"] = args.out
+    return doc, base_dir
+
+
+def _load_with_overrides(args) -> ExperimentConfig:
+    doc, base_dir = _read_with_overrides(args)
     return load_config_data(doc, base_dir=base_dir)
 
 
 class _OutputFiles:
-    """Opens output files lazily and removes every file it created when the
-    command fails, so failures never leave partial CSVs behind."""
+    """Context manager that opens output files and, when the block raises
+    anything (Ctrl-C included), deletes every file it created, so failures
+    never leave partial CSVs behind."""
 
     def __init__(self):
-        self.paths: list[Path] = []
         self.handles = []
+
+    def __enter__(self):
+        return self
 
     def open(self, path: Path):
         path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(path, "w", encoding="utf-8", newline="\n")
-        self.paths.append(path)
         self.handles.append(fh)
         return fh
 
-    def close(self):
+    def __exit__(self, exc_type, exc, tb):
         for fh in self.handles:
             fh.close()
-        self.handles.clear()
-
-    def discard(self):
-        self.close()
-        for path in self.paths:
-            path.unlink(missing_ok=True)
-        self.paths.clear()
+            if exc_type is not None:
+                Path(fh.name).unlink(missing_ok=True)
+        return False
 
 
 def cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     out_dir = Path(cfg.out_dir)
-    files = _OutputFiles()
     last_row = None
 
     def on_row(row):
@@ -92,7 +102,7 @@ def cmd_run(args) -> int:
         last_row = row
         metrics_fh.write(_metrics_line(row) + "\n")
 
-    try:
+    with _OutputFiles() as files:
         metrics_fh = files.open(out_dir / "metrics.csv")
         metrics_fh.write(METRICS_HEADER + "\n")
         if args.baseline:
@@ -102,12 +112,6 @@ def cmd_run(args) -> int:
                 metrics_sink=on_row,
                 keep_metrics=False,
             )
-            stopped_at = last_row.t if (
-                last_row is not None
-                and cfg.stop_err is not None
-                and last_row.err_max <= cfg.stop_err
-            ) else None
-            rounds = last_row.t if last_row is not None else 0
         else:
             sim = cfg.simulation()
             record_sink = None
@@ -119,42 +123,28 @@ def cmd_run(args) -> int:
                     for i, v in enumerate(rec.x_post):
                         trace_fh.write(f"{rec.t},{i},{_fmt(v)}\n")
 
-            result = run(
+            final_x = run(
                 sim,
                 stop_err=cfg.stop_err,
                 metrics_sink=on_row,
                 record_sink=record_sink,
                 keep_metrics=False,
                 keep_records=False,
-            )
-            stopped_at = result.stopped_at
-            rounds = result.rounds
-            final_x = result.final_x
-    except InvariantViolationError as exc:
-        files.discard()
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        files.discard()
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError:
-        files.discard()
-        raise
-    files.close()
+            ).final_x
 
     if last_row is None:
         # stopped before round 1: report the initial condition
-        avg0 = sum(final_x) / len(final_x)
-        last_row = compute_metrics(final_x, avg0, t=0)
-        if cfg.stop_err is not None and last_row.err_max <= cfg.stop_err:
-            stopped_at = 0
+        last_row = compute_metrics(final_x, sum(final_x) / len(final_x), t=0)
     if not args.quiet:
-        stop_txt = str(stopped_at) if stopped_at is not None else "not reached"
+        # both runners stop on the first row at or below stop_err
         if cfg.stop_err is None:
             stop_txt = "n/a"
+        elif last_row.err_max <= cfg.stop_err:
+            stop_txt = str(last_row.t)
+        else:
+            stop_txt = "not reached"
         print(
-            f"rounds={rounds} err_max={_fmt(last_row.err_max)} "
+            f"rounds={last_row.t} err_max={_fmt(last_row.err_max)} "
             f"V2={_fmt(last_row.V2)} stop_round={stop_txt}"
         )
     return 0
@@ -174,8 +164,7 @@ def cmd_bound(args) -> int:
             xinf0=args.xinf,
         )
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(str(exc)) from None
     terms = theorem_bound_terms(inputs)
     for key in (
         "transient-estimate",
@@ -210,7 +199,7 @@ def cmd_check_core(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc, base_dir = read_config_doc(resolve_config(args.config))
+    doc, base_dir = _read_with_overrides(args)
     try:
         n_list = sorted({int(tok) for tok in args.n_list.split(",") if tok.strip()})
     except ValueError:
@@ -233,29 +222,17 @@ def cmd_sweep(args) -> int:
     if stop_err is None:
         raise ConfigError("--stop-err: required when run.stop_err is null")
 
-    out_dir = Path(args.out) if args.out is not None else Path(base_cfg.out_dir)
-    files = _OutputFiles()
-    try:
-        sweep_fh = files.open(out_dir / "sweep.csv")
+    with _OutputFiles() as files:
+        sweep_fh = files.open(Path(base_cfg.out_dir) / "sweep.csv")
         sweep_fh.write(SWEEP_HEADER + "\n")
         for n in n_list:
             sub_doc = {k: dict(v) for k, v in doc.items()}
             sub_doc["graph"]["n"] = n
-            if args.seed is not None:
-                sub_doc["graph"]["seed"] = args.seed
-                sub_doc["init"]["seed"] = args.seed
-            if args.t_max is not None:
-                sub_doc["run"]["t_max"] = args.t_max
-            if args.check:
-                sub_doc["run"]["check"] = True
             cfg = load_config_data(sub_doc, base_dir=base_dir)
             result = run(cfg.simulation(), stop_err=stop_err, keep_metrics=False,
-                         metrics_sink=None, keep_records=False)
-            if result.metrics:
-                final_err = result.metrics[-1].err_max
-            else:
-                avg0 = sum(result.final_x) / len(result.final_x)
-                final_err = compute_metrics(result.final_x, avg0).err_max
+                         keep_records=False)
+            x = result.final_x
+            final_err = compute_metrics(x, sum(x) / len(x)).err_max
             reached = result.stopped_at
             rounds_txt = str(reached) if reached is not None else ""
             sweep_fh.write(f"{n},{rounds_txt},{_fmt(final_err)}\n")
@@ -265,14 +242,6 @@ def cmd_sweep(args) -> int:
                     f"{rounds_txt if rounds_txt else 'not reached'} "
                     f"final_err={_fmt(final_err)}"
                 )
-    except InvariantViolationError as exc:
-        files.discard()
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, DivergenceError):
-        files.discard()
-        raise
-    files.close()
     return 0
 
 
@@ -360,6 +329,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except InvariantViolationError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 2
+    except (DivergenceError, ProtocolError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

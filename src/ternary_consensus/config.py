@@ -44,23 +44,21 @@ class ExperimentConfig:
     check: bool
     out_dir: str
 
-    def simulation(
-        self, *, t_max: int | None = None, check: bool | None = None
-    ) -> SimulationConfig:
+    def simulation(self) -> SimulationConfig:
         return SimulationConfig(
             seq=self.seq,
             params=self.params,
             init=self.init,
-            t_max=self.t_max if t_max is None else t_max,
+            t_max=self.t_max,
             record_level=self.record_level,
-            check_invariants=self.check if check is None else check,
+            check_invariants=self.check,
         )
 
-    def metropolis(self, *, t_max: int | None = None) -> MetropolisConfig:
+    def metropolis(self) -> MetropolisConfig:
         return MetropolisConfig(
             seq=self.seq,
             init=self.init,
-            t_max=self.t_max if t_max is None else t_max,
+            t_max=self.t_max,
             d_policy=self.params.d_policy,
             d_fixed=self.params.d_fixed,
         )

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from math import isfinite
 
 from .analysis import MetricsRow, compute_metrics, validate_round
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    InvariantViolationError,
-    PolicyViolationError,
-)
+from .errors import ConfigError, DivergenceError, InvariantViolationError
 from .graphs import Edge, GraphSequence, GraphSnapshot
 from .protocol import (
     Message,
@@ -28,7 +23,9 @@ from .protocol import (
     ProtocolParams,
     active_set,
     apply_messages,
+    check_fixed_bound,
     compute_message,
+    pair_bound,
     round_scales,
     value_update,
 )
@@ -155,26 +152,6 @@ def init_state(config: SimulationConfig) -> World:
     )
 
 
-def _pair_bound(params: ProtocolParams, n: int, d_i: int, d_j: int) -> float:
-    """Symmetric per-pair degree bound, computed centrally per the policy.
-
-    The practical variant always uses max(d_i, d_j), matching its hard-coded
-    2*max(d_i, d_j) denominator.
-    """
-    m = d_i if d_i >= d_j else d_j
-    if params.variant == "practical" or params.d_policy == "max_degree":
-        return float(m)
-    if params.d_policy == "global_n":
-        return float(n)
-    c = params.d_fixed
-    assert c is not None
-    if c < m:
-        raise PolicyViolationError(
-            f"fixed degree bound {c} is below the pair degree max {m}"
-        )
-    return c
-
-
 def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
     """Execute round t (mutating world in place) and return its record.
 
@@ -190,20 +167,14 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
     n = g.n
     edge_list = g.edge_list
     degrees = g.degrees
+    # the practical variant's 2*max(d_i, d_j) denominator ignores d_policy
+    d_policy = params.d_policy if params.variant == "theorem" else "max_degree"
+    d_fixed = params.d_fixed
+    check_fixed_bound(d_policy, d_fixed, degrees, t)
 
     for i, j in edge_list:
         nodes[i].ensure_peer(j, t)
         nodes[j].ensure_peer(i, t)
-
-    if params.variant == "theorem" and params.d_policy == "fixed":
-        c = params.d_fixed
-        for i, j in edge_list:
-            m = degrees[i] if degrees[i] >= degrees[j] else degrees[j]
-            if c < m:
-                raise PolicyViolationError(
-                    f"fixed degree bound {c} is below max(d_{i}, d_{j}) = {m} "
-                    f"at round {t}"
-                )
 
     t_alpha, inv_ta, threshold = round_scales(t, params.alpha)
     step = t ** (-params.beta) if params.variant == "theorem" else 1.0
@@ -211,7 +182,6 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
     sent: list[list[Message]] = [[] for _ in range(n)]
     received: list[list[Message]] = [[] for _ in range(n)]
     messages: list[Message] = []
-    nonzero = 0
     for i, j in edge_list:
         mi = compute_message(nodes[i], j, t, params, t_alpha=t_alpha)
         mj = compute_message(nodes[j], i, t, params, t_alpha=t_alpha)
@@ -221,10 +191,6 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
         received[i].append(mj)
         messages.append(mi)
         messages.append(mj)
-        if mi.q:
-            nonzero += 1
-        if mj.q:
-            nonzero += 1
 
     prune = params.prune_horizon is not None
     for i in range(n):
@@ -257,7 +223,7 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
             key = (i, j) if i < j else (j, i)
             d = d_bounds.get(key)
             if d is None:
-                d = _pair_bound(params, n, degrees[i], degrees[j])
+                d = pair_bound(d_policy, d_fixed, n, degrees[i], degrees[j])
                 d_bounds[key] = d
             dmap[j] = d
         value_update(nodes[i], t, act, dmap, params, step=step)

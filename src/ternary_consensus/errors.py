@@ -9,8 +9,9 @@ class ProtocolError(RuntimeError):
     """Protocol-order violation: an operation was fed state it must never see."""
 
 
-class PolicyViolationError(ProtocolError):
-    """A degree-bound policy produced a value below the actual pair degrees."""
+class PolicyViolationError(ProtocolError, ConfigError):
+    """A fixed degree bound is below a pair degree of the graph: a config
+    that cannot run on this graph sequence."""
 
 
 class DivergenceError(RuntimeError):

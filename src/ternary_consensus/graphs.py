@@ -90,11 +90,6 @@ class GraphSnapshot:
             raise ValueError(f"node {i} out of range for n={self.n}")
         return self.degrees[i]
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        if not (0 <= i < self.n):
-            raise ValueError(f"node {i} out of range for n={self.n}")
-        return self.adjacency[i]
-
     def is_connected(self) -> bool:
         return _connected(self.n, self.edges)
 
@@ -158,38 +153,23 @@ class StaticSequence(GraphSequence):
 
 
 @dataclass(frozen=True)
-class PeriodicSequence(GraphSequence):
-    """Cycles through a fixed list of snapshots: round t gets entry (t-1) mod p."""
+class ExplicitSequence(GraphSequence):
+    """A fully enumerated list of snapshots. Finite by default, so querying
+    past the end is an error; with ``cycle`` set, round t gets entry
+    (t-1) mod p forever."""
 
     rounds: tuple[GraphSnapshot, ...]
-    kind = "periodic"
+    cycle: bool = False
 
     def __post_init__(self):
         if not self.rounds:
-            raise ValueError("periodic sequence needs at least one round")
+            raise ValueError(f"{self.kind} sequence needs at least one round")
         if len({g.n for g in self.rounds}) != 1:
-            raise ValueError("all rounds in a periodic sequence must share n")
+            raise ValueError(f"all rounds in a {self.kind} sequence must share n")
 
     @property
-    def n(self) -> int:
-        return self.rounds[0].n
-
-    def _snapshot(self, t: int) -> GraphSnapshot:
-        return self.rounds[(t - 1) % len(self.rounds)]
-
-
-@dataclass(frozen=True)
-class ExplicitSequence(GraphSequence):
-    """A finite, fully enumerated sequence; querying past the end is an error."""
-
-    rounds: tuple[GraphSnapshot, ...]
-    kind = "explicit"
-
-    def __post_init__(self):
-        if not self.rounds:
-            raise ValueError("explicit sequence needs at least one round")
-        if len({g.n for g in self.rounds}) != 1:
-            raise ValueError("all rounds in an explicit sequence must share n")
+    def kind(self) -> str:
+        return "periodic" if self.cycle else "explicit"
 
     @property
     def n(self) -> int:
@@ -199,6 +179,8 @@ class ExplicitSequence(GraphSequence):
         return len(self.rounds)
 
     def _snapshot(self, t: int) -> GraphSnapshot:
+        if self.cycle:
+            return self.rounds[(t - 1) % len(self.rounds)]
         if t > len(self.rounds):
             raise ValueError(
                 f"round {t} beyond explicit sequence of length {len(self.rounds)}"
@@ -359,7 +341,7 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
     """Build a sequence from plain parameters (the config-file entry point).
 
     static:         base= complete|line, or edges=[(i,j), ...]
-    periodic:       rounds=[[(i,j), ...], ...]
+    periodic:       rounds=[[(i,j), ...], ...], cycled forever
     core_synthetic: core_edges=[(i,j), ...], block_len=B, extra_edge_prob=p
     relabeled_line: (no extra parameters)
     explicit:       rounds=[[(i,j), ...], ...] or text=<edge-list text>
@@ -382,14 +364,20 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
         else:
             snap = GraphSnapshot(n, frozenset(normalize_edge(i, j) for i, j in edges))
         return StaticSequence(snap)
-    if kind == "periodic":
-        rounds = kw.pop("rounds")
+    if kind in ("periodic", "explicit"):
+        rounds = kw.pop("rounds", None)
+        text = kw.pop("text", None) if kind == "explicit" else None
         _reject_extra(kind, kw)
-        snaps = tuple(
-            GraphSnapshot(n, frozenset(normalize_edge(i, j) for i, j in r))
-            for r in rounds
-        )
-        return PeriodicSequence(snaps)
+        if text is not None:
+            snaps = parse_rounds_text(text, n)
+        elif rounds is not None:
+            snaps = tuple(
+                GraphSnapshot(n, frozenset(normalize_edge(i, j) for i, j in r))
+                for r in rounds
+            )
+        else:
+            raise ValueError(f"{kind} sequence needs its rounds")
+        return ExplicitSequence(snaps, cycle=kind == "periodic")
     if kind == "core_synthetic":
         core = kw.pop("core_edges")
         block_len = kw.pop("block_len")
@@ -405,19 +393,6 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
     if kind == "relabeled_line":
         _reject_extra(kind, kw)
         return RelabeledLineSequence(n, seed)
-    if kind == "explicit":
-        text = kw.pop("text", None)
-        rounds = kw.pop("rounds", None)
-        _reject_extra(kind, kw)
-        if text is not None:
-            return ExplicitSequence(parse_rounds_text(text, n))
-        if rounds is not None:
-            snaps = tuple(
-                GraphSnapshot(n, frozenset(normalize_edge(i, j) for i, j in r))
-                for r in rounds
-            )
-            return ExplicitSequence(snaps)
-        raise ValueError("explicit sequence needs rounds or text")
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 

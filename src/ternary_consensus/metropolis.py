@@ -10,8 +10,7 @@ from .analysis import MetricsRow, compute_metrics
 from .engine import InitSpec
 from .errors import ConfigError, DivergenceError
 from .graphs import GraphSequence, GraphSnapshot
-
-D_POLICIES = ("max_degree", "global_n", "fixed")
+from .protocol import check_d_policy, check_fixed_bound, pair_bound
 
 
 @dataclass(frozen=True)
@@ -25,26 +24,7 @@ class MetropolisConfig:
     def __post_init__(self):
         if self.t_max < 1:
             raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
-        if self.d_policy not in D_POLICIES:
-            raise ConfigError(
-                f"d_policy must be one of {D_POLICIES}, got {self.d_policy!r}"
-            )
-        if self.d_policy == "fixed" and (self.d_fixed is None or self.d_fixed <= 0):
-            raise ConfigError("fixed d_policy needs a positive d_fixed")
-
-
-def _pair_bound(
-    policy: str, fixed: float | None, n: int, d_i: int, d_j: int
-) -> float:
-    m = d_i if d_i >= d_j else d_j
-    if policy == "max_degree":
-        return float(m)
-    if policy == "global_n":
-        return float(n)
-    assert fixed is not None
-    if fixed < m:
-        raise ConfigError(f"fixed degree bound {fixed} is below pair degree max {m}")
-    return fixed
+        check_d_policy(self.d_policy, self.d_fixed)
 
 
 def metropolis_round(
@@ -60,7 +40,7 @@ def metropolis_round(
     n = g.n
     dx = [0.0] * n
     for i, j in g.edge_list:
-        d = _pair_bound(d_policy, d_fixed, n, degrees[i], degrees[j])
+        d = pair_bound(d_policy, d_fixed, n, degrees[i], degrees[j])
         flow = (x[j] - x[i]) / d
         dx[i] += flow
         dx[j] -= flow
@@ -89,6 +69,7 @@ def run_metropolis(
         return rows, tuple(x)
     for t in range(1, config.t_max + 1):
         g = config.seq.snapshot(t)
+        check_fixed_bound(config.d_policy, config.d_fixed, g.degrees, t)
         x = metropolis_round(x, g, config.d_policy, config.d_fixed)
         for i, v in enumerate(x):
             if not isfinite(v):

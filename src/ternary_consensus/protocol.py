@@ -13,10 +13,54 @@ from dataclasses import dataclass, field
 from math import isfinite
 from typing import NamedTuple
 
-from .errors import ProtocolError
+from .errors import ConfigError, PolicyViolationError, ProtocolError
 
 VARIANTS = ("theorem", "practical")
 D_POLICIES = ("max_degree", "global_n", "fixed")
+
+
+def check_d_policy(d_policy: str, d_fixed: float | None) -> None:
+    """Validate a degree-bound policy and its fixed bound (raises ConfigError)."""
+    if d_policy not in D_POLICIES:
+        raise ConfigError(f"d_policy must be one of {D_POLICIES}, got {d_policy!r}")
+    if d_policy == "fixed":
+        if d_fixed is None or d_fixed <= 0:
+            raise ConfigError("fixed d_policy needs a positive d_fixed")
+    elif d_fixed is not None:
+        raise ConfigError("d_fixed only applies to the fixed policy")
+
+
+def pair_bound(
+    d_policy: str, d_fixed: float | None, n: int, d_i: int, d_j: int
+) -> float:
+    """Symmetric per-pair degree bound D(i,j), shared by the protocol and the
+    real-valued baseline so both divide by the same number."""
+    m = d_i if d_i >= d_j else d_j
+    if d_policy == "max_degree":
+        return float(m)
+    if d_policy == "global_n":
+        return float(n)
+    if d_fixed < m:
+        raise PolicyViolationError(
+            f"fixed degree bound {d_fixed} is below the pair degree max {m}"
+        )
+    return d_fixed
+
+
+def check_fixed_bound(
+    d_policy: str, d_fixed: float | None, degrees: tuple[int, ...], t: int
+) -> None:
+    """Reject round t's graph if a fixed bound is below any edge's pair degree
+    max. That max is the largest node degree whenever the round has an edge
+    (degree > 1); edgeless rounds never violate."""
+    if d_policy != "fixed":
+        return
+    m = max(degrees)
+    if m > 1 and d_fixed < m:
+        raise PolicyViolationError(
+            f"fixed degree bound {d_fixed} is below the max pair degree {m} "
+            f"at round {t}"
+        )
 
 
 @dataclass(frozen=True)
@@ -52,15 +96,7 @@ class ProtocolParams:
                 f"practical variant omits the damping exponent (beta must be 0, "
                 f"got {self.beta})"
             )
-        if self.d_policy not in D_POLICIES:
-            raise ValueError(
-                f"d_policy must be one of {D_POLICIES}, got {self.d_policy!r}"
-            )
-        if self.d_policy == "fixed":
-            if self.d_fixed is None or self.d_fixed <= 0:
-                raise ValueError("fixed d_policy needs a positive d_fixed")
-        elif self.d_fixed is not None:
-            raise ValueError("d_fixed only applies to the fixed policy")
+        check_d_policy(self.d_policy, self.d_fixed)
         if self.prune_horizon is not None and self.prune_horizon < 1:
             raise ValueError(f"prune_horizon must be >= 1, got {self.prune_horizon}")
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ternary_consensus.analysis import compute_metrics
 from ternary_consensus.cli import METRICS_HEADER, SWEEP_HEADER, TRACE_HEADER, main
 from ternary_consensus.config import (
     load_config,
@@ -363,3 +364,56 @@ def test_seed_override_changes_both_seeds(write_config, tmp_path):
     assert first != second  # the seed-6 rerun overwrote out_a
     assert main(["run", "--config", a, "--seed", "5", "--t-max", "3", "--quiet"]) == 0
     assert (tmp_path / "oa" / "metrics.csv").read_bytes() == second
+
+
+FIXED_BOUND_YAML = BASE_YAML.replace("n: 3", "n: 6").replace(
+    "alpha: 0.9\n  beta: 0.0\n  variant: practical\n  d_policy: max_degree\n",
+    "alpha: 0.25\n  beta: 0.5\n  variant: theorem\n  d_policy: fixed\n"
+    "  d_fixed: 2.0\n",
+)
+
+
+class TestFailurePath:
+    @pytest.mark.parametrize(
+        "verb",
+        [["run"], ["run", "--baseline"], ["sweep", "--n-list", "4,6", "--stop-err", "0.1"]],
+        ids=["run", "baseline", "sweep"],
+    )
+    def test_infeasible_fixed_bound_exits_1_without_files(
+        self, verb, write_config, tmp_path, capsys
+    ):
+        # complete-6 has pair degree 6, so a fixed bound of 2 cannot run
+        code = main(verb + ["--config", write_config(FIXED_BOUND_YAML)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_sweep_divergence_exits_2_without_files(
+        self, write_config, tmp_path, monkeypatch, capsys
+    ):
+        import ternary_consensus.cli as cli_mod
+        from ternary_consensus.errors import DivergenceError
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError("node 0 became non-finite at round 1: nan")
+
+        monkeypatch.setattr(cli_mod, "run", diverge)
+        code = main([
+            "sweep", "--config", write_config(), "--n-list", "3,4",
+            "--stop-err", "0.1", "--quiet",
+        ])
+        assert code == 2
+        assert "run failed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_interrupt_removes_partial_csv(self, write_config, tmp_path, monkeypatch):
+        import ternary_consensus.cli as cli_mod
+
+        def interrupted(*args, metrics_sink, **kwargs):
+            metrics_sink(compute_metrics((1.0, 0.0, 0.0), 1 / 3, t=1))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", write_config(), "--quiet"])
+        assert not (tmp_path / "out" / "metrics.csv").exists()

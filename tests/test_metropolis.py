@@ -153,3 +153,31 @@ class TestRun:
         rows, final_x = run_metropolis(cfg)
         assert rows[0].M == 1.0 and rows[0].W == 1.0
         assert final_x[2] == 0.0
+
+
+class TestSharedDegreeBound:
+    def test_library_and_baseline_raise_the_same_error(self):
+        # theorem variant on complete-6 with a fixed bound below degree 6
+        from ternary_consensus.engine import SimulationConfig, run
+        from ternary_consensus.errors import PolicyViolationError
+        from ternary_consensus.protocol import ProtocolParams
+
+        seq = make_sequence("static", 6, base="complete")
+        params = ProtocolParams(
+            alpha=0.25, beta=0.5, variant="theorem", d_policy="fixed", d_fixed=2.0,
+        )
+        with pytest.raises(PolicyViolationError, match="round 1"):
+            run(SimulationConfig(seq, params, InitSpec("spike"), 10))
+        base = MetropolisConfig(
+            seq, InitSpec("spike"), t_max=10, d_policy="fixed", d_fixed=2.0
+        )
+        with pytest.raises(PolicyViolationError, match="round 1"):
+            run_metropolis(base)
+
+    def test_edgeless_rounds_never_violate_a_fixed_bound(self):
+        seq = make_sequence("periodic", 3, rounds=[[], [(0, 1)]])
+        cfg = MetropolisConfig(
+            seq, InitSpec("spike"), t_max=1, d_policy="fixed", d_fixed=1.0
+        )
+        rows, _ = run_metropolis(cfg)
+        assert len(rows) == 1
