@@ -14,11 +14,11 @@ from .analysis import (
     validate_round,
 )
 from .engine import (
+    EdgeState,
     InitSpec,
     RoundRecord,
     RunResult,
     SimulationConfig,
-    World,
     init_state,
     run,
     run_round,

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 
 import yaml
 
-from .engine import InitSpec, SimulationConfig
+from .engine import InitSpec, SimulationConfig, check_run_lengths
 from .errors import ConfigError
 from .graphs import GraphSequence, make_sequence
 from .metropolis import MetropolisConfig
@@ -90,6 +91,13 @@ def _as_float(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
     return float(v)
+
+
+def _as_finite(v, path: str) -> float:
+    x = _as_float(v, path)
+    if not isfinite(x):
+        raise ConfigError(f"{path}: must be finite, got {x!r}")
+    return x
 
 
 def _as_bool(v, path: str) -> bool:
@@ -205,14 +213,14 @@ def _build_protocol(sec: dict) -> ProtocolParams:
 def _build_init(sec: dict) -> InitSpec:
     kind = _as_str(_need(sec, "init", "kind"), "init.kind")
     seed = _as_int(sec.get("seed", 0), "init.seed") if "seed" in sec else 0
-    lo = _as_float(sec["lo"], "init.lo") if "lo" in sec else 0.0
-    hi = _as_float(sec["hi"], "init.hi") if "hi" in sec else 1.0
+    lo = _as_finite(sec["lo"], "init.lo") if "lo" in sec else 0.0
+    hi = _as_finite(sec["hi"], "init.hi") if "hi" in sec else 1.0
     values = None
     if sec.get("values") is not None:
         if not isinstance(sec["values"], list):
             raise ConfigError("init.values: expected a list of numbers")
         values = tuple(
-            _as_float(v, f"init.values[{k}]") for k, v in enumerate(sec["values"])
+            _as_finite(v, f"init.values[{k}]") for k, v in enumerate(sec["values"])
         )
     try:
         return InitSpec(kind=kind, seed=seed, lo=lo, hi=hi, values=values)
@@ -256,17 +264,7 @@ def load_config_data(doc, base_dir: Path = Path(".")) -> ExperimentConfig:
     out_sec = _section(doc, "output", _OUTPUT_KEYS)
     out_dir = _as_str(_need(out_sec, "output", "dir"), "output.dir")
 
-    # cross-section checks that need the built graph
-    if init.kind == "explicit" and init.values is not None:
-        if len(init.values) != seq.n:
-            raise ConfigError(
-                f"init.values: {len(init.values)} values for n={seq.n} nodes"
-            )
-    if seq.kind == "explicit" and t_max > len(seq):
-        raise ConfigError(
-            f"run.t_max: {t_max} rounds exceed the explicit sequence's "
-            f"{len(seq)} rounds"
-        )
+    check_run_lengths(seq, init, t_max)
 
     return ExperimentConfig(
         seq=seq,

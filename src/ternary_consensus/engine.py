@@ -1,11 +1,16 @@
-"""Synchronous round executor.
+"""Synchronous round executor over edge-indexed arrays.
 
-Each round runs in phases over all nodes: materialize the round's graph,
-create ledger entries for newly appearing edges, compute every message from
-time-(t-1) state, deliver and fold messages into ledgers, then compute active
-sets and value updates. Only ternary messages ever cross between nodes; the
-engine also computes the symmetric per-pair degree bounds centrally so both
-endpoints of an edge divide by the same number.
+The protocol's ledgers are mirrored: node i's inbound estimate for j is
+bitwise equal to node j's outbound estimate for i, because both sides apply
+the same increments in the same order. So one pair of floats per undirected
+edge holds the whole ledger, and a round of the per-node state machine in
+``protocol`` becomes a few numpy operations over edge-indexed arrays. The
+result is bitwise identical to running ``protocol`` node by node: every
+float operation is the same IEEE operation on the same operands, and each
+node folds its active peers in ascending order, as ``value_update`` does.
+
+``RoundRecord``s are built only when something reads them: the invariant
+checker, a record sink, or a kept full trace.
 """
 
 from __future__ import annotations
@@ -14,20 +19,17 @@ import random
 from dataclasses import dataclass
 from math import isfinite
 
+import numpy as np
+
 from .analysis import MetricsRow, compute_metrics, validate_round
 from .errors import ConfigError, DivergenceError, InvariantViolationError
 from .graphs import Edge, GraphSequence, GraphSnapshot
 from .protocol import (
     Message,
-    NodeState,
     ProtocolParams,
-    active_set,
-    apply_messages,
     check_fixed_bound,
-    compute_message,
     pair_bound,
     round_scales,
-    value_update,
 )
 
 INIT_KINDS = ("spike", "uniform_random", "explicit")
@@ -59,17 +61,45 @@ class InitSpec:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     def build(self, n: int) -> tuple[float, ...]:
+        """The n initial values; an explicit vector is returned as given
+        (``check_run_lengths`` matches its length to n at construction)."""
         if self.kind == "spike":
             return (1.0,) + (0.0,) * (n - 1)
         if self.kind == "uniform_random":
             rng = random.Random(self.seed)
             return tuple(rng.uniform(self.lo, self.hi) for _ in range(n))
-        assert self.values is not None
-        if len(self.values) != n:
-            raise ConfigError(
-                f"explicit init has {len(self.values)} values for n={n} nodes"
-            )
         return self.values
+
+
+def check_run_lengths(seq: GraphSequence, init: InitSpec, t_max: int) -> None:
+    """Reject an explicit init vector whose length is not the node count, and
+    a finite explicit sequence shorter than the round budget. Messages name
+    the config keys (init.values, run.t_max) that set these lengths."""
+    if init.kind == "explicit" and len(init.values) != seq.n:
+        raise ConfigError(
+            f"init.values: {len(init.values)} values for n={seq.n} nodes"
+        )
+    if seq.kind == "explicit" and t_max > len(seq):
+        raise ConfigError(
+            f"run.t_max: {t_max} rounds exceed the explicit sequence's "
+            f"{len(seq)} rounds"
+        )
+
+
+def initial_metrics(x0: tuple[float, ...]) -> tuple[float, MetricsRow]:
+    """The initial average and the t=0 metrics row. Raises DivergenceError
+    when float arithmetic cannot carry the average or the dispersion."""
+    avg0 = sum(x0) / len(x0)
+    try:
+        row = compute_metrics(x0, avg0, t=0)
+    except OverflowError:  # a squared deviation beyond the float range
+        row = None
+    if row is None or not (isfinite(avg0) and isfinite(row.W) and isfinite(row.V2)):
+        raise DivergenceError(
+            f"the average ({avg0!r}) or the dispersion of the initial values "
+            f"is beyond the float range"
+        )
+    return avg0, row
 
 
 @dataclass(frozen=True)
@@ -89,12 +119,7 @@ class SimulationConfig:
                 f"record_level must be one of {RECORD_LEVELS}, got "
                 f"{self.record_level!r}"
             )
-        if self.init.kind == "explicit" and self.init.values is not None:
-            if len(self.init.values) != self.seq.n:
-                raise ConfigError(
-                    f"explicit init has {len(self.init.values)} values for "
-                    f"n={self.seq.n} nodes"
-                )
+        check_run_lengths(self.seq, self.init, self.t_max)
 
 
 @dataclass(slots=True)
@@ -114,19 +139,85 @@ class RoundRecord:
     estimates: list[dict[int, tuple[float, float]]]
 
 
-@dataclass(slots=True)
-class World:
-    """All node states plus frozen facts about the initial condition."""
+class EdgeArrays:
+    """Edge-indexed arrays of one snapshot, shared by the protocol engine and
+    the averaging baseline. Runners build them once per snapshot object and
+    reuse them while the sequence hands out the same object.
 
-    nodes: list[NodeState]
+    Edge k is ``graph.edge_list[k] = (eu[k], ev[k])`` with eu < ev, and D[k]
+    its pair bound under the given policy; ``ends`` lists eu[0], ev[0],
+    eu[1], ev[1], ... The half-edges list every edge once from each endpoint,
+    sorted by (node, peer): half-edge h belongs to node h_node[h], refers to
+    edge h_edge[h] and carries sign h_sign[h], +1 at the low endpoint and -1
+    at the high one. ``np.bincount`` adds its weights in array order starting
+    from +0.0, so a fold over the half-edges adds each node's terms in
+    ascending peer order, as the per-node loops do (``np.sum`` adds pairwise
+    and rounds differently once a node has 8 or more terms).
+    """
+
+    __slots__ = ("graph", "ends", "eu", "ev", "D", "h_node", "h_edge", "h_sign")
+
+    def __init__(self, g: GraphSnapshot, d_policy: str, d_fixed: float | None):
+        edges = g.edge_list
+        m = len(edges)
+        ends = np.array(edges, dtype=np.intp).ravel()
+        eu = ends[0::2]
+        ev = ends[1::2]
+        deg = g.degrees
+        node = np.concatenate((eu, ev))
+        order = np.lexsort((np.concatenate((ev, eu)), node))
+        self.graph = g
+        self.ends = ends
+        self.eu = eu
+        self.ev = ev
+        self.D = np.array(
+            [pair_bound(d_policy, d_fixed, g.n, deg[i], deg[j]) for i, j in edges],
+            dtype=float,
+        )
+        self.h_node = node[order]
+        self.h_edge = order % m if m else order
+        self.h_sign = np.where(order < m, 1.0, -1.0)
+
+    def fold(self, per_edge: np.ndarray) -> np.ndarray:
+        """Per-node sums of +per_edge[k] at eu[k] and -per_edge[k] at ev[k],
+        each node's terms added in ascending peer order."""
+        return np.bincount(
+            self.h_node,
+            weights=self.h_sign * per_edge[self.h_edge],
+            minlength=self.graph.n,
+        )
+
+
+@dataclass(slots=True, eq=False)
+class EdgeState:
+    """Run state: node values, one estimate pair per undirected edge ever
+    seen, frozen facts about the initial condition, and the arrays of the
+    current snapshot.
+
+    Slot s holds edge (u, v), u < v, the s-th distinct edge to appear:
+    est[s] = (a, b), where a is u's outbound estimate toward v (v's inbound
+    estimate of u) and b is v's outbound estimate toward u. last_seen[s] is
+    the last round the edge was present. With a prune horizon H the protocol
+    drops an entry at the end of the first round r with last_seen < r - H;
+    here the entry is zeroed when the edge reappears after such a round, and
+    counts as live in a record while last_seen >= t - H.
+    """
+
+    x: np.ndarray
+    est: np.ndarray
+    last_seen: np.ndarray
+    slot_of: dict[Edge, int]
     x0: tuple[float, ...]
     avg0: float
-    w0: float
     xinf0: float
-
-    @property
-    def x(self) -> tuple[float, ...]:
-        return tuple(node.x for node in self.nodes)
+    row0: MetricsRow
+    records: bool
+    arrays: EdgeArrays | None = None
+    slot: np.ndarray | None = None  # slot of each edge of the snapshot
+    denom: np.ndarray | None = None  # 2*D (practical) or 4*D (theorem)
+    silent: list[Message] | None = None  # the snapshot's messages, all q = 0
+    nonzero_msgs: int = 0  # counters of the last round run
+    active_edges: int = 0
 
 
 @dataclass(slots=True)
@@ -138,115 +229,163 @@ class RunResult:
     stopped_at: int | None
 
 
-def init_state(config: SimulationConfig) -> World:
-    """World at t=0: values per the init spec, every ledger empty."""
-    n = config.seq.n
-    x0 = config.init.build(n)
-    nodes = [NodeState(i, x0[i]) for i in range(n)]
-    return World(
-        nodes,
-        x0,
-        avg0=sum(x0) / n,
-        w0=max(x0) - min(x0),
+def init_state(config: SimulationConfig, records: bool = False) -> EdgeState:
+    """State at t=0: values per the init spec, no edge seen yet. With
+    ``records`` set, run_round returns a RoundRecord for every round."""
+    x0 = config.init.build(config.seq.n)
+    avg0, row0 = initial_metrics(x0)
+    return EdgeState(
+        x=np.array(x0, dtype=float),
+        est=np.zeros((0, 2)),
+        last_seen=np.zeros(0, dtype=np.int64),
+        slot_of={},
+        x0=x0,
+        avg0=avg0,
         xinf0=max(abs(v) for v in x0),
+        row0=row0,
+        records=records,
     )
 
 
-def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
-    """Execute round t (mutating world in place) and return its record.
-
-    Phase order: snapshot the graph; create ledger entries for edges appearing
-    for the first time (or after pruning); compute all messages from
-    time-(t-1) values; deliver; compute active sets and value updates. All
-    messages are computed before any ledger changes, so within a round every
-    node sees a consistent picture of the previous round.
-    """
-    params = config.params
-    nodes = world.nodes
-    g = config.seq.snapshot(t)
-    n = g.n
-    edge_list = g.edge_list
-    degrees = g.degrees
+def _enter_snapshot(
+    state: EdgeState, g: GraphSnapshot, t: int, params: ProtocolParams
+) -> None:
+    """Build the arrays of a snapshot first handed out at round t, giving new
+    edges zeroed slots."""
     # the practical variant's 2*max(d_i, d_j) denominator ignores d_policy
     d_policy = params.d_policy if params.variant == "theorem" else "max_degree"
-    d_fixed = params.d_fixed
-    check_fixed_bound(d_policy, d_fixed, degrees, t)
+    check_fixed_bound(d_policy, params.d_fixed, g.degrees, t)
+    arrays = EdgeArrays(g, d_policy, params.d_fixed)
+    slot_of = state.slot_of
+    known = len(slot_of)
+    slots = [slot_of.setdefault(e, len(slot_of)) for e in g.edge_list]
+    grown = len(slot_of) - known
+    if grown:
+        state.est = np.concatenate((state.est, np.zeros((grown, 2))))
+        state.last_seen = np.concatenate(
+            (state.last_seen, np.zeros(grown, dtype=np.int64))
+        )
+    state.arrays = arrays
+    state.slot = np.array(slots, dtype=np.intp)
+    state.denom = (2.0 if params.variant == "practical" else 4.0) * arrays.D
+    if state.records:
+        # records copy this list and patch in the few nonzero symbols
+        state.silent = [
+            m
+            for i, j in g.edge_list
+            for m in (Message(i, j, 0), Message(j, i, 0))
+        ]
 
-    for i, j in edge_list:
-        nodes[i].ensure_peer(j, t)
-        nodes[j].ensure_peer(i, t)
 
+def run_round(
+    state: EdgeState, t: int, config: SimulationConfig
+) -> RoundRecord | None:
+    """Execute round t, mutating state in place; return its record when the
+    state was made with ``records``, else None.
+
+    Phase order as in the protocol: snapshot the graph; zero the estimates of
+    edges reappearing after pruning; compute every message from time-(t-1)
+    state; fold the messages into the estimates; select the active pairs and
+    update values. ``state.nonzero_msgs``/``state.active_edges`` count the
+    round's nonzero messages and mutually active pairs.
+    """
+    params = config.params
+    g = config.seq.snapshot(t)
+    if state.arrays is None or g is not state.arrays.graph:
+        _enter_snapshot(state, g, t, params)
+    arrays = state.arrays
+    slot = state.slot
+    est = state.est
+    last_seen = state.last_seen
+    if params.prune_horizon is not None:
+        est[slot[last_seen[slot] < t - 1 - params.prune_horizon]] = 0.0
     t_alpha, inv_ta, threshold = round_scales(t, params.alpha)
-    step = t ** (-params.beta) if params.variant == "theorem" else 1.0
+    x = state.x
 
-    sent: list[list[Message]] = [[] for _ in range(n)]
-    received: list[list[Message]] = [[] for _ in range(n)]
-    messages: list[Message] = []
-    for i, j in edge_list:
-        mi = compute_message(nodes[i], j, t, params, t_alpha=t_alpha)
-        mj = compute_message(nodes[j], i, t, params, t_alpha=t_alpha)
-        sent[i].append(mi)
-        received[j].append(mi)
-        sent[j].append(mj)
-        received[i].append(mj)
-        messages.append(mi)
-        messages.append(mj)
+    # messages, in edge order: u -> v then v -> u; x_out[2k] is a, x_out[2k+1] b
+    x_out = est[slot].ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = t_alpha * (x[arrays.ends] - x_out)
+    finite = np.isfinite(v)
+    if not finite.all():
+        h = int(np.argmin(finite))
+        src = arrays.ends
+        raise DivergenceError(
+            f"message from node {src[h]} to node {src[h ^ 1]} at round {t} has "
+            f"a non-finite quantizer input {float(v[h])!r}"
+        )
+    q = (v > 1.0).view(np.int8) - (v < -1.0).view(np.int8)
 
-    prune = params.prune_horizon is not None
-    for i in range(n):
-        if sent[i] or (prune and nodes[i].ledger):
-            apply_messages(
-                nodes[i], t, sent[i], received[i], params, inv_t_alpha=inv_ta
+    # fold: both ledger sides of an edge apply the same increment
+    x_out += q * inv_ta
+    est[slot] = x_out.reshape(-1, 2)
+    last_seen[slot] = t
+
+    # active pairs: both messages 0 and |x_in - x_out| > 4/t^alpha
+    gap = x_out[1::2] - x_out[0::2]  # b - a: x_in - x_out at u, negated at v
+    act = ((q[0::2] | q[1::2]) == 0) & (np.abs(gap) > threshold)
+    x_pre = x
+    if act.any():
+        # inactive edges add +-0.0, which leaves a sum from +0.0 unchanged
+        acc = arrays.fold(np.where(act, gap / state.denom, 0.0))
+        if params.variant == "theorem":
+            acc = t ** (-params.beta) * acc
+        # nodes with no active peer keep x untouched, signed zeros included
+        moved = np.zeros(g.n, dtype=bool)
+        moved[arrays.eu[act]] = True
+        moved[arrays.ev[act]] = True
+        x = np.where(moved, x + acc, x)
+        bad = ~np.isfinite(x)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DivergenceError(
+                f"node {i} became non-finite at round {t}: {float(x[i])!r}"
             )
+        state.x = x
+    state.nonzero_msgs = int(np.count_nonzero(q))
+    state.active_edges = int(np.count_nonzero(act))
+    if not state.records:
+        return None
+    return _record(state, t, q, act, x_pre, x, params)
 
-    x_pre = tuple(node.x for node in nodes)
-    adjacency = g.adjacency
-    active_sets: list[set[int]] = []
-    for i in range(n):
-        if sent[i]:
-            active_sets.append(
-                active_set(
-                    nodes[i], t, adjacency[i], sent[i], received[i], params,
-                    threshold=threshold,
-                )
-            )
-        else:
-            active_sets.append(set())
 
+def _record(
+    state: EdgeState,
+    t: int,
+    q: np.ndarray,
+    act: np.ndarray,
+    x_pre: np.ndarray,
+    x_post: np.ndarray,
+    params: ProtocolParams,
+) -> RoundRecord:
+    """The per-node view of round t, rebuilt from the edge arrays."""
+    g = state.arrays.graph
+    n = g.n
+    edges = g.edge_list
+    messages = state.silent.copy()
+    for h in np.flatnonzero(q).tolist():
+        src, dst, _ = messages[h]
+        messages[h] = Message(src, dst, int(q[h]))
+    active_sets: list[set[int]] = [set() for _ in range(n)]
     d_bounds: dict[Edge, float] = {}
-    for i in range(n):
-        act = active_sets[i]
-        if not act:
-            continue
-        dmap: dict[int, float] = {}
-        for j in act:
-            key = (i, j) if i < j else (j, i)
-            d = d_bounds.get(key)
-            if d is None:
-                d = pair_bound(d_policy, d_fixed, n, degrees[i], degrees[j])
-                d_bounds[key] = d
-            dmap[j] = d
-        value_update(nodes[i], t, act, dmap, params, step=step)
-
-    x_post = tuple(node.x for node in nodes)
-    for i, v in enumerate(x_post):
-        if not isfinite(v):
-            raise DivergenceError(f"node {i} became non-finite at round {t}: {v!r}")
-
-    estimates = [
-        {peer: (e.x_in, e.x_out) for peer, e in node.ledger.items()}
-        for node in nodes
-    ]
+    D = state.arrays.D
+    for k in np.flatnonzero(act).tolist():
+        i, j = edges[k]
+        active_sets[i].add(j)
+        active_sets[j].add(i)
+        d_bounds[i, j] = float(D[k])
+    estimates: list[dict[int, tuple[float, float]]] = [{} for _ in range(n)]
+    horizon = params.prune_horizon
+    cutoff = t - horizon if horizon is not None else 0
+    for (i, j), (a, b), seen in zip(
+        state.slot_of, state.est.tolist(), state.last_seen.tolist()
+    ):
+        if seen >= cutoff:
+            estimates[i][j] = (b, a)
+            estimates[j][i] = (a, b)
     return RoundRecord(
-        t, g, messages, active_sets, x_pre, x_post, d_bounds, estimates
-    )
-
-
-def _row_from_record(rec: RoundRecord, avg0: float) -> MetricsRow:
-    active_pairs = sum(len(s) for s in rec.active_sets) // 2
-    nonzero = sum(1 for m in rec.messages if m.q)
-    return compute_metrics(
-        rec.x_post, avg0, t=rec.t, active_edges=active_pairs, nonzero_msgs=nonzero
+        t, g, messages, active_sets, tuple(x_pre.tolist()), tuple(x_post.tolist()),
+        d_bounds, estimates,
     )
 
 
@@ -265,35 +404,40 @@ def run(
     With check_invariants set, every round's record is validated and the
     first violating round raises InvariantViolationError naming each failed
     check. Sinks receive rows/records as they are produced, which keeps very
-    long runs memory-flat when keep_metrics/keep_records are off.
+    long runs memory-flat when keep_metrics/keep_records are off. Records are
+    built only when checked, sunk or kept.
     """
     if keep_records is None:
         keep_records = config.record_level == "full_trace" and record_sink is None
-    world = init_state(config)
+    check = config.check_invariants
+    state = init_state(config, records=check or keep_records or record_sink is not None)
     params = config.params
+    avg0 = state.avg0
 
     rows: list[MetricsRow] = []
     records: list[RoundRecord] = []
-    prev_row = compute_metrics(world.x0, world.avg0, t=0)
+    prev_row = state.row0
     if stop_err is not None and prev_row.err_max <= stop_err:
-        return RunResult(rows, records, world.x0, rounds=0, stopped_at=0)
+        return RunResult(rows, records, state.x0, rounds=0, stopped_at=0)
     if stop_v2 is not None and prev_row.V2 <= stop_v2:
-        return RunResult(rows, records, world.x0, rounds=0, stopped_at=0)
+        return RunResult(rows, records, state.x0, rounds=0, stopped_at=0)
 
-    check = config.check_invariants
-    cons_tol = CONSERVATION_TOL * max(1.0, world.xinf0)
+    cons_tol = CONSERVATION_TOL * max(1.0, state.xinf0)
     stopped_at = None
     rounds = 0
     for t in range(1, config.t_max + 1):
-        rec = run_round(world, t, config)
-        row = _row_from_record(rec, world.avg0)
+        rec = run_round(state, t, config)
+        x_post = state.x.tolist()
+        row = compute_metrics(
+            x_post, avg0, t=t,
+            active_edges=state.active_edges, nonzero_msgs=state.nonzero_msgs,
+        )
         rounds = t
         if check:
             violations = validate_round(
-                rec, prev_row, params, w0=world.w0, xinf0=world.xinf0
+                rec, prev_row, params, w0=state.row0.W, xinf0=state.xinf0
             )
-            n = len(rec.x_post)
-            drift = abs(sum(rec.x_post) / n - world.avg0)
+            drift = abs(sum(x_post) / len(x_post) - avg0)
             if drift > cons_tol:
                 violations.append(
                     f"conservation: mean drifted by {drift:.3e} at t={t}"
@@ -315,4 +459,6 @@ def run(
         if stop_v2 is not None and row.V2 <= stop_v2:
             stopped_at = t
             break
-    return RunResult(rows, records, world.x, rounds=rounds, stopped_at=stopped_at)
+    return RunResult(
+        rows, records, tuple(state.x.tolist()), rounds=rounds, stopped_at=stopped_at
+    )

@@ -82,7 +82,11 @@ class GraphSnapshot:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         # self-loop counts, so an isolated node has degree 1
-        return tuple(1 + len(a) for a in self.adjacency)
+        deg = [1] * self.n
+        for i, j in self.edges:
+            deg[i] += 1
+            deg[j] += 1
+        return tuple(deg)
 
     def degree(self, i: int) -> int:
         """Degree of node i including its implicit self-loop."""

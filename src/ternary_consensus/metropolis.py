@@ -6,11 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
+import numpy as np
+
 from .analysis import MetricsRow, compute_metrics
-from .engine import InitSpec
+from .engine import EdgeArrays, InitSpec, check_run_lengths, initial_metrics
 from .errors import ConfigError, DivergenceError
 from .graphs import GraphSequence, GraphSnapshot
-from .protocol import check_d_policy, check_fixed_bound, pair_bound
+from .protocol import check_d_policy, check_fixed_bound
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,7 @@ class MetropolisConfig:
         if self.t_max < 1:
             raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
         check_d_policy(self.d_policy, self.d_fixed)
+        check_run_lengths(self.seq, self.init, self.t_max)
 
 
 def metropolis_round(
@@ -36,15 +39,14 @@ def metropolis_round(
     """One simultaneous averaging step: every node pulls toward each neighbor
     by (x_j - x_i) / D(i,j), with degrees counting the implicit self-loop.
     The value sum is preserved because the per-edge transfers cancel."""
-    degrees = g.degrees
-    n = g.n
-    dx = [0.0] * n
-    for i, j in g.edge_list:
-        d = pair_bound(d_policy, d_fixed, n, degrees[i], degrees[j])
-        flow = (x[j] - x[i]) / d
-        dx[i] += flow
-        dx[j] -= flow
-    return [x[i] + dx[i] for i in range(n)]
+    return _step(np.array(x, dtype=float), EdgeArrays(g, d_policy, d_fixed)).tolist()
+
+
+def _step(x: np.ndarray, arrays: EdgeArrays) -> np.ndarray:
+    """metropolis_round on arrays: each node adds +flow or -flow of every
+    incident edge, in ascending peer order, to a sum that starts at 0.0."""
+    flow = (x[arrays.ev] - x[arrays.eu]) / arrays.D
+    return x + arrays.fold(flow)
 
 
 def run_metropolis(
@@ -61,24 +63,28 @@ def run_metropolis(
     active_edges counts the round's edges (every present edge participates).
     """
     n = config.seq.n
-    x = list(config.init.build(n))
-    avg0 = sum(x) / n
+    x0 = config.init.build(n)
+    avg0, row = initial_metrics(x0)
     rows: list[MetricsRow] = []
-    row = compute_metrics(x, avg0, t=0)
     if stop_err is not None and row.err_max <= stop_err:
-        return rows, tuple(x)
+        return rows, x0
+    x = np.array(x0, dtype=float)
+    arrays = None
     for t in range(1, config.t_max + 1):
         g = config.seq.snapshot(t)
-        check_fixed_bound(config.d_policy, config.d_fixed, g.degrees, t)
-        x = metropolis_round(x, g, config.d_policy, config.d_fixed)
-        for i, v in enumerate(x):
+        if arrays is None or g is not arrays.graph:
+            check_fixed_bound(config.d_policy, config.d_fixed, g.degrees, t)
+            arrays = EdgeArrays(g, config.d_policy, config.d_fixed)
+        x = _step(x, arrays)
+        xs = x.tolist()
+        for i, v in enumerate(xs):
             if not isfinite(v):
                 raise DivergenceError(f"node {i} became non-finite at round {t}")
-        row = compute_metrics(x, avg0, t=t, active_edges=len(g.edges))
+        row = compute_metrics(xs, avg0, t=t, active_edges=len(g.edges))
         if metrics_sink is not None:
             metrics_sink(row)
         if keep_metrics:
             rows.append(row)
         if stop_err is not None and row.err_max <= stop_err:
             break
-    return rows, tuple(x)
+    return rows, tuple(x.tolist())

@@ -417,3 +417,47 @@ class TestFailurePath:
         with pytest.raises(KeyboardInterrupt):
             main(["run", "--config", write_config(), "--quiet"])
         assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+TWO_NODE_EXPLICIT_YAML = BASE_YAML.replace("base: complete", "base: line").replace(
+    "n: 3", "n: 2"
+).replace("  kind: spike\n  seed: 0\n", "  kind: explicit\n  values: VALUES\n")
+
+
+class TestFloatRange:
+    """Inputs the float arithmetic cannot carry exit cleanly and leave no file:
+    non-finite values at load (1), overflow during a run (2)."""
+
+    @pytest.mark.parametrize("values", ["[.inf, 0.0]", "[0.0, .nan]", "[-.inf, 1.0]"])
+    @pytest.mark.parametrize("extra", [[], ["--baseline"]], ids=["run", "baseline"])
+    def test_non_finite_init_value_is_a_config_error(
+        self, values, extra, write_config, tmp_path, capsys
+    ):
+        path = write_config(TWO_NODE_EXPLICIT_YAML.replace("VALUES", values))
+        assert main(["run", "--config", path, "--quiet"] + extra) == 1
+        assert "config error: init.values[" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_uniform_bound_is_a_config_error(self, write_config, capsys):
+        text = BASE_YAML.replace("kind: spike", "kind: uniform_random\n  hi: .inf")
+        assert main(["run", "--config", write_config(text), "--quiet"]) == 1
+        assert "config error: init.hi:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values,extra",
+        [
+            ("[1.0e+308, -1.0e+308]", []),
+            ("[1.0e+308, -1.0e+308]", ["--baseline"]),
+            ("[1.7e+308, 1.7e+308]", []),
+            ("[1.7e+308, 1.7e+308]", ["--baseline"]),
+            ("[8.0e+307, 8.0e+307]", []),
+        ],
+    )
+    def test_overflow_is_a_run_failure(self, values, extra, write_config, tmp_path, capsys):
+        # the first two overflow the initial dispersion or average; the last
+        # overflows the quantizer input t^alpha * (x - x_out) at round 3
+        path = write_config(TWO_NODE_EXPLICIT_YAML.replace("VALUES", values))
+        assert main(["run", "--config", path, "--quiet"] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and "np.float64" not in err
+        assert not list((tmp_path / "out").glob("*.csv"))

@@ -1,19 +1,14 @@
 import pytest
 
-from ternary_consensus.engine import (
-    InitSpec,
-    SimulationConfig,
-    World,
-    init_state,
-    run,
-    run_round,
-)
+from reference_engine import World, init_state, run_round
+from ternary_consensus.engine import InitSpec, SimulationConfig, run
 from ternary_consensus.errors import (
     ConfigError,
     DivergenceError,
     PolicyViolationError,
 )
 from ternary_consensus.graphs import make_sequence
+from ternary_consensus.metropolis import MetropolisConfig, run_metropolis
 from ternary_consensus.protocol import LedgerEntry, NodeState, ProtocolParams
 
 PRACTICAL_09 = ProtocolParams(alpha=0.9, beta=0.0, variant="practical")
@@ -236,3 +231,30 @@ class TestGuards:
         world.nodes[1].ledger[0] = LedgerEntry(1.7e308, 0.0, 1, 1)
         with pytest.raises(DivergenceError):
             run_round(world, 1, cfg)
+
+
+class TestRunInputs:
+    def test_explicit_sequence_shorter_than_budget_rejected(self):
+        seq = make_sequence("explicit", 3, rounds=[[(0, 1)], [(1, 2)]])
+        with pytest.raises(ConfigError, match="run.t_max"):
+            sim(seq, PRACTICAL_09, InitSpec("spike"), 3)
+        with pytest.raises(ConfigError, match="run.t_max"):
+            MetropolisConfig(seq, InitSpec("spike"), t_max=3)
+        sim(seq, PRACTICAL_09, InitSpec("spike"), 2)
+
+    @pytest.mark.parametrize("values", [(1e308, -1e308), (1.7e308, 1.7e308)])
+    def test_initial_overflow_is_a_divergence(self, values):
+        seq = make_sequence("static", 2, edges=[(0, 1)])
+        init = InitSpec("explicit", values=values)
+        with pytest.raises(DivergenceError, match="beyond the float range"):
+            run(sim(seq, PRACTICAL_09, init, 5))
+        with pytest.raises(DivergenceError, match="beyond the float range"):
+            run_metropolis(MetropolisConfig(seq, init, t_max=5))
+
+    def test_engine_divergence_guard(self):
+        # x - x_out stays near 8e307 while t^0.9 grows: the quantizer input
+        # t^alpha * (x - x_out) overflows at round 3
+        cfg = sim(make_sequence("static", 2, edges=[(0, 1)]), PRACTICAL_09,
+                  InitSpec("explicit", values=(8e307, 8e307)), 5)
+        with pytest.raises(DivergenceError, match="round 3 has a non-finite quantizer input inf"):
+            run(cfg)
