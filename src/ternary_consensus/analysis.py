@@ -4,14 +4,16 @@ by checked runs, and the worst-case convergence-time bound evaluator.
 
 Tolerances are fixed here once: estimate mirroring is exact in floating point
 (both ledger sides apply identical increments in identical order), value
-monotonicity and movement bounds get 1e-12 slack for accumulated rounding, and
+monotonicity and movement bounds get 1e-12 slack for accumulated rounding,
+conservation of the mean gets 1e-12 relative to max(1, |x(0)|_inf), and
 matrix structure gets 1e-9 because entries go through divisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log, sqrt
+from math import ceil, inf, isfinite, log, sqrt
+from sys import float_info
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,6 +25,7 @@ if TYPE_CHECKING:  # circular-import guard: records are duck-typed here
     from .engine import RoundRecord
 
 MONOTONE_TOL = 1e-12
+CONSERVATION_TOL = 1e-12
 ESTIMATE_TOL = 1e-12
 STEP_TOL = 1e-12
 MATRIX_TOL = 1e-9
@@ -167,6 +170,7 @@ def validate_round(
     *,
     w0: float,
     xinf0: float,
+    avg0: float,
 ) -> list[str]:
     """All per-round invariants; returns violations as data.
 
@@ -176,7 +180,8 @@ def validate_round(
     sup-norm plus 1e-12; theorem variant only: (e) per-node movement at most
     (W(0)/2)/t^beta plus 1e-12 and (f) full matrix structure including
     diagonal dominance. The practical variant runs (a)-(d) plus the matrix
-    checks without the dominance claim.
+    checks without the dominance claim. Last, for both: (g) the mean of
+    x_post stays within 1e-12 * max(1, xinf0) of the initial average avg0.
     """
     out: list[str] = []
     t = record.t
@@ -255,6 +260,10 @@ def validate_round(
             out.extend(
                 validate_matrix(mat, dominance=params.variant == "theorem")
             )
+
+    drift = abs(sum(record.x_post) / n - avg0)
+    if drift > CONSERVATION_TOL * max(1.0, xinf0):
+        out.append(f"conservation: mean drifted by {drift:.3e} at t={t}")
     return out
 
 
@@ -275,6 +284,10 @@ class BoundInputs:
     xinf0: float
 
     def __post_init__(self):
+        for name in ("n", "B", "D", "alpha", "beta", "epsilon", "w0", "v20", "xinf0"):
+            value = getattr(self, name)
+            if not abs(value) <= float_info.max:  # nan, inf, or a huge integer
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.B < 1:
@@ -299,23 +312,28 @@ def theorem_bound_terms(inp: BoundInputs) -> dict[str, float]:
     total = transient_estimate + transient_init + transient_mix
             + max(steady_log, steady_power).
     The log term uses the natural log and clamps to 0 once epsilon reaches the
-    initial dispersion (and when the initial dispersion is 0).
+    initial dispersion (and when the initial dispersion is 0). A term beyond
+    the float range is inf, and so is the total.
     """
     n, B, D = inp.n, inp.B, inp.D
     alpha, beta, eps = inp.alpha, inp.beta, inp.epsilon
-    outer = 2.0 ** (1.0 / (1.0 - beta))
+    n3 = _pow(n, 3)
+    outer = _pow(2.0, 1.0 / (1.0 - beta))
+    est_base = 32.0 * B + 8.0 * B * inp.w0
+    est_base = float(ceil(est_base)) if isfinite(est_base) else inf
     t_est = (
         outer
-        * 2.0 ** (2.0 / (1.0 - alpha))
-        * ceil(32.0 * B + 8.0 * B * inp.w0) ** (1.0 / (beta - alpha))
+        * _pow(2.0, 2.0 / (1.0 - alpha))
+        * _pow(est_base, 1.0 / (beta - alpha))
     )
-    t_init = outer * (32.0 * B * inp.xinf0) ** (2.0 / (1.0 - alpha))
-    t_mix = outer * (11.0 * B + (300.0 * n**3 * D * B) ** (1.0 / (1.0 - beta)))
+    init = _pow(32.0 * B * inp.xinf0, 2.0 / (1.0 - alpha))
+    t_init = outer * init if init else 0.0  # inf * 0 would be nan
+    t_mix = outer * (11.0 * B + _pow(300.0 * n3 * D * B, 1.0 / (1.0 - beta)))
     if inp.v20 > 0 and eps < inp.v20:
-        s_log = (150.0 * n**3 * D * B * log(inp.v20 / eps)) ** (1.0 / (1.0 - beta))
+        s_log = _pow(150.0 * n3 * D * B * log(inp.v20 / eps), 1.0 / (1.0 - beta))
     else:
         s_log = 0.0
-    s_pow = (8.0 * n**1.5 / eps) ** (1.0 / alpha)
+    s_pow = _pow(8.0 * _pow(n, 1.5) / eps, 1.0 / alpha)
     return {
         "transient-estimate": t_est,
         "transient-init": t_init,
@@ -324,6 +342,14 @@ def theorem_bound_terms(inp: BoundInputs) -> dict[str, float]:
         "steady-power": s_pow,
         "total": t_est + t_init + t_mix + max(s_log, s_pow),
     }
+
+
+def _pow(base: float, exp: float) -> float:
+    """base ** exp as a float, or inf where that exceeds the float range."""
+    try:
+        return float(base**exp)
+    except OverflowError:
+        return inf
 
 
 def theorem_bound(inp: BoundInputs) -> float:

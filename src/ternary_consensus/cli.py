@@ -50,15 +50,21 @@ def _metrics_line(row) -> str:
 def _read_with_overrides(args) -> tuple[dict, Path]:
     """Read the config document and patch the command-line overrides in."""
     doc, base_dir = read_config_doc(resolve_config(args.config))
+
+    def patch(section: str, key: str, value) -> None:
+        sec = doc.setdefault(section, {})
+        if isinstance(sec, dict):  # validation names any other section value
+            sec[key] = value
+
     if args.seed is not None:
-        doc.setdefault("graph", {})["seed"] = args.seed
-        doc.setdefault("init", {})["seed"] = args.seed
+        patch("graph", "seed", args.seed)
+        patch("init", "seed", args.seed)
     if args.t_max is not None:
-        doc.setdefault("run", {})["t_max"] = args.t_max
+        patch("run", "t_max", args.t_max)
     if args.check:
-        doc.setdefault("run", {})["check"] = True
+        patch("run", "check", True)
     if args.out is not None:
-        doc.setdefault("output", {})["dir"] = args.out
+        patch("output", "dir", args.out)
     return doc, base_dir
 
 
@@ -70,7 +76,8 @@ def _load_with_overrides(args) -> ExperimentConfig:
 class _OutputFiles:
     """Context manager that opens output files and, when the block raises
     anything (Ctrl-C included), deletes every file it created, so failures
-    never leave partial CSVs behind."""
+    never leave partial CSVs behind. A file that cannot be created is a
+    ConfigError naming its path."""
 
     def __init__(self):
         self.handles = []
@@ -79,8 +86,11 @@ class _OutputFiles:
         return self
 
     def open(self, path: Path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "w", encoding="utf-8", newline="\n")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"output.dir: cannot create {path}: {exc}") from None
         self.handles.append(fh)
         return fh
 

@@ -17,16 +17,12 @@ import yaml
 
 from .engine import InitSpec, SimulationConfig, check_run_lengths
 from .errors import ConfigError
-from .graphs import GraphSequence, make_sequence
+from .graphs import SEQUENCE_KINDS, GraphSequence, make_sequence
 from .metropolis import MetropolisConfig
 from .protocol import ProtocolParams
 
 _SECTIONS = ("graph", "protocol", "init", "run", "output")
 
-_GRAPH_KEYS = {
-    "kind", "n", "seed", "B", "base", "edges", "rounds", "path",
-    "core_edges", "extra_edge_prob",
-}
 _PROTOCOL_KEYS = {"alpha", "beta", "variant", "d_policy", "d_fixed", "prune_horizon"}
 _INIT_KEYS = {"kind", "seed", "lo", "hi", "values"}
 _RUN_KEYS = {"t_max", "stop_err", "record_level", "check"}
@@ -134,6 +130,24 @@ def _parse_edges(v, path: str) -> list[tuple[int, int]]:
     return [_parse_edge(tok, f"{path}[{k}]") for k, tok in enumerate(v)]
 
 
+def _parse_rounds(v, path: str) -> list[list[tuple[int, int]]]:
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: expected a list of rounds")
+    return [_parse_edges(r, f"{path}[{k}]") for k, r in enumerate(v)]
+
+
+# parsers of the optional graph keys; make_sequence decides which a kind takes
+_GRAPH_PARAMS = {
+    "base": _as_str,
+    "edges": _parse_edges,
+    "rounds": _parse_rounds,
+    "path": _as_str,
+    "core_edges": _parse_edges,
+    "extra_edge_prob": _as_float,
+}
+_GRAPH_KEYS = {"kind", "n", "seed", "B", *_GRAPH_PARAMS}
+
+
 def _build_graph(sec: dict, base_dir: Path) -> tuple[GraphSequence, int]:
     kind = _as_str(_need(sec, "graph", "kind"), "graph.kind")
     n = _as_int(_need(sec, "graph", "n"), "graph.n")
@@ -144,43 +158,19 @@ def _build_graph(sec: dict, base_dir: Path) -> tuple[GraphSequence, int]:
     if block_len < 1:
         raise ConfigError(f"graph.B: must be >= 1, got {block_len}")
 
-    kw: dict = {}
-    if kind == "static":
-        if "base" in sec:
-            kw["base"] = _as_str(sec["base"], "graph.base")
-        if "edges" in sec:
-            kw["edges"] = _parse_edges(sec["edges"], "graph.edges")
-    elif kind in ("periodic", "explicit"):
-        if "rounds" in sec:
-            if not isinstance(sec["rounds"], list):
-                raise ConfigError("graph.rounds: expected a list of rounds")
-            kw["rounds"] = [
-                _parse_edges(r, f"graph.rounds[{k}]")
-                for k, r in enumerate(sec["rounds"])
-            ]
-        elif kind == "explicit" and "path" in sec:
-            p = base_dir / _as_str(sec["path"], "graph.path")
-            try:
-                kw["text"] = p.read_text()
-            except OSError as exc:
-                raise ConfigError(f"graph.path: cannot read {p}: {exc}") from None
-        else:
-            raise ConfigError(f"graph.rounds: required for kind {kind!r}")
-    elif kind == "core_synthetic":
-        kw["core_edges"] = _parse_edges(
-            _need(sec, "graph", "core_edges"), "graph.core_edges"
-        )
-        kw["block_len"] = block_len
-        if "extra_edge_prob" in sec:
-            kw["extra_edge_prob"] = _as_float(
-                sec["extra_edge_prob"], "graph.extra_edge_prob"
-            )
-    elif kind != "relabeled_line":
+    if kind not in SEQUENCE_KINDS:
         raise ConfigError(f"graph.kind: unknown kind {kind!r}")
 
+    kw = {
+        k: parse(sec[k], f"graph.{k}") for k, parse in _GRAPH_PARAMS.items() if k in sec
+    }
+    if "path" in kw:  # relative to the config file
+        kw["path"] = base_dir / kw["path"]
+    if kind == "core_synthetic":
+        kw["block_len"] = block_len
     try:
         return make_sequence(kind, n, seed, **kw), block_len
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"graph: {exc}") from None
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 Edge = tuple[int, int]
+SEQUENCE_KINDS = ("static", "periodic", "explicit", "core_synthetic", "relabeled_line")
 
 _MASK64 = (1 << 64) - 1
 
@@ -348,8 +350,10 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
     periodic:       rounds=[[(i,j), ...], ...], cycled forever
     core_synthetic: core_edges=[(i,j), ...], block_len=B, extra_edge_prob=p
     relabeled_line: (no extra parameters)
-    explicit:       rounds=[[(i,j), ...], ...] or text=<edge-list text>
+    explicit:       rounds=[[(i,j), ...], ...] or path=<edge-list text file>
     """
+    if kind not in SEQUENCE_KINDS:
+        raise ValueError(f"unknown sequence kind {kind!r}")
     if kind == "static":
         base = kw.pop("base", None)
         edges = kw.pop("edges", None)
@@ -370,10 +374,12 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
         return StaticSequence(snap)
     if kind in ("periodic", "explicit"):
         rounds = kw.pop("rounds", None)
-        text = kw.pop("text", None) if kind == "explicit" else None
+        path = kw.pop("path", None) if kind == "explicit" else None
         _reject_extra(kind, kw)
-        if text is not None:
-            snaps = parse_rounds_text(text, n)
+        if path is not None:
+            if rounds is not None:
+                raise ValueError("explicit sequence takes rounds or path, not both")
+            snaps = parse_rounds_text(Path(path).read_text(), n)
         elif rounds is not None:
             snaps = tuple(
                 GraphSnapshot(n, frozenset(normalize_edge(i, j) for i, j in r))
@@ -383,6 +389,8 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
             raise ValueError(f"{kind} sequence needs its rounds")
         return ExplicitSequence(snaps, cycle=kind == "periodic")
     if kind == "core_synthetic":
+        if "core_edges" not in kw:
+            raise ValueError("core_synthetic sequence needs core_edges")
         core = kw.pop("core_edges")
         block_len = kw.pop("block_len")
         prob = kw.pop("extra_edge_prob", 0.0)
@@ -394,10 +402,8 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
             prob,
             seed,
         )
-    if kind == "relabeled_line":
-        _reject_extra(kind, kw)
-        return RelabeledLineSequence(n, seed)
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    _reject_extra(kind, kw)
+    return RelabeledLineSequence(n, seed)
 
 
 def _reject_extra(kind: str, kw: dict) -> None:

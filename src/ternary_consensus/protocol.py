@@ -3,8 +3,8 @@ estimate-ledger updates, active-set selection, and the value update.
 
 Everything here reads only one node's own state plus the messages it sent and
 received this round; no operation can see another node's value or ledger. The
-engine owns phase ordering and hands each operation the per-round scale
-factors so both endpoints of an edge apply bit-identical increments.
+engine owns phase ordering; each operation computes its per-round scales from
+``(t, params)`` so both endpoints of an edge apply bit-identical increments.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def quantize(v: float) -> int:
 def round_scales(t: int, alpha: float) -> tuple[float, float, float]:
     """Per-round scale factors (t^alpha, 1/t^alpha, 4/t^alpha).
 
-    Single source for these expressions: the engine computes them once per
-    round and threads them through, so every node quantizes, increments, and
-    thresholds with bit-identical constants.
+    Single source for these expressions: each operation here calls it with
+    ``(t, params.alpha)`` and the engine once per round, so every node
+    quantizes, increments, and thresholds with bit-identical constants.
     """
     t_alpha = t**alpha
     inv = 1.0 / t_alpha
@@ -159,16 +159,13 @@ def compute_message(
     peer: int,
     t: int,
     params: ProtocolParams,
-    *,
-    t_alpha: float | None = None,
 ) -> Message:
     """Message for `peer` this round: quantize(t^alpha * (x - outbound estimate)).
 
     Pure: reads only this node's state. The ledger entry must already exist
     (the engine creates entries before any messages are computed).
     """
-    if t_alpha is None:
-        t_alpha = t**params.alpha
+    t_alpha = round_scales(t, params.alpha)[0]
     try:
         entry = state.ledger[peer]
     except KeyError:
@@ -184,8 +181,6 @@ def apply_messages(
     sent: list[Message],
     received: list[Message],
     params: ProtocolParams,
-    *,
-    inv_t_alpha: float | None = None,
 ) -> None:
     """Fold this round's messages into the ledger (the one mutation point here).
 
@@ -195,8 +190,7 @@ def apply_messages(
     horizon are dropped afterwards; a pruned peer that reappears later starts
     again from zeroed estimates.
     """
-    if inv_t_alpha is None:
-        inv_t_alpha = 1.0 / t**params.alpha
+    inv_t_alpha = round_scales(t, params.alpha)[1]
     inbound: dict[int, int] = {}
     for m in received:
         if m.q not in (-1, 0, 1):
@@ -244,8 +238,6 @@ def active_set(
     sent: list[Message],
     received: list[Message],
     params: ProtocolParams,
-    *,
-    threshold: float | None = None,
 ) -> set[int]:
     """Peers that enter this round's value update.
 
@@ -253,8 +245,7 @@ def active_set(
     and the estimate gap strictly exceeds 4/t^alpha. Uses time-t estimates:
     call after apply_messages.
     """
-    if threshold is None:
-        threshold = round_scales(t, params.alpha)[2]
+    threshold = round_scales(t, params.alpha)[2]
     q_sent = {m.dst: m.q for m in sent}
     q_recv = {m.src: m.q for m in received}
     ledger = state.ledger
@@ -273,8 +264,6 @@ def value_update(
     active: set[int],
     d_bounds: dict[int, float],
     params: ProtocolParams,
-    *,
-    step: float | None = None,
 ) -> None:
     """Move the node value using active peers' estimate gaps (mutates state.x).
 
@@ -294,9 +283,7 @@ def value_update(
             acc += (entry.x_in - entry.x_out) / (2.0 * d_bounds[j])
         state.x += acc
     else:
-        if step is None:
-            step = t ** (-params.beta)
         for j in sorted(active):
             entry = ledger[j]
             acc += (entry.x_in - entry.x_out) / (4.0 * d_bounds[j])
-        state.x += step * acc
+        state.x += t ** (-params.beta) * acc

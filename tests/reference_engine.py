@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from math import isfinite
 
 from ternary_consensus.analysis import MetricsRow, compute_metrics, validate_round
-from ternary_consensus.engine import (
-    CONSERVATION_TOL,
-    RoundRecord,
-    RunResult,
-    SimulationConfig,
-)
+from ternary_consensus.engine import RoundRecord, RunResult, SimulationConfig
 from ternary_consensus.errors import DivergenceError, InvariantViolationError
 from ternary_consensus.graphs import Edge, GraphSnapshot
 from ternary_consensus.protocol import (
@@ -29,7 +24,6 @@ from ternary_consensus.protocol import (
     check_fixed_bound,
     compute_message,
     pair_bound,
-    round_scales,
     value_update,
 )
 
@@ -85,15 +79,12 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
         nodes[i].ensure_peer(j, t)
         nodes[j].ensure_peer(i, t)
 
-    t_alpha, inv_ta, threshold = round_scales(t, params.alpha)
-    step = t ** (-params.beta) if params.variant == "theorem" else 1.0
-
     sent: list[list[Message]] = [[] for _ in range(n)]
     received: list[list[Message]] = [[] for _ in range(n)]
     messages: list[Message] = []
     for i, j in edge_list:
-        mi = compute_message(nodes[i], j, t, params, t_alpha=t_alpha)
-        mj = compute_message(nodes[j], i, t, params, t_alpha=t_alpha)
+        mi = compute_message(nodes[i], j, t, params)
+        mj = compute_message(nodes[j], i, t, params)
         sent[i].append(mi)
         received[j].append(mi)
         sent[j].append(mj)
@@ -104,9 +95,7 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
     prune = params.prune_horizon is not None
     for i in range(n):
         if sent[i] or (prune and nodes[i].ledger):
-            apply_messages(
-                nodes[i], t, sent[i], received[i], params, inv_t_alpha=inv_ta
-            )
+            apply_messages(nodes[i], t, sent[i], received[i], params)
 
     x_pre = tuple(node.x for node in nodes)
     adjacency = g.adjacency
@@ -114,10 +103,7 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
     for i in range(n):
         if sent[i]:
             active_sets.append(
-                active_set(
-                    nodes[i], t, adjacency[i], sent[i], received[i], params,
-                    threshold=threshold,
-                )
+                active_set(nodes[i], t, adjacency[i], sent[i], received[i], params)
             )
         else:
             active_sets.append(set())
@@ -135,7 +121,7 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
                 d = pair_bound(d_policy, d_fixed, n, degrees[i], degrees[j])
                 d_bounds[key] = d
             dmap[j] = d
-        value_update(nodes[i], t, act, dmap, params, step=step)
+        value_update(nodes[i], t, act, dmap, params)
 
     x_post = tuple(node.x for node in nodes)
     for i, v in enumerate(x_post):
@@ -160,7 +146,6 @@ def run(config: SimulationConfig, *, stop_err: float | None = None) -> RunResult
     prev_row = compute_metrics(world.x0, world.avg0, t=0)
     if stop_err is not None and prev_row.err_max <= stop_err:
         return RunResult(rows, records, world.x0, rounds=0, stopped_at=0)
-    cons_tol = CONSERVATION_TOL * max(1.0, world.xinf0)
     stopped_at = None
     rounds = 0
     for t in range(1, config.t_max + 1):
@@ -173,11 +158,9 @@ def run(config: SimulationConfig, *, stop_err: float | None = None) -> RunResult
         rounds = t
         if config.check_invariants:
             violations = validate_round(
-                rec, prev_row, config.params, w0=world.w0, xinf0=world.xinf0
+                rec, prev_row, config.params,
+                w0=world.w0, xinf0=world.xinf0, avg0=world.avg0,
             )
-            drift = abs(sum(rec.x_post) / len(rec.x_post) - world.avg0)
-            if drift > cons_tol:
-                violations.append(f"conservation: mean drifted by {drift:.3e} at t={t}")
             if violations:
                 raise InvariantViolationError(t, violations)
         rows.append(row)

@@ -169,55 +169,65 @@ class TestValidateRound:
         world_x0 = result.records[0].x_pre
         w0 = max(world_x0) - min(world_x0)
         xinf0 = max(abs(v) for v in world_x0)
-        return result.records, w0, xinf0
+        avg0 = sum(world_x0) / len(world_x0)
+        return result.records, w0, xinf0, avg0
 
     def test_clean_run_is_clean(self):
-        records, w0, xinf0 = self.checked_records()
+        records, w0, xinf0, avg0 = self.checked_records()
         prev = compute_metrics(records[0].x_pre, 0.0)
         for rec in records:
-            out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0)
+            out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
             assert out == []
             prev = compute_metrics(rec.x_post, 0.0, t=rec.t)
 
     def test_tampered_estimate_trips_mirror(self):
-        records, w0, xinf0 = self.checked_records()
+        records, w0, xinf0, avg0 = self.checked_records()
         rec = records[10]
         prev = compute_metrics(rec.x_pre, 0.0)
         xin, xout = rec.estimates[0][1]
         rec.estimates[0][1] = (xin + 1e-9, xout)
-        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0)
+        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
         assert any(v.startswith("estimate-mirror") for v in out)
 
     def test_runaway_value_trips_monotonicity(self):
-        records, w0, xinf0 = self.checked_records()
+        records, w0, xinf0, avg0 = self.checked_records()
         rec = records[10]
         prev = compute_metrics(rec.x_pre, 0.0)
         bumped = list(rec.x_post)
         bumped[0] = prev.M + 0.5
         rec.x_post = tuple(bumped)
         rec.active_sets = [set() for _ in rec.active_sets]
-        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0)
+        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
         assert any(v.startswith("monotonicity") for v in out)
 
     def test_asymmetric_active_set_detected(self):
-        records, w0, xinf0 = self.checked_records()
+        records, w0, xinf0, avg0 = self.checked_records()
         rec = next(r for r in records if any(r.active_sets))
         prev = compute_metrics(rec.x_pre, 0.0)
         i = next(k for k, s in enumerate(rec.active_sets) if s)
         j = next(iter(rec.active_sets[i]))
         rec.active_sets[j].discard(i)
-        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0)
+        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
         assert any(v.startswith("active-set-symmetry") for v in out)
 
     def test_oversized_estimate_detected(self):
-        records, w0, xinf0 = self.checked_records()
+        records, w0, xinf0, avg0 = self.checked_records()
         rec = records[5]
         prev = compute_metrics(rec.x_pre, 0.0)
         rec.estimates[0][1] = (xinf0 + 1.0, rec.estimates[0][1][1])
         rec.estimates[1][0] = (rec.estimates[1][0][0], xinf0 + 1.0)
         rec.active_sets = [set() for _ in rec.active_sets]
-        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0)
+        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
         assert any(v.startswith("estimate-bound") for v in out)
+
+    def test_shifted_mean_trips_conservation(self):
+        records, w0, xinf0, avg0 = self.checked_records()
+        rec = records[10]
+        prev = compute_metrics(rec.x_pre, 0.0)
+        rec.x_post = tuple(v - 1e-9 for v in rec.x_post)
+        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
+        assert out and out[-1].startswith("conservation: mean drifted by")
+        assert out[-1].endswith(f"at t={rec.t}")
 
 
 class TestRecurrenceIdentity:

@@ -168,7 +168,7 @@ class TestCmdRun:
     ):
         import ternary_consensus.engine as engine_mod
 
-        def fake_validate(rec, prev, params, *, w0, xinf0):
+        def fake_validate(rec, prev, params, *, w0, xinf0, avg0):
             return [f"estimate-mirror: injected fault at t={rec.t}"]
 
         monkeypatch.setattr(engine_mod, "validate_round", fake_validate)
@@ -461,3 +461,131 @@ class TestFloatRange:
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and "np.float64" not in err
         assert not list((tmp_path / "out").glob("*.csv"))
+
+
+class TestGraphKeys:
+    """make_sequence decides which graph keys a kind takes; the loader passes
+    every key present and reports the ones the kind does not take."""
+
+    @pytest.mark.parametrize(
+        "graph,stray",
+        [
+            (
+                "  kind: relabeled_line\n  base: complete\n"
+                '  core_edges: ["0-1", "1-2"]\n  extra_edge_prob: 0.1\n',
+                ["base", "core_edges", "extra_edge_prob"],
+            ),
+            ('  kind: static\n  base: line\n  rounds: [["0-1"]]\n', ["rounds"]),
+            ('  kind: periodic\n  rounds: [["0-1"]]\n  path: rounds.txt\n', ["path"]),
+            (
+                '  kind: core_synthetic\n  core_edges: ["0-1", "1-2"]\n'
+                "  edges: []\n",
+                ["edges"],
+            ),
+        ],
+        ids=["relabeled_line", "static", "periodic", "core_synthetic"],
+    )
+    @pytest.mark.parametrize("verb", [["run"], ["check-core"]], ids=["run", "check-core"])
+    def test_stray_key_exits_1_naming_it(
+        self, graph, stray, verb, write_config, tmp_path, capsys
+    ):
+        (tmp_path / "rounds.txt").write_text("0-1\n")
+        text = BASE_YAML.replace("  kind: static\n  base: complete\n", graph)
+        assert main(verb + ["--config", write_config(text), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: graph: unexpected parameters")
+        assert err.rstrip().endswith(repr(stray))
+        assert not (tmp_path / "out").exists()
+
+    def test_explicit_with_rounds_and_path_exits_1(self, write_config, tmp_path, capsys):
+        (tmp_path / "rounds.txt").write_text("0-1\n" * 5)
+        text = BASE_YAML.replace(
+            "  kind: static\n  base: complete\n",
+            '  kind: explicit\n  rounds: [["0-1"], [], [], [], []]\n  path: rounds.txt\n',
+        )
+        assert main(["run", "--config", write_config(text), "--quiet"]) == 1
+        assert "rounds or path, not both" in capsys.readouterr().err
+
+    def test_missing_core_edges_is_named(self, write_config, capsys):
+        text = BASE_YAML.replace(
+            "  kind: static\n  base: complete\n", "  kind: core_synthetic\n"
+        )
+        assert main(["run", "--config", write_config(text), "--quiet"]) == 1
+        assert "needs core_edges" in capsys.readouterr().err
+
+
+class TestBoundRange:
+    """bound keeps the exit codes on every input: non-finite inputs are config
+    errors, and a term beyond the float range prints as inf."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"--n": "1000", "--B": "100", "--D": "1000", "--alpha": "0.5",
+             "--beta": "0.99", "--v20": "0.8"},
+            {"--w0": "1e308", "--v20": "0.8"},
+        ],
+        ids=["power", "ceil"],
+    )
+    def test_overflowing_terms_print_inf(self, changes, capsys):
+        args = list(TestCmdBound.REF_ARGS)
+        for flag, value in changes.items():
+            args[args.index(flag) + 1] = value
+        assert main(args) == 0
+        lines = dict(
+            (k.strip(), float(v)) for k, v in
+            (line.split("=") for line in capsys.readouterr().out.splitlines())
+        )
+        assert lines["T"] == float("inf")
+        assert all(v == v for v in lines.values())  # no nan anywhere
+
+    def test_huge_outer_factor_times_zero_init_is_zero(self, capsys):
+        # 2^(1/(1-beta)) overflows for beta this close to 1; with xinf0 = 0 the
+        # transient-init term is still 0, not inf * 0 = nan
+        args = list(TestCmdBound.REF_ARGS)
+        args[args.index("--beta") + 1] = "0.9995"
+        args[args.index("--xinf") + 1] = "0"
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "transient-init     = 0\n" in out and "nan" not in out
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--w0", "inf"), ("--w0", "nan"), ("--eps", "nan"), ("--D", "inf"),
+         ("--v20", "inf"), ("--n", "1" + "0" * 400)],
+    )
+    def test_non_finite_input_exits_1(self, flag, value, capsys):
+        args = list(TestCmdBound.REF_ARGS)
+        args[args.index(flag) + 1] = value
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "must be finite" in err
+
+
+class TestUncreatableOutput:
+    @pytest.mark.parametrize(
+        "verb",
+        [["run"], ["run", "--baseline"], ["sweep", "--n-list", "3,4", "--stop-err", "0.1"]],
+        ids=["run", "baseline", "sweep"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_output_dir_on_a_file_exits_1(self, verb, below, write_config, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if below else blocker
+        code = main(verb + ["--config", write_config(out=str(out)), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output.dir: cannot create ")
+        assert str(out) in err
+        assert blocker.read_text() == "keep\n"
+
+    def test_created_files_removed_when_a_later_one_fails(
+        self, write_config, tmp_path, capsys
+    ):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "trace.csv").mkdir()  # cannot be opened for writing
+        text = BASE_YAML.replace("record_level: metrics_only", "record_level: full_trace")
+        assert main(["run", "--config", write_config(text), "--quiet"]) == 1
+        assert "trace.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()

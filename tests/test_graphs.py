@@ -152,6 +152,32 @@ class TestSequences:
         assert frozenset(line_edges(8)) <= result.core_edges
 
 
+class TestMakeSequenceParameters:
+    @pytest.mark.parametrize(
+        "kind,kw,needle",
+        [
+            ("core_synthetic", {"block_len": 2}, "needs core_edges"),
+            ("periodic", {}, "needs its rounds"),
+            ("relabeled_line", {"base": "line"}, r"\['base'\]"),
+            ("periodic", {"rounds": [[]], "path": "r.txt"}, r"\['path'\]"),
+            ("torus", {}, "unknown sequence kind"),
+        ],
+    )
+    def test_bad_parameters_are_value_errors(self, kind, kw, needle):
+        with pytest.raises(ValueError, match=needle):
+            make_sequence(kind, 3, **kw)
+
+    def test_explicit_from_path(self, tmp_path):
+        path = tmp_path / "rounds.txt"
+        path.write_text("0-1\n\n1-2\n")
+        seq = make_sequence("explicit", 3, path=path)
+        assert [seq.snapshot(t).edges for t in (1, 2, 3)] == [{(0, 1)}, set(), {(1, 2)}]
+        with pytest.raises(ValueError, match="not both"):
+            make_sequence("explicit", 3, path=path, rounds=[[(0, 1)]])
+        with pytest.raises(OSError):
+            make_sequence("explicit", 3, path=tmp_path / "missing.txt")
+
+
 class TestCoreCheck:
     def test_constant_complete(self):
         window = [snap(3, complete_edges(3))] * 4
