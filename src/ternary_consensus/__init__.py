@@ -37,7 +37,7 @@ from .graphs import (
     check_core_connected,
     make_sequence,
 )
-from .metropolis import MetropolisConfig, metropolis_round, run_metropolis
+from .metropolis import MetropolisConfig, run_metropolis
 from .protocol import (
     LedgerEntry,
     Message,

@@ -103,59 +103,53 @@ def reconstruct_matrix(record: "RoundRecord", params: ProtocolParams) -> Effecti
     return EffectiveMatrix(record.t, entries, w, dict(record.d_bounds))
 
 
-def validate_matrix(
-    mat: EffectiveMatrix,
-    d_sup: float | None = None,
-    *,
-    dominance: bool = True,
-    tol: float = MATRIX_TOL,
-) -> list[str]:
-    """Structural checks on a reconstructed matrix; violations are returned as
-    data, never raised.
+def validate_matrix(mat: EffectiveMatrix, *, dominance: bool = True) -> list[str]:
+    """Structural checks on a reconstructed matrix, each within MATRIX_TOL;
+    violations are returned as data, never raised.
 
     Always: symmetry, rows and columns summing to 1, nonnegative
     off-diagonals, gap ratios within [2/3, 2], and active entries at least
-    1/(8 D) for their pair bound (falling back to d_sup when given). With
-    ``dominance``, diagonals must stay at least 1/2.
+    1/(8 D) for their pair bound. With ``dominance``, diagonals must stay at
+    least 1/2.
     """
     out: list[str] = []
     a = mat.entries
     n = a.shape[0]
     asym = float(np.max(np.abs(a - a.T))) if n else 0.0
-    if asym > tol:
+    if asym > MATRIX_TOL:
         out.append(f"matrix-symmetry: max |A - A^T| = {asym:.3e} at t={mat.t}")
     rows = np.abs(a.sum(axis=1) - 1.0)
-    if float(rows.max(initial=0.0)) > tol:
+    if float(rows.max(initial=0.0)) > MATRIX_TOL:
         out.append(
             f"matrix-rows: row sums deviate from 1 by up to "
             f"{float(rows.max()):.3e} at t={mat.t}"
         )
     cols = np.abs(a.sum(axis=0) - 1.0)
-    if float(cols.max(initial=0.0)) > tol:
+    if float(cols.max(initial=0.0)) > MATRIX_TOL:
         out.append(
             f"matrix-cols: column sums deviate from 1 by up to "
             f"{float(cols.max()):.3e} at t={mat.t}"
         )
     off = a - np.diag(np.diag(a))
-    if float(off.min(initial=0.0)) < -tol:
+    if float(off.min(initial=0.0)) < -MATRIX_TOL:
         out.append(
             f"matrix-offdiag: negative off-diagonal {float(off.min()):.3e} "
             f"at t={mat.t}"
         )
     if dominance:
         for i in range(n):
-            if a[i, i] < 0.5 - tol:
+            if a[i, i] < 0.5 - MATRIX_TOL:
                 out.append(
                     f"matrix-dominance: diagonal dominance a_ii >= 1/2 fails "
                     f"at i={i} (a_ii={a[i, i]!r}) at t={mat.t}"
                 )
     for (i, j), wij in mat.w.items():
-        if not (2.0 / 3.0 - tol <= wij <= 2.0 + tol):
+        if not (2.0 / 3.0 - MATRIX_TOL <= wij <= 2.0 + MATRIX_TOL):
             out.append(
                 f"w-range: w[{i},{j}] = {wij!r} outside [2/3, 2] at t={mat.t}"
             )
-        d = mat.d_bounds.get((i, j), d_sup)
-        if d is not None and a[i, j] < 1.0 / (8.0 * d) - tol:
+        d = mat.d_bounds[i, j]
+        if a[i, j] < 1.0 / (8.0 * d) - MATRIX_TOL:
             out.append(
                 f"matrix-lower-bound: a[{i},{j}] = {a[i, j]!r} below "
                 f"1/(8*{d}) at t={mat.t}"

@@ -11,6 +11,9 @@ exceptions to these codes.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from .config import (
     read_config_doc,
     resolve_config,
 )
-from .engine import run
+from .engine import run, stop_reached
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -65,6 +68,8 @@ def _read_with_overrides(args) -> tuple[dict, Path]:
         patch("run", "check", True)
     if args.out is not None:
         patch("output", "dir", args.out)
+    if getattr(args, "stop_err", None) is not None:  # sweep only
+        patch("run", "stop_err", args.stop_err)
     return doc, base_dir
 
 
@@ -74,31 +79,48 @@ def _load_with_overrides(args) -> ExperimentConfig:
 
 
 class _OutputFiles:
-    """Context manager that opens output files and, when the block raises
-    anything (Ctrl-C included), deletes every file it created, so failures
-    never leave partial CSVs behind. A file that cannot be created is a
-    ConfigError naming its path."""
+    """Context manager for a command's output files. Each file is written
+    beside its target under a temporary name and moved onto the target when
+    the block succeeds. When the block raises anything (Ctrl-C included), the
+    temporary files and the directories made for them are removed, so a
+    failed command leaves the output directory as it found it. A file that
+    cannot be created is a ConfigError naming its path."""
 
     def __init__(self):
-        self.handles = []
+        self.files = []  # (handle, target) pairs
+        self.made_dirs: list[Path] = []
 
     def __enter__(self):
         return self
 
     def open(self, path: Path):
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fh = open(path, "w", encoding="utf-8", newline="\n")
+            ancestors = (path.parent, *path.parent.parents)
+            for d in reversed([d for d in ancestors if not d.exists()]):
+                d.mkdir()
+                self.made_dirs.append(d)
+            if path.is_dir():  # os.replace could not move a file onto it
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), str(path)
+                )
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            fh = open(tmp, "w", encoding="utf-8", newline="\n")
         except OSError as exc:
             raise ConfigError(f"output.dir: cannot create {path}: {exc}") from None
-        self.handles.append(fh)
+        self.files.append((fh, path))
         return fh
 
     def __exit__(self, exc_type, exc, tb):
-        for fh in self.handles:
+        for fh, path in self.files:
             fh.close()
-            if exc_type is not None:
+            if exc_type is None:
+                os.replace(fh.name, path)
+            else:
                 Path(fh.name).unlink(missing_ok=True)
+        if exc_type is not None:
+            for d in reversed(self.made_dirs):
+                with contextlib.suppress(OSError):  # keep what others put there
+                    d.rmdir()
         return False
 
 
@@ -146,10 +168,9 @@ def cmd_run(args) -> int:
         # stopped before round 1: report the initial condition
         last_row = compute_metrics(final_x, sum(final_x) / len(final_x), t=0)
     if not args.quiet:
-        # both runners stop on the first row at or below stop_err
         if cfg.stop_err is None:
             stop_txt = "n/a"
-        elif last_row.err_max <= cfg.stop_err:
+        elif stop_reached(last_row, cfg.stop_err):
             stop_txt = str(last_row.t)
         else:
             stop_txt = "not reached"
@@ -228,8 +249,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("graph.base: sweep over n needs a named base graph")
     if base_cfg.init.kind == "explicit":
         raise ConfigError("init.kind: sweep over n cannot use an explicit vector")
-    stop_err = args.stop_err if args.stop_err is not None else base_cfg.stop_err
-    if stop_err is None:
+    if base_cfg.stop_err is None:
         raise ConfigError("--stop-err: required when run.stop_err is null")
 
     with _OutputFiles() as files:
@@ -239,7 +259,7 @@ def cmd_sweep(args) -> int:
             sub_doc = {k: dict(v) for k, v in doc.items()}
             sub_doc["graph"]["n"] = n
             cfg = load_config_data(sub_doc, base_dir=base_dir)
-            result = run(cfg.simulation(), stop_err=stop_err, keep_metrics=False,
+            result = run(cfg.simulation(), stop_err=cfg.stop_err, keep_metrics=False,
                          keep_records=False)
             x = result.final_x
             final_err = compute_metrics(x, sum(x) / len(x)).err_max

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 
 import yaml
 
-from .engine import InitSpec, SimulationConfig, check_run_lengths
+from .engine import RECORD_LEVELS, InitSpec, SimulationConfig, check_run_lengths
 from .errors import ConfigError
 from .graphs import SEQUENCE_KINDS, GraphSequence, make_sequence
 from .metropolis import MetropolisConfig
@@ -86,11 +86,10 @@ def _as_int(v, path: str) -> int:
 def _as_float(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _as_finite(v, path: str) -> float:
-    x = _as_float(v, path)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = inf if v > 0 else -inf
     if not isfinite(x):
         raise ConfigError(f"{path}: must be finite, got {x!r}")
     return x
@@ -203,14 +202,14 @@ def _build_protocol(sec: dict) -> ProtocolParams:
 def _build_init(sec: dict) -> InitSpec:
     kind = _as_str(_need(sec, "init", "kind"), "init.kind")
     seed = _as_int(sec.get("seed", 0), "init.seed") if "seed" in sec else 0
-    lo = _as_finite(sec["lo"], "init.lo") if "lo" in sec else 0.0
-    hi = _as_finite(sec["hi"], "init.hi") if "hi" in sec else 1.0
+    lo = _as_float(sec["lo"], "init.lo") if "lo" in sec else 0.0
+    hi = _as_float(sec["hi"], "init.hi") if "hi" in sec else 1.0
     values = None
     if sec.get("values") is not None:
         if not isinstance(sec["values"], list):
             raise ConfigError("init.values: expected a list of numbers")
         values = tuple(
-            _as_finite(v, f"init.values[{k}]") for k, v in enumerate(sec["values"])
+            _as_float(v, f"init.values[{k}]") for k, v in enumerate(sec["values"])
         )
     try:
         return InitSpec(kind=kind, seed=seed, lo=lo, hi=hi, values=values)
@@ -232,8 +231,6 @@ def load_config_data(doc, base_dir: Path = Path(".")) -> ExperimentConfig:
 
     run_sec = _section(doc, "run", _RUN_KEYS)
     t_max = _as_int(_need(run_sec, "run", "t_max"), "run.t_max")
-    if t_max < 1:
-        raise ConfigError(f"run.t_max: must be >= 1, got {t_max}")
     if "stop_err" not in run_sec:
         raise ConfigError("run.stop_err: required key missing (may be null)")
     stop_err = run_sec["stop_err"]
@@ -244,9 +241,9 @@ def load_config_data(doc, base_dir: Path = Path(".")) -> ExperimentConfig:
     record_level = _as_str(
         _need(run_sec, "run", "record_level"), "run.record_level"
     )
-    if record_level not in ("metrics_only", "full_trace"):
+    if record_level not in RECORD_LEVELS:
         raise ConfigError(
-            f"run.record_level: expected metrics_only or full_trace, got "
+            f"run.record_level: expected {' or '.join(RECORD_LEVELS)}, got "
             f"{record_level!r}"
         )
     check = _as_bool(_need(run_sec, "run", "check"), "run.check")
@@ -279,7 +276,7 @@ def read_config_doc(path: str | Path) -> tuple[dict, Path]:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: int too long to parse
         raise ConfigError(f"config: invalid YAML in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a mapping of sections")

@@ -70,9 +70,11 @@ class InitSpec:
 
 
 def check_run_lengths(seq: GraphSequence, init: InitSpec, t_max: int) -> None:
-    """Reject an explicit init vector whose length is not the node count, and
-    a finite explicit sequence shorter than the round budget. Messages name
-    the config keys (init.values, run.t_max) that set these lengths."""
+    """Reject a round budget below 1 or beyond a finite explicit sequence, and
+    an explicit init vector whose length is not the node count. Messages name
+    the config keys (run.t_max, init.values) that set these lengths."""
+    if t_max < 1:
+        raise ConfigError(f"run.t_max: must be >= 1, got {t_max}")
     if init.kind == "explicit" and len(init.values) != seq.n:
         raise ConfigError(
             f"init.values: {len(init.values)} values for n={seq.n} nodes"
@@ -100,6 +102,17 @@ def initial_metrics(x0: tuple[float, ...]) -> tuple[float, MetricsRow]:
     return avg0, row
 
 
+def stop_reached(
+    row: MetricsRow, stop_err: float | None, stop_v2: float | None = None
+) -> bool:
+    """The stop rule of both runners: a run stops after the first metrics
+    row, the t=0 row included, with err_max at or below stop_err or V2 at or
+    below stop_v2. A threshold of None never stops the run."""
+    return (stop_err is not None and row.err_max <= stop_err) or (
+        stop_v2 is not None and row.V2 <= stop_v2
+    )
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     seq: GraphSequence
@@ -110,8 +123,6 @@ class SimulationConfig:
     check_invariants: bool = False
 
     def __post_init__(self):
-        if self.t_max < 1:
-            raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
         if self.record_level not in RECORD_LEVELS:
             raise ConfigError(
                 f"record_level must be one of {RECORD_LEVELS}, got "
@@ -140,7 +151,8 @@ class RoundRecord:
 class EdgeArrays:
     """Edge-indexed arrays of one snapshot, shared by the protocol engine and
     the averaging baseline. Runners build them once per snapshot object and
-    reuse them while the sequence hands out the same object.
+    reuse them while the sequence hands out the same object; building them
+    checks a fixed degree bound against the snapshot, first used at round t.
 
     Edge k is ``graph.edge_list[k] = (eu[k], ev[k])`` with eu < ev, and D[k]
     its pair bound under the given policy; ``ends`` lists eu[0], ev[0],
@@ -155,7 +167,8 @@ class EdgeArrays:
 
     __slots__ = ("graph", "ends", "eu", "ev", "D", "h_node", "h_edge", "h_sign")
 
-    def __init__(self, g: GraphSnapshot, d_policy: str, d_fixed: float | None):
+    def __init__(self, g: GraphSnapshot, d_policy: str, d_fixed: float | None, t: int):
+        check_fixed_bound(d_policy, d_fixed, g.degrees, t)
         edges = g.edge_list
         m = len(edges)
         ends = np.array(edges, dtype=np.intp).ravel()
@@ -205,7 +218,6 @@ class EdgeState:
     est: np.ndarray
     last_seen: np.ndarray
     slot_of: dict[Edge, int]
-    x0: tuple[float, ...]
     avg0: float
     xinf0: float
     row0: MetricsRow
@@ -237,7 +249,6 @@ def init_state(config: SimulationConfig, records: bool = False) -> EdgeState:
         est=np.zeros((0, 2)),
         last_seen=np.zeros(0, dtype=np.int64),
         slot_of={},
-        x0=x0,
         avg0=avg0,
         xinf0=max(abs(v) for v in x0),
         row0=row0,
@@ -252,8 +263,7 @@ def _enter_snapshot(
     edges zeroed slots."""
     # the practical variant's 2*max(d_i, d_j) denominator ignores d_policy
     d_policy = params.d_policy if params.variant == "theorem" else "max_degree"
-    check_fixed_bound(d_policy, params.d_fixed, g.degrees, t)
-    arrays = EdgeArrays(g, d_policy, params.d_fixed)
+    arrays = EdgeArrays(g, d_policy, params.d_fixed, t)
     slot_of = state.slot_of
     known = len(slot_of)
     slots = [slot_of.setdefault(e, len(slot_of)) for e in g.edge_list]
@@ -415,20 +425,14 @@ def run(
     rows: list[MetricsRow] = []
     records: list[RoundRecord] = []
     prev_row = state.row0
-    if stop_err is not None and prev_row.err_max <= stop_err:
-        return RunResult(rows, records, state.x0, rounds=0, stopped_at=0)
-    if stop_v2 is not None and prev_row.V2 <= stop_v2:
-        return RunResult(rows, records, state.x0, rounds=0, stopped_at=0)
-
-    stopped_at = None
-    rounds = 0
-    for t in range(1, config.t_max + 1):
+    t = 0
+    while not stop_reached(prev_row, stop_err, stop_v2) and t < config.t_max:
+        t += 1
         rec = run_round(state, t, config)
         row = compute_metrics(
             state.x.tolist(), avg0, t=t,
             active_edges=state.active_edges, nonzero_msgs=state.nonzero_msgs,
         )
-        rounds = t
         if check:
             violations = validate_round(
                 rec, prev_row, params,
@@ -445,12 +449,7 @@ def run(
         if keep_records:
             records.append(rec)
         prev_row = row
-        if stop_err is not None and row.err_max <= stop_err:
-            stopped_at = t
-            break
-        if stop_v2 is not None and row.V2 <= stop_v2:
-            stopped_at = t
-            break
+    stopped_at = t if stop_reached(prev_row, stop_err, stop_v2) else None
     return RunResult(
-        rows, records, tuple(state.x.tolist()), rounds=rounds, stopped_at=stopped_at
+        rows, records, tuple(state.x.tolist()), rounds=t, stopped_at=stopped_at
     )

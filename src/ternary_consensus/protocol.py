@@ -10,7 +10,7 @@ engine owns phase ordering; each operation computes its per-round scales from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 from typing import NamedTuple
 
 from .errors import ConfigError, PolicyViolationError, ProtocolError
@@ -24,8 +24,8 @@ def check_d_policy(d_policy: str, d_fixed: float | None) -> None:
     if d_policy not in D_POLICIES:
         raise ConfigError(f"d_policy must be one of {D_POLICIES}, got {d_policy!r}")
     if d_policy == "fixed":
-        if d_fixed is None or d_fixed <= 0:
-            raise ConfigError("fixed d_policy needs a positive d_fixed")
+        if d_fixed is None or not 0 < d_fixed < inf:
+            raise ConfigError(f"fixed d_policy needs 0 < d_fixed < inf, got {d_fixed}")
     elif d_fixed is not None:
         raise ConfigError("d_fixed only applies to the fixed policy")
 
@@ -34,16 +34,12 @@ def pair_bound(
     d_policy: str, d_fixed: float | None, n: int, d_i: int, d_j: int
 ) -> float:
     """Symmetric per-pair degree bound D(i,j), shared by the protocol and the
-    real-valued baseline so both divide by the same number."""
-    m = d_i if d_i >= d_j else d_j
+    real-valued baseline so both divide by the same number. A fixed bound is
+    returned as given: ``check_fixed_bound`` has matched it to the round."""
     if d_policy == "max_degree":
-        return float(m)
+        return float(d_i if d_i >= d_j else d_j)
     if d_policy == "global_n":
         return float(n)
-    if d_fixed < m:
-        raise PolicyViolationError(
-            f"fixed degree bound {d_fixed} is below the pair degree max {m}"
-        )
     return d_fixed
 
 

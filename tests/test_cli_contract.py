@@ -1,19 +1,25 @@
 """Property test of the CLI contract: on any config document or ``bound``
 argv, ``cli.main`` returns an exit code in {0, 1, 2, 3} without raising; a
-nonzero code leaves behind no file the call created; a successful ``run``
-writes the header plus one metrics row per reported round.
+document holding a number beyond the float range anywhere, or a ``sweep``
+with an invalid ``--stop-err``, exits 1; a nonzero code leaves the files and
+directories as they were; a successful ``run`` writes the header plus one
+metrics row per reported round.
 
 Documents start from the suite's valid base config and take up to three random
-mutations: a dropped key or section, a wrong type, a non-finite number, a
-stray key in any section, an out-of-range integer, another graph kind, or an
-output dir on or below a regular file.
+mutations: a dropped key or section, a wrong type, a non-finite number, an
+integer beyond the float range in a float key, a stray key in any section, an
+out-of-range integer, another graph kind, or an output dir on or below a
+regular file.
 """
 
 import contextlib
+import copy
 import io
 import os
 import re
+import sys
 import tempfile
+from math import isfinite
 from pathlib import Path
 
 import yaml
@@ -40,12 +46,26 @@ OTHER_KEYS = {
     "output": {},
 }
 NON_FINITE = [float("inf"), float("-inf"), float("nan")]
+HUGE = 10**400
+FLOAT_KEYS = {
+    "graph": ["extra_edge_prob"],
+    "protocol": ["alpha", "beta", "d_fixed"],
+    "init": ["lo", "hi", "values"],
+    "run": ["stop_err"],
+}
 VERBS = [
     ["run"],
     ["run", "--baseline"],
     ["check-core"],
-    ["sweep", "--n-list", "3,4", "--stop-err", "0.5"],
+    ["sweep", "--n-list", "3,4"],
 ]
+SWEEP_STOP_ERRS = {"0.5": True, "-1": False, "nan": False, "inf": False, "-inf": False}
+# the (section, key, value) patches behind each override flag
+FLAG_PATCHES = {
+    "--t-max": [("run", "t_max", 7)],
+    "--seed": [("graph", "seed", 3), ("init", "seed", 3)],
+    "--check": [("run", "check", True)],
+}
 
 
 def base_doc(out: Path) -> dict:
@@ -72,7 +92,8 @@ def mutation(draw, doc: dict, blocker: Path):
     section = draw(st.sampled_from(sorted(doc)))
     sec = doc[section]
     op = draw(st.sampled_from([
-        "drop", "wrong-type", "non-finite", "stray", "int-range", "kind", "out-on-file",
+        "drop", "wrong-type", "non-finite", "huge", "stray", "int-range", "kind",
+        "out-on-file",
     ]))
     if not isinstance(sec, dict):
         op = "drop"
@@ -90,6 +111,11 @@ def mutation(draw, doc: dict, blocker: Path):
     elif op == "non-finite":
         key = draw(st.sampled_from(sorted(sec) + ["d_fixed", "stop_err", "lo", "hi"]))
         sec[key] = draw(st.sampled_from(NON_FINITE))
+    elif op == "huge":
+        if section in FLOAT_KEYS:
+            key = draw(st.sampled_from(FLOAT_KEYS[section]))
+            value = draw(st.sampled_from([HUGE, -HUGE]))
+            sec[key] = [value, 0.0, 0.0] if key == "values" else value
     elif op == "stray":
         extras = dict(GRAPH_EXTRAS) if section == "graph" else dict(OTHER_KEYS[section])
         extras["bogus"] = 1
@@ -116,8 +142,32 @@ def mutation(draw, doc: dict, blocker: Path):
             doc["output"]["dir"] = str(out)
 
 
-def files_under(root: Path) -> dict[Path, bytes]:
-    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+def with_overrides(doc: dict, patches: list) -> dict:
+    """The document the loader sees once the CLI has patched the override
+    flags in (a section that is not a mapping is left as it is)."""
+    doc = copy.deepcopy(doc)
+    for section, key, value in patches:
+        sec = doc.setdefault(section, {})
+        if isinstance(sec, dict):
+            sec[key] = value
+    return doc
+
+
+def tree(root: Path) -> dict[Path, bytes | None]:
+    """Every file under root with its bytes, and every directory (None)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def beyond_float_range(value) -> bool:
+    """Whether a parsed document holds nan, +-inf or an integer no float can
+    carry, at any depth."""
+    if isinstance(value, dict):
+        return any(beyond_float_range(v) for v in value.values())
+    if isinstance(value, list):
+        return any(beyond_float_range(v) for v in value)
+    if isinstance(value, float):
+        return not isfinite(value)
+    return isinstance(value, int) and abs(value) > sys.float_info.max
 
 
 def call(argv, cwd: Path | None = None) -> tuple[int, str]:
@@ -155,14 +205,22 @@ def test_config_mutations_keep_the_exit_contract(data):
             max_size=3, unique_by=tuple,
         ))
         argv = verb + ["--config", str(config)] + [f for pair in flags for f in pair]
+        patches = [patch for pair in flags for patch in FLAG_PATCHES[pair[0]]]
+        stop_err_valid = True
+        if verb[0] == "sweep":
+            stop_err = data.draw(st.sampled_from(sorted(SWEEP_STOP_ERRS)))
+            stop_err_valid = SWEEP_STOP_ERRS[stop_err]
+            argv.append(f"--stop-err={stop_err}")
+            patches.append(("run", "stop_err", float(stop_err)))
 
-        before = files_under(root)
+        before = tree(root)
         code, stdout = call(argv, cwd=root)
 
         assert code in (0, 1, 2, 3)
-        after = files_under(root)
+        if beyond_float_range(with_overrides(doc, patches)) or not stop_err_valid:
+            assert code == 1
         if code != 0:
-            assert after == before
+            assert tree(root) == before
             return
         out_dir = root / doc["output"]["dir"]
         if verb[0] == "run":

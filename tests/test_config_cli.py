@@ -589,3 +589,131 @@ class TestUncreatableOutput:
         assert main(["run", "--config", write_config(text), "--quiet"]) == 1
         assert "trace.csv" in capsys.readouterr().err
         assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+OVERFLOW_YAML = TWO_NODE_EXPLICIT_YAML.replace("VALUES", "[1.0e+308, -1.0e+308]")
+HUGE = "1" + "0" * 400  # an integer beyond the float range
+
+
+class TestNumberRange:
+    """Every number in a config is finite and within the float range, or the
+    command exits 1 naming the key and leaves no file."""
+
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("d_policy: max_degree", "d_policy: fixed\n  d_fixed: .nan", "protocol.d_fixed"),
+            ("d_policy: max_degree", "d_policy: fixed\n  d_fixed: .inf", "protocol.d_fixed"),
+            ("stop_err: null", "stop_err: .nan", "run.stop_err"),
+            ("stop_err: null", "stop_err: .inf", "run.stop_err"),
+            ("stop_err: null", f"stop_err: {HUGE}", "run.stop_err"),
+            ("alpha: 0.9", f"alpha: {HUGE}", "protocol.alpha"),
+            ("kind: spike", f"kind: uniform_random\n  lo: -{HUGE}", "init.lo"),
+        ],
+        ids=[
+            "d_fixed-nan", "d_fixed-inf", "stop_err-nan", "stop_err-inf",
+            "stop_err-huge", "alpha-huge", "lo-huge",
+        ],
+    )
+    @pytest.mark.parametrize("extra", [[], ["--baseline"]], ids=["run", "baseline"])
+    def test_config_number_exits_1_naming_the_key(
+        self, old, new, key, extra, write_config, tmp_path, capsys
+    ):
+        path = write_config(BASE_YAML.replace(old, new))
+        assert main(["run", "--config", path, "--quiet"] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: must be finite, got ")
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_init_value_exits_1(self, write_config, tmp_path, capsys):
+        path = write_config(TWO_NODE_EXPLICIT_YAML.replace("VALUES", f"[{HUGE}, 0]"))
+        assert main(["run", "--config", path, "--quiet"]) == 1
+        assert "config error: init.values[0]: must be finite, got inf" in (
+            capsys.readouterr().err
+        )
+
+    def test_integer_too_long_to_parse_exits_1(self, write_config, tmp_path, capsys):
+        path = write_config(BASE_YAML.replace("alpha: 0.9", "alpha: 1" + "0" * 5000))
+        assert main(["run", "--config", path, "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("config error: config: invalid YAML in ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("-1", "run.stop_err: must be >= 0, got -1.0"),
+            ("nan", "run.stop_err: must be finite, got nan"),
+            ("inf", "run.stop_err: must be finite, got inf"),
+            ("-inf", "run.stop_err: must be finite, got -inf"),
+        ],
+    )
+    def test_sweep_stop_err_obeys_the_config_rule(
+        self, value, message, write_config, tmp_path, capsys
+    ):
+        code = main([
+            "sweep", "--config", write_config(), "--n-list", "3,4",
+            f"--stop-err={value}", "--quiet",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_stop_err_overrides_the_config(self, write_config, tmp_path):
+        text = BASE_YAML.replace("stop_err: null", "stop_err: 1.0e-9")
+        code = main([
+            "sweep", "--config", write_config(text), "--n-list", "3",
+            "--stop-err", "0.5", "--t-max", "50", "--quiet",
+        ])
+        assert code == 0
+        rounds = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1].split(",")[1]
+        assert 0 < int(rounds) < 50
+
+
+class TestOutputKept:
+    """Output files are written under temporary names and moved into place
+    only on success, so a failed command leaves the output directory as it
+    found it."""
+
+    def test_failed_rerun_keeps_the_earlier_metrics(self, write_config, tmp_path):
+        keep = tmp_path / "keep"
+        argv = ["run", "--out", str(keep), "--quiet"]
+        assert main(argv + ["--config", "fig1-line", "--t-max", "5"]) == 0
+        before = (keep / "metrics.csv").read_bytes()
+        assert main(argv + ["--config", write_config(OVERFLOW_YAML)]) == 2
+        assert sorted(keep.iterdir()) == [keep / "metrics.csv"]
+        assert (keep / "metrics.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("extra", [[], ["--baseline"]], ids=["run", "baseline"])
+    def test_failed_run_removes_the_directories_it_made(
+        self, extra, write_config, tmp_path
+    ):
+        out = tmp_path / "nd" / "sub"
+        argv = ["run", "--config", write_config(OVERFLOW_YAML), "--out", str(out)]
+        assert main(argv + ["--quiet"] + extra) == 2
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
+
+    def test_interrupt_keeps_the_earlier_metrics(
+        self, write_config, tmp_path, monkeypatch
+    ):
+        import ternary_consensus.cli as cli_mod
+
+        path = write_config()
+        assert main(["run", "--config", path, "--quiet"]) == 0
+        metrics = tmp_path / "out" / "metrics.csv"
+        before = metrics.read_bytes()
+
+        def interrupted(*args, metrics_sink, **kwargs):
+            metrics_sink(compute_metrics((1.0, 0.0, 0.0), 1 / 3, t=1))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", path, "--quiet"])
+        assert sorted((tmp_path / "out").iterdir()) == [metrics]
+        assert metrics.read_bytes() == before
+
+    def test_success_leaves_only_the_outputs(self, write_config, tmp_path):
+        text = BASE_YAML.replace("record_level: metrics_only", "record_level: full_trace")
+        assert main(["run", "--config", write_config(text), "--quiet"]) == 0
+        out = tmp_path / "out"
+        assert sorted(out.iterdir()) == [out / "metrics.csv", out / "trace.csv"]

@@ -1,7 +1,8 @@
 import pytest
 
 from reference_engine import World, init_state, run_round
-from ternary_consensus.engine import InitSpec, SimulationConfig, run
+from ternary_consensus.analysis import compute_metrics
+from ternary_consensus.engine import InitSpec, SimulationConfig, run, stop_reached
 from ternary_consensus.errors import (
     ConfigError,
     DivergenceError,
@@ -258,3 +259,38 @@ class TestRunInputs:
                   InitSpec("explicit", values=(8e307, 8e307)), 5)
         with pytest.raises(DivergenceError, match="round 3 has a non-finite quantizer input inf"):
             run(cfg)
+
+    def test_round_budget_below_1_rejected(self):
+        seq = make_sequence("static", 3, base="line")
+        with pytest.raises(ConfigError, match="run.t_max: must be >= 1, got 0"):
+            sim(seq, PRACTICAL_09, InitSpec("spike"), 0)
+        with pytest.raises(ConfigError, match="run.t_max: must be >= 1, got 0"):
+            MetropolisConfig(seq, InitSpec("spike"), t_max=0)
+
+    @pytest.mark.parametrize("d_fixed", [float("nan"), float("inf")])
+    def test_non_finite_fixed_bound_rejected(self, d_fixed):
+        seq = make_sequence("static", 3, base="line")
+        with pytest.raises(ConfigError, match="d_fixed"):
+            ProtocolParams(0.25, 0.5, "theorem", "fixed", d_fixed)
+        with pytest.raises(ConfigError, match="d_fixed"):
+            MetropolisConfig(seq, InitSpec("spike"), 5, "fixed", d_fixed)
+
+
+class TestStopRule:
+    def test_thresholds(self):
+        row = compute_metrics((0.0, 1.0), 0.5)
+        assert stop_reached(row, 0.5) and not stop_reached(row, 0.25)
+        assert stop_reached(row, None, row.V2) and not stop_reached(row, None, 0.0)
+        assert not stop_reached(row, None)
+
+    @pytest.mark.parametrize("stop", [{"stop_err": 10.0}, {"stop_v2": 10.0}])
+    def test_stop_at_round_0_keeps_the_initial_values(self, stop):
+        seq = make_sequence("static", 3, base="line")
+        init = InitSpec("explicit", values=(-0.0, 0.5, 1.0))
+        want = [v.hex() for v in init.values]
+        result = run(sim(seq, PRACTICAL_09, init, 5), **stop)
+        assert (result.rounds, result.stopped_at, result.metrics) == (0, 0, [])
+        assert [v.hex() for v in result.final_x] == want
+        if "stop_err" in stop:  # the baseline takes no V2 threshold
+            rows, final_x = run_metropolis(MetropolisConfig(seq, init, 5), **stop)
+            assert rows == [] and [v.hex() for v in final_x] == want

@@ -16,12 +16,8 @@ from ternary_consensus.errors import (
     InvariantViolationError,
     PolicyViolationError,
 )
-from ternary_consensus.graphs import GraphSnapshot, make_sequence
-from ternary_consensus.metropolis import (
-    MetropolisConfig,
-    metropolis_round,
-    run_metropolis,
-)
+from ternary_consensus.graphs import make_sequence
+from ternary_consensus.metropolis import MetropolisConfig, run_metropolis
 from ternary_consensus.protocol import ProtocolParams, check_fixed_bound
 
 SEQ_KINDS = (
@@ -162,27 +158,4 @@ def baselines(draw):
 def test_run_metropolis_matches_per_edge_loop(cfg):
     assert bits(outcome(lambda: run_metropolis(cfg))) == bits(
         outcome(lambda: reference_metropolis(cfg))
-    )
-
-
-@given(
-    st.integers(2, 10).flatmap(
-        lambda n: st.tuples(
-            st.lists(
-                st.one_of(st.just(-0.0), st.floats(-100.0, 100.0, width=64)),
-                min_size=n, max_size=n,
-            ),
-            st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
-            st.sampled_from(("max_degree", "global_n")),
-        )
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_metropolis_round_matches_per_edge_loop(case):
-    x, keep, d_policy = case
-    n = len(x)
-    pairs = itertools.combinations(range(n), 2)
-    g = GraphSnapshot(n, frozenset(e for e, k in zip(pairs, keep) if k))
-    assert bits(metropolis_round(x, g, d_policy)) == bits(
-        ref.metropolis_round(x, g, d_policy, None)
     )

@@ -1,13 +1,19 @@
 """Bitwise output contract: metrics.csv for every shipped preset, protocol
-and baseline, at seed 1 and 300 rounds. A refactor that changes any byte of
-these files changes behaviour; regenerate the hashes only for an intended
+and baseline, at seed 1 and 300 rounds; a sweep's sweep.csv; a full-trace
+run's metrics.csv and trace.csv; and the summary line of runs that stop at
+round 0, stop mid-run, or never stop. A refactor that changes any byte of
+these outputs changes behaviour; regenerate the values only for an intended
 behaviour change, and say so in the change log."""
 
+import contextlib
 import hashlib
+import io
 
 import pytest
+import yaml
 
-from ternary_consensus.cli import main
+from ternary_consensus.cli import METRICS_HEADER, main
+from ternary_consensus.config import resolve_config
 
 GOLDEN = {
     ("fig1-complete", False): "564218f4c8ef42193a518a96b4e79dcadaf72fba4471b141c2bbf39985d30178",
@@ -38,3 +44,79 @@ def test_metrics_csv_bytes(preset, baseline, tmp_path):
     assert main(argv + ["--baseline"] if baseline else argv) == 0
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN[preset, baseline]
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def preset_copy(tmp_path, preset: str, key: str, value) -> str:
+    """A copy of a shipped preset with one run-section key changed."""
+    doc = yaml.safe_load(resolve_config(preset).read_text())
+    doc["run"][key] = value
+    path = tmp_path / f"{preset}-copy.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def summary(argv) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    return stdout.getvalue()
+
+
+def test_sweep_csv_bytes(tmp_path):
+    argv = [
+        "sweep", "--config", "fig2-sweep", "--n-list", "5,10,20", "--seed", "1",
+        "--out", str(tmp_path), "--quiet",
+    ]
+    assert main(argv) == 0
+    assert sha256(tmp_path / "sweep.csv") == (
+        "36f39d816f053697dc56c55c0a13aa1f0dc01afd45ae0e882ca5aff01f0f0d4a"
+    )
+
+
+def test_full_trace_csv_bytes(tmp_path):
+    config = preset_copy(tmp_path, "fig1-line", "record_level", "full_trace")
+    out = tmp_path / "out"
+    argv = [
+        "run", "--config", config, "--seed", "1", "--t-max", "300",
+        "--out", str(out), "--quiet",
+    ]
+    assert main(argv) == 0
+    assert sha256(out / "metrics.csv") == GOLDEN["fig1-line", False]
+    assert sha256(out / "trace.csv") == (
+        "7274a59fec413686092010c021b1c7b0cf75426114e0f4c6983f146a413aa7bd"
+    )
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["protocol", "baseline"])
+def test_stop_at_round_0_summary(baseline, tmp_path):
+    config = preset_copy(tmp_path, "fig1-line", "stop_err", 10)
+    out = tmp_path / "out"
+    argv = ["run", "--config", config, "--seed", "1", "--t-max", "300", "--out", str(out)]
+    assert summary(argv + ["--baseline"] if baseline else argv) == (
+        "rounds=0 err_max=0.48859329946388114 V2=1.4205258053496193 stop_round=0\n"
+    )
+    assert (out / "metrics.csv").read_text() == METRICS_HEADER + "\n"
+
+
+@pytest.mark.parametrize(
+    "baseline,t_max,line",
+    [
+        (False, "300", "rounds=102 err_max=0.041066670499358832 "
+                       "V2=0.054760011516394577 stop_round=102"),
+        (True, "300", "rounds=4 err_max=0.038271604938271607 "
+                      "V2=0.064031123357481179 stop_round=4"),
+        (False, "60", "rounds=60 err_max=0.1086140368023388 "
+                      "V2=0.14610876968789008 stop_round=not reached"),
+    ],
+    ids=["protocol-stops", "baseline-stops", "protocol-not-reached"],
+)
+def test_stop_mid_run_summary(baseline, t_max, line, tmp_path):
+    argv = [
+        "run", "--config", "fig3-varying", "--seed", "1", "--t-max", t_max,
+        "--out", str(tmp_path),
+    ]
+    assert summary(argv + ["--baseline"] if baseline else argv) == line + "\n"
