@@ -162,6 +162,7 @@ def validate_round(
     prev_metrics: MetricsRow,
     params: ProtocolParams,
     *,
+    row: MetricsRow,
     w0: float,
     xinf0: float,
     avg0: float,
@@ -169,13 +170,14 @@ def validate_round(
     """All per-round invariants; returns violations as data.
 
     (a) estimate mirroring across each pair, exact; (b) active-set symmetry,
-    exact; (c) max nonincreasing / min nondecreasing / dispersion
-    nonincreasing within 1e-12; (d) inbound estimates within the initial
-    sup-norm plus 1e-12; theorem variant only: (e) per-node movement at most
-    (W(0)/2)/t^beta plus 1e-12 and (f) full matrix structure including
-    diagonal dominance. The practical variant runs (a)-(d) plus the matrix
-    checks without the dominance claim. Last, for both: (g) the mean of
-    x_post stays within 1e-12 * max(1, xinf0) of the initial average avg0.
+    exact; (c) from ``prev_metrics`` to ``row``, the metrics of x_post: max
+    nonincreasing / min nondecreasing / dispersion nonincreasing within
+    1e-12; (d) inbound estimates within the initial sup-norm plus 1e-12;
+    theorem variant only: (e) per-node movement at most (W(0)/2)/t^beta plus
+    1e-12 and (f) full matrix structure including diagonal dominance. The
+    practical variant runs (a)-(d) plus the matrix checks without the
+    dominance claim. Last, for both: (g) the mean of x_post stays within
+    1e-12 * max(1, xinf0) of the initial average avg0.
     """
     out: list[str] = []
     t = record.t
@@ -213,7 +215,6 @@ def validate_round(
                     f"at t={t}"
                 )
 
-    row = compute_metrics(record.x_post, 0.0, t=t)
     if row.M > prev_metrics.M + MONOTONE_TOL:
         out.append(
             f"monotonicity: max rose {prev_metrics.M!r} -> {row.M!r} at t={t}"
@@ -351,8 +352,3 @@ def theorem_bound(inp: BoundInputs) -> float:
     epsilon under the theorem variant on a core-connected sequence."""
     return theorem_bound_terms(inp)["total"]
 
-
-def exceeds_decay_envelope(t: int, v2: float, n: int, alpha: float) -> bool:
-    """Diagnostic: is the dispersion still above the steady-state decay
-    envelope 8 n^1.5 / t^alpha? Annotation only, never an asserted invariant."""
-    return v2 >= 8.0 * n**1.5 / t**alpha

@@ -2,10 +2,10 @@
 
 Verbs: run (simulate and emit CSV), bound (evaluate the convergence-time
 bound), check-core (test a generated window for a connected persistent core),
-sweep (convergence-time vs node count). Exit codes: 0 ok, 1 config error
-(including a fixed degree bound the graph violates), 2 invariant violation
-or run failure, 3 core-connectivity check failed. ``main`` alone maps
-exceptions to these codes.
+sweep (convergence-time vs node count). Exit codes: 0 ok, 1 usage or
+config error (including a fixed degree bound the graph violates), 2
+invariant violation or run failure, 3 core-connectivity check failed.
+``main`` alone maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -275,6 +275,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A malformed command line: the usage line and the error message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would exit with code 2. Subparsers
+    are built from the same class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
     p.add_argument(
         "--config",
@@ -291,7 +303,7 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ternary-consensus",
         description=(
             "Simulate average consensus with single ternary messages per link "
@@ -353,9 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite
 
 import numpy as np
@@ -84,22 +85,6 @@ def check_run_lengths(seq: GraphSequence, init: InitSpec, t_max: int) -> None:
             f"run.t_max: {t_max} rounds exceed the explicit sequence's "
             f"{len(seq)} rounds"
         )
-
-
-def initial_metrics(x0: tuple[float, ...]) -> tuple[float, MetricsRow]:
-    """The initial average and the t=0 metrics row. Raises DivergenceError
-    when float arithmetic cannot carry the average or the dispersion."""
-    avg0 = sum(x0) / len(x0)
-    try:
-        row = compute_metrics(x0, avg0, t=0)
-    except OverflowError:  # a squared deviation beyond the float range
-        row = None
-    if row is None or not (isfinite(avg0) and isfinite(row.W) and isfinite(row.V2)):
-        raise DivergenceError(
-            f"the average ({avg0!r}) or the dispersion of the initial values "
-            f"is beyond the float range"
-        )
-    return avg0, row
 
 
 def stop_reached(
@@ -219,8 +204,8 @@ class EdgeState:
     last_seen: np.ndarray
     slot_of: dict[Edge, int]
     avg0: float
+    w0: float
     xinf0: float
-    row0: MetricsRow
     records: bool
     arrays: EdgeArrays | None = None
     slot: np.ndarray | None = None  # slot of each edge of the snapshot
@@ -243,15 +228,14 @@ def init_state(config: SimulationConfig, records: bool = False) -> EdgeState:
     """State at t=0: values per the init spec, no edge seen yet. With
     ``records`` set, run_round returns a RoundRecord for every round."""
     x0 = config.init.build(config.seq.n)
-    avg0, row0 = initial_metrics(x0)
     return EdgeState(
         x=np.array(x0, dtype=float),
         est=np.zeros((0, 2)),
         last_seen=np.zeros(0, dtype=np.int64),
         slot_of={},
-        avg0=avg0,
+        avg0=sum(x0) / len(x0),
+        w0=max(x0) - min(x0),
         xinf0=max(abs(v) for v in x0),
-        row0=row0,
         records=records,
     )
 
@@ -343,12 +327,6 @@ def run_round(
         moved[arrays.eu[act]] = True
         moved[arrays.ev[act]] = True
         x = np.where(moved, x + acc, x)
-        bad = ~np.isfinite(x)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DivergenceError(
-                f"node {i} became non-finite at round {t}: {float(x[i])!r}"
-            )
         state.x = x
     state.nonzero_msgs = int(np.count_nonzero(q))
     state.active_edges = int(np.count_nonzero(act))
@@ -397,6 +375,58 @@ def _record(
     )
 
 
+def _drive(
+    x: np.ndarray, t_max: int, step, *, validate=None,
+    stop_err: float | None = None, stop_v2: float | None = None,
+    metrics_sink=None, record_sink=None, keep_metrics: bool = True,
+    keep_records: bool = False,
+) -> RunResult:
+    """The run loop of both runners, from the initial values x. ``step(t)``
+    runs round t and returns the new values, the round's active edge and
+    nonzero message counts, and its record (or None). Only this loop computes
+    the t=0 metrics, applies the stop rule, guards node values against
+    divergence, calls ``validate(rec, prev_row, row=row)`` and feeds the sinks."""
+    xs = x.tolist()
+    avg0 = sum(xs) / len(xs)
+    try:
+        prev_row = compute_metrics(xs, avg0, t=0)
+    except OverflowError:  # a squared deviation beyond the float range
+        prev_row = None
+    if prev_row is None or not all(map(isfinite, (avg0, prev_row.W, prev_row.V2))):
+        raise DivergenceError(
+            f"the average ({avg0!r}) or the dispersion of the initial values "
+            f"is beyond the float range"
+        )
+    rows: list[MetricsRow] = []
+    records: list[RoundRecord] = []
+    t = 0
+    while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
+        t += 1
+        x, active_edges, nonzero_msgs, rec = step(t)
+        xs = x.tolist()
+        if not all(map(isfinite, xs)):
+            i = next(i for i, v in enumerate(xs) if not isfinite(v))
+            raise DivergenceError(f"node {i} became non-finite at round {t}: {xs[i]!r}")
+        row = compute_metrics(
+            xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
+        )
+        if validate is not None:
+            violations = validate(rec, prev_row, row=row)
+            if violations:
+                raise InvariantViolationError(t, violations)
+        if metrics_sink is not None:
+            metrics_sink(row)
+        if keep_metrics:
+            rows.append(row)
+        if record_sink is not None:
+            record_sink(rec)
+        if keep_records:
+            records.append(rec)
+        prev_row = row
+    stopped_at = t if stop_reached(prev_row, stop_err, stop_v2) else None
+    return RunResult(rows, records, tuple(xs), rounds=t, stopped_at=stopped_at)
+
+
 def run(
     config: SimulationConfig,
     *,
@@ -419,37 +449,19 @@ def run(
         keep_records = config.record_level == "full_trace" and record_sink is None
     check = config.check_invariants
     state = init_state(config, records=check or keep_records or record_sink is not None)
-    params = config.params
-    avg0 = state.avg0
 
-    rows: list[MetricsRow] = []
-    records: list[RoundRecord] = []
-    prev_row = state.row0
-    t = 0
-    while not stop_reached(prev_row, stop_err, stop_v2) and t < config.t_max:
-        t += 1
+    def step(t: int):
         rec = run_round(state, t, config)
-        row = compute_metrics(
-            state.x.tolist(), avg0, t=t,
-            active_edges=state.active_edges, nonzero_msgs=state.nonzero_msgs,
+        return state.x, state.active_edges, state.nonzero_msgs, rec
+
+    validate = None
+    if check:
+        validate = partial(
+            validate_round, params=config.params,
+            w0=state.w0, xinf0=state.xinf0, avg0=state.avg0,
         )
-        if check:
-            violations = validate_round(
-                rec, prev_row, params,
-                w0=state.row0.W, xinf0=state.xinf0, avg0=avg0,
-            )
-            if violations:
-                raise InvariantViolationError(t, violations)
-        if metrics_sink is not None:
-            metrics_sink(row)
-        if keep_metrics:
-            rows.append(row)
-        if record_sink is not None:
-            record_sink(rec)
-        if keep_records:
-            records.append(rec)
-        prev_row = row
-    stopped_at = t if stop_reached(prev_row, stop_err, stop_v2) else None
-    return RunResult(
-        rows, records, tuple(state.x.tolist()), rounds=t, stopped_at=stopped_at
+    return _drive(
+        state.x, config.t_max, step, validate=validate,
+        stop_err=stop_err, stop_v2=stop_v2, metrics_sink=metrics_sink,
+        record_sink=record_sink, keep_metrics=keep_metrics, keep_records=keep_records,
     )

@@ -2,7 +2,7 @@
 core-connectivity checker.
 
 Nodes are integers 0..n-1. Every node carries an implicit self-loop that is
-never stored in the edge set but is counted by ``degree``. Sequences are
+never stored in the edge set but is counted in ``degrees``. Sequences are
 1-indexed in the round counter t and fully deterministic: ``snapshot(t)`` is a
 pure function of the sequence parameters, the seed, and t.
 """
@@ -89,12 +89,6 @@ class GraphSnapshot:
             deg[i] += 1
             deg[j] += 1
         return tuple(deg)
-
-    def degree(self, i: int) -> int:
-        """Degree of node i including its implicit self-loop."""
-        if not (0 <= i < self.n):
-            raise ValueError(f"node {i} out of range for n={self.n}")
-        return self.degrees[i]
 
     def is_connected(self) -> bool:
         return _connected(self.n, self.edges)
@@ -334,13 +328,6 @@ def parse_rounds_text(text: str, n: int) -> tuple[GraphSnapshot, ...]:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return tuple(rounds)
-
-
-def format_rounds_text(snapshots: Iterable[GraphSnapshot]) -> str:
-    lines = []
-    for g in snapshots:
-        lines.append(" ".join(f"{i}-{j}" for i, j in sorted(g.edges)))
-    return "\n".join(lines) + "\n"
 
 
 def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:

@@ -4,19 +4,11 @@ bound policies as the ternary protocol, for side-by-side comparison."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
-from .analysis import MetricsRow, compute_metrics
-from .engine import (
-    EdgeArrays,
-    InitSpec,
-    check_run_lengths,
-    initial_metrics,
-    stop_reached,
-)
-from .errors import DivergenceError
+from .analysis import MetricsRow
+from .engine import EdgeArrays, InitSpec, _drive, check_run_lengths
 from .graphs import GraphSequence
 from .protocol import check_d_policy
 
@@ -57,25 +49,19 @@ def run_metropolis(
     The baseline has no ternary messages, so nonzero_msgs is always 0 and
     active_edges counts the round's edges (every present edge participates).
     """
-    x0 = config.init.build(config.seq.n)
-    avg0, row = initial_metrics(x0)
-    rows: list[MetricsRow] = []
-    x = np.array(x0, dtype=float)
     arrays = None
-    t = 0
-    while not stop_reached(row, stop_err) and t < config.t_max:
-        t += 1
+    x = np.array(config.init.build(config.seq.n), dtype=float)
+
+    def step(t: int):
+        nonlocal arrays, x
         g = config.seq.snapshot(t)
         if arrays is None or g is not arrays.graph:
             arrays = EdgeArrays(g, config.d_policy, config.d_fixed, t)
         x = _step(x, arrays)
-        xs = x.tolist()
-        for i, v in enumerate(xs):
-            if not isfinite(v):
-                raise DivergenceError(f"node {i} became non-finite at round {t}")
-        row = compute_metrics(xs, avg0, t=t, active_edges=len(g.edges))
-        if metrics_sink is not None:
-            metrics_sink(row)
-        if keep_metrics:
-            rows.append(row)
-    return rows, tuple(x.tolist())
+        return x, len(g.edges), 0, None
+
+    result = _drive(
+        x, config.t_max, step,
+        stop_err=stop_err, metrics_sink=metrics_sink, keep_metrics=keep_metrics,
+    )
+    return result.metrics, result.final_x

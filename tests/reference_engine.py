@@ -158,7 +158,7 @@ def run(config: SimulationConfig, *, stop_err: float | None = None) -> RunResult
         rounds = t
         if config.check_invariants:
             violations = validate_round(
-                rec, prev_row, config.params,
+                rec, prev_row, config.params, row=row,
                 w0=world.w0, xinf0=world.xinf0, avg0=world.avg0,
             )
             if violations:

@@ -11,7 +11,6 @@ from ternary_consensus.analysis import (
     EffectiveMatrix,
     MetricsRow,
     compute_metrics,
-    exceeds_decay_envelope,
     reconstruct_matrix,
     theorem_bound,
     theorem_bound_terms,
@@ -176,7 +175,10 @@ class TestValidateRound:
         records, w0, xinf0, avg0 = self.checked_records()
         prev = compute_metrics(records[0].x_pre, 0.0)
         for rec in records:
-            out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
+            out = validate_round(
+                rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
+                w0=w0, xinf0=xinf0, avg0=avg0,
+            )
             assert out == []
             prev = compute_metrics(rec.x_post, 0.0, t=rec.t)
 
@@ -186,7 +188,10 @@ class TestValidateRound:
         prev = compute_metrics(rec.x_pre, 0.0)
         xin, xout = rec.estimates[0][1]
         rec.estimates[0][1] = (xin + 1e-9, xout)
-        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
+        out = validate_round(
+            rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
+            w0=w0, xinf0=xinf0, avg0=avg0,
+        )
         assert any(v.startswith("estimate-mirror") for v in out)
 
     def test_runaway_value_trips_monotonicity(self):
@@ -197,7 +202,10 @@ class TestValidateRound:
         bumped[0] = prev.M + 0.5
         rec.x_post = tuple(bumped)
         rec.active_sets = [set() for _ in rec.active_sets]
-        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
+        out = validate_round(
+            rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
+            w0=w0, xinf0=xinf0, avg0=avg0,
+        )
         assert any(v.startswith("monotonicity") for v in out)
 
     def test_asymmetric_active_set_detected(self):
@@ -207,7 +215,10 @@ class TestValidateRound:
         i = next(k for k, s in enumerate(rec.active_sets) if s)
         j = next(iter(rec.active_sets[i]))
         rec.active_sets[j].discard(i)
-        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
+        out = validate_round(
+            rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
+            w0=w0, xinf0=xinf0, avg0=avg0,
+        )
         assert any(v.startswith("active-set-symmetry") for v in out)
 
     def test_oversized_estimate_detected(self):
@@ -217,7 +228,10 @@ class TestValidateRound:
         rec.estimates[0][1] = (xinf0 + 1.0, rec.estimates[0][1][1])
         rec.estimates[1][0] = (rec.estimates[1][0][0], xinf0 + 1.0)
         rec.active_sets = [set() for _ in rec.active_sets]
-        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
+        out = validate_round(
+            rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
+            w0=w0, xinf0=xinf0, avg0=avg0,
+        )
         assert any(v.startswith("estimate-bound") for v in out)
 
     def test_shifted_mean_trips_conservation(self):
@@ -225,7 +239,10 @@ class TestValidateRound:
         rec = records[10]
         prev = compute_metrics(rec.x_pre, 0.0)
         rec.x_post = tuple(v - 1e-9 for v in rec.x_post)
-        out = validate_round(rec, prev, THEOREM, w0=w0, xinf0=xinf0, avg0=avg0)
+        out = validate_round(
+            rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
+            w0=w0, xinf0=xinf0, avg0=avg0,
+        )
         assert out and out[-1].startswith("conservation: mean drifted by")
         assert out[-1].endswith(f"at t={rec.t}")
 
@@ -343,11 +360,6 @@ class TestBound:
             + max(terms["steady-log"], terms["steady-power"])
         )
         assert recomposed == terms["total"]
-
-
-def test_decay_envelope_flag():
-    assert exceeds_decay_envelope(t=1, v2=100.0, n=3, alpha=0.5)
-    assert not exceeds_decay_envelope(t=10**8, v2=1e-6, n=3, alpha=0.5)
 
 
 def test_eigenvalues_of_reconstructed_matrices():

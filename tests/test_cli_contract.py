@@ -1,9 +1,11 @@
 """Property test of the CLI contract: on any config document or ``bound``
 argv, ``cli.main`` returns an exit code in {0, 1, 2, 3} without raising; a
-document holding a number beyond the float range anywhere, or a ``sweep``
-with an invalid ``--stop-err``, exits 1; a nonzero code leaves the files and
-directories as they were; a successful ``run`` writes the header plus one
-metrics row per reported round.
+document holding a number beyond the float range anywhere, a ``sweep`` with
+an invalid ``--stop-err``, or a malformed command line (a non-integer
+``--seed``/``--t-max``, an unknown flag, a missing ``--config``) exits 1, the
+last with the usage line and the error on stderr; a nonzero code leaves the
+files and directories as they were; a successful ``run`` writes the header
+plus one metrics row per reported round.
 
 Documents start from the suite's valid base config and take up to three random
 mutations: a dropped key or section, a wrong type, a non-finite number, an
@@ -60,6 +62,8 @@ VERBS = [
     ["sweep", "--n-list", "3,4"],
 ]
 SWEEP_STOP_ERRS = {"0.5": True, "-1": False, "nan": False, "inf": False, "-inf": False}
+# argv faults argparse rejects; None leaves the command line well formed
+USAGE_FAULTS = [None] * 12 + ["--seed=1.5", "--t-max=x", "--bogus", "no-config"]
 # the (section, key, value) patches behind each override flag
 FLAG_PATCHES = {
     "--t-max": [("run", "t_max", 7)],
@@ -170,23 +174,24 @@ def beyond_float_range(value) -> bool:
     return isinstance(value, int) and abs(value) > sys.float_info.max
 
 
-def call(argv, cwd: Path | None = None) -> tuple[int, str]:
-    """main(argv) with its output captured, run from cwd when given (a
-    mutated output dir may be a relative path)."""
+def call(argv, cwd: Path | None = None) -> tuple[int, str, str]:
+    """main(argv) with its stdout and stderr captured, run from cwd when given
+    (a mutated output dir may be a relative path)."""
     stdout = io.StringIO()
+    stderr = io.StringIO()
     old_cwd = os.getcwd()
     try:
         if cwd is not None:
             os.chdir(cwd)
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
     finally:
         os.chdir(old_cwd)
-    return code, stdout.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @given(data=st.data())
-@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=330, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_config_mutations_keep_the_exit_contract(data):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -212,13 +217,23 @@ def test_config_mutations_keep_the_exit_contract(data):
             stop_err_valid = SWEEP_STOP_ERRS[stop_err]
             argv.append(f"--stop-err={stop_err}")
             patches.append(("run", "stop_err", float(stop_err)))
+        fault = data.draw(st.sampled_from(USAGE_FAULTS))
+        if fault == "no-config":
+            argv.remove("--config")
+            argv.remove(str(config))
+        elif fault is not None:
+            argv.append(fault)
 
         before = tree(root)
-        code, stdout = call(argv, cwd=root)
+        code, stdout, stderr = call(argv, cwd=root)
 
         assert code in (0, 1, 2, 3)
         if beyond_float_range(with_overrides(doc, patches)) or not stop_err_valid:
             assert code == 1
+        if fault is not None:
+            assert code == 1
+            assert stderr.startswith("usage: ternary-consensus ")
+            assert ": error: " in stderr
         if code != 0:
             assert tree(root) == before
             return
@@ -251,7 +266,7 @@ BOUND_FLOATS = st.one_of(
 def test_bound_keeps_the_exit_contract(ints, floats):
     names = ["--n", "--B", "--D", "--alpha", "--beta", "--eps", "--w0", "--v20", "--xinf"]
     values = [str(v) for v in ints] + [repr(v) for v in floats]
-    code, stdout = call(["bound"] + [f"{k}={v}" for k, v in zip(names, values)])
+    code, stdout, _ = call(["bound"] + [f"{k}={v}" for k, v in zip(names, values)])
     assert code in (0, 1)
     if code == 0:
         lines = stdout.splitlines()

@@ -168,7 +168,7 @@ class TestCmdRun:
     ):
         import ternary_consensus.engine as engine_mod
 
-        def fake_validate(rec, prev, params, *, w0, xinf0, avg0):
+        def fake_validate(rec, prev, params, *, row, w0, xinf0, avg0):
             return [f"estimate-mirror: injected fault at t={rec.t}"]
 
         monkeypatch.setattr(engine_mod, "validate_round", fake_validate)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from reference_engine import World, init_state, run_round
@@ -160,6 +161,23 @@ class TestRunProperties:
                   check_invariants=True)
         run(cfg)  # raises on any violation
 
+    def test_checked_run_computes_each_metrics_row_once(self, monkeypatch):
+        import ternary_consensus.analysis as analysis_mod
+        import ternary_consensus.engine as engine_mod
+
+        rounds = []
+
+        def counted(*args, **kwargs):
+            rounds.append(kwargs["t"])
+            return compute_metrics(*args, **kwargs)
+
+        for mod in (analysis_mod, engine_mod):
+            monkeypatch.setattr(mod, "compute_metrics", counted)
+        cfg = sim(make_sequence("static", 4, base="complete"), THEOREM_FAST,
+                  InitSpec("spike"), 30, check_invariants=True)
+        run(cfg)
+        assert rounds == list(range(31))
+
     def test_stop_conditions(self):
         cfg = sim(
             make_sequence("static", 20, base="complete"), PRACTICAL_09,
@@ -232,6 +250,23 @@ class TestGuards:
         world.nodes[1].ledger[0] = LedgerEntry(1.7e308, 0.0, 1, 1)
         with pytest.raises(DivergenceError):
             run_round(world, 1, cfg)
+
+    def test_node_guard_runs_before_the_checker(self, monkeypatch):
+        import ternary_consensus.engine as engine_mod
+
+        real_round = engine_mod.run_round
+
+        def diverging(state, t, config):
+            rec = real_round(state, t, config)
+            state.x = np.where(np.arange(len(state.x)) == 2, -np.inf, state.x)
+            return rec
+
+        monkeypatch.setattr(engine_mod, "run_round", diverging)
+        cfg = sim(make_sequence("static", 3, base="complete"), THEOREM_FAST,
+                  InitSpec("spike"), 5, check_invariants=True)
+        with pytest.raises(DivergenceError,
+                           match=r"^node 2 became non-finite at round 1: -inf$"):
+            run(cfg)
 
 
 class TestRunInputs:

@@ -46,6 +46,17 @@ def test_metrics_csv_bytes(preset, baseline, tmp_path):
     assert digest == GOLDEN[preset, baseline]
 
 
+@pytest.mark.parametrize("preset", ["theorem-a025-b050", "theorem-a075-b0875"])
+def test_checked_run_writes_the_unchecked_bytes(preset, tmp_path):
+    argv = [
+        "run", "--config", preset, "--seed", "1", "--t-max", "300", "--check",
+        "--out", str(tmp_path), "--quiet",
+    ]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN[preset, False]
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

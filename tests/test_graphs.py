@@ -11,7 +11,6 @@ from ternary_consensus.graphs import (
     check_core_connected,
     complete_edges,
     derive_seed,
-    format_rounds_text,
     line_edges,
     make_sequence,
     parse_rounds_text,
@@ -38,19 +37,14 @@ class TestGraphSnapshot:
     def test_degree_counts_self_loop(self):
         # complete graph: n-1 neighbors plus the self-loop
         g = snap(4, complete_edges(4))
-        assert all(g.degree(i) == 4 for i in range(4))
+        assert all(g.degrees[i] == 4 for i in range(4))
         # edgeless: just the self-loop
         g = snap(5, [])
-        assert all(g.degree(i) == 1 for i in range(5))
+        assert all(g.degrees[i] == 1 for i in range(5))
         # middle of a 3-node line: two neighbors plus the self-loop
         g = snap(3, line_edges(3))
-        assert g.degree(1) == 3
-        assert g.degree(0) == 2
-
-    def test_degree_rejects_bad_node(self):
-        g = snap(3, line_edges(3))
-        with pytest.raises(ValueError, match="out of range"):
-            g.degree(3)
+        assert g.degrees[1] == 3
+        assert g.degrees[0] == 2
 
     def test_connectivity(self):
         assert snap(3, line_edges(3)).is_connected()
@@ -234,8 +228,7 @@ class TestCoreCheck:
 class TestRoundsText:
     def test_round_trip(self):
         rounds = (snap(4, [(0, 1), (2, 3)]), snap(4, []), snap(4, [(1, 2)]))
-        text = format_rounds_text(rounds)
-        assert parse_rounds_text(text, 4) == rounds
+        assert parse_rounds_text("0-1 2-3\n\n1-2\n", 4) == rounds
 
     def test_blank_line_is_edgeless(self):
         rounds = parse_rounds_text("0-1\n\n1-2\n", 3)

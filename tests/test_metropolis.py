@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternary_consensus.engine import InitSpec
-from ternary_consensus.errors import ConfigError
+from ternary_consensus.errors import ConfigError, DivergenceError
 from ternary_consensus.graphs import (
     GraphSnapshot,
     StaticSequence,
@@ -162,6 +162,21 @@ class TestRun:
         rows, final_x = run_metropolis(cfg)
         assert rows[0].M == 1.0 and rows[0].W == 1.0
         assert final_x[2] == 0.0
+
+    def test_divergence_names_node_round_and_value(self, monkeypatch):
+        # weights within the degree bound keep values finite, so a faulty
+        # step stands in for a diverging one
+        import ternary_consensus.metropolis as metropolis_mod
+
+        def faulty(x, arrays):
+            return np.where(np.arange(len(x)) == 1, np.inf, x)
+
+        monkeypatch.setattr(metropolis_mod, "_step", faulty)
+        cfg = MetropolisConfig(make_sequence("static", 3, base="line"),
+                               InitSpec("spike"), t_max=5)
+        with pytest.raises(DivergenceError,
+                           match=r"^node 1 became non-finite at round 1: inf$"):
+            run_metropolis(cfg)
 
 
 class TestSharedDegreeBound:
