@@ -31,6 +31,18 @@ STEP_TOL = 1e-12
 MATRIX_TOL = 1e-9
 
 
+def fold_sum(values) -> float:
+    """The floats of ``values`` added left to right, starting from 0.0. This
+    is the builtin ``sum`` of Python 3.10 and 3.11; Python 3.12 compensates
+    its float sums, which rounds differently. Every float sum that reaches a
+    CSV, a stop decision or a check goes through here, so the output bytes
+    do not depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True, slots=True)
 class MetricsRow:
     """One round's observables: extremes, dispersion, distance to the initial
@@ -55,8 +67,8 @@ def compute_metrics(
         raise ValueError("value vector must be non-empty")
     hi = max(x)
     lo = min(x)
-    mean = sum(x) / len(x)
-    v2 = sqrt(sum((v - mean) ** 2 for v in x))
+    mean = fold_sum(x) / len(x)
+    v2 = sqrt(fold_sum((v - mean) ** 2 for v in x))
     err = max(abs(v - avg0) for v in x)
     return MetricsRow(t, hi, lo, hi - lo, v2, err, active_edges, nonzero_msgs)
 
@@ -256,7 +268,7 @@ def validate_round(
                 validate_matrix(mat, dominance=params.variant == "theorem")
             )
 
-    drift = abs(sum(record.x_post) / n - avg0)
+    drift = abs(fold_sum(record.x_post) / n - avg0)
     if drift > CONSERVATION_TOL * max(1.0, xinf0):
         out.append(f"conservation: mean drifted by {drift:.3e} at t={t}")
     return out

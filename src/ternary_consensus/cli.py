@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import BoundInputs, compute_metrics, theorem_bound_terms
+from .analysis import BoundInputs, compute_metrics, fold_sum, theorem_bound_terms
 from .config import (
     ExperimentConfig,
     load_config_data,
@@ -166,7 +166,7 @@ def cmd_run(args) -> int:
 
     if last_row is None:
         # stopped before round 1: report the initial condition
-        last_row = compute_metrics(final_x, sum(final_x) / len(final_x), t=0)
+        last_row = compute_metrics(final_x, fold_sum(final_x) / len(final_x), t=0)
     if not args.quiet:
         if cfg.stop_err is None:
             stop_txt = "n/a"
@@ -262,7 +262,7 @@ def cmd_sweep(args) -> int:
             result = run(cfg.simulation(), stop_err=cfg.stop_err, keep_metrics=False,
                          keep_records=False)
             x = result.final_x
-            final_err = compute_metrics(x, sum(x) / len(x)).err_max
+            final_err = compute_metrics(x, fold_sum(x) / len(x)).err_max
             reached = result.stopped_at
             rounds_txt = str(reached) if reached is not None else ""
             sweep_fh.write(f"{n},{rounds_txt},{_fmt(final_err)}\n")

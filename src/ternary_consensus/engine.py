@@ -23,7 +23,7 @@ from math import isfinite
 import numpy as np
 
 from .analysis import CONSERVATION_TOL  # noqa: F401  (importable from engine too)
-from .analysis import MetricsRow, compute_metrics, validate_round
+from .analysis import MetricsRow, compute_metrics, fold_sum, validate_round
 from .errors import ConfigError, DivergenceError, InvariantViolationError
 from .graphs import Edge, GraphSequence, GraphSnapshot
 from .protocol import (
@@ -187,8 +187,7 @@ class EdgeArrays:
 @dataclass(slots=True, eq=False)
 class EdgeState:
     """Run state: node values, one estimate pair per undirected edge ever
-    seen, frozen facts about the initial condition, and the arrays of the
-    current snapshot.
+    seen, and the arrays of the current snapshot.
 
     Slot s holds edge (u, v), u < v, the s-th distinct edge to appear:
     est[s] = (a, b), where a is u's outbound estimate toward v (v's inbound
@@ -203,9 +202,6 @@ class EdgeState:
     est: np.ndarray
     last_seen: np.ndarray
     slot_of: dict[Edge, int]
-    avg0: float
-    w0: float
-    xinf0: float
     records: bool
     arrays: EdgeArrays | None = None
     slot: np.ndarray | None = None  # slot of each edge of the snapshot
@@ -227,15 +223,11 @@ class RunResult:
 def init_state(config: SimulationConfig, records: bool = False) -> EdgeState:
     """State at t=0: values per the init spec, no edge seen yet. With
     ``records`` set, run_round returns a RoundRecord for every round."""
-    x0 = config.init.build(config.seq.n)
     return EdgeState(
-        x=np.array(x0, dtype=float),
+        x=np.array(config.init.build(config.seq.n), dtype=float),
         est=np.zeros((0, 2)),
         last_seen=np.zeros(0, dtype=np.int64),
         slot_of={},
-        avg0=sum(x0) / len(x0),
-        w0=max(x0) - min(x0),
-        xinf0=max(abs(v) for v in x0),
         records=records,
     )
 
@@ -384,10 +376,11 @@ def _drive(
     """The run loop of both runners, from the initial values x. ``step(t)``
     runs round t and returns the new values, the round's active edge and
     nonzero message counts, and its record (or None). Only this loop computes
-    the t=0 metrics, applies the stop rule, guards node values against
-    divergence, calls ``validate(rec, prev_row, row=row)`` and feeds the sinks."""
+    the t=0 facts (avg0, the spread w0 and the sup-norm xinf0), applies the
+    stop rule, guards node values against divergence, hands the facts to
+    ``validate`` and feeds the sinks."""
     xs = x.tolist()
-    avg0 = sum(xs) / len(xs)
+    avg0 = fold_sum(xs) / len(xs)
     try:
         prev_row = compute_metrics(xs, avg0, t=0)
     except OverflowError:  # a squared deviation beyond the float range
@@ -397,6 +390,8 @@ def _drive(
             f"the average ({avg0!r}) or the dispersion of the initial values "
             f"is beyond the float range"
         )
+    w0 = prev_row.W
+    xinf0 = max(abs(prev_row.M), abs(prev_row.m))
     rows: list[MetricsRow] = []
     records: list[RoundRecord] = []
     t = 0
@@ -411,7 +406,7 @@ def _drive(
             xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
         )
         if validate is not None:
-            violations = validate(rec, prev_row, row=row)
+            violations = validate(rec, prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
             if violations:
                 raise InvariantViolationError(t, violations)
         if metrics_sink is not None:
@@ -454,12 +449,7 @@ def run(
         rec = run_round(state, t, config)
         return state.x, state.active_edges, state.nonzero_msgs, rec
 
-    validate = None
-    if check:
-        validate = partial(
-            validate_round, params=config.params,
-            w0=state.w0, xinf0=state.xinf0, avg0=state.avg0,
-        )
+    validate = partial(validate_round, params=config.params) if check else None
     return _drive(
         state.x, config.t_max, step, validate=validate,
         stop_err=stop_err, stop_v2=stop_v2, metrics_sink=metrics_sink,

@@ -10,7 +10,7 @@ pure function of the sequence parameters, the seed, and t.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -47,8 +47,8 @@ class GraphSnapshot:
 
     Edges are stored as normalized (low, high) pairs of distinct endpoints;
     the per-node self-loop is implicit. Derived views (sorted edge list,
-    adjacency, degrees) are cached, which matters because static sequences
-    hand out the same snapshot every round.
+    degrees) are cached, which matters because static sequences hand out the
+    same snapshot every round.
     """
 
     n: int
@@ -72,14 +72,6 @@ class GraphSnapshot:
     @cached_property
     def edge_list(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edge_list:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(a)) for a in nbrs)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
-from ternary_consensus.analysis import MetricsRow, compute_metrics, validate_round
+from ternary_consensus.analysis import (
+    MetricsRow,
+    compute_metrics,
+    fold_sum,
+    validate_round,
+)
 from ternary_consensus.engine import RoundRecord, RunResult, SimulationConfig
 from ternary_consensus.errors import DivergenceError, InvariantViolationError
 from ternary_consensus.graphs import Edge, GraphSnapshot
@@ -51,7 +56,7 @@ def init_state(config: SimulationConfig) -> World:
     return World(
         nodes,
         x0,
-        avg0=sum(x0) / n,
+        avg0=fold_sum(x0) / n,
         w0=max(x0) - min(x0),
         xinf0=max(abs(v) for v in x0),
     )
@@ -98,12 +103,12 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
             apply_messages(nodes[i], t, sent[i], received[i], params)
 
     x_pre = tuple(node.x for node in nodes)
-    adjacency = g.adjacency
     active_sets: list[set[int]] = []
     for i in range(n):
         if sent[i]:
+            peers = tuple(m.dst for m in sent[i])
             active_sets.append(
-                active_set(nodes[i], t, adjacency[i], sent[i], received[i], params)
+                active_set(nodes[i], t, peers, sent[i], received[i], params)
             )
         else:
             active_sets.append(set())

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from ternary_consensus.analysis import (
     BoundInputs,
     EffectiveMatrix,
-    MetricsRow,
     compute_metrics,
+    fold_sum,
     reconstruct_matrix,
     theorem_bound,
     theorem_bound_terms,
@@ -52,6 +52,12 @@ class TestComputeMetrics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics((), avg0=0.0)
+
+    def test_fold_sum_adds_left_to_right_from_zero(self):
+        # exact or compensated sums (math.fsum, builtin sum from 3.12) give 1.0
+        assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+        assert fold_sum([-0.0]).hex() == "0x0.0p+0"
 
     @given(
         st.lists(
@@ -168,7 +174,7 @@ class TestValidateRound:
         world_x0 = result.records[0].x_pre
         w0 = max(world_x0) - min(world_x0)
         xinf0 = max(abs(v) for v in world_x0)
-        avg0 = sum(world_x0) / len(world_x0)
+        avg0 = fold_sum(world_x0) / len(world_x0)
         return result.records, w0, xinf0, avg0
 
     def test_clean_run_is_clean(self):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
-from ternary_consensus.analysis import compute_metrics
+from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.engine import InitSpec, SimulationConfig, run
 from ternary_consensus.errors import (
     DivergenceError,
@@ -133,7 +133,7 @@ def reference_metropolis(cfg: MetropolisConfig):
     """run_metropolis as a per-edge loop over Python floats."""
     n = cfg.seq.n
     x = list(cfg.init.build(n))
-    avg0 = sum(x) / n
+    avg0 = fold_sum(x) / n
     rows = []
     for t in range(1, cfg.t_max + 1):
         g = cfg.seq.snapshot(t)

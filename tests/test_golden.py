@@ -7,11 +7,15 @@ behaviour change, and say so in the change log."""
 
 import contextlib
 import hashlib
+import importlib
 import io
+import math
+import pkgutil
 
 import pytest
 import yaml
 
+import ternary_consensus
 from ternary_consensus.cli import METRICS_HEADER, main
 from ternary_consensus.config import resolve_config
 
@@ -131,3 +135,48 @@ def test_stop_mid_run_summary(baseline, t_max, line, tmp_path):
         "--out", str(tmp_path),
     ]
     assert summary(argv + ["--baseline"] if baseline else argv) == line + "\n"
+
+
+def test_signed_zero_reaches_the_csv(tmp_path):
+    """A zero extreme keeps the sign of the first value that attains it, as
+    Python's max/min do (numpy's max/min would write 0 here)."""
+    doc = yaml.safe_load(resolve_config("fig1-line").read_text())
+    doc["graph"]["n"] = 3
+    doc["init"] = {"kind": "explicit", "values": [-0.0, 0.0, 0.0]}
+    doc["run"]["t_max"] = 2
+    config = tmp_path / "zeros.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    assert (out / "metrics.csv").read_text() == (
+        f"{METRICS_HEADER}\n1,-0,-0,0,0,0,0,0\n2,-0,-0,0,0,0,0,0\n"
+    )
+
+
+def compensated_sum(values, start=0):
+    """The builtin sum of Python 3.12 and later over numbers: Neumaier
+    compensated summation, whose correction is added once at the end (see
+    "What's New in Python 3.12")."""
+    total, comp = float(start), 0.0
+    for v in values:
+        s = total + v
+        if abs(total) >= abs(v):
+            comp += (total - s) + v
+        else:
+            comp += (v - s) + total
+        total = s
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_goldens_hold_under_compensated_builtin_sum(monkeypatch, tmp_path):
+    """Every float sum that reaches a CSV goes through analysis.fold_sum, so
+    the outputs are the same whichever summation the builtin sum uses."""
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    for info in pkgutil.iter_modules(ternary_consensus.__path__):
+        module = importlib.import_module(f"ternary_consensus.{info.name}")
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    for k, (preset, baseline) in enumerate(sorted(GOLDEN)):
+        test_metrics_csv_bytes(preset, baseline, tmp_path / f"metrics{k}")
+    test_sweep_csv_bytes(tmp_path / "sweep")
+    (tmp_path / "trace").mkdir()
+    test_full_trace_csv_bytes(tmp_path / "trace")
