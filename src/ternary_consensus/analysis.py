@@ -274,6 +274,104 @@ def validate_round(
     return out
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def screen_round(
+    t: int,
+    params: ProtocolParams,
+    x_pre: np.ndarray,
+    x_post: np.ndarray,
+    est: np.ndarray,
+    last_seen: np.ndarray,
+    eu: np.ndarray,
+    ev: np.ndarray,
+    D: np.ndarray,
+    denom: np.ndarray,
+    gap: np.ndarray,
+    act: np.ndarray,
+    *,
+    prev_metrics: MetricsRow,
+    row: MetricsRow,
+    w0: float,
+    xinf0: float,
+    avg0: float,
+) -> bool:
+    """True only if ``validate_round`` finds no violation in round t; False
+    says nothing, and the caller then builds the record and validates it.
+
+    The inputs are the engine's edge arrays after round t: the estimate pairs
+    ``est`` (a, b) per slot with their ``last_seen`` rounds; per edge of the
+    snapshot its endpoints eu < ev, pair bound D >= 1, update denominator
+    ``denom`` = c D (c = 2 or 4), estimate gap b - a and active flag; the
+    value vectors before and after the round. Each clause passes only when
+    its comparison holds, so a nan declines the round.
+
+    (a) estimate mirroring and (b) active-set symmetry hold by construction
+    of the edge state (one pair per edge; a nan estimate, the one way a
+    mirror check can fail, fails (d) here). These clauses are exact, the
+    same IEEE operations on the same floats as the record path: (c) the
+    monotonicity of ``row`` against ``prev_metrics``; (d) |estimate| over
+    both sides of every live slot; (e) the step bound, theorem variant, with
+    nothing to check when x_post is x_pre; (g) the same ``fold_sum`` of the
+    same values; and, per active edge, w = gap / (x_pre[ev] - x_pre[eu])
+    within [2/3, 2]. A degenerate pair (equal endpoints) makes w inf or nan
+    and declines. The rest of the matrix structure follows. The matrix is
+    symmetric: reconstruct_matrix's a_ji is (a - b) / (x_u - x_v) / denom,
+    exactly a_ij. Its entries a = w / denom are positive and at least
+    (2/3 - MATRIX_TOL) / (4 D) > 1/(8 D) + 1/(25 D), which clears
+    1/(8 D) - MATRIX_TOL with room for any rounding.
+
+    Row and column sums and the diagonals are sums in another order than
+    reconstruct_matrix's. Node i's row and column sum its diagonal
+    d_i = 1 - a_i1 - a_i2 - ... (left to right) and its k <= n - 1 entries
+    a_ij, which are exactly 1 before rounding; with A_i = sum_j a_ij and
+    g_n = n u / (1 - n u), u = 2^-53, each deviates from 1 by at most
+    g_n (3 + g_n)(1 + A_i) (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, eq. 4.4, for both summations), and 1 - s_i, with s_i
+    the per-node bincount of a here, differs from d_i by at most
+    2 g_n (1 + A_i). The clause 4 n u (1 + (n - 1) max a) <= MATRIX_TOL / 2
+    bounds both rounding gaps by half the tolerance: the rows and columns
+    then pass, and s_i <= 1/2 + MATRIX_TOL / 2 here gives d_i >= 1/2 -
+    MATRIX_TOL there (dominance, theorem variant).
+    """
+    if not (
+        row.M <= prev_metrics.M + MONOTONE_TOL
+        and row.m >= prev_metrics.m - MONOTONE_TOL
+        and row.V2 <= prev_metrics.V2 + MONOTONE_TOL
+    ):
+        return False
+    n = len(x_post)
+    drift = abs(fold_sum(x_post.tolist()) / n - avg0)
+    if not drift <= CONSERVATION_TOL * max(1.0, xinf0):
+        return False
+    horizon = params.prune_horizon
+    live = est if horizon is None else est[last_seen >= t - horizon]
+    if not np.abs(live).max(initial=0.0) <= xinf0 + ESTIMATE_TOL:
+        return False
+    theorem = params.variant == "theorem"
+    if theorem:
+        step = 0.0 if x_post is x_pre else np.abs(x_post - x_pre).max()
+        if not step <= 0.5 * w0 * t ** (-params.beta) + STEP_TOL:
+            return False
+    u = eu[act]
+    if not len(u):
+        return True
+    v = ev[act]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = gap[act] / (x_pre[v] - x_pre[u])
+        a = w / denom[act]
+    if not (w.min() >= 2.0 / 3.0 - MATRIX_TOL and w.max() <= 2.0 + MATRIX_TOL):
+        return False
+    if not 4.0 * n * _UNIT_ROUNDOFF * (1.0 + (n - 1) * a.max()) <= MATRIX_TOL / 2:
+        return False
+    if theorem:
+        s = np.bincount(u, a, n) + np.bincount(v, a, n)
+        if not s.max() <= 0.5 + MATRIX_TOL / 2:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Inputs to the convergence-time bound: network size, block length, the

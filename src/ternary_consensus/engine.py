@@ -9,21 +9,27 @@ result is bitwise identical to running ``protocol`` node by node: every
 float operation is the same IEEE operation on the same operands, and each
 node folds its active peers in ascending order, as ``value_update`` does.
 
-``RoundRecord``s are built only when something reads them: the invariant
-checker, a record sink, or a kept full trace.
+``RoundRecord``s are built only when something reads them: a record sink, a
+kept full trace, or the invariant checker on a round that
+``analysis.screen_round`` does not clear.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from math import isfinite
 
 import numpy as np
 
 from .analysis import CONSERVATION_TOL  # noqa: F401  (importable from engine too)
-from .analysis import MetricsRow, compute_metrics, fold_sum, validate_round
+from .analysis import (
+    MetricsRow,
+    compute_metrics,
+    fold_sum,
+    screen_round,
+    validate_round,
+)
 from .errors import ConfigError, DivergenceError, InvariantViolationError
 from .graphs import Edge, GraphSequence, GraphSnapshot
 from .protocol import (
@@ -114,6 +120,28 @@ class SimulationConfig:
                 f"{self.record_level!r}"
             )
         check_run_lengths(self.seq, self.init, self.t_max)
+        # the practical variant's 2*max(d_i, d_j) denominator ignores d_policy
+        if self.params.variant == "theorem":
+            check_known_bounds(
+                self.seq, self.params.d_policy, self.params.d_fixed, self.t_max
+            )
+
+
+def check_known_bounds(
+    seq: GraphSequence, d_policy: str, d_fixed: float | None, t_max: int
+) -> None:
+    """Reject a fixed degree bound below the max pair degree of a static,
+    periodic or explicit snapshot used in rounds 1..t_max, naming the first
+    round that uses it, as the run itself would. Generated sequences
+    (core_synthetic, relabeled_line) are checked as their rounds are run."""
+    if d_policy != "fixed" or seq.kind not in ("static", "periodic", "explicit"):
+        return
+    rounds = (seq.base,) if seq.kind == "static" else seq.rounds[:t_max]
+    seen: set[GraphSnapshot] = set()
+    for t, g in enumerate(rounds, start=1):
+        if g not in seen:
+            seen.add(g)
+            check_fixed_bound(d_policy, d_fixed, g.degrees, t)
 
 
 @dataclass(slots=True)
@@ -196,6 +224,10 @@ class EdgeState:
     drops an entry at the end of the first round r with last_seen < r - H;
     here the entry is zeroed when the edge reappears after such a round, and
     counts as live in a record while last_seen >= t - H.
+
+    The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
+    2k+1), estimate gaps b - a, active mask and pre-update values here, for
+    the invariant screen and for ``_record``.
     """
 
     x: np.ndarray
@@ -207,7 +239,11 @@ class EdgeState:
     slot: np.ndarray | None = None  # slot of each edge of the snapshot
     denom: np.ndarray | None = None  # 2*D (practical) or 4*D (theorem)
     silent: list[Message] | None = None  # the snapshot's messages, all q = 0
-    nonzero_msgs: int = 0  # counters of the last round run
+    q: np.ndarray | None = None  # the last round run
+    gap: np.ndarray | None = None
+    act: np.ndarray | None = None
+    x_pre: np.ndarray | None = None
+    nonzero_msgs: int = 0
     active_edges: int = 0
 
 
@@ -252,13 +288,7 @@ def _enter_snapshot(
     state.arrays = arrays
     state.slot = np.array(slots, dtype=np.intp)
     state.denom = (2.0 if params.variant == "practical" else 4.0) * arrays.D
-    if state.records:
-        # records copy this list and patch in the few nonzero symbols
-        state.silent = [
-            m
-            for i, j in g.edge_list
-            for m in (Message(i, j, 0), Message(j, i, 0))
-        ]
+    state.silent = None  # built by the first record of this snapshot
 
 
 def run_round(
@@ -320,26 +350,30 @@ def run_round(
         moved[arrays.ev[act]] = True
         x = np.where(moved, x + acc, x)
         state.x = x
+    state.q = q
+    state.gap = gap
+    state.act = act
+    state.x_pre = x_pre
     state.nonzero_msgs = int(np.count_nonzero(q))
     state.active_edges = int(np.count_nonzero(act))
     if not state.records:
         return None
-    return _record(state, t, q, act, x_pre, x, params)
+    return _record(state, t, params)
 
 
-def _record(
-    state: EdgeState,
-    t: int,
-    q: np.ndarray,
-    act: np.ndarray,
-    x_pre: np.ndarray,
-    x_post: np.ndarray,
-    params: ProtocolParams,
-) -> RoundRecord:
-    """The per-node view of round t, rebuilt from the edge arrays."""
+def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
+    """The per-node view of round t, the last round run, rebuilt from the
+    edge arrays."""
     g = state.arrays.graph
     n = g.n
     edges = g.edge_list
+    q = state.q
+    act = state.act
+    if state.silent is None:
+        # records copy this list and patch in the few nonzero symbols
+        state.silent = [
+            m for i, j in edges for m in (Message(i, j, 0), Message(j, i, 0))
+        ]
     messages = state.silent.copy()
     for h in np.flatnonzero(q).tolist():
         src, dst, _ = messages[h]
@@ -362,8 +396,21 @@ def _record(
             estimates[i][j] = (b, a)
             estimates[j][i] = (a, b)
     return RoundRecord(
-        t, g, messages, active_sets, tuple(x_pre.tolist()), tuple(x_post.tolist()),
-        d_bounds, estimates,
+        t, g, messages, active_sets, tuple(state.x_pre.tolist()),
+        tuple(state.x.tolist()), d_bounds, estimates,
+    )
+
+
+def _screen(
+    state: EdgeState, params: ProtocolParams, prev_row: MetricsRow, *,
+    row: MetricsRow, w0: float, xinf0: float, avg0: float,
+) -> bool:
+    """``screen_round`` on the last round run; True clears it."""
+    arrays = state.arrays
+    return screen_round(
+        row.t, params, state.x_pre, state.x, state.est, state.last_seen,
+        arrays.eu, arrays.ev, arrays.D, state.denom, state.gap, state.act,
+        prev_metrics=prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0,
     )
 
 
@@ -434,24 +481,35 @@ def run(
 ) -> RunResult:
     """Run rounds 1..t_max, or fewer if a stop threshold is met first.
 
-    With check_invariants set, every round's record is validated and the
-    first violating round raises InvariantViolationError naming each failed
-    check. Sinks receive rows/records as they are produced, which keeps very
-    long runs memory-flat when keep_metrics/keep_records are off. Records are
-    built only when checked, sunk or kept.
+    With check_invariants set, every round is checked and the first violating
+    round raises InvariantViolationError naming each failed check: a round
+    that ``screen_round`` clears has no violation, and any other round's
+    record goes to ``validate_round``, the one definition of the invariants
+    and their messages. Sinks receive rows/records as they are produced,
+    which keeps very long runs memory-flat when keep_metrics/keep_records are
+    off. Records are built only when sunk, kept or needed by the checker.
     """
     if keep_records is None:
         keep_records = config.record_level == "full_trace" and record_sink is None
-    check = config.check_invariants
-    state = init_state(config, records=check or keep_records or record_sink is not None)
+    params = config.params
+    state = init_state(config, records=keep_records or record_sink is not None)
 
     def step(t: int):
         rec = run_round(state, t, config)
         return state.x, state.active_edges, state.nonzero_msgs, rec
 
-    validate = partial(validate_round, params=config.params) if check else None
+    def validate(rec, prev_row, *, row, w0, xinf0, avg0):
+        if _screen(state, params, prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0):
+            return []
+        if rec is None:
+            rec = _record(state, row.t, params)
+        return validate_round(
+            rec, prev_row, params, row=row, w0=w0, xinf0=xinf0, avg0=avg0
+        )
+
     return _drive(
-        state.x, config.t_max, step, validate=validate,
+        state.x, config.t_max, step,
+        validate=validate if config.check_invariants else None,
         stop_err=stop_err, stop_v2=stop_v2, metrics_sink=metrics_sink,
         record_sink=record_sink, keep_metrics=keep_metrics, keep_records=keep_records,
     )

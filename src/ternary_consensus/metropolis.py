@@ -8,7 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import MetricsRow
-from .engine import EdgeArrays, InitSpec, _drive, check_run_lengths
+from .engine import (
+    EdgeArrays,
+    InitSpec,
+    _drive,
+    check_known_bounds,
+    check_run_lengths,
+)
 from .graphs import GraphSequence
 from .protocol import check_d_policy
 
@@ -24,6 +30,7 @@ class MetropolisConfig:
     def __post_init__(self):
         check_d_policy(self.d_policy, self.d_fixed)
         check_run_lengths(self.seq, self.init, self.t_max)
+        check_known_bounds(self.seq, self.d_policy, self.d_fixed, self.t_max)
 
 
 def _step(x: np.ndarray, arrays: EdgeArrays) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 One test per acceptance criterion; each prints a single [PASS]/[FAIL] line
 (visible with `pytest -s tests/test_acceptance.py`) and asserts the same
-condition. Expected wall time for the whole module is about 20 s,
-dominated by the checked 5000-round invariant matrix.
+condition. Expected wall time for the whole module is about 30 s on a
+2-vCPU VM, dominated by the checked 5000-round invariant matrix.
 """
 
 import itertools

@@ -171,6 +171,9 @@ class TestCmdRun:
         def fake_validate(rec, prev, params, *, row, w0, xinf0, avg0):
             return [f"estimate-mirror: injected fault at t={rec.t}"]
 
+        # the screen clears every round of this clean run: make it decline,
+        # so the record checker is reached
+        monkeypatch.setattr(engine_mod, "screen_round", lambda *a, **k: False)
         monkeypatch.setattr(engine_mod, "validate_round", fake_validate)
         code = main(["run", "--config", write_config(), "--check", "--quiet"])
         assert code == 2

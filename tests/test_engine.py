@@ -214,10 +214,26 @@ class TestGuards:
             alpha=0.25, beta=0.5, variant="theorem",
             d_policy="fixed", d_fixed=1.5,
         )
-        cfg = sim(make_sequence("static", 2, edges=[(0, 1)]), params,
-                  InitSpec("spike"), 10)
-        with pytest.raises(PolicyViolationError):
-            run(cfg)
+        with pytest.raises(PolicyViolationError, match="at round 1$"):
+            sim(make_sequence("static", 2, edges=[(0, 1)]), params,
+                InitSpec("spike"), 10)
+
+    def test_known_snapshots_are_checked_at_construction(self):
+        # pair degrees (self-loop counted) 1, 2, 3 in rounds 1, 2, 3
+        rounds = [[], [(0, 1)], [(0, 1), (1, 2), (0, 2)]]
+        theorem = ProtocolParams(0.25, 0.5, "theorem", "fixed", 2.0)
+        for kind in ("periodic", "explicit"):
+            seq = make_sequence(kind, 3, rounds=rounds)
+            sim(seq, theorem, InitSpec("spike"), 2)  # round 3 is never run
+            MetropolisConfig(seq, InitSpec("spike"), 2, "fixed", 2.0)
+            with pytest.raises(PolicyViolationError, match="degree 3 at round 3$"):
+                sim(seq, theorem, InitSpec("spike"), 3)
+            with pytest.raises(PolicyViolationError, match="degree 3 at round 3$"):
+                MetropolisConfig(seq, InitSpec("spike"), 3, "fixed", 2.0)
+        # the practical variant divides by 2*max(d_i, d_j) whatever the policy
+        practical = ProtocolParams(0.9, 0.0, "practical", "fixed", 2.0)
+        run(sim(make_sequence("periodic", 3, rounds=rounds), practical,
+                InitSpec("spike"), 6))
 
     def test_fixed_policy_accepts_valid_bound(self):
         params = ProtocolParams(

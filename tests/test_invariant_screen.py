@@ -1,0 +1,274 @@
+"""The invariant screen against the record checker.
+
+``analysis.screen_round`` may clear a round only if ``validate_round`` on
+that round's record finds nothing. The property test drives the engine round
+by round on small runs, corrupts some rounds' state or checker inputs after
+they run, and asserts that implication for every round. The end-to-end tests
+pin the fallback: a round the screen declines raises the record checker's
+message, and a clean checked run builds no record.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ternary_consensus.engine as engine_mod
+from ternary_consensus.analysis import compute_metrics, fold_sum, validate_round
+from ternary_consensus.engine import (
+    InitSpec,
+    SimulationConfig,
+    _record,
+    _screen,
+    init_state,
+    run,
+    run_round,
+)
+from ternary_consensus.errors import InvariantViolationError
+from ternary_consensus.graphs import make_sequence
+from ternary_consensus.protocol import ProtocolParams
+
+THEOREM_EXPONENTS = ((0.25, 0.5), (0.5, 0.75), (0.75, 0.875))
+# corruptions of a round's state after it ran, or of the checker's inputs;
+# those of the update matrix wait for a round with an active pair
+MATRIX_CORRUPTIONS = (
+    "x_pre", "equal_ends", "flip_gap", "halve_D", "eighth_D", "shrink_D",
+)
+D_FACTORS = {"halve_D": 0.5, "eighth_D": 0.125, "shrink_D": 1e-12}
+CORRUPTIONS = MATRIX_CORRUPTIONS + (
+    "x_post", "est", "prev_M", "prev_m", "prev_V2", "w0", "xinf0", "avg0",
+)
+DELTAS = (1e-13, 3e-12, 1e-9, 1e-3, 0.1, 0.5, 0.9)
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(2, 8))
+    t_max = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(("line", "complete", "periodic", "explicit", "core")))
+    pairs = list(itertools.combinations(range(n), 2))
+    # empty subsets give edgeless rounds
+    subsets = st.lists(st.sampled_from(pairs), max_size=len(pairs))
+    prune = None
+    if kind in ("line", "complete"):
+        seq = make_sequence("static", n, base=kind)
+    elif kind == "periodic":
+        seq = make_sequence(
+            "periodic", n, rounds=draw(st.lists(subsets, min_size=1, max_size=4))
+        )
+    elif kind == "explicit":
+        rounds = draw(st.lists(subsets, min_size=t_max, max_size=t_max))
+        seq = make_sequence("explicit", n, rounds=rounds)
+    else:
+        perm = draw(st.permutations(range(n)))
+        core = [(perm[k], perm[draw(st.integers(0, k - 1))]) for k in range(1, n)]
+        seq = make_sequence(
+            "core_synthetic", n, draw(st.integers(0, 2**32)), core_edges=core,
+            block_len=draw(st.integers(1, 4)),
+            extra_edge_prob=draw(st.sampled_from((0.0, 0.2, 0.5))),
+        )
+        prune = draw(st.one_of(st.none(), st.integers(1, 4)))
+    d_policy = draw(st.sampled_from(("max_degree", "global_n")))
+    if draw(st.booleans()):
+        alpha, beta = draw(st.sampled_from(THEOREM_EXPONENTS))
+        params = ProtocolParams(alpha, beta, "theorem", d_policy, None, prune)
+    else:
+        alpha = draw(st.sampled_from((0.5, 0.9)))
+        params = ProtocolParams(alpha, 0.0, "practical", d_policy, None, prune)
+    value = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-10.0, 10.0, width=64)
+    )
+    init = draw(st.one_of(
+        st.just(InitSpec("spike")),
+        st.builds(lambda v: InitSpec("explicit", values=v),
+                  st.lists(value, min_size=n, max_size=n)),
+    ))
+    corruptions = draw(st.lists(
+        st.tuples(
+            st.integers(1, t_max), st.sampled_from(CORRUPTIONS),
+            st.integers(0, 2**16), st.sampled_from(DELTAS), st.booleans(),
+        ),
+        min_size=1, max_size=8,
+    ))
+    return SimulationConfig(seq, params, init, t_max), corruptions
+
+
+def _regap(state):
+    """Recompute the snapshot's gaps b - a from the estimates, as run_round
+    derives them."""
+    pairs = state.est[state.slot]
+    state.gap = pairs[:, 1] - pairs[:, 0]
+
+
+def _ready(state, kind):
+    """Whether this round can carry the corruption: one of the matrix needs
+    an active pair, and a scaled D a node with two (with one, no diagonal
+    falls below 1/2, and 1 - a + a is exact however large a gets)."""
+    if kind not in MATRIX_CORRUPTIONS:
+        return True
+    arrays = state.arrays
+    ends = np.concatenate((arrays.eu[state.act], arrays.ev[state.act]))
+    return len(ends) > 0 and (kind not in D_FACTORS or np.bincount(ends).max() >= 2)
+
+
+def _corrupt(state, kind, r, delta, facts):
+    """Apply one corruption to the state of the round just run, or to the
+    checker inputs in ``facts``; returns an undo for a corrupted D."""
+    arrays = state.arrays
+    active = np.flatnonzero(state.act)
+    if kind == "x_post":
+        x = state.x.copy()
+        x[r % len(x)] += delta
+        state.x = x
+    elif kind in ("x_pre", "equal_ends"):
+        # move an active pair's high endpoint by delta times their distance
+        k = active[r % len(active)]
+        i, j = arrays.eu[k], arrays.ev[k]
+        x = state.x_pre.copy()
+        x[j] = x[i] if kind == "equal_ends" else x[j] - delta * (x[j] - x[i])
+        state.x_pre = x
+    elif kind == "est" and len(state.est):
+        state.est[r % len(state.est), r // 7 % 2] += delta
+        _regap(state)
+    elif kind == "flip_gap":
+        s = state.slot[active[r % len(active)]]
+        state.est[s] = state.est[s, ::-1].copy()
+        _regap(state)
+    elif kind in D_FACTORS:
+        D, denom = arrays.D, state.denom
+        factor = D_FACTORS[kind]
+        arrays.D = D * factor
+        state.denom = denom * factor
+
+        def undo():
+            arrays.D = D
+            state.denom = denom
+
+        return undo
+    elif kind.startswith("prev_"):
+        field = kind[len("prev_"):]
+        prev = facts["prev_row"]
+        facts["prev_row"] = dataclasses.replace(prev, **{field: getattr(prev, field) - delta})
+    elif kind == "avg0":
+        facts[kind] -= delta
+    elif kind in ("w0", "xinf0"):
+        facts[kind] *= 1.0 - delta
+    return None
+
+
+@given(cases())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_screen_passes_only_rounds_the_record_checker_passes(case):
+    cfg, corruptions = case
+    params = cfg.params
+    state = init_state(cfg)
+    x0 = state.x.tolist()
+    avg0 = fold_sum(x0) / len(x0)
+    prev_row = compute_metrics(x0, avg0, t=0)
+    w0 = prev_row.W
+    xinf0 = max(abs(prev_row.M), abs(prev_row.m))
+    pending = sorted(corruptions)
+    for t in range(1, cfg.t_max + 1):
+        run_round(state, t, cfg)
+        facts = {"prev_row": prev_row, "w0": w0, "xinf0": xinf0, "avg0": avg0}
+        undo = []
+        for c in [c for c in pending if c[0] <= t]:
+            _, kind, r, delta, negative = c
+            if not _ready(state, kind):
+                continue
+            pending.remove(c)
+            undo.append(_corrupt(state, kind, r, -delta if negative else delta, facts))
+        row = compute_metrics(state.x.tolist(), avg0, t=t)
+        inputs = dict(row=row, w0=facts["w0"], xinf0=facts["xinf0"], avg0=facts["avg0"])
+        cleared = _screen(state, params, facts["prev_row"], **inputs)
+        violations = validate_round(
+            _record(state, t, params), facts["prev_row"], params, **inputs
+        )
+        assert not (cleared and violations), violations
+        for fn in undo:
+            if fn is not None:
+                fn()
+        prev_row = row
+
+
+THEOREM_FAST = ProtocolParams(alpha=0.25, beta=0.5, variant="theorem")
+
+
+def _equal_endpoints(state, t):
+    """After each round: give the first active pair equal pre-update values,
+    which no consistent round can (activity needs |x_v - x_u| >= 2/t^alpha)."""
+    active = np.flatnonzero(state.act)
+    if len(active):
+        k = active[0]
+        x = state.x_pre.copy()
+        x[state.arrays.ev[k]] = x[state.arrays.eu[k]]
+        state.x_pre = x
+
+
+def _quartered_bounds(state, t):
+    """After round 1: divide every pair bound (and so the update's
+    denominator) by 4, which breaks diagonal dominance a few rounds on."""
+    if t == 1:
+        state.arrays.D = state.arrays.D * 0.25
+        state.denom = state.denom * 0.25
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            _equal_endpoints,
+            "invariant violations at round 4:\n"
+            "  step-bound: node 1 moved 4.7724210958933515 > (W(0)/2)/t^beta at t=4\n"
+            "  matrix-degenerate: degenerate active pair (0,1) at t=4: equal "
+            "endpoint values",
+        ),
+        (
+            _quartered_bounds,
+            "invariant violations at round 6:\n"
+            "  matrix-dominance: diagonal dominance a_ii >= 1/2 fails at i=0 "
+            "(a_ii=np.float64(0.4368986102500271)) at t=6",
+        ),
+    ],
+    ids=["degenerate-pair", "dominance"],
+)
+def test_declined_round_raises_the_record_checkers_message(
+    monkeypatch, corrupt, message
+):
+    # the texts are those of the record checker validating every round
+    real = engine_mod.run_round
+
+    def corrupted(state, t, config):
+        rec = real(state, t, config)
+        corrupt(state, t)
+        return rec
+
+    monkeypatch.setattr(engine_mod, "run_round", corrupted)
+    cfg = SimulationConfig(
+        make_sequence("static", 4, base="complete"), THEOREM_FAST,
+        InitSpec("explicit", values=(3.0, -2.0, 1.5, 0.25)), 40,
+        check_invariants=True,
+    )
+    with pytest.raises(InvariantViolationError) as exc:
+        run(cfg)
+    assert str(exc.value) == message
+
+
+def test_clean_checked_run_builds_no_record(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return _record(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "_record", counted)
+    for name in ("complete", "line"):
+        cfg = SimulationConfig(
+            make_sequence("static", 6, base=name), THEOREM_FAST,
+            InitSpec("uniform_random", seed=3), 400, check_invariants=True,
+        )
+        run(cfg)
+    assert built == []

@@ -192,11 +192,10 @@ class TestSharedDegreeBound:
         )
         with pytest.raises(PolicyViolationError, match="round 1"):
             run(SimulationConfig(seq, params, InitSpec("spike"), 10))
-        base = MetropolisConfig(
-            seq, InitSpec("spike"), t_max=10, d_policy="fixed", d_fixed=2.0
-        )
         with pytest.raises(PolicyViolationError, match="round 1"):
-            run_metropolis(base)
+            MetropolisConfig(
+                seq, InitSpec("spike"), t_max=10, d_policy="fixed", d_fixed=2.0
+            )
 
     def test_edge_arrays_own_the_fixed_bound_check(self):
         from ternary_consensus.engine import EdgeArrays
