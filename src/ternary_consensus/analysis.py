@@ -21,8 +21,8 @@ import numpy as np
 from .graphs import Edge
 from .protocol import ProtocolParams
 
-if TYPE_CHECKING:  # circular-import guard: records are duck-typed here
-    from .engine import RoundRecord
+if TYPE_CHECKING:  # circular-import guard: engine types are duck-typed here
+    from .engine import EdgeState, RoundRecord
 
 MONOTONE_TOL = 1e-12
 CONSERVATION_TOL = 1e-12
@@ -96,7 +96,6 @@ def reconstruct_matrix(record: "RoundRecord", params: ProtocolParams) -> Effecti
     entries = np.eye(n)
     w: dict[Edge, float] = {}
     x = record.x_pre
-    denom_scale = 2.0 if params.variant == "practical" else 4.0
     for i, act in enumerate(record.active_sets):
         for j in act:
             est_in, est_out = record.estimates[i][j]
@@ -109,7 +108,7 @@ def reconstruct_matrix(record: "RoundRecord", params: ProtocolParams) -> Effecti
             key = (i, j) if i < j else (j, i)
             wij = (est_in - est_out) / gap
             w.setdefault(key, wij)
-            a = wij / (denom_scale * record.d_bounds[key])
+            a = wij / (params.denom_scale * record.d_bounds[key])
             entries[i, j] = a
             entries[i, i] -= a
     return EffectiveMatrix(record.t, entries, w, dict(record.d_bounds))
@@ -122,38 +121,39 @@ def validate_matrix(mat: EffectiveMatrix, *, dominance: bool = True) -> list[str
     Always: symmetry, rows and columns summing to 1, nonnegative
     off-diagonals, gap ratios within [2/3, 2], and active entries at least
     1/(8 D) for their pair bound. With ``dominance``, diagonals must stay at
-    least 1/2.
+    least 1/2. Each clause passes only when its comparison holds, so a nan
+    fails it.
     """
     out: list[str] = []
     a = mat.entries
     n = a.shape[0]
     asym = float(np.max(np.abs(a - a.T))) if n else 0.0
-    if asym > MATRIX_TOL:
+    if not asym <= MATRIX_TOL:
         out.append(f"matrix-symmetry: max |A - A^T| = {asym:.3e} at t={mat.t}")
     rows = np.abs(a.sum(axis=1) - 1.0)
-    if float(rows.max(initial=0.0)) > MATRIX_TOL:
+    if not float(rows.max(initial=0.0)) <= MATRIX_TOL:
         out.append(
             f"matrix-rows: row sums deviate from 1 by up to "
             f"{float(rows.max()):.3e} at t={mat.t}"
         )
     cols = np.abs(a.sum(axis=0) - 1.0)
-    if float(cols.max(initial=0.0)) > MATRIX_TOL:
+    if not float(cols.max(initial=0.0)) <= MATRIX_TOL:
         out.append(
             f"matrix-cols: column sums deviate from 1 by up to "
             f"{float(cols.max()):.3e} at t={mat.t}"
         )
     off = a - np.diag(np.diag(a))
-    if float(off.min(initial=0.0)) < -MATRIX_TOL:
+    if not float(off.min(initial=0.0)) >= -MATRIX_TOL:
         out.append(
             f"matrix-offdiag: negative off-diagonal {float(off.min()):.3e} "
             f"at t={mat.t}"
         )
     if dominance:
         for i in range(n):
-            if a[i, i] < 0.5 - MATRIX_TOL:
+            if not a[i, i] >= 0.5 - MATRIX_TOL:
                 out.append(
                     f"matrix-dominance: diagonal dominance a_ii >= 1/2 fails "
-                    f"at i={i} (a_ii={a[i, i]!r}) at t={mat.t}"
+                    f"at i={i} (a_ii={float(a[i, i])!r}) at t={mat.t}"
                 )
     for (i, j), wij in mat.w.items():
         if not (2.0 / 3.0 - MATRIX_TOL <= wij <= 2.0 + MATRIX_TOL):
@@ -161,9 +161,9 @@ def validate_matrix(mat: EffectiveMatrix, *, dominance: bool = True) -> list[str
                 f"w-range: w[{i},{j}] = {wij!r} outside [2/3, 2] at t={mat.t}"
             )
         d = mat.d_bounds[i, j]
-        if a[i, j] < 1.0 / (8.0 * d) - MATRIX_TOL:
+        if not a[i, j] >= 1.0 / (8.0 * d) - MATRIX_TOL:
             out.append(
-                f"matrix-lower-bound: a[{i},{j}] = {a[i, j]!r} below "
+                f"matrix-lower-bound: a[{i},{j}] = {float(a[i, j])!r} below "
                 f"1/(8*{d}) at t={mat.t}"
             )
     return out
@@ -278,34 +278,25 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 def screen_round(
-    t: int,
+    state: "EdgeState",
     params: ProtocolParams,
-    x_pre: np.ndarray,
-    x_post: np.ndarray,
-    est: np.ndarray,
-    last_seen: np.ndarray,
-    eu: np.ndarray,
-    ev: np.ndarray,
-    D: np.ndarray,
-    denom: np.ndarray,
-    gap: np.ndarray,
-    act: np.ndarray,
-    *,
     prev_metrics: MetricsRow,
+    *,
     row: MetricsRow,
     w0: float,
     xinf0: float,
     avg0: float,
 ) -> bool:
-    """True only if ``validate_round`` finds no violation in round t; False
-    says nothing, and the caller then builds the record and validates it.
+    """True only if ``validate_round`` finds no violation in the round
+    row.t just run on ``state``; False says nothing, and the caller then
+    builds the record and validates it.
 
-    The inputs are the engine's edge arrays after round t: the estimate pairs
-    ``est`` (a, b) per slot with their ``last_seen`` rounds; per edge of the
-    snapshot its endpoints eu < ev, pair bound D >= 1, update denominator
-    ``denom`` = c D (c = 2 or 4), estimate gap b - a and active flag; the
-    value vectors before and after the round. Each clause passes only when
-    its comparison holds, so a nan declines the round.
+    The state holds the estimate pairs ``est`` (a, b) per slot with their
+    ``last_seen`` rounds; per edge of the snapshot its endpoints eu < ev,
+    update denominator ``denom`` = c D (c = 2 or 4, pair bound D >= 1),
+    estimate gap b - a and active flag ``act``; and the values ``x_pre``
+    before and ``x`` after the round. Each clause passes only when its
+    comparison holds, so a nan declines the round.
 
     (a) estimate mirroring and (b) active-set symmetry hold by construction
     of the edge state (one pair per edge; a nan estimate, the one way a
@@ -341,12 +332,14 @@ def screen_round(
         and row.V2 <= prev_metrics.V2 + MONOTONE_TOL
     ):
         return False
+    t, x_pre, x_post = row.t, state.x_pre, state.x
     n = len(x_post)
     drift = abs(fold_sum(x_post.tolist()) / n - avg0)
     if not drift <= CONSERVATION_TOL * max(1.0, xinf0):
         return False
     horizon = params.prune_horizon
-    live = est if horizon is None else est[last_seen >= t - horizon]
+    est = state.est
+    live = est if horizon is None else est[state.last_seen >= t - horizon]
     if not np.abs(live).max(initial=0.0) <= xinf0 + ESTIMATE_TOL:
         return False
     theorem = params.variant == "theorem"
@@ -354,13 +347,14 @@ def screen_round(
         step = 0.0 if x_post is x_pre else np.abs(x_post - x_pre).max()
         if not step <= 0.5 * w0 * t ** (-params.beta) + STEP_TOL:
             return False
-    u = eu[act]
+    act = state.act
+    u = state.arrays.eu[act]
     if not len(u):
         return True
-    v = ev[act]
+    v = state.arrays.ev[act]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = gap[act] / (x_pre[v] - x_pre[u])
-        a = w / denom[act]
+        w = state.gap[act] / (x_pre[v] - x_pre[u])
+        a = w / state.denom[act]
     if not (w.min() >= 2.0 / 3.0 - MATRIX_TOL and w.max() <= 2.0 + MATRIX_TOL):
         return False
     if not 4.0 * n * _UNIT_ROUNDOFF * (1.0 + (n - 1) * a.max()) <= MATRIX_TOL / 2:

@@ -9,9 +9,10 @@ result is bitwise identical to running ``protocol`` node by node: every
 float operation is the same IEEE operation on the same operands, and each
 node folds its active peers in ascending order, as ``value_update`` does.
 
-``RoundRecord``s are built only when something reads them: a record sink, a
-kept full trace, or the invariant checker on a round that
-``analysis.screen_round`` does not clear.
+``run_round`` mutates an ``EdgeState`` and returns nothing; that state is
+what every reader of a round takes. ``_record`` turns it into a
+``RoundRecord`` only for a record sink, a kept full trace, or
+``validate_round`` on a round that ``analysis.screen_round`` does not clear.
 """
 
 from __future__ import annotations
@@ -120,11 +121,9 @@ class SimulationConfig:
                 f"{self.record_level!r}"
             )
         check_run_lengths(self.seq, self.init, self.t_max)
-        # the practical variant's 2*max(d_i, d_j) denominator ignores d_policy
-        if self.params.variant == "theorem":
-            check_known_bounds(
-                self.seq, self.params.d_policy, self.params.d_fixed, self.t_max
-            )
+        check_known_bounds(
+            self.seq, self.params.bound_policy, self.params.d_fixed, self.t_max
+        )
 
 
 def check_known_bounds(
@@ -227,14 +226,13 @@ class EdgeState:
 
     The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
     2k+1), estimate gaps b - a, active mask and pre-update values here, for
-    the invariant screen and for ``_record``.
+    ``analysis.screen_round`` and ``_record``.
     """
 
     x: np.ndarray
     est: np.ndarray
     last_seen: np.ndarray
     slot_of: dict[Edge, int]
-    records: bool
     arrays: EdgeArrays | None = None
     slot: np.ndarray | None = None  # slot of each edge of the snapshot
     denom: np.ndarray | None = None  # 2*D (practical) or 4*D (theorem)
@@ -256,15 +254,13 @@ class RunResult:
     stopped_at: int | None
 
 
-def init_state(config: SimulationConfig, records: bool = False) -> EdgeState:
-    """State at t=0: values per the init spec, no edge seen yet. With
-    ``records`` set, run_round returns a RoundRecord for every round."""
+def init_state(config: SimulationConfig) -> EdgeState:
+    """State at t=0: values per the init spec, no edge seen yet."""
     return EdgeState(
         x=np.array(config.init.build(config.seq.n), dtype=float),
         est=np.zeros((0, 2)),
         last_seen=np.zeros(0, dtype=np.int64),
         slot_of={},
-        records=records,
     )
 
 
@@ -273,9 +269,7 @@ def _enter_snapshot(
 ) -> None:
     """Build the arrays of a snapshot first handed out at round t, giving new
     edges zeroed slots."""
-    # the practical variant's 2*max(d_i, d_j) denominator ignores d_policy
-    d_policy = params.d_policy if params.variant == "theorem" else "max_degree"
-    arrays = EdgeArrays(g, d_policy, params.d_fixed, t)
+    arrays = EdgeArrays(g, params.bound_policy, params.d_fixed, t)
     slot_of = state.slot_of
     known = len(slot_of)
     slots = [slot_of.setdefault(e, len(slot_of)) for e in g.edge_list]
@@ -287,15 +281,12 @@ def _enter_snapshot(
         )
     state.arrays = arrays
     state.slot = np.array(slots, dtype=np.intp)
-    state.denom = (2.0 if params.variant == "practical" else 4.0) * arrays.D
+    state.denom = params.denom_scale * arrays.D
     state.silent = None  # built by the first record of this snapshot
 
 
-def run_round(
-    state: EdgeState, t: int, config: SimulationConfig
-) -> RoundRecord | None:
-    """Execute round t, mutating state in place; return its record when the
-    state was made with ``records``, else None.
+def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
+    """Execute round t, mutating state in place.
 
     Phase order as in the protocol: snapshot the graph; zero the estimates of
     edges reappearing after pruning; compute every message from time-(t-1)
@@ -356,9 +347,6 @@ def run_round(
     state.x_pre = x_pre
     state.nonzero_msgs = int(np.count_nonzero(q))
     state.active_edges = int(np.count_nonzero(act))
-    if not state.records:
-        return None
-    return _record(state, t, params)
 
 
 def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
@@ -401,31 +389,19 @@ def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
     )
 
 
-def _screen(
-    state: EdgeState, params: ProtocolParams, prev_row: MetricsRow, *,
-    row: MetricsRow, w0: float, xinf0: float, avg0: float,
-) -> bool:
-    """``screen_round`` on the last round run; True clears it."""
-    arrays = state.arrays
-    return screen_round(
-        row.t, params, state.x_pre, state.x, state.est, state.last_seen,
-        arrays.eu, arrays.ev, arrays.D, state.denom, state.gap, state.act,
-        prev_metrics=prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0,
-    )
-
-
 def _drive(
-    x: np.ndarray, t_max: int, step, *, validate=None,
+    x: np.ndarray, t_max: int, step, *, validate=None, record=None,
     stop_err: float | None = None, stop_v2: float | None = None,
     metrics_sink=None, record_sink=None, keep_metrics: bool = True,
     keep_records: bool = False,
 ) -> RunResult:
     """The run loop of both runners, from the initial values x. ``step(t)``
-    runs round t and returns the new values, the round's active edge and
-    nonzero message counts, and its record (or None). Only this loop computes
-    the t=0 facts (avg0, the spread w0 and the sup-norm xinf0), applies the
-    stop rule, guards node values against divergence, hands the facts to
-    ``validate`` and feeds the sinks."""
+    runs round t and returns the new values and the round's active edge and
+    nonzero message counts; ``record(t)`` builds the record of round t, the
+    last round run, and is called only when a record sink or kept records
+    need it. Only this loop computes the t=0 facts (avg0, the spread w0 and
+    the sup-norm xinf0), applies the stop rule, guards node values against
+    divergence, hands the facts to ``validate`` and feeds the sinks."""
     xs = x.tolist()
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -444,7 +420,7 @@ def _drive(
     t = 0
     while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
         t += 1
-        x, active_edges, nonzero_msgs, rec = step(t)
+        x, active_edges, nonzero_msgs = step(t)
         xs = x.tolist()
         if not all(map(isfinite, xs)):
             i = next(i for i, v in enumerate(xs) if not isfinite(v))
@@ -453,17 +429,19 @@ def _drive(
             xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
         )
         if validate is not None:
-            violations = validate(rec, prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
+            violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
             if violations:
                 raise InvariantViolationError(t, violations)
         if metrics_sink is not None:
             metrics_sink(row)
         if keep_metrics:
             rows.append(row)
-        if record_sink is not None:
-            record_sink(rec)
-        if keep_records:
-            records.append(rec)
+        if record_sink is not None or keep_records:
+            rec = record(t)
+            if record_sink is not None:
+                record_sink(rec)
+            if keep_records:
+                records.append(rec)
         prev_row = row
     stopped_at = t if stop_reached(prev_row, stop_err, stop_v2) else None
     return RunResult(rows, records, tuple(xs), rounds=t, stopped_at=stopped_at)
@@ -492,23 +470,20 @@ def run(
     if keep_records is None:
         keep_records = config.record_level == "full_trace" and record_sink is None
     params = config.params
-    state = init_state(config, records=keep_records or record_sink is not None)
+    state = init_state(config)
 
     def step(t: int):
-        rec = run_round(state, t, config)
-        return state.x, state.active_edges, state.nonzero_msgs, rec
+        run_round(state, t, config)
+        return state.x, state.active_edges, state.nonzero_msgs
 
-    def validate(rec, prev_row, *, row, w0, xinf0, avg0):
-        if _screen(state, params, prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0):
+    def validate(prev_row, **facts):
+        if screen_round(state, params, prev_row, **facts):
             return []
-        if rec is None:
-            rec = _record(state, row.t, params)
-        return validate_round(
-            rec, prev_row, params, row=row, w0=w0, xinf0=xinf0, avg0=avg0
-        )
+        rec = _record(state, facts["row"].t, params)
+        return validate_round(rec, prev_row, params, **facts)
 
     return _drive(
-        state.x, config.t_max, step,
+        state.x, config.t_max, step, record=lambda t: _record(state, t, params),
         validate=validate if config.check_invariants else None,
         stop_err=stop_err, stop_v2=stop_v2, metrics_sink=metrics_sink,
         record_sink=record_sink, keep_metrics=keep_metrics, keep_records=keep_records,

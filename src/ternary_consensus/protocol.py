@@ -96,6 +96,16 @@ class ProtocolParams:
         if self.prune_horizon is not None and self.prune_horizon < 1:
             raise ValueError(f"prune_horizon must be >= 1, got {self.prune_horizon}")
 
+    @property
+    def bound_policy(self) -> str:
+        """d_policy, or "max_degree" for the practical variant's 2*max(d_i, d_j)."""
+        return self.d_policy if self.variant == "theorem" else "max_degree"
+
+    @property
+    def denom_scale(self) -> float:
+        """c in the update's denominator c*D: 4 (theorem) or 2 (practical)."""
+        return 4.0 if self.variant == "theorem" else 2.0
+
 
 @dataclass(slots=True)
 class LedgerEntry:

@@ -162,6 +162,32 @@ class TestValidateMatrix:
         out = validate_matrix(mat)
         assert any(v.startswith("matrix-lower-bound") for v in out)
 
+    def test_nan_entries_fail_each_clause_that_reads_them(self):
+        a = np.eye(3)
+        a[0, 1] = a[1, 0] = np.nan
+        out = validate_matrix(self.make_mat(a), dominance=False)
+        assert [v.split(":")[0] for v in out] == [
+            "matrix-symmetry", "matrix-rows", "matrix-cols", "matrix-offdiag",
+        ]
+        # the same clauses again, plus the nan diagonal and the nan active entry
+        a[2, 2] = np.nan
+        out = validate_matrix(
+            self.make_mat(a, w={(0, 1): 1.0}, d={(0, 1): 2.0}), dominance=True
+        )
+        assert [v.split(":")[0] for v in out] == [
+            "matrix-symmetry", "matrix-rows", "matrix-cols", "matrix-offdiag",
+            "matrix-dominance", "matrix-lower-bound",
+        ]
+        assert "a_ii=nan)" in out[4] and "= nan below" in out[5]
+
+    def test_entries_print_as_plain_floats(self):
+        mat = self.make_mat(
+            [[0.4, 0.01], [0.01, 0.4]], w={(0, 1): 1.0}, d={(0, 1): 2.0}
+        )
+        out = [v for v in validate_matrix(mat) if "a_ii" in v or "below" in v]
+        assert "(a_ii=0.4) at t=1" in out[0] and "a[0,1] = 0.01 below" in out[2]
+        assert not any("np." in v for v in out)
+
 
 class TestValidateRound:
     def checked_records(self, n=3, t_max=300):

@@ -5,7 +5,8 @@ that round's record finds nothing. The property test drives the engine round
 by round on small runs, corrupts some rounds' state or checker inputs after
 they run, and asserts that implication for every round. The end-to-end tests
 pin the fallback: a round the screen declines raises the record checker's
-message, and a clean checked run builds no record.
+message, a clean checked run builds no record, and a run with a record sink
+and kept records builds one record per round for both.
 """
 
 import dataclasses
@@ -17,12 +18,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ternary_consensus.engine as engine_mod
-from ternary_consensus.analysis import compute_metrics, fold_sum, validate_round
+from ternary_consensus.analysis import (
+    compute_metrics,
+    fold_sum,
+    screen_round,
+    validate_round,
+)
 from ternary_consensus.engine import (
     InitSpec,
     SimulationConfig,
     _record,
-    _screen,
     init_state,
     run,
     run_round,
@@ -183,7 +188,7 @@ def test_screen_passes_only_rounds_the_record_checker_passes(case):
             undo.append(_corrupt(state, kind, r, -delta if negative else delta, facts))
         row = compute_metrics(state.x.tolist(), avg0, t=t)
         inputs = dict(row=row, w0=facts["w0"], xinf0=facts["xinf0"], avg0=facts["avg0"])
-        cleared = _screen(state, params, facts["prev_row"], **inputs)
+        cleared = screen_round(state, params, facts["prev_row"], **inputs)
         violations = validate_round(
             _record(state, t, params), facts["prev_row"], params, **inputs
         )
@@ -230,7 +235,7 @@ def _quartered_bounds(state, t):
             _quartered_bounds,
             "invariant violations at round 6:\n"
             "  matrix-dominance: diagonal dominance a_ii >= 1/2 fails at i=0 "
-            "(a_ii=np.float64(0.4368986102500271)) at t=6",
+            "(a_ii=0.4368986102500271) at t=6",
         ),
     ],
     ids=["degenerate-pair", "dominance"],
@@ -242,9 +247,8 @@ def test_declined_round_raises_the_record_checkers_message(
     real = engine_mod.run_round
 
     def corrupted(state, t, config):
-        rec = real(state, t, config)
+        real(state, t, config)
         corrupt(state, t)
-        return rec
 
     monkeypatch.setattr(engine_mod, "run_round", corrupted)
     cfg = SimulationConfig(
@@ -255,6 +259,7 @@ def test_declined_round_raises_the_record_checkers_message(
     with pytest.raises(InvariantViolationError) as exc:
         run(cfg)
     assert str(exc.value) == message
+    assert "np." not in str(exc.value)
 
 
 def test_clean_checked_run_builds_no_record(monkeypatch):
@@ -272,3 +277,31 @@ def test_clean_checked_run_builds_no_record(monkeypatch):
         )
         run(cfg)
     assert built == []
+
+
+def test_records_are_built_once_per_round_for_every_reader(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return _record(*args, **kwargs)
+
+    returned = []
+    real = engine_mod.run_round
+
+    def watched(*args):
+        returned.append(real(*args))
+
+    monkeypatch.setattr(engine_mod, "_record", counted)
+    monkeypatch.setattr(engine_mod, "run_round", watched)
+    cfg = SimulationConfig(
+        make_sequence("static", 5, base="complete"),
+        ProtocolParams(alpha=0.9, beta=0.0, variant="practical"),
+        InitSpec("spike"), 30, record_level="full_trace",
+    )
+    sunk = []
+    result = run(cfg, record_sink=sunk.append, keep_records=True)
+    assert built == list(range(1, 31))
+    assert [r.t for r in result.records] == built
+    assert all(a is b for a, b in zip(sunk, result.records, strict=True))
+    assert returned == [None] * 30
