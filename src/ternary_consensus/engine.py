@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -168,38 +169,38 @@ class EdgeArrays:
 
     Edge k is ``graph.edge_list[k] = (eu[k], ev[k])`` with eu < ev, and D[k]
     its pair bound under the given policy; ``ends`` lists eu[0], ev[0],
-    eu[1], ev[1], ... The half-edges list every edge once from each endpoint,
-    sorted by (node, peer): half-edge h belongs to node h_node[h], refers to
-    edge h_edge[h] and carries sign h_sign[h], +1 at the low endpoint and -1
-    at the high one. ``np.bincount`` adds its weights in array order starting
-    from +0.0, so a fold over the half-edges adds each node's terms in
-    ascending peer order, as the per-node loops do (``np.sum`` adds pairwise
-    and rounds differently once a node has 8 or more terms).
+    eu[1], ev[1], ... The half-edges list every edge once from each endpoint:
+    first every edge from its high end ev[k], then every edge from its low end
+    eu[k], both in edge order. Half-edge h belongs to node h_node[h], refers
+    to edge h_edge[h] and carries sign h_sign[h], -1 at the high end and +1
+    at the low one. The edge list is sorted, so a node's half-edges in the
+    first part name its lower peers in ascending order and those in the
+    second part its higher peers in ascending order. ``np.bincount`` adds its
+    weights in array order starting from +0.0, so a fold over the half-edges
+    adds each node's terms in ascending peer order, as the per-node loops do
+    (``np.sum`` adds pairwise and rounds differently once a node has 8 or
+    more terms).
     """
 
     __slots__ = ("graph", "ends", "eu", "ev", "D", "h_node", "h_edge", "h_sign")
 
     def __init__(self, g: GraphSnapshot, d_policy: str, d_fixed: float | None, t: int):
-        check_fixed_bound(d_policy, d_fixed, g.degrees, t)
-        edges = g.edge_list
-        m = len(edges)
-        ends = np.array(edges, dtype=np.intp).ravel()
+        if d_policy == "fixed":  # only this check reads the Python g.degrees
+            check_fixed_bound(d_policy, d_fixed, g.degrees, t)
+        m = len(g.edge_list)
+        ends = np.fromiter(chain.from_iterable(g.edge_list), np.intp, 2 * m)
         eu = ends[0::2]
         ev = ends[1::2]
-        deg = g.degrees
-        node = np.concatenate((eu, ev))
-        order = np.lexsort((np.concatenate((ev, eu)), node))
+        deg = np.bincount(ends, minlength=g.n) + 1  # the self-loop counts
         self.graph = g
         self.ends = ends
         self.eu = eu
         self.ev = ev
-        self.D = np.array(
-            [pair_bound(d_policy, d_fixed, g.n, deg[i], deg[j]) for i, j in edges],
-            dtype=float,
-        )
-        self.h_node = node[order]
-        self.h_edge = order % m if m else order
-        self.h_sign = np.where(order < m, 1.0, -1.0)
+        self.D = pair_bound(d_policy, d_fixed, g.n, deg[eu], deg[ev])
+        h = np.arange(2 * m)
+        self.h_node = np.concatenate((ev, eu))
+        self.h_edge = h % m if m else h
+        self.h_sign = np.where(h < m, -1.0, 1.0)
 
     def fold(self, per_edge: np.ndarray) -> np.ndarray:
         """Per-node sums of +per_edge[k] at eu[k] and -per_edge[k] at ev[k],

@@ -10,7 +10,7 @@ pure function of the sequence parameters, the seed, and t.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -62,6 +62,11 @@ class GraphSnapshot:
                 self, "edges", frozenset(normalize_edge(i, j) for i, j in self.edges)
             )
         for i, j in self.edges:
+            # bool included; numpy would read 0.5 as node 0 without a word
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(
+                    f"edge ({i!r},{j!r}) has an endpoint that is not an int"
+                )
             if i == j:
                 raise ValueError(f"self-pair ({i},{j}) must not be stored")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -116,7 +121,8 @@ class GraphSequence:
     """Deterministic source of per-round snapshots; subclasses fix one kind.
 
     Sequences are immutable after construction and ``snapshot`` is pure, so a
-    sequence can be shared freely across runs and threads.
+    sequence can be shared freely across runs and threads (a core_synthetic
+    sequence keeps the draws of its last block, which changes no result).
     """
 
     kind: str = "abstract"
@@ -218,6 +224,7 @@ class CoreSyntheticSequence(GraphSequence):
     block_len: int
     extra_edge_prob: float = 0.0
     seed: int = 0
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
     kind = "core_synthetic"
 
     def __post_init__(self):
@@ -245,21 +252,31 @@ class CoreSyntheticSequence(GraphSequence):
     def _non_core(self) -> tuple[Edge, ...]:
         return tuple(sorted(complete_edges(self.n) - self.core_edges))
 
-    def _snapshot(self, t: int) -> GraphSnapshot:
+    def _schedule(self, block: int) -> tuple[frozenset[Edge], ...]:
+        """The core edges of each round of a block, by offset: core edge e
+        goes to offset ``randrange(B)`` of the block's child PRNG, drawn in
+        sorted edge order. Drawn once and kept until another block is asked
+        for, so the result depends on the block alone, in any call order."""
+        memo = self._memo
+        if memo is not None and memo[0] == block:
+            return memo[1]
         B = self.block_len
-        block = (t - 1) // B
-        offset = (t - 1) % B
-        block_rng = random.Random(derive_seed(self.seed, 1, block))
-        edges = {
-            e
-            for e in self._core_sorted
-            if block_rng.randrange(B) == offset
-        }
-        if self.extra_edge_prob > 0.0:
-            round_rng = random.Random(derive_seed(self.seed, 2, t))
-            p = self.extra_edge_prob
-            edges.update(e for e in self._non_core if round_rng.random() < p)
-        return GraphSnapshot(self.n, frozenset(edges))
+        draw = random.Random(derive_seed(self.seed, 1, block)).randrange
+        rounds: list[list[Edge]] = [[] for _ in range(B)]
+        for e in self._core_sorted:
+            rounds[draw(B)].append(e)
+        schedule = tuple(map(frozenset, rounds))
+        object.__setattr__(self, "_memo", (block, schedule))
+        return schedule
+
+    def _snapshot(self, t: int) -> GraphSnapshot:
+        block, offset = divmod(t - 1, self.block_len)
+        edges = self._schedule(block)[offset]
+        p = self.extra_edge_prob
+        if p > 0.0:
+            rand = random.Random(derive_seed(self.seed, 2, t)).random
+            edges = edges.union([e for e in self._non_core if rand() < p])
+        return GraphSnapshot(self.n, edges)
 
 
 class CoreCheckResult(NamedTuple):

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from math import inf, isfinite
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, PolicyViolationError, ProtocolError
 
 VARIANTS = ("theorem", "practical")
@@ -31,16 +33,18 @@ def check_d_policy(d_policy: str, d_fixed: float | None) -> None:
 
 
 def pair_bound(
-    d_policy: str, d_fixed: float | None, n: int, d_i: int, d_j: int
-) -> float:
+    d_policy: str, d_fixed: float | None, n: int,
+    d_i: int | np.ndarray, d_j: int | np.ndarray,
+) -> float | np.ndarray:
     """Symmetric per-pair degree bound D(i,j), shared by the protocol and the
-    real-valued baseline so both divide by the same number. A fixed bound is
-    returned as given: ``check_fixed_bound`` has matched it to the round."""
+    real-valued baseline so both divide by the same number: a float for two
+    degrees, a float array for two integer arrays of them. A fixed bound is
+    d_fixed itself: ``check_fixed_bound`` has matched it to the round."""
     if d_policy == "max_degree":
-        return float(d_i if d_i >= d_j else d_j)
-    if d_policy == "global_n":
-        return float(n)
-    return d_fixed
+        bound = np.maximum(d_i, d_j).astype(float)
+    else:
+        bound = np.full(np.shape(d_i), n if d_policy == "global_n" else d_fixed, float)
+    return bound if bound.ndim else float(bound)
 
 
 def check_fixed_bound(

@@ -5,10 +5,14 @@ The package's engine runs the same rounds over edge-indexed arrays; tests
 compare it with this loop bitwise. Here estimate mirroring and active-set
 symmetry are properties the run has to keep, not facts of the data layout,
 so checked reference runs exercise those invariants for real.
+
+``core_synthetic_snapshot`` is the same kind of executable reference for the
+``core_synthetic`` generator: it redraws a round's whole block on every call.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import isfinite
 
@@ -20,7 +24,12 @@ from ternary_consensus.analysis import (
 )
 from ternary_consensus.engine import RoundRecord, RunResult, SimulationConfig
 from ternary_consensus.errors import DivergenceError, InvariantViolationError
-from ternary_consensus.graphs import Edge, GraphSnapshot
+from ternary_consensus.graphs import (
+    CoreSyntheticSequence,
+    Edge,
+    GraphSnapshot,
+    derive_seed,
+)
 from ternary_consensus.protocol import (
     Message,
     NodeState,
@@ -191,3 +200,24 @@ def metropolis_round(
         dx[i] += flow
         dx[j] -= flow
     return [x[i] + dx[i] for i in range(n)]
+
+
+def core_synthetic_snapshot(seq: CoreSyntheticSequence, t: int) -> GraphSnapshot:
+    """Round t of a core_synthetic sequence, drawn with no state kept between
+    rounds: reseed the block's child PRNG, redraw every core edge's offset in
+    sorted edge order and keep the edges drawn at t's offset, then add each
+    sorted non-core pair with probability p from the round's child PRNG."""
+    B = seq.block_len
+    block = (t - 1) // B
+    offset = (t - 1) % B
+    block_rng = random.Random(derive_seed(seq.seed, 1, block))
+    edges = {e for e in sorted(seq.core_edges) if block_rng.randrange(B) == offset}
+    if seq.extra_edge_prob > 0.0:
+        round_rng = random.Random(derive_seed(seq.seed, 2, t))
+        p = seq.extra_edge_prob
+        non_core = sorted(
+            {(i, j) for i in range(seq.n) for j in range(i + 1, seq.n)}
+            - seq.core_edges
+        )
+        edges.update(e for e in non_core if round_rng.random() < p)
+    return GraphSnapshot(seq.n, frozenset(edges))

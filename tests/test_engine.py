@@ -1,17 +1,30 @@
+import random
+
 import numpy as np
 import pytest
 
 from reference_engine import World, init_state, run_round
-from ternary_consensus.analysis import compute_metrics
-from ternary_consensus.engine import InitSpec, SimulationConfig, run, stop_reached
+from ternary_consensus.analysis import compute_metrics, fold_sum
+from ternary_consensus.engine import (
+    EdgeArrays,
+    InitSpec,
+    SimulationConfig,
+    run,
+    stop_reached,
+)
 from ternary_consensus.errors import (
     ConfigError,
     DivergenceError,
     PolicyViolationError,
 )
-from ternary_consensus.graphs import make_sequence
+from ternary_consensus.graphs import GraphSnapshot, make_sequence
 from ternary_consensus.metropolis import MetropolisConfig, run_metropolis
-from ternary_consensus.protocol import LedgerEntry, NodeState, ProtocolParams
+from ternary_consensus.protocol import (
+    LedgerEntry,
+    NodeState,
+    ProtocolParams,
+    pair_bound,
+)
 
 PRACTICAL_09 = ProtocolParams(alpha=0.9, beta=0.0, variant="practical")
 THEOREM_FAST = ProtocolParams(alpha=0.25, beta=0.5, variant="theorem")
@@ -19,6 +32,52 @@ THEOREM_FAST = ProtocolParams(alpha=0.25, beta=0.5, variant="theorem")
 
 def sim(seq, params, init, t_max, **kw):
     return SimulationConfig(seq, params, init, t_max, **kw)
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> GraphSnapshot:
+    return GraphSnapshot(
+        n, {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    )
+
+
+class TestEdgeArrays:
+    @pytest.mark.parametrize("n,p", [(1, 0.0), (7, 0.0), (7, 0.3), (40, 0.3), (40, 0.9)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fold_adds_each_nodes_peers_in_ascending_order(self, n, p, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, n, p)
+        # magnitudes far apart make the sum depend on the order of the adds
+        weights = [
+            rng.choice([0.0, -0.0, rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8)])
+            for _ in g.edge_list
+        ]
+        terms = [[] for _ in range(n)]  # (peer, term) per node
+        for (i, j), w in zip(g.edge_list, weights):
+            terms[i].append((j, w))
+            terms[j].append((i, -w))
+        if p == 0.9:  # np.sum would add pairwise from 8 terms on
+            assert any(
+                min(sum(j < k for j, _ in ts), sum(j > k for j, _ in ts)) >= 8
+                for k, ts in enumerate(terms)
+            )
+        want = [fold_sum(w for _, w in sorted(ts)) for ts in terms]
+        got = EdgeArrays(g, "max_degree", None, 1).fold(np.array(weights, dtype=float))
+        # float(): np.bincount returns integer zeros for an edgeless snapshot
+        assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize(
+        "d_policy,d_fixed", [("max_degree", None), ("global_n", None), ("fixed", 40.5)]
+    )
+    def test_array_pair_bound_equals_the_scalar_form(self, d_policy, d_fixed):
+        for g in (random_graph(random.Random(3), 25, 0.4), GraphSnapshot(3, [])):
+            D = EdgeArrays(g, d_policy, d_fixed, 1).D
+            deg = g.degrees
+            want = [
+                pair_bound(d_policy, d_fixed, g.n, deg[i], deg[j])
+                for i, j in g.edge_list
+            ]
+            assert D.dtype == float and D.tolist() == want
+            assert all(type(d) is float for d in want)
 
 
 class TestInitState:

@@ -1,5 +1,6 @@
 """Bitwise output contract: metrics.csv for every shipped preset, protocol
-and baseline, at seed 1 and 300 rounds; a sweep's sweep.csv; a full-trace
+and baseline, at seed 1 and 300 rounds, and for a core_synthetic config,
+which no preset uses, with its check-core output; a sweep's sweep.csv; a full-trace
 run's metrics.csv and trace.csv; and the summary line of runs that stop at
 round 0, stop mid-run, or never stop. A refactor that changes any byte of
 these outputs changes behaviour; regenerate the values only for an intended
@@ -59,6 +60,52 @@ def test_checked_run_writes_the_unchecked_bytes(preset, tmp_path):
     assert main(argv) == 0
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN[preset, False]
+
+
+# n >= 12, B >= 3, extra edges and pruning on: a fresh snapshot every round
+CORE_SYNTHETIC = {
+    "graph": {
+        "kind": "core_synthetic", "n": 14, "seed": 1, "B": 3,
+        "core_edges": ["0-1", "1-2", "2-3", "3-4", "4-5", "5-6", "6-7", "7-8",
+                       "8-9", "3-10", "5-11", "7-12", "12-13"],
+        "extra_edge_prob": 0.15,
+    },
+    "protocol": {"alpha": 0.5, "beta": 0.75, "variant": "theorem",
+                 "d_policy": "max_degree", "prune_horizon": 3},
+    "init": {"kind": "uniform_random", "seed": 0, "lo": -1.0, "hi": 1.0},
+    "run": {"t_max": 300, "stop_err": None, "record_level": "metrics_only",
+            "check": False},
+    "output": {"dir": "out/core-synthetic"},
+}
+CORE_SYNTHETIC_GOLDEN = {
+    False: "6fcf2f5fa9627e0b684887de7d1f5d6767e776e9a113775c687cb51ff5d0a1ee",
+    True: "b45d5f79715d8174f79a323ef84dd430dd12f5f51846600daec85baa7b6d9f3f",
+}
+
+
+def core_synthetic_config(tmp_path) -> str:
+    path = tmp_path / "core-synthetic.yaml"
+    path.write_text(yaml.safe_dump(CORE_SYNTHETIC))
+    return str(path)
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["protocol", "baseline"])
+def test_core_synthetic_csv_bytes(baseline, tmp_path):
+    out = tmp_path / "out"
+    argv = [
+        "run", "--config", core_synthetic_config(tmp_path), "--seed", "1",
+        "--t-max", "300", "--out", str(out), "--quiet",
+    ]
+    assert main(argv + ["--baseline"] if baseline else argv) == 0
+    assert sha256(out / "metrics.csv") == CORE_SYNTHETIC_GOLDEN[baseline]
+
+
+def test_core_synthetic_check_core_output(tmp_path):
+    argv = ["check-core", "--config", core_synthetic_config(tmp_path), "--seed", "1"]
+    assert summary(argv) == (
+        "core-connected: yes\n"
+        "core edges: 0-1 1-2 2-3 3-4 3-10 4-5 5-6 5-11 6-7 7-8 7-12 8-9 12-13\n"
+    )
 
 
 def sha256(path) -> str:
@@ -177,6 +224,9 @@ def test_goldens_hold_under_compensated_builtin_sum(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     for k, (preset, baseline) in enumerate(sorted(GOLDEN)):
         test_metrics_csv_bytes(preset, baseline, tmp_path / f"metrics{k}")
+    for baseline in (False, True):
+        (tmp_path / f"core{baseline}").mkdir()
+        test_core_synthetic_csv_bytes(baseline, tmp_path / f"core{baseline}")
     test_sweep_csv_bytes(tmp_path / "sweep")
     (tmp_path / "trace").mkdir()
     test_full_trace_csv_bytes(tmp_path / "trace")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_engine import core_synthetic_snapshot
 from ternary_consensus.graphs import (
     CoreSyntheticSequence,
     GraphSnapshot,
@@ -29,6 +30,14 @@ class TestGraphSnapshot:
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError, match="self-pair"):
             snap(3, [(1, 1)])
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 0.5), (1, 2)], frozenset({(0, 0.5), (1, 2)}), [(True, 2)],
+                  [(0, 2.0)]],
+    )
+    def test_rejects_endpoints_that_are_not_ints(self, edges):
+        with pytest.raises(ValueError, match="not an int"):
+            GraphSnapshot(3, edges)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -128,6 +137,24 @@ class TestSequences:
         )
         g = seq.snapshot(1)
         assert complete_edges(5) - frozenset(line_edges(5)) <= g.edges
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_core_synthetic_matches_the_per_round_redraw(self, data):
+        """Each block's core schedule is drawn once and kept; a snapshot is
+        still a pure function of t, visited in any order."""
+        n = data.draw(st.integers(2, 12), label="n")
+        B = data.draw(st.integers(1, 5), label="B")
+        p = data.draw(st.sampled_from([0.0, 0.05, 0.4, 1.0]), label="p")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        # a random spanning tree plus a few more core edges
+        tree = {(data.draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+        more = data.draw(st.sets(st.sampled_from(sorted(complete_edges(n)))))
+        seq = CoreSyntheticSequence(n, frozenset(tree | more), B, p, seed)
+        ts = data.draw(st.lists(st.integers(1, 6 * B), min_size=1, max_size=12))
+        shuffled = data.draw(st.permutations(ts + ts), label="shuffled")
+        for t in shuffled + sorted(ts, reverse=True):
+            assert seq.snapshot(t).edges == core_synthetic_snapshot(seq, t).edges
 
     def test_core_synthetic_rejects_disconnected_core(self):
         with pytest.raises(ValueError, match="connected"):
