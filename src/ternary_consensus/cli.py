@@ -128,11 +128,14 @@ def cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     out_dir = Path(cfg.out_dir)
     last_row = None
+    trace_fh = None
 
-    def on_row(row):
+    def on_row(row, x):
         nonlocal last_row
         last_row = row
         metrics_fh.write(_metrics_line(row) + "\n")
+        if trace_fh is not None:
+            trace_fh.writelines(f"{row.t},{i},{_fmt(v)}\n" for i, v in enumerate(x))
 
     with _OutputFiles() as files:
         metrics_fh = files.open(out_dir / "metrics.csv")
@@ -145,23 +148,14 @@ def cmd_run(args) -> int:
                 keep_metrics=False,
             )
         else:
-            sim = cfg.simulation()
-            record_sink = None
-            if sim.record_level == "full_trace":
+            if cfg.record_level == "full_trace":
                 trace_fh = files.open(out_dir / "trace.csv")
                 trace_fh.write(TRACE_HEADER + "\n")
-
-                def record_sink(rec):
-                    for i, v in enumerate(rec.x_post):
-                        trace_fh.write(f"{rec.t},{i},{_fmt(v)}\n")
-
             final_x = run(
-                sim,
+                cfg.simulation(),
                 stop_err=cfg.stop_err,
                 metrics_sink=on_row,
-                record_sink=record_sink,
                 keep_metrics=False,
-                keep_records=False,
             ).final_x
 
     if last_row is None:
@@ -259,8 +253,7 @@ def cmd_sweep(args) -> int:
             sub_doc = {k: dict(v) for k, v in doc.items()}
             sub_doc["graph"]["n"] = n
             cfg = load_config_data(sub_doc, base_dir=base_dir)
-            result = run(cfg.simulation(), stop_err=cfg.stop_err, keep_metrics=False,
-                         keep_records=False)
+            result = run(cfg.simulation(), stop_err=cfg.stop_err, keep_metrics=False)
             x = result.final_x
             final_err = compute_metrics(x, fold_sum(x) / len(x)).err_max
             reached = result.stopped_at

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from .engine import RECORD_LEVELS, InitSpec, SimulationConfig, check_run_lengths
+from .engine import InitSpec, SimulationConfig, check_run_lengths
 from .errors import ConfigError
 from .graphs import SEQUENCE_KINDS, GraphSequence, make_sequence
 from .metropolis import MetropolisConfig
@@ -27,6 +27,7 @@ _PROTOCOL_KEYS = {"alpha", "beta", "variant", "d_policy", "d_fixed", "prune_hori
 _INIT_KEYS = {"kind", "seed", "lo", "hi", "values"}
 _RUN_KEYS = {"t_max", "stop_err", "record_level", "check"}
 _OUTPUT_KEYS = {"dir"}
+RECORD_LEVELS = ("metrics_only", "full_trace")  # full_trace also writes trace.csv
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class ExperimentConfig:
             params=self.params,
             init=self.init,
             t_max=self.t_max,
-            record_level=self.record_level,
             check_invariants=self.check,
         )
 

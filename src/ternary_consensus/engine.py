@@ -10,9 +10,10 @@ float operation is the same IEEE operation on the same operands, and each
 node folds its active peers in ascending order, as ``value_update`` does.
 
 ``run_round`` mutates an ``EdgeState`` and returns nothing; that state is
-what every reader of a round takes. ``_record`` turns it into a
-``RoundRecord`` only for a record sink, a kept full trace, or
-``validate_round`` on a round that ``analysis.screen_round`` does not clear.
+what every reader of a round takes. The metrics sink gets each round's row
+and values. ``_record`` turns the state into a ``RoundRecord`` only when
+``run`` is asked to keep records, or for ``validate_round`` on a round that
+``analysis.screen_round`` does not clear.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .protocol import (
 )
 
 INIT_KINDS = ("spike", "uniform_random", "explicit")
-RECORD_LEVELS = ("metrics_only", "full_trace")
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,9 @@ class SimulationConfig:
     params: ProtocolParams
     init: InitSpec
     t_max: int
-    record_level: str = "metrics_only"
     check_invariants: bool = False
 
     def __post_init__(self):
-        if self.record_level not in RECORD_LEVELS:
-            raise ConfigError(
-                f"record_level must be one of {RECORD_LEVELS}, got "
-                f"{self.record_level!r}"
-            )
         check_run_lengths(self.seq, self.init, self.t_max)
         check_known_bounds(
             self.seq, self.params.bound_policy, self.params.d_fixed, self.t_max
@@ -205,6 +199,8 @@ class EdgeArrays:
     def fold(self, per_edge: np.ndarray) -> np.ndarray:
         """Per-node sums of +per_edge[k] at eu[k] and -per_edge[k] at ev[k],
         each node's terms added in ascending peer order."""
+        if not len(self.h_edge):  # bincount of no weights would give int64 zeros
+            return np.zeros(self.graph.n)
         return np.bincount(
             self.h_node,
             weights=self.h_sign * per_edge[self.h_edge],
@@ -391,19 +387,18 @@ def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
 
 
 def _drive(
-    x: np.ndarray, t_max: int, step, *, validate=None, record=None,
+    x: np.ndarray, t_max: int, step, *, validate=None,
     stop_err: float | None = None, stop_v2: float | None = None,
-    metrics_sink=None, record_sink=None, keep_metrics: bool = True,
-    keep_records: bool = False,
+    metrics_sink=None, keep_metrics: bool = True,
 ) -> RunResult:
     """The run loop of both runners, from the initial values x. ``step(t)``
     runs round t and returns the new values and the round's active edge and
-    nonzero message counts; ``record(t)`` builds the record of round t, the
-    last round run, and is called only when a record sink or kept records
-    need it. Only this loop computes the t=0 facts (avg0, the spread w0 and
-    the sup-norm xinf0), applies the stop rule, guards node values against
-    divergence, hands the facts to ``validate`` and feeds the sinks."""
-    xs = x.tolist()
+    nonzero message counts. Only this loop computes the t=0 facts (avg0, the
+    spread w0 and the sup-norm xinf0), applies the stop rule, guards node
+    values against divergence, hands the facts to ``validate`` and calls
+    ``metrics_sink(row, x)`` with each round's row and values, a tuple of
+    floats; the last values are ``final_x``."""
+    xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
         prev_row = compute_metrics(xs, avg0, t=0)
@@ -417,12 +412,11 @@ def _drive(
     w0 = prev_row.W
     xinf0 = max(abs(prev_row.M), abs(prev_row.m))
     rows: list[MetricsRow] = []
-    records: list[RoundRecord] = []
     t = 0
     while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
         t += 1
         x, active_edges, nonzero_msgs = step(t)
-        xs = x.tolist()
+        xs = tuple(x.tolist())
         if not all(map(isfinite, xs)):
             i = next(i for i, v in enumerate(xs) if not isfinite(v))
             raise DivergenceError(f"node {i} became non-finite at round {t}: {xs[i]!r}")
@@ -434,18 +428,12 @@ def _drive(
             if violations:
                 raise InvariantViolationError(t, violations)
         if metrics_sink is not None:
-            metrics_sink(row)
+            metrics_sink(row, xs)
         if keep_metrics:
             rows.append(row)
-        if record_sink is not None or keep_records:
-            rec = record(t)
-            if record_sink is not None:
-                record_sink(rec)
-            if keep_records:
-                records.append(rec)
         prev_row = row
     stopped_at = t if stop_reached(prev_row, stop_err, stop_v2) else None
-    return RunResult(rows, records, tuple(xs), rounds=t, stopped_at=stopped_at)
+    return RunResult(rows, [], xs, rounds=t, stopped_at=stopped_at)
 
 
 def run(
@@ -454,9 +442,8 @@ def run(
     stop_err: float | None = None,
     stop_v2: float | None = None,
     metrics_sink=None,
-    record_sink=None,
     keep_metrics: bool = True,
-    keep_records: bool | None = None,
+    keep_records: bool = False,
 ) -> RunResult:
     """Run rounds 1..t_max, or fewer if a stop threshold is met first.
 
@@ -464,14 +451,15 @@ def run(
     round raises InvariantViolationError naming each failed check: a round
     that ``screen_round`` clears has no violation, and any other round's
     record goes to ``validate_round``, the one definition of the invariants
-    and their messages. Sinks receive rows/records as they are produced,
-    which keeps very long runs memory-flat when keep_metrics/keep_records are
-    off. Records are built only when sunk, kept or needed by the checker.
+    and their messages. ``metrics_sink(row, x)`` receives each round's row
+    and values as they are produced, which keeps very long runs memory-flat
+    when keep_metrics is off. keep_records keeps a ``RoundRecord`` of every
+    round in ``RunResult.records``; otherwise records are built only for the
+    checker.
     """
-    if keep_records is None:
-        keep_records = config.record_level == "full_trace" and record_sink is None
     params = config.params
     state = init_state(config)
+    records: list[RoundRecord] = []
 
     def step(t: int):
         run_round(state, t, config)
@@ -483,9 +471,17 @@ def run(
         rec = _record(state, facts["row"].t, params)
         return validate_round(rec, prev_row, params, **facts)
 
-    return _drive(
-        state.x, config.t_max, step, record=lambda t: _record(state, t, params),
+    def keep_record(row, x):
+        if metrics_sink is not None:
+            metrics_sink(row, x)
+        records.append(_record(state, row.t, params))
+
+    result = _drive(
+        state.x, config.t_max, step,
         validate=validate if config.check_invariants else None,
-        stop_err=stop_err, stop_v2=stop_v2, metrics_sink=metrics_sink,
-        record_sink=record_sink, keep_metrics=keep_metrics, keep_records=keep_records,
+        stop_err=stop_err, stop_v2=stop_v2,
+        metrics_sink=keep_record if keep_records else metrics_sink,
+        keep_metrics=keep_metrics,
     )
+    result.records = records
+    return result

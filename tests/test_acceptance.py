@@ -122,13 +122,13 @@ def test_criterion_2_conservation():
         x0 = cfg.init.build(n)
         tol = 1e-12 * max(1.0, max(abs(v) for v in x0))
 
-        def track(rec, avg0=fold_sum(x0) / n, n=n):
+        def track(row, x, avg0=fold_sum(x0) / n, n=n):
             nonlocal worst
-            drift = abs(fold_sum(rec.x_post) / n - avg0)
+            drift = abs(fold_sum(x) / n - avg0)
             worst = max(worst, drift)
             assert drift <= tol
 
-        run(cfg, record_sink=track, keep_metrics=False)
+        run(cfg, metrics_sink=track, keep_metrics=False)
     _report(
         "criterion 2 (average conservation)", True,
         f"worst per-round mean drift {worst:.2e}",
@@ -152,9 +152,8 @@ def test_criterion_3_oracle_equivalence():
     worst = 0.0
     active_rounds = 0
     for seq, params, init in configs:
-        cfg = SimulationConfig(seq, params, init, t_max=50,
-                               record_level="full_trace")
-        for rec in run(cfg).records:
+        cfg = SimulationConfig(seq, params, init, t_max=50)
+        for rec in run(cfg, keep_records=True).records:
             mat = reconstruct_matrix(rec, params)
             tb = rec.t ** (-params.beta)
             x_pre = np.array(rec.x_pre)

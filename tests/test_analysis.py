@@ -111,9 +111,8 @@ class TestReconstruct:
         cfg = SimulationConfig(
             make_sequence("static", 4, base="complete"), THEOREM,
             InitSpec("uniform_random", seed=12, lo=-5.0, hi=5.0), 300,
-            record_level="full_trace",
         )
-        for rec in run(cfg).records:
+        for rec in run(cfg, keep_records=True).records:
             mat = reconstruct_matrix(rec, THEOREM)
             assert np.allclose(mat.entries.sum(axis=1), 1.0, atol=1e-12)
 
@@ -194,9 +193,8 @@ class TestValidateRound:
         cfg = SimulationConfig(
             make_sequence("static", n, base="complete"), THEOREM,
             InitSpec("uniform_random", seed=5, lo=-5.0, hi=5.0), t_max,
-            record_level="full_trace",
         )
-        result = run(cfg)
+        result = run(cfg, keep_records=True)
         world_x0 = result.records[0].x_pre
         w0 = max(world_x0) - min(world_x0)
         xinf0 = max(abs(v) for v in world_x0)
@@ -291,11 +289,9 @@ class TestRecurrenceIdentity:
             (make_sequence("static", 3, base="complete"), slow, InitSpec("spike")),
         ]
         for seq, params, init in configs:
-            cfg = SimulationConfig(
-                seq, params, init, 50, record_level="full_trace",
-            )
+            cfg = SimulationConfig(seq, params, init, 50)
             active_rounds = 0
-            for rec in run(cfg).records:
+            for rec in run(cfg, keep_records=True).records:
                 mat = reconstruct_matrix(rec, params)
                 tb = rec.t ** (-params.beta)
                 x_pre = np.array(rec.x_pre)
@@ -399,9 +395,8 @@ def test_eigenvalues_of_reconstructed_matrices():
     cfg = SimulationConfig(
         make_sequence("static", 5, base="complete"), THEOREM,
         InitSpec("uniform_random", seed=31, lo=-5.0, hi=5.0), 400,
-        record_level="full_trace",
     )
-    for rec in run(cfg).records:
+    for rec in run(cfg, keep_records=True).records:
         if not any(rec.active_sets):
             continue
         mat = reconstruct_matrix(rec, THEOREM)

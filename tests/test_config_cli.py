@@ -413,7 +413,8 @@ class TestFailurePath:
         import ternary_consensus.cli as cli_mod
 
         def interrupted(*args, metrics_sink, **kwargs):
-            metrics_sink(compute_metrics((1.0, 0.0, 0.0), 1 / 3, t=1))
+            x = (1.0, 0.0, 0.0)
+            metrics_sink(compute_metrics(x, 1 / 3, t=1), x)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli_mod, "run", interrupted)
@@ -706,7 +707,8 @@ class TestOutputKept:
         before = metrics.read_bytes()
 
         def interrupted(*args, metrics_sink, **kwargs):
-            metrics_sink(compute_metrics((1.0, 0.0, 0.0), 1 / 3, t=1))
+            x = (1.0, 0.0, 0.0)
+            metrics_sink(compute_metrics(x, 1 / 3, t=1), x)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli_mod, "run", interrupted)

@@ -62,8 +62,8 @@ class TestEdgeArrays:
             )
         want = [fold_sum(w for _, w in sorted(ts)) for ts in terms]
         got = EdgeArrays(g, "max_degree", None, 1).fold(np.array(weights, dtype=float))
-        # float(): np.bincount returns integer zeros for an edgeless snapshot
-        assert [float(v).hex() for v in got] == [v.hex() for v in want]
+        assert got.dtype == np.float64
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
     @pytest.mark.parametrize(
         "d_policy,d_fixed", [("max_degree", None), ("global_n", None), ("fixed", 40.5)]
@@ -121,7 +121,7 @@ class TestHandTrace:
     def setup_method(self):
         self.cfg = sim(
             make_sequence("static", 2, edges=[(0, 1)]), PRACTICAL_09,
-            InitSpec("spike"), 2, record_level="full_trace",
+            InitSpec("spike"), 2,
         )
 
     def test_round_one_is_silent(self):
@@ -156,9 +156,8 @@ class TestRunProperties:
             cfg = sim(
                 make_sequence("static", 3, base="complete"), THEOREM_FAST,
                 InitSpec("explicit", values=(c, c, c)), 50,
-                record_level="full_trace",
             )
-            result = run(cfg)
+            result = run(cfg, keep_records=True)
             silent = True
             for rec in result.records:
                 silent = silent and all(m.q == 0 for m in rec.messages)
@@ -170,18 +169,16 @@ class TestRunProperties:
         cfg = sim(
             make_sequence("static", 3, base="complete"), PRACTICAL_09,
             InitSpec("explicit", values=(0.0, 1.0, 2.0)), 2000,
-            record_level="full_trace",
         )
-        for rec in run(cfg).records:
+        for rec in run(cfg, keep_records=True).records:
             assert abs(sum(rec.x_post) / 3 - 1.0) <= 1e-9
 
     def test_budget_contract(self):
         seq = make_sequence("static", 3, base="complete")
         with pytest.raises(ConfigError, match="t_max"):
             sim(seq, PRACTICAL_09, InitSpec("spike"), 0)
-        cfg = sim(seq, PRACTICAL_09, InitSpec("spike"), 1,
-                  record_level="full_trace")
-        result = run(cfg)
+        cfg = sim(seq, PRACTICAL_09, InitSpec("spike"), 1)
+        result = run(cfg, keep_records=True)
         assert len(result.metrics) == 1
         assert len(result.records) == 1
 
@@ -250,6 +247,34 @@ class TestRunProperties:
         pre = run(cfg, stop_err=1.0)
         assert pre.stopped_at == 0 and pre.rounds == 0
 
+    @pytest.mark.parametrize("runner", ["run", "run_metropolis"])
+    def test_metrics_sink_gets_each_rounds_values(self, runner):
+        seq = make_sequence("static", 5, base="line")
+        init = InitSpec("uniform_random", seed=7, lo=-1.0, hi=1.0)
+        seen = []
+
+        def sink(row, x):
+            seen.append((row.t, x))
+
+        def bits(x):
+            return [v.hex() for v in x]
+
+        if runner == "run":
+            result = run(sim(seq, PRACTICAL_09, init, 40), metrics_sink=sink,
+                         keep_records=True)
+            final_x = result.final_x
+            assert [(r.t, bits(r.x_post)) for r in result.records] == [
+                (t, bits(x)) for t, x in seen
+            ]
+        else:
+            _, final_x = run_metropolis(MetropolisConfig(seq, init, 40),
+                                        metrics_sink=sink)
+        assert [t for t, _ in seen] == list(range(1, 41))
+        for _, x in seen:
+            assert type(x) is tuple and len(x) == 5
+            assert all(type(v) is float for v in x)
+        assert bits(seen[-1][1]) == bits(final_x)
+
 
 class TestWireDiscipline:
     def test_far_node_cannot_leak_in_one_round(self):
@@ -259,8 +284,7 @@ class TestWireDiscipline:
         outs = []
         for far in (0.0, 123.0):
             cfg = sim(seq, PRACTICAL_09,
-                      InitSpec("explicit", values=(0.9, 0.4, far)), 1,
-                      record_level="full_trace")
+                      InitSpec("explicit", values=(0.9, 0.4, far)), 1)
             world = init_state(cfg)
             rec = run_round(world, 1, cfg)
             outs.append((rec.x_post[0], rec.estimates[0]))

@@ -116,7 +116,7 @@ def simulations(draw):
         params = ProtocolParams(alpha, 0.0, "practical", d_policy, d_fixed, prune)
     return dict(
         seq=seq, params=params, init=draw(inits(n)), t_max=t_max,
-        record_level="full_trace", check_invariants=draw(st.booleans()),
+        check_invariants=draw(st.booleans()),
     )
 
 
@@ -124,7 +124,7 @@ def simulations(draw):
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_engine_matches_per_node_reference(fields):
     want = outcome(lambda: ref.run(SimpleNamespace(**fields)))
-    got = outcome(lambda: run(SimulationConfig(**fields)))
+    got = outcome(lambda: run(SimulationConfig(**fields), keep_records=True))
     if isinstance(want, tuple):
         assert got == want
         return

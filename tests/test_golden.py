@@ -17,6 +17,7 @@ import pytest
 import yaml
 
 import ternary_consensus
+from ternary_consensus import engine
 from ternary_consensus.cli import METRICS_HEADER, main
 from ternary_consensus.config import resolve_config
 
@@ -139,7 +140,12 @@ def test_sweep_csv_bytes(tmp_path):
     )
 
 
-def test_full_trace_csv_bytes(tmp_path):
+def test_full_trace_csv_bytes(tmp_path, monkeypatch):
+    def no_record(*args):
+        raise AssertionError("a full-trace run built a RoundRecord")
+
+    # the trace is written from each round's values; no record is built
+    monkeypatch.setattr(engine, "_record", no_record)
     config = preset_copy(tmp_path, "fig1-line", "record_level", "full_trace")
     out = tmp_path / "out"
     argv = [
@@ -229,4 +235,4 @@ def test_goldens_hold_under_compensated_builtin_sum(monkeypatch, tmp_path):
         test_core_synthetic_csv_bytes(baseline, tmp_path / f"core{baseline}")
     test_sweep_csv_bytes(tmp_path / "sweep")
     (tmp_path / "trace").mkdir()
-    test_full_trace_csv_bytes(tmp_path / "trace")
+    test_full_trace_csv_bytes(tmp_path / "trace", monkeypatch)

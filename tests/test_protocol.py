@@ -237,9 +237,8 @@ def test_zero_messages_pin_outbound_estimate_near_value():
     params = ProtocolParams(alpha=0.25, beta=0.5, variant="theorem")
     cfg = SimulationConfig(
         seq, params, InitSpec("uniform_random", seed=3), t_max=400,
-        record_level="full_trace",
     )
-    result = run(cfg)
+    result = run(cfg, keep_records=True)
     for rec in result.records:
         _, inv_ta, _ = round_scales(rec.t, params.alpha)
         for msg in rec.messages:
