@@ -43,10 +43,27 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _metrics_line(row) -> str:
+def _metrics_tail(row) -> str:
+    """A metrics.csv line after its t field."""
     return (
-        f"{row.t},{_fmt(row.M)},{_fmt(row.m)},{_fmt(row.W)},{_fmt(row.V2)},"
-        f"{_fmt(row.err_max)},{row.active_edges},{row.nonzero_msgs}"
+        f"{_fmt(row.M)},{_fmt(row.m)},{_fmt(row.W)},{_fmt(row.V2)},"
+        f"{_fmt(row.err_max)},{row.active_edges},{row.nonzero_msgs}\n"
+    )
+
+
+def _same_but_t(row, prev) -> bool:
+    """Whether row repeats prev in everything but t: the runners hand each
+    round of a quiet stretch the same float objects, and identity, unlike
+    ``==``, never takes -0.0 for 0.0."""
+    return (
+        prev is not None
+        and row.M is prev.M
+        and row.m is prev.m
+        and row.W is prev.W
+        and row.V2 is prev.V2
+        and row.err_max is prev.err_max
+        and row.active_edges == prev.active_edges
+        and row.nonzero_msgs == prev.nonzero_msgs
     )
 
 
@@ -128,18 +145,31 @@ def cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     out_dir = Path(cfg.out_dir)
     last_row = None
+    tail = ""
     trace_fh = None
+    trace_x = None
+    trace_tails: list[str] = []
 
     def on_row(row, x):
-        nonlocal last_row
+        # a quiet stretch repeats its row and values: format them once
+        nonlocal last_row, tail, trace_x, trace_tails
+        if not _same_but_t(row, last_row):
+            tail = _metrics_tail(row)
         last_row = row
-        metrics_fh.write(_metrics_line(row) + "\n")
+        t = str(row.t)
+        metrics_fh.write(f"{t},{tail}")
         if trace_fh is not None:
-            trace_fh.writelines(f"{row.t},{i},{_fmt(v)}\n" for i, v in enumerate(x))
+            if x is not trace_x:
+                trace_x = x
+                trace_tails = [f",{i},{_fmt(v)}\n" for i, v in enumerate(x)]
+            trace_fh.writelines([t + line for line in trace_tails])
 
     with _OutputFiles() as files:
         metrics_fh = files.open(out_dir / "metrics.csv")
         metrics_fh.write(METRICS_HEADER + "\n")
+        if cfg.record_level == "full_trace":
+            trace_fh = files.open(out_dir / "trace.csv")
+            trace_fh.write(TRACE_HEADER + "\n")
         if args.baseline:
             _, final_x = run_metropolis(
                 cfg.metropolis(),
@@ -148,9 +178,6 @@ def cmd_run(args) -> int:
                 keep_metrics=False,
             )
         else:
-            if cfg.record_level == "full_trace":
-                trace_fh = files.open(out_dir / "trace.csv")
-                trace_fh.write(TRACE_HEADER + "\n")
             final_x = run(
                 cfg.simulation(),
                 stop_err=cfg.stop_err,

@@ -14,6 +14,16 @@ what every reader of a round takes. The metrics sink gets each round's row
 and values. ``_record`` turns the state into a ``RoundRecord`` only when
 ``run`` is asked to keep records, or for ``validate_round`` on a round that
 ``analysis.screen_round`` does not clear.
+
+On a static graph most rounds of a long run are quiet: no message is
+nonzero and no pair is active, so x and every estimate stay bitwise as they
+were (each estimate gains +0.0, and no estimate is -0.0). After a quiet
+round, ``_quiet_until`` bounds the rounds that must stay quiet too, and an
+unchecked run without records skips them: the run loop emits their rows,
+which differ from the quiet round's in t alone, without running them. The
+rounds near the next event still go through ``run_round``, so every exact
+float test is the engine's own and the output is bitwise that of running
+every round.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from math import isfinite
+from math import floor, inf, isfinite
 
 import numpy as np
 
@@ -44,6 +54,7 @@ from .protocol import (
 )
 
 INIT_KINDS = ("spike", "uniform_random", "explicit")
+MAX_ROUNDS = 2**53
 
 
 @dataclass(frozen=True)
@@ -79,11 +90,16 @@ class InitSpec:
 
 
 def check_run_lengths(seq: GraphSequence, init: InitSpec, t_max: int) -> None:
-    """Reject a round budget below 1 or beyond a finite explicit sequence, and
-    an explicit init vector whose length is not the node count. Messages name
-    the config keys (run.t_max, init.values) that set these lengths."""
+    """Reject a round budget below 1, beyond 2**53 or beyond a finite explicit
+    sequence, and an explicit init vector whose length is not the node count.
+    Messages name the config keys (run.t_max, init.values) that set these
+    lengths. Round numbers are stored as int64 and raised to alpha as floats,
+    which hold every integer only up to 2**53; a quiet stretch can reach
+    t_max without running the rounds before it."""
     if t_max < 1:
         raise ConfigError(f"run.t_max: must be >= 1, got {t_max}")
+    if t_max > MAX_ROUNDS:
+        raise ConfigError(f"run.t_max: must be <= 2**53, got {t_max}")
     if init.kind == "explicit" and len(init.values) != seq.n:
         raise ConfigError(
             f"init.values: {len(init.values)} values for n={seq.n} nodes"
@@ -346,6 +362,39 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     state.active_edges = int(np.count_nonzero(act))
 
 
+QUIET_MARGIN = 1.0 - 1e-9
+
+
+def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
+    """After a quiet round t on a static graph, the last round, at most t_max,
+    that provably stays quiet; the state's edges are marked seen through it.
+
+    While nothing changes, half-edge h stays silent in round s as long as
+    s^alpha * d_h <= 1, with d_h = |x_i - x_out| its quantizer input over
+    s^alpha, and edge k stays inactive as long as s^alpha * g_k <= 4, with
+    g_k = |b - a| its gap. Every round s with s^alpha <= QUIET_MARGIN *
+    min(1/d_max, 4/g_max) passes both: the margin sits on s^alpha itself, so
+    it covers the rounding of s**alpha, of the products and of the power
+    below for every alpha in (0, 1). A bound beyond the float range (no
+    difference left, or one so small that the power overflows) reaches
+    t_max.
+    """
+    d = np.abs(state.x[state.arrays.ends] - state.est[state.slot].ravel())
+    d_max = float(d.max(initial=0.0))
+    g_max = float(np.abs(state.gap).max(initial=0.0))
+    try:
+        scale = min(
+            QUIET_MARGIN / d_max if d_max else inf,
+            4.0 * QUIET_MARGIN / g_max if g_max else inf,
+        )
+        last = min(floor(scale ** (1.0 / alpha)), t_max)
+    except OverflowError:  # the power, or floor(inf)
+        last = t_max
+    if last > t:
+        state.last_seen[state.slot] = last
+    return max(last, t)
+
+
 def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
     """The per-node view of round t, the last round run, rebuilt from the
     edge arrays."""
@@ -392,12 +441,19 @@ def _drive(
     metrics_sink=None, keep_metrics: bool = True,
 ) -> RunResult:
     """The run loop of both runners, from the initial values x. ``step(t)``
-    runs round t and returns the new values and the round's active edge and
-    nonzero message counts. Only this loop computes the t=0 facts (avg0, the
-    spread w0 and the sup-norm xinf0), applies the stop rule, guards node
-    values against divergence, hands the facts to ``validate`` and calls
-    ``metrics_sink(row, x)`` with each round's row and values, a tuple of
-    floats; the last values are ``final_x``."""
+    runs round t and returns the new values, the round's active edge and
+    nonzero message counts, and the last round through which it proves the
+    run quiet (t itself when it proves nothing). Only this loop computes the
+    t=0 facts (avg0, the spread w0 and the sup-norm xinf0), applies the stop
+    rule, guards node values against divergence, hands the facts to
+    ``validate`` and calls ``metrics_sink(row, x)`` with each round's row and
+    values, a tuple of floats; the last values are ``final_x``.
+
+    Rounds of a quiet stretch are not run: each gets the quiet round's row
+    with its own t, and the same values object. A quiet round repeats the
+    values of the round before it, which did not meet the stop rule, and in
+    the stretch only t changes, so the rule cannot stop the run there. With
+    no sink and no kept metrics the loop jumps to the stretch's last round."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -412,21 +468,30 @@ def _drive(
     w0 = prev_row.W
     xinf0 = max(abs(prev_row.M), abs(prev_row.m))
     rows: list[MetricsRow] = []
-    t = 0
+    emits = metrics_sink is not None or keep_metrics
+    t = quiet_to = 0
     while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
         t += 1
-        x, active_edges, nonzero_msgs = step(t)
-        xs = tuple(x.tolist())
-        if not all(map(isfinite, xs)):
-            i = next(i for i, v in enumerate(xs) if not isfinite(v))
-            raise DivergenceError(f"node {i} became non-finite at round {t}: {xs[i]!r}")
-        row = compute_metrics(
-            xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
-        )
-        if validate is not None:
-            violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
-            if violations:
-                raise InvariantViolationError(t, violations)
+        if t <= quiet_to:  # in a quiet stretch: only t changes
+            row = MetricsRow(t, *fields)
+        else:
+            x, active_edges, nonzero_msgs, quiet_to = step(t)
+            xs = tuple(x.tolist())
+            if not all(map(isfinite, xs)):
+                i = next(i for i, v in enumerate(xs) if not isfinite(v))
+                raise DivergenceError(f"node {i} became non-finite at round {t}: {xs[i]!r}")
+            row = compute_metrics(
+                xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
+            )
+            if validate is not None:
+                violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
+                if violations:
+                    raise InvariantViolationError(t, violations)
+            if quiet_to > t:
+                fields = (row.M, row.m, row.W, row.V2, row.err_max, 0, 0)
+                if not emits:  # nothing reads the stretch's rows
+                    t = quiet_to
+                    row = MetricsRow(t, *fields)
         if metrics_sink is not None:
             metrics_sink(row, xs)
         if keep_metrics:
@@ -456,14 +521,28 @@ def run(
     when keep_metrics is off. keep_records keeps a ``RoundRecord`` of every
     round in ``RunResult.records``; otherwise records are built only for the
     checker.
+
+    On a static sequence, an unchecked run without records skips the quiet
+    stretch after each quiet round (see ``_quiet_until``): ``_drive`` emits
+    the stretch's rows without running its rounds, and the rows, values and
+    stop round are bitwise those of running every round. Checked runs and
+    runs that keep records run every round.
     """
     params = config.params
     state = init_state(config)
     records: list[RoundRecord] = []
+    skips = (
+        config.seq.kind == "static"
+        and not config.check_invariants
+        and not keep_records
+    )
 
     def step(t: int):
         run_round(state, t, config)
-        return state.x, state.active_edges, state.nonzero_msgs
+        quiet_to = t
+        if skips and not (state.nonzero_msgs or state.active_edges):
+            quiet_to = _quiet_until(state, t, params.alpha, config.t_max)
+        return state.x, state.active_edges, state.nonzero_msgs, quiet_to
 
     def validate(prev_row, **facts):
         if screen_round(state, params, prev_row, **facts):

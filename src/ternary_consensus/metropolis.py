@@ -65,7 +65,7 @@ def run_metropolis(
         if arrays is None or g is not arrays.graph:
             arrays = EdgeArrays(g, config.d_policy, config.d_fixed, t)
         x = _step(x, arrays)
-        return x, len(g.edges), 0
+        return x, len(g.edges), 0, t  # the baseline proves no round quiet
 
     result = _drive(
         x, config.t_max, step,

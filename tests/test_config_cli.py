@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
-from ternary_consensus.analysis import compute_metrics
+from ternary_consensus import cli
+from ternary_consensus.analysis import MetricsRow, compute_metrics
 from ternary_consensus.cli import METRICS_HEADER, SWEEP_HEADER, TRACE_HEADER, main
 from ternary_consensus.config import (
     load_config,
@@ -9,6 +12,7 @@ from ternary_consensus.config import (
     resolve_config,
 )
 from ternary_consensus.errors import ConfigError
+from ternary_consensus.metropolis import run_metropolis
 
 BASE_YAML = """\
 graph:
@@ -153,6 +157,36 @@ class TestCmdRun:
         assert lines[0] == TRACE_HEADER
         assert len(lines) == 1 + 5 * 3  # n=3 nodes, 5 rounds
         assert lines[1] == "1,0,1"
+
+    def test_baseline_full_trace(self, write_config, tmp_path):
+        text = BASE_YAML.replace("record_level: metrics_only", "record_level: full_trace")
+        config = write_config(text)
+        assert main(["run", "--config", config, "--baseline", "--quiet"]) == 0
+        lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        assert lines[0] == TRACE_HEADER
+        assert len(lines) == 1 + 5 * 3  # n=3 nodes, 5 rounds
+        _, final_x = run_metropolis(load_config(config).metropolis())
+        last = [line.split(",") for line in lines[-3:]]
+        assert [(t, i) for t, i, _ in last] == [("5", "0"), ("5", "1"), ("5", "2")]
+        assert [float(v).hex() for *_, v in last] == [v.hex() for v in final_x]
+
+    def test_a_zero_of_another_sign_is_not_a_repeated_row(
+        self, write_config, tmp_path, monkeypatch
+    ):
+        """cmd_run formats a row once for the rounds of a quiet stretch, which
+        repeat it; a row that differs only in the sign of a zero is new."""
+
+        def fake_run(config, *, metrics_sink, **kw):
+            x = (0.0, 0.0, 0.0)
+            for t, zero in ((1, -0.0), (2, 0.0), (3, 0.0)):
+                metrics_sink(MetricsRow(t, zero, zero, 0.0, 0.0, 0.0, 0, 0), x)
+            return SimpleNamespace(final_x=x)
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        assert main(["run", "--config", write_config(), "--quiet"]) == 0
+        assert (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:] == [
+            "1,-0,-0,0,0,0,0,0", "2,0,0,0,0,0,0,0", "3,0,0,0,0,0,0,0",
+        ]
 
     def test_checked_run_passes(self, write_config):
         code = main(["run", "--config", write_config(), "--check", "--quiet"])

@@ -1,5 +1,6 @@
 """Bitwise output contract: metrics.csv for every shipped preset, protocol
-and baseline, at seed 1 and 300 rounds, and for a core_synthetic config,
+and baseline, at seed 1 and 300 rounds, for the two fig1 presets' full
+100,000-round runs, and for a core_synthetic config,
 which no preset uses, with its check-core output; a sweep's sweep.csv; a full-trace
 run's metrics.csv and trace.csv; and the summary line of runs that stop at
 round 0, stop mid-run, or never stop. A refactor that changes any byte of
@@ -50,6 +51,20 @@ def test_metrics_csv_bytes(preset, baseline, tmp_path):
     assert main(argv + ["--baseline"] if baseline else argv) == 0
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN[preset, baseline]
+
+
+# the presets' own t_max; on these static graphs most rounds are quiet
+LONG_GOLDEN = {
+    "fig1-complete": "ce486c6cdfc9234a977e199188e4c1bafb5beaaa610424315dd7719141d080c0",
+    "fig1-line": "ff2af028d4af09dcb27f183304f9a3aea090fc12d9f1ae029b23f4502a452f45",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(LONG_GOLDEN))
+def test_full_length_metrics_csv_bytes(preset, tmp_path):
+    argv = ["run", "--config", preset, "--seed", "1", "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert sha256(tmp_path / "metrics.csv") == LONG_GOLDEN[preset]
 
 
 @pytest.mark.parametrize("preset", ["theorem-a025-b050", "theorem-a075-b0875"])
