@@ -213,30 +213,39 @@ def test_criterion_5_theorem_bound_consistency():
 
 
 @pytest.mark.parametrize(
-    "base,n,D,stop",
-    [("complete", 8, 8.0, 502_150), ("complete", 12, 12.0, 1_539_933),
-     ("line", 3, 3.0, 4_798_987)],
-    ids=["complete-8", "complete-12", "line-3"],
+    "base,n,D,init,stop",
+    [("complete", 8, 8.0, InitSpec("spike"), 502_150),
+     ("complete", 12, 12.0, InitSpec("spike"), 1_539_933),
+     ("line", 3, 3.0, InitSpec("spike"), 4_798_987),
+     ("complete", 8, 8.0, InitSpec("uniform_random", seed=11), 1_436_422),
+     ("line", 3, 3.0, InitSpec("uniform_random", seed=11), 3_776_280)],
+    ids=["complete-8", "complete-12", "line-3", "complete-8-uniform", "line-3-uniform"],
 )
-def test_theorem_bound_beyond_n3(base, n, D, stop):
-    """Criterion 5's certificate on larger graphs: from a spike, the theorem
-    variant at (1/4, 1/2) drives V2 to 0.1 within the bound's round count
-    (D is the largest pair degree, self-loop included). Most of these
-    millions of rounds are quiet and skipped."""
+def test_theorem_bound_beyond_n3(base, n, D, init, stop):
+    """Criterion 5's certificate on larger graphs: the theorem variant at
+    (1/4, 1/2), checked every round, drives V2 to 0.1 within the bound's
+    round count (D is the largest pair degree, self-loop included; w0, v20
+    and xinf0 come from the initial values). Most of these millions of
+    rounds are quiet and skipped."""
     seq = make_sequence("static", n, base=base)
-    cfg = SimulationConfig(seq, _theorem(0.25, 0.5), InitSpec("spike"), t_max=10**7)
+    cfg = SimulationConfig(
+        seq, _theorem(0.25, 0.5), init, t_max=10**7, check_invariants=True
+    )
     result = run(cfg, stop_v2=0.1, keep_metrics=False)
     assert result.stopped_at == stop
-    assert compute_metrics(result.final_x, 1.0 / n).V2 <= 0.1
+    x0 = init.build(n)
+    avg0 = fold_sum(x0) / n
+    assert compute_metrics(result.final_x, avg0).V2 <= 0.1
+    start = compute_metrics(x0, avg0)
     t_bound = theorem_bound(
         BoundInputs(
             n=n, B=1, D=D, alpha=0.25, beta=0.5, epsilon=0.1,
-            w0=1.0, v20=math.sqrt((n - 1) / n), xinf0=1.0,
+            w0=start.W, v20=start.V2, xinf0=max(abs(start.M), abs(start.m)),
         )
     )
     assert result.stopped_at <= t_bound
     _report(
-        f"theorem bound on {base}-{n}", True,
+        f"theorem bound on {base}-{n} ({init.kind})", True,
         f"V2<=0.1 at t={result.stopped_at}, certified through T~{t_bound:.3g}",
     )
 

@@ -229,10 +229,19 @@ class TestRunProperties:
 
         for mod in (analysis_mod, engine_mod):
             monkeypatch.setattr(mod, "compute_metrics", counted)
+        # a static run skips its quiet stretches' rows and computes no row twice
         cfg = sim(make_sequence("static", 4, base="complete"), THEOREM_FAST,
-                  InitSpec("spike"), 30, check_invariants=True)
-        run(cfg)
-        assert rounds == list(range(31))
+                  InitSpec("spike"), 300, check_invariants=True)
+        assert len(run(cfg).metrics) == 300
+        assert rounds[0] == 0 and rounds == sorted(set(rounds))
+        assert len(rounds) < 301
+        # a periodic run skips nothing
+        rounds.clear()
+        seq = make_sequence(
+            "periodic", 4, rounds=[[(0, 1), (1, 2), (2, 3)], [(0, 2), (1, 3), (0, 3)]]
+        )
+        run(sim(seq, THEOREM_FAST, InitSpec("spike"), 300, check_invariants=True))
+        assert rounds == list(range(301))
 
     def test_stop_conditions(self):
         cfg = sim(

@@ -1,6 +1,7 @@
 """Bitwise output contract: metrics.csv for every shipped preset, protocol
 and baseline, at seed 1 and 300 rounds, for the two fig1 presets' full
-100,000-round runs, and for a core_synthetic config,
+100,000-round runs, for the two theorem presets' full 5,000-round runs,
+checked and unchecked, and for a core_synthetic config,
 which no preset uses, with its check-core output; a sweep's sweep.csv; a full-trace
 run's metrics.csv and trace.csv; and the summary line of runs that stop at
 round 0, stop mid-run, or never stop. A refactor that changes any byte of
@@ -67,15 +68,24 @@ def test_full_length_metrics_csv_bytes(preset, tmp_path):
     assert sha256(tmp_path / "metrics.csv") == LONG_GOLDEN[preset]
 
 
-@pytest.mark.parametrize("preset", ["theorem-a025-b050", "theorem-a075-b0875"])
+# the theorem presets' full 5,000 rounds, recorded while checked runs still
+# ran every round
+CHECKED_GOLDEN = {
+    "theorem-a025-b050": "8bdb8dc98f492afa23ae9f16ea4509b182576cfbac63eb58318d72b2ce1b09eb",
+    "theorem-a075-b0875": "9931498cc0ef11acdb38799a3414a71c1fb229a8957ae50303113ab97db0be96",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(CHECKED_GOLDEN))
 def test_checked_run_writes_the_unchecked_bytes(preset, tmp_path):
-    argv = [
-        "run", "--config", preset, "--seed", "1", "--t-max", "300", "--check",
-        "--out", str(tmp_path), "--quiet",
-    ]
-    assert main(argv) == 0
-    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN[preset, False]
+    """The preset checked (the presets set run.check) and a copy with
+    run.check off write the same bytes, quiet stretches included."""
+    unchecked = preset_copy(tmp_path, preset, "check", False)
+    for config, flags in ((preset, ["--check"]), (unchecked, [])):
+        out = tmp_path / ("checked" if flags else "unchecked")
+        argv = ["run", "--config", config, "--seed", "1", "--out", str(out), "--quiet"]
+        assert main(argv + flags) == 0
+        assert sha256(out / "metrics.csv") == CHECKED_GOLDEN[preset]
 
 
 # n >= 12, B >= 3, extra edges and pruning on: a fresh snapshot every round
