@@ -449,20 +449,22 @@ def _drive(
     """The run loop of both runners, from the initial values x. ``step(t)``
     runs round t and returns the new values, the round's active edge and
     nonzero message counts, and the last round through which it proves the
-    run quiet (t itself when it proves nothing). Only this loop computes the
-    t=0 facts (avg0, the spread w0 and the sup-norm xinf0), applies the stop
-    rule, guards node values against divergence, hands the facts to
-    ``validate`` and calls ``metrics_sink(row, x)`` with each round's row and
-    values, a tuple of floats; the last values are ``final_x``.
+    run quiet, every round after t repeating round t's values and counts (t
+    itself when it proves nothing). Only this loop computes the t=0 facts
+    (avg0, the spread w0 and the sup-norm xinf0), applies the stop rule,
+    guards node values against divergence, hands the facts to ``validate``
+    and calls ``metrics_sink(row, x)`` with each round's row and values, a
+    tuple of floats; the last values are ``final_x``.
 
-    Rounds of a quiet stretch are not run: each gets the quiet round's row
-    with its own t, and the same values object. A quiet round repeats the
-    values of the round before it, which did not meet the stop rule, and in
-    the stretch only t changes, so the rule cannot stop the run there. With
-    no sink and no kept metrics the loop jumps to the stretch's last round.
-    ``validate`` sees every round that ``step`` runs, the quiet round that
-    opens a stretch included, and none of the stretch's rounds: each would
-    meet the checker as its quiet round did (see ``run``)."""
+    Rounds of a quiet stretch are not run: each gets the row of the quiet
+    round that opens it, counters included, with its own t, and the same
+    values object. A quiet round repeats the values of the round before it,
+    which did not meet the stop rule, and in the stretch only t changes, so
+    the rule cannot stop the run there. With no sink and no kept metrics the
+    loop jumps to the stretch's last round. ``validate`` sees every round
+    that ``step`` runs, the quiet round that opens a stretch included, and
+    none of the stretch's rounds: each would meet the checker as its quiet
+    round did (see ``run``)."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -497,7 +499,8 @@ def _drive(
                 if violations:
                     raise InvariantViolationError(t, violations)
             if quiet_to > t:
-                fields = (row.M, row.m, row.W, row.V2, row.err_max, 0, 0)
+                fields = (row.M, row.m, row.W, row.V2, row.err_max,
+                          row.active_edges, row.nonzero_msgs)
                 if not emits:  # nothing reads the stretch's rows
                     t = quiet_to
                     row = MetricsRow(t, *fields)

@@ -1,6 +1,7 @@
 """Bitwise output contract: metrics.csv for every shipped preset, protocol
 and baseline, at seed 1 and 300 rounds, for the two fig1 presets' full
-100,000-round runs, for the two theorem presets' full 5,000-round runs,
+100,000-round runs, for a fig1-line baseline run past its fixed point, for
+the two theorem presets' full 5,000-round runs,
 checked and unchecked, and for a core_synthetic config,
 which no preset uses, with its check-core output; a sweep's sweep.csv; a full-trace
 run's metrics.csv and trace.csv; and the summary line of runs that stop at
@@ -66,6 +67,23 @@ def test_full_length_metrics_csv_bytes(preset, tmp_path):
     argv = ["run", "--config", preset, "--seed", "1", "--out", str(tmp_path), "--quiet"]
     assert main(argv) == 0
     assert sha256(tmp_path / "metrics.csv") == LONG_GOLDEN[preset]
+
+
+def test_baseline_past_its_fixed_point_csv_bytes(tmp_path):
+    """The fig1-line baseline first returns its input bitwise at round 3,451
+    and repeats that row to round 5,000. Recorded while the baseline still
+    ran every round."""
+    argv = [
+        "run", "--config", "fig1-line", "--baseline", "--seed", "1",
+        "--t-max", "5000", "--out", str(tmp_path), "--quiet",
+    ]
+    assert main(argv) == 0
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    tails = [line.split(",", 1)[1] for line in lines]
+    assert tails[3449] != tails[3450] == tails[3451] == tails[5000]
+    assert sha256(tmp_path / "metrics.csv") == (
+        "2675128b20275771ba6d96da5c817bb15d5d4ffe057a66d0fa187d0db12f2ab3"
+    )
 
 
 # the theorem presets' full 5,000 rounds, recorded while checked runs still

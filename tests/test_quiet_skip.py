@@ -1,20 +1,23 @@
 """Differential tests of the quiet-stretch skip: ``run`` on a static graph
 against a plain loop that calls ``run_round`` for every round, and in checked
-runs validates every round's record, compared bitwise (floats by float.hex,
-so signed zeros count)."""
+runs validates every round's record, and ``run_metropolis`` against a plain
+loop that calls ``_step`` for every round, compared bitwise (floats by
+float.hex, so signed zeros count)."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_engine_equivalence import THEOREM_EXPONENTS, bits
-from ternary_consensus import engine
+from ternary_consensus import engine, metropolis
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.cli import main
 from ternary_consensus.engine import (
     MAX_ROUNDS,
+    EdgeArrays,
     InitSpec,
     SimulationConfig,
     init_state,
@@ -23,7 +26,13 @@ from ternary_consensus.engine import (
     stop_reached,
 )
 from ternary_consensus.errors import ConfigError, InvariantViolationError
-from ternary_consensus.graphs import make_sequence
+from ternary_consensus.graphs import (
+    ExplicitSequence,
+    GraphSnapshot,
+    StaticSequence,
+    make_sequence,
+)
+from ternary_consensus.metropolis import MetropolisConfig, run_metropolis
 from ternary_consensus.protocol import ProtocolParams
 
 
@@ -254,9 +263,10 @@ def test_a_rejected_quiet_round_fails_both_loops_alike(monkeypatch):
     assert raised(lambda: run(cfg, keep_metrics=False)) == want
 
 
-def stepped_rounds(monkeypatch, tmp_path, argv, t_max):
-    """run_round calls of a CLI run that writes t_max + 1 metrics lines."""
-    calls = counting_run_round(monkeypatch)
+def stepped_rounds(monkeypatch, tmp_path, argv, t_max, counter=counting_run_round):
+    """Rounds stepped (run_round calls, or those of another counter) by a
+    CLI run that writes t_max + 1 metrics lines."""
+    calls = counter(monkeypatch)
     assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 0
     assert len((tmp_path / "metrics.csv").read_text().splitlines()) == t_max + 1
     return len(calls)
@@ -269,8 +279,212 @@ def test_dense_run_skips_rounds(monkeypatch, tmp_path):
     assert 0 < stepped_rounds(monkeypatch, tmp_path, argv, 4000) < 4000
 
 
+def test_dense_baseline_skips_rounds(monkeypatch, tmp_path):
+    """The benchmark's dense baseline run steps until its values repeat
+    (round 3 returns its input bitwise) and emits the other rounds' rows, so
+    the baseline skip cannot switch off unnoticed."""
+    argv = ["run", "--config", "fig1-complete", "--seed", "1", "--t-max", "4000",
+            "--baseline"]
+    assert stepped_rounds(monkeypatch, tmp_path, argv, 4000, counting_step) == 3
+
+
 def test_checked_workload_skips_rounds(monkeypatch, tmp_path):
     """The benchmark's checked theorem-variant run steps only a fraction of
     its rounds, so the checked skip cannot switch off unnoticed."""
     argv = ["run", "--config", "theorem-a025-b050"]
     assert 0 < stepped_rounds(monkeypatch, tmp_path, argv, 5000) < 5000
+
+
+def counting_step(monkeypatch):
+    calls = []
+    step = metropolis._step
+
+    def counted(x, arrays):
+        calls.append(x)
+        return step(x, arrays)
+
+    monkeypatch.setattr(metropolis, "_step", counted)
+    return calls
+
+
+def metropolis_per_round(cfg, stop_err=None):
+    """The baseline run as (row, values) pairs, final values, rounds and stop
+    round, with every round executed by _step."""
+    x = np.array(cfg.init.build(cfg.seq.n), dtype=float)
+    xs = tuple(x.tolist())
+    avg0 = fold_sum(xs) / len(xs)
+    row = compute_metrics(xs, avg0, t=0)
+    out = []
+    arrays = None
+    while not stop_reached(row, stop_err) and row.t < cfg.t_max:
+        t = row.t + 1
+        g = cfg.seq.snapshot(t)
+        if arrays is None or g is not arrays.graph:
+            arrays = EdgeArrays(g, cfg.d_policy, cfg.d_fixed, t)
+        x = metropolis._step(x, arrays)
+        xs = tuple(x.tolist())
+        row = compute_metrics(xs, avg0, t=t, active_edges=len(g.edges))
+        out.append((row, xs))
+    stopped_at = row.t if stop_reached(row, stop_err) else None
+    return out, xs, row.t, stopped_at
+
+
+def assert_baseline_skip_matches(cfg, stop_err=None):
+    """run_metropolis with kept rows, with a sink, and with neither (the
+    jump) gives the per-round loop's rows, values, rounds and stop round
+    bitwise; the sink gets each round's values too. Returns the per-round
+    rows."""
+    pairs, x, rounds, stopped_at = metropolis_per_round(cfg, stop_err)
+    results = []
+
+    def drive(*args, **kwargs):
+        results.append(engine._drive(*args, **kwargs))
+        return results[-1]
+
+    sunk = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metropolis, "_drive", drive)
+        kept, kept_x = run_metropolis(cfg, stop_err=stop_err)
+        run_metropolis(
+            cfg, stop_err=stop_err, keep_metrics=False,
+            metrics_sink=lambda row, xs: sunk.append((row, xs)),
+        )
+        run_metropolis(cfg, stop_err=stop_err, keep_metrics=False)
+    assert bits(kept) == bits([row for row, _ in pairs])
+    assert bits(sunk) == bits(pairs)
+    assert bits(kept_x) == bits(x)
+    assert len(results) == 3
+    for result in results:
+        assert bits(result.final_x) == bits(x)
+        assert (result.rounds, result.stopped_at) == (rounds, stopped_at)
+    return [row for row, _ in pairs]
+
+
+def first_repeat(rows):
+    """The first round whose row repeats the one before it in all but t, the
+    round a baseline run reaches its fixed point at, or None."""
+    return next(
+        (b.t for a, b in zip(rows, rows[1:]) if bits(a)[1][1:] == bits(b)[1][1:]),
+        None,
+    )
+
+
+@st.composite
+def baseline_runs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
+
+    def snapshot():
+        return GraphSnapshot(n, frozenset(draw(edges)))
+
+    if draw(st.integers(0, 3)):  # mostly static: the sequences that skip
+        seq = StaticSequence(snapshot())
+    else:
+        seq = ExplicitSequence(
+            tuple(snapshot() for _ in range(draw(st.integers(1, 3)))), cycle=True
+        )
+    d_policy = draw(st.sampled_from(("max_degree", "global_n", "fixed")))
+    d_fixed = draw(st.sampled_from((float(n), n + 0.5))) if d_policy == "fixed" else None
+    kind = draw(st.sampled_from(("spike", "uniform_random", "explicit", "equal")))
+    value = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 1e-300)),
+        st.floats(-10.0, 10.0, width=64),
+    )
+    if kind == "spike":
+        init = InitSpec("spike")
+    elif kind == "uniform_random":
+        init = InitSpec("uniform_random", seed=draw(st.integers(0, 1000)), lo=-3.0, hi=5.0)
+    elif kind == "equal":
+        init = InitSpec("explicit", values=(draw(value),) * n)
+    else:
+        init = InitSpec("explicit", values=draw(st.lists(value, min_size=n, max_size=n)))
+    t_max = draw(st.one_of(st.just(1), st.integers(1, 600)))
+    return MetropolisConfig(seq, init, t_max, d_policy, d_fixed)
+
+
+@given(baseline_runs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_baseline_skip_matches_the_per_round_loop(cfg, data):
+    """Without a threshold, and with one met at a drawn round's row (before
+    the fixed point or at the values it repeats) or never met."""
+    rows = [row for row, _ in metropolis_per_round(cfg)[0]]
+    stop_err = data.draw(st.one_of(
+        st.none(),
+        st.just(0.0),
+        st.sampled_from(rows).map(lambda row: row.err_max),
+        st.just(rows[-1].err_max / 2),
+    ))
+    assert_baseline_skip_matches(cfg, stop_err)
+
+
+LINE_4 = MetropolisConfig(
+    StaticSequence(GraphSnapshot(4, frozenset({(0, 1), (1, 2), (2, 3)}))),
+    InitSpec("spike"),
+    t_max=400,
+)
+
+
+def test_baseline_stops_around_the_fixed_point(monkeypatch):
+    rows = assert_baseline_skip_matches(LINE_4)
+    fixed = first_repeat(rows)
+    assert 3 < fixed < LINE_4.t_max
+    calls = counting_step(monkeypatch)
+    run_metropolis(LINE_4)
+    assert len(calls) == fixed
+    monkeypatch.undo()
+    # met before the fixed point, met first by the values it repeats (so
+    # before the fixed round), and never met
+    for k in (fixed - 3, fixed - 1):
+        assert assert_baseline_skip_matches(LINE_4, rows[k - 1].err_max)[-1].t <= k
+    never = rows[-1].err_max / 2
+    assert len(assert_baseline_skip_matches(LINE_4, never)) == LINE_4.t_max
+
+
+def test_baseline_signed_zero_flip_is_a_change(monkeypatch):
+    """An isolated node's -0.0 becomes +0.0 in round 1 (it adds the fold's
+    +0.0), so round 1 changes the values bitwise and round 2 is the first
+    that repeats its input."""
+    cfg = MetropolisConfig(
+        StaticSequence(GraphSnapshot(3, frozenset({(0, 1)}))),
+        InitSpec("explicit", values=(0.5, 0.5, -0.0)),
+        t_max=50,
+    )
+    calls = counting_step(monkeypatch)
+    rows, final_x = run_metropolis(cfg)
+    assert len(calls) == 2 and len(rows) == 50
+    assert bits(final_x) == bits((0.5, 0.5, 0.0))
+    monkeypatch.undo()
+    assert_baseline_skip_matches(cfg)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_baseline_edgeless_graph_repeats_from_round_1(monkeypatch, n):
+    cfg = MetropolisConfig(
+        StaticSequence(GraphSnapshot(n, frozenset())),
+        InitSpec("explicit", values=(0.25,) * n),
+        t_max=30,
+    )
+    calls = counting_step(monkeypatch)
+    run_metropolis(cfg, keep_metrics=False)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert_baseline_skip_matches(cfg)
+
+
+@pytest.mark.parametrize("rounds", [
+    # one snapshot, as a static sequence hands out, but only static ones skip
+    [[(0, 1), (1, 2), (2, 3)]],
+    # round 1 returns its input (nodes 0 and 1 agree) and round 2 does not
+    [[(0, 1)], [(1, 2)], [(2, 3)]],
+], ids=["period-1", "period-3"])
+def test_baseline_on_a_periodic_sequence_steps_every_round(monkeypatch, rounds):
+    cfg = dataclasses.replace(
+        LINE_4, seq=make_sequence("periodic", 4, rounds=rounds),
+        init=InitSpec("explicit", values=(0.0, 0.0, 1.0, 0.0)),
+    )
+    calls = counting_step(monkeypatch)
+    run_metropolis(cfg, keep_metrics=False)
+    assert len(calls) == cfg.t_max
+    monkeypatch.undo()
+    assert first_repeat(assert_baseline_skip_matches(cfg)) < cfg.t_max
