@@ -51,22 +51,6 @@ def _metrics_tail(row) -> str:
     )
 
 
-def _same_but_t(row, prev) -> bool:
-    """Whether row repeats prev in everything but t: the runners hand each
-    round of a quiet stretch the same float objects, and identity, unlike
-    ``==``, never takes -0.0 for 0.0."""
-    return (
-        prev is not None
-        and row.M is prev.M
-        and row.m is prev.m
-        and row.W is prev.W
-        and row.V2 is prev.V2
-        and row.err_max is prev.err_max
-        and row.active_edges == prev.active_edges
-        and row.nonzero_msgs == prev.nonzero_msgs
-    )
-
-
 def _read_with_overrides(args) -> tuple[dict, Path]:
     """Read the config document and patch the command-line overrides in."""
     doc, base_dir = read_config_doc(resolve_config(args.config))
@@ -145,23 +129,24 @@ def cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     out_dir = Path(cfg.out_dir)
     last_row = None
+    last_x = None
     tail = ""
     trace_fh = None
-    trace_x = None
     trace_tails: list[str] = []
 
     def on_row(row, x):
-        # a quiet stretch repeats its row and values: format them once
-        nonlocal last_row, tail, trace_x, trace_tails
-        if not _same_but_t(row, last_row):
+        # the runners hand every round of a quiet stretch the values object
+        # and fields of the round that opens it: format them once
+        nonlocal last_row, last_x, tail, trace_tails
+        if x is not last_x:
+            last_x = x
             tail = _metrics_tail(row)
+            if trace_fh is not None:
+                trace_tails = [f",{i},{_fmt(v)}\n" for i, v in enumerate(x)]
         last_row = row
         t = str(row.t)
         metrics_fh.write(f"{t},{tail}")
         if trace_fh is not None:
-            if x is not trace_x:
-                trace_x = x
-                trace_tails = [f",{i},{_fmt(v)}\n" for i, v in enumerate(x)]
             trace_fh.writelines([t + line for line in trace_tails])
 
     with _OutputFiles() as files:

@@ -16,15 +16,11 @@ and values. ``_record`` turns the state into a ``RoundRecord`` only when
 ``analysis.screen_round`` does not clear.
 
 On a static graph most rounds of a long run are quiet: no message is
-nonzero and no pair is active, so x and every estimate stay bitwise as they
-were (each estimate gains +0.0, and no estimate is -0.0). After a quiet
-round, ``_quiet_until`` bounds the rounds that must stay quiet too, and a
-run without records skips them: the run loop emits their rows, which differ
-from the quiet round's in t alone, without running them. The rounds near the
-next event still go through ``run_round``, so every exact float test is the
-engine's own and the output is bitwise that of running every round. Checked
-runs skip too: the checker sees the quiet round that opens a stretch, and
-each round of the stretch would pass or fail it exactly as that round does.
+nonzero and no pair is active. After a quiet round, ``_quiet_until`` bounds
+the rounds that must stay quiet too, and ``run`` skips them: the run loop
+emits their rows without running them. Why the rows, records and checker
+verdicts are bitwise those of running every round is argued once, in
+``run``'s docstring.
 """
 
 from __future__ import annotations
@@ -381,9 +377,8 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     t_max.
 
     Each round of the stretch would leave the state as round t left it, but
-    for t and last_seen, so a checked run may skip it too (see ``run``).
-    Marking the slots before round t is checked keeps every slot live there,
-    as ``run_round`` left it.
+    for t and last_seen. Marking the slots through the last round keeps every
+    slot live in round t's and each skipped round's record (see ``run``).
     """
     d = np.abs(state.x[state.arrays.ends] - state.est[state.slot].ravel())
     d_max = float(d.max(initial=0.0))
@@ -456,15 +451,14 @@ def _drive(
     and calls ``metrics_sink(row, x)`` with each round's row and values, a
     tuple of floats; the last values are ``final_x``.
 
-    Rounds of a quiet stretch are not run: each gets the row of the quiet
-    round that opens it, counters included, with its own t, and the same
-    values object. A quiet round repeats the values of the round before it,
-    which did not meet the stop rule, and in the stretch only t changes, so
-    the rule cannot stop the run there. With no sink and no kept metrics the
-    loop jumps to the stretch's last round. ``validate`` sees every round
-    that ``step`` runs, the quiet round that opens a stretch included, and
-    none of the stretch's rounds: each would meet the checker as its quiet
-    round did (see ``run``)."""
+    Rounds of a quiet stretch are not run: each gets the row of the round
+    that opens it, counters included, with its own t, and the same values
+    object. Every round that ``step`` runs gets a new values tuple, so a sink
+    knows a stretch's rows by that object. With no sink and no kept metrics
+    the loop jumps to the stretch's last round. ``validate`` sees every round
+    that ``step`` runs, the one that opens a stretch included, and none of
+    the stretch's rounds. Why that is the output of running every round is
+    argued in ``run``."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -534,29 +528,33 @@ def run(
     round in ``RunResult.records``; otherwise records are built only for the
     checker.
 
-    On a static sequence, a run without records skips the quiet stretch
-    after each quiet round t (see ``_quiet_until``): ``_drive`` emits the
-    stretch's rows without running its rounds, and the rows, values and stop
-    round are bitwise those of running every round. Runs that keep records
-    run every round.
+    On a static sequence every run skips the quiet stretch after each quiet
+    round t (see ``_quiet_until``): ``_drive`` emits the stretch's rows
+    without running its rounds, and the rows, records, values, stop round
+    and checker verdict are bitwise those of running every round. Round t
+    itself is run, recorded and checked. A quiet round leaves x and every
+    estimate bitwise unchanged: each estimate gains 0 * t^-alpha = +0.0, and
+    no estimate is -0.0. So a skipped round s would run as round t did, and
+    its row differs from round t's in t alone. The stop rule cannot stop the
+    run inside the stretch: round t repeats the values of round t-1, which
+    did not meet it.
 
-    A checked run skips too, and its verdict is that of checking every
-    round. Round t itself is run and checked. A skipped round s would give
-    a ``RoundRecord`` equal to round t's in all but t: the same x_pre and
-    x_post (x_post is x_pre), no nonzero message, empty active sets, and the
-    same estimates, every slot live on a static graph (its last_seen would
-    be s). Its ``prev_metrics``, row s-1, has round t's M, m, W and V2, and
-    so has row t-1, since a quiet round repeats the values before it.
-    ``validate_round`` reads t only in its messages and in the step cap
-    0.5*w0*s^-beta + STEP_TOL, which the zero movement never exceeds. So
-    each clause comes out on round s as on round t, which passed, and
-    ``screen_round``, reading the same state, clears round s if it cleared
-    round t.
+    A skipped round s would also give a ``RoundRecord`` equal to round t's in
+    all but t, which is what ``_record`` builds for it from the state round t
+    left: the same x_pre and x_post (x_post is x_pre), no nonzero message,
+    empty active sets, and the same estimates, every slot live on a static
+    graph (its last_seen would be s, and ``_quiet_until`` marks it through
+    the stretch). Its ``prev_metrics``, row s-1, has round t's M, m, W and
+    V2, and so has row t-1. ``validate_round`` reads t only in its messages
+    and in the step cap 0.5*w0*s^-beta + STEP_TOL, which the zero movement
+    never exceeds. So each clause comes out on round s as on round t, which
+    passed, and ``screen_round``, reading the same state, clears round s if
+    it cleared round t.
     """
     params = config.params
     state = init_state(config)
     records: list[RoundRecord] = []
-    skips = config.seq.kind == "static" and not keep_records
+    skips = config.seq.kind == "static"
 
     def step(t: int):
         run_round(state, t, config)

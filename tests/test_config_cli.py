@@ -174,18 +174,23 @@ class TestCmdRun:
         self, write_config, tmp_path, monkeypatch
     ):
         """cmd_run formats a row once for the rounds of a quiet stretch, which
-        repeat it; a row that differs only in the sign of a zero is new."""
+        the runners hand the same values object. Every round they run gets a
+        new tuple, so a row that differs only in the sign of a zero is new."""
 
         def fake_run(config, *, metrics_sink, **kw):
-            x = (0.0, 0.0, 0.0)
             for t, zero in ((1, -0.0), (2, 0.0), (3, 0.0)):
+                x = (zero, zero, 0.0)  # a new tuple per round, as _drive builds
                 metrics_sink(MetricsRow(t, zero, zero, 0.0, 0.0, 0.0, 0, 0), x)
+            # the same values object again: round 4 repeats round 3 but for t,
+            # so the fields handed with it are not read
+            metrics_sink(MetricsRow(4, 1.0, 1.0, 1.0, 1.0, 1.0, 9, 9), x)
             return SimpleNamespace(final_x=x)
 
         monkeypatch.setattr(cli, "run", fake_run)
         assert main(["run", "--config", write_config(), "--quiet"]) == 0
         assert (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:] == [
             "1,-0,-0,0,0,0,0,0", "2,0,0,0,0,0,0,0", "3,0,0,0,0,0,0,0",
+            "4,0,0,0,0,0,0,0",
         ]
 
     def test_checked_run_passes(self, write_config):
