@@ -26,9 +26,10 @@ verdicts are bitwise those of running every round is argued once, in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from math import floor, inf, isfinite
+from types import MappingProxyType
 
 import numpy as np
 
@@ -151,21 +152,22 @@ def check_known_bounds(
             check_fixed_bound(d_policy, d_fixed, g.degrees, t)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """Everything observable about one round: the graph, every message, the
     per-node active sets, pre/post value vectors, the engine's per-pair degree
     bounds for active pairs, and each node's (x_in, x_out) estimate pairs at
-    time t."""
+    time t. Every field is immutable, so the records of a quiet stretch share
+    their parts: sound because only static sequences skip (see ``run``)."""
 
     t: int
     graph: GraphSnapshot
-    messages: list[Message]
-    active_sets: list[set[int]]
+    messages: tuple[Message, ...]
+    active_sets: tuple[frozenset[int], ...]
     x_pre: tuple[float, ...]
     x_post: tuple[float, ...]
-    d_bounds: dict[Edge, float]
-    estimates: list[dict[int, tuple[float, float]]]
+    d_bounds: MappingProxyType[Edge, float]
+    estimates: tuple[MappingProxyType[int, tuple[float, float]], ...]
 
 
 class EdgeArrays:
@@ -246,7 +248,7 @@ class EdgeState:
     arrays: EdgeArrays | None = None
     slot: np.ndarray | None = None  # slot of each edge of the snapshot
     denom: np.ndarray | None = None  # 2*D (practical) or 4*D (theorem)
-    silent: list[Message] | None = None  # the snapshot's messages, all q = 0
+    silent: tuple[Message, ...] | None = None  # the snapshot's messages, all q = 0
     q: np.ndarray | None = None  # the last round run
     gap: np.ndarray | None = None
     act: np.ndarray | None = None
@@ -377,8 +379,8 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     t_max.
 
     Each round of the stretch would leave the state as round t left it, but
-    for t and last_seen. Marking the slots through the last round keeps every
-    slot live in round t's and each skipped round's record (see ``run``).
+    for t and last_seen. Marking the slots through the last round lets the
+    round after the stretch prune as if the stretch had run.
     """
     d = np.abs(state.x[state.arrays.ends] - state.est[state.slot].ravel())
     d_max = float(d.max(initial=0.0))
@@ -398,18 +400,19 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
 
 def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
     """The per-node view of round t, the last round run, rebuilt from the
-    edge arrays."""
+    edge arrays. ``run`` copies it for the rest of the quiet stretch t opens,
+    as only a static sequence skips (see ``run``)."""
     g = state.arrays.graph
     n = g.n
     edges = g.edge_list
     q = state.q
     act = state.act
     if state.silent is None:
-        # records copy this list and patch in the few nonzero symbols
-        state.silent = [
+        # records copy this tuple and patch in the few nonzero symbols
+        state.silent = tuple(
             m for i, j in edges for m in (Message(i, j, 0), Message(j, i, 0))
-        ]
-    messages = state.silent.copy()
+        )
+    messages = list(state.silent)
     for h in np.flatnonzero(q).tolist():
         src, dst, _ = messages[h]
         messages[h] = Message(src, dst, int(q[h]))
@@ -431,8 +434,9 @@ def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
             estimates[i][j] = (b, a)
             estimates[j][i] = (a, b)
     return RoundRecord(
-        t, g, messages, active_sets, tuple(state.x_pre.tolist()),
-        tuple(state.x.tolist()), d_bounds, estimates,
+        t, g, tuple(messages), tuple(map(frozenset, active_sets)),
+        tuple(state.x_pre.tolist()), tuple(state.x.tolist()),
+        MappingProxyType(d_bounds), tuple(map(MappingProxyType, estimates)),
     )
 
 
@@ -540,20 +544,21 @@ def run(
     did not meet it.
 
     A skipped round s would also give a ``RoundRecord`` equal to round t's in
-    all but t, which is what ``_record`` builds for it from the state round t
-    left: the same x_pre and x_post (x_post is x_pre), no nonzero message,
-    empty active sets, and the same estimates, every slot live on a static
-    graph (its last_seen would be s, and ``_quiet_until`` marks it through
-    the stretch). Its ``prev_metrics``, row s-1, has round t's M, m, W and
-    V2, and so has row t-1. ``validate_round`` reads t only in its messages
-    and in the step cap 0.5*w0*s^-beta + STEP_TOL, which the zero movement
-    never exceeds. So each clause comes out on round s as on round t, which
-    passed, and ``screen_round``, reading the same state, clears round s if
-    it cleared round t.
+    all but t, and keep_records gives it round t's record with its own t: the
+    same x_pre and x_post (x_post is x_pre), no nonzero message, empty active
+    sets, and the same estimates, every slot live, since a static sequence
+    has every slot in its snapshot (a skip on any other kind must argue this
+    anew). Its ``prev_metrics``, row s-1, has round t's M, m, W and V2, and
+    so has row t-1. ``validate_round`` reads t only in its messages and in
+    the step cap 0.5*w0*s^-beta + STEP_TOL, which the zero movement never
+    exceeds. So each clause comes out on round s as on round t, which passed,
+    and ``screen_round``, reading the same state, clears round s if it
+    cleared round t.
     """
     params = config.params
     state = init_state(config)
     records: list[RoundRecord] = []
+    last_x = None  # the values of the last round kept
     skips = config.seq.kind == "static"
 
     def step(t: int):
@@ -570,9 +575,14 @@ def run(
         return validate_round(rec, prev_row, params, **facts)
 
     def keep_record(row, x):
+        nonlocal last_x
         if metrics_sink is not None:
             metrics_sink(row, x)
-        records.append(_record(state, row.t, params))
+        if x is last_x:  # a skipped round: _drive hands it the same values
+            records.append(replace(records[-1], t=row.t))
+        else:
+            last_x = x
+            records.append(_record(state, row.t, params))
 
     result = _drive(
         state.x, config.t_max, step,

@@ -385,8 +385,8 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
             raise ValueError(f"{kind} sequence needs its rounds")
         return ExplicitSequence(snaps, cycle=kind == "periodic")
     if kind == "core_synthetic":
-        if "core_edges" not in kw:
-            raise ValueError("core_synthetic sequence needs core_edges")
+        if missing := {"core_edges", "block_len"} - kw.keys():
+            raise ValueError(f"{kind} sequence needs {' and '.join(sorted(missing))}")
         core = kw.pop("core_edges")
         block_len = kw.pop("block_len")
         prob = kw.pop("extra_edge_prob", 0.0)

@@ -1,11 +1,66 @@
-"""Independent reference computations shared by the test modules.
+"""Independent reference computations shared by the test modules, and the
+bitwise comparison the differential tests hold results to.
 
 These are deliberately written against the formulas directly (arbitrary
 precision where it matters) and kept free of any imports from the package
 internals they check.
 """
 
+import dataclasses
+import struct
+from collections.abc import Mapping
+from itertools import chain
+from operator import attrgetter
+
 import mpmath as mp
+
+_EXACT = frozenset({int, bool, str, type(None)})  # == on these is bitwise
+
+
+def same_bits(a, b) -> bool:
+    """Whether a and b are equal bit for bit. Floats compare by their 8
+    bytes, so -0.0 differs from 0.0 and a nan equals a nan of the same bits.
+    Mappings compare key by key, in any order; sequences item by item and
+    dataclasses field by field; anything else by ==. Types must match at
+    every level."""
+    return _same_column([a], [b])
+
+
+def _same_column(a: list, b: list) -> bool:
+    """same_bits of a[k] and b[k] for every k, one level of the structure
+    at a time: the items of all the sequences, the values of all the
+    mappings and each field of all the dataclasses form one column each, so
+    a list of thousands of records costs a few calls per field."""
+    kinds = set(map(type, a))
+    if len(a) != len(b) or kinds != set(map(type, b)):
+        return False
+    if len(kinds) > 1:  # the items of each type form a column of their own
+        at = list(map(type, a))
+        return at == list(map(type, b)) and all(
+            _same_column(*([v for v, k in zip(c, at) if k is kind] for c in (a, b)))
+            for kind in kinds
+        )
+    if not kinds or kinds <= _EXACT:
+        return a == b
+    (kind,) = kinds
+    if issubclass(kind, float):
+        fmt = f"<{len(a)}d"
+        return struct.pack(fmt, *a) == struct.pack(fmt, *b)
+    if issubclass(kind, (tuple, list)):
+        return list(map(len, a)) == list(map(len, b)) and _same_column(
+            list(chain.from_iterable(a)), list(chain.from_iterable(b))
+        )
+    if issubclass(kind, Mapping):
+        return all(x.keys() == y.keys() for x, y in zip(a, b)) and _same_column(
+            list(chain.from_iterable(x.values() for x in a)),
+            [y[k] for x, y in zip(a, b) for k in x],
+        )
+    if dataclasses.is_dataclass(kind):
+        return all(
+            _same_column(list(map(get, a)), list(map(get, b)))
+            for get in (attrgetter(f.name) for f in dataclasses.fields(kind))
+        )
+    return a == b
 
 
 def bound_oracle(n, B, D, alpha, beta, eps, w0, v20, xinf0):

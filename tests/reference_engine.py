@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import isfinite
+from types import MappingProxyType
 
 from ternary_consensus.analysis import (
     MetricsRow,
@@ -142,12 +143,13 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
         if not isfinite(v):
             raise DivergenceError(f"node {i} became non-finite at round {t}: {v!r}")
 
-    estimates = [
-        {peer: (e.x_in, e.x_out) for peer, e in node.ledger.items()}
+    estimates = tuple(
+        MappingProxyType({peer: (e.x_in, e.x_out) for peer, e in node.ledger.items()})
         for node in nodes
-    ]
+    )
     return RoundRecord(
-        t, g, messages, active_sets, x_pre, x_post, d_bounds, estimates
+        t, g, tuple(messages), tuple(map(frozenset, active_sets)), x_pre, x_post,
+        MappingProxyType(d_bounds), estimates,
     )
 
 

@@ -1,5 +1,7 @@
 import math
 import random
+from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -80,19 +82,20 @@ def one_pair_record(w=1.0, d=2.0, t=16):
     return RoundRecord(
         t=t,
         graph=GraphSnapshot(2, frozenset([(0, 1)])),
-        messages=[],
-        active_sets=[{1}, {0}],
+        messages=(),
+        active_sets=(frozenset({1}), frozenset({0})),
         x_pre=x_pre,
         x_post=x_pre,
-        d_bounds={(0, 1): d},
-        estimates=[{1: (diff, 0.0)}, {0: (0.0, diff)}],
+        d_bounds=MappingProxyType({(0, 1): d}),
+        estimates=(
+            MappingProxyType({1: (diff, 0.0)}), MappingProxyType({0: (0.0, diff)})
+        ),
     )
 
 
 class TestReconstruct:
     def test_no_active_pairs_gives_identity(self):
-        rec = one_pair_record()
-        rec.active_sets = [set(), set()]
+        rec = replace(one_pair_record(), active_sets=(frozenset(), frozenset()))
         mat = reconstruct_matrix(rec, THEOREM)
         assert np.array_equal(mat.entries, np.eye(2))
         assert mat.w == {}
@@ -117,8 +120,7 @@ class TestReconstruct:
             assert np.allclose(mat.entries.sum(axis=1), 1.0, atol=1e-12)
 
     def test_degenerate_pair_rejected(self):
-        rec = one_pair_record()
-        rec.x_pre = (1.0, 1.0)
+        rec = replace(one_pair_record(), x_pre=(1.0, 1.0))
         with pytest.raises(ValueError, match="degenerate"):
             reconstruct_matrix(rec, THEOREM)
 
@@ -217,7 +219,8 @@ class TestValidateRound:
         rec = records[10]
         prev = compute_metrics(rec.x_pre, 0.0)
         xin, xout = rec.estimates[0][1]
-        rec.estimates[0][1] = (xin + 1e-9, xout)
+        node0 = MappingProxyType({**rec.estimates[0], 1: (xin + 1e-9, xout)})
+        rec = replace(rec, estimates=(node0,) + rec.estimates[1:])
         out = validate_round(
             rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
             w0=w0, xinf0=xinf0, avg0=avg0,
@@ -230,8 +233,9 @@ class TestValidateRound:
         prev = compute_metrics(rec.x_pre, 0.0)
         bumped = list(rec.x_post)
         bumped[0] = prev.M + 0.5
-        rec.x_post = tuple(bumped)
-        rec.active_sets = [set() for _ in rec.active_sets]
+        rec = replace(
+            rec, x_post=tuple(bumped), active_sets=(frozenset(),) * len(rec.active_sets)
+        )
         out = validate_round(
             rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
             w0=w0, xinf0=xinf0, avg0=avg0,
@@ -244,7 +248,9 @@ class TestValidateRound:
         prev = compute_metrics(rec.x_pre, 0.0)
         i = next(k for k, s in enumerate(rec.active_sets) if s)
         j = next(iter(rec.active_sets[i]))
-        rec.active_sets[j].discard(i)
+        sets = list(rec.active_sets)
+        sets[j] = sets[j] - {i}
+        rec = replace(rec, active_sets=tuple(sets))
         out = validate_round(
             rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
             w0=w0, xinf0=xinf0, avg0=avg0,
@@ -255,9 +261,13 @@ class TestValidateRound:
         records, w0, xinf0, avg0 = self.checked_records()
         rec = records[5]
         prev = compute_metrics(rec.x_pre, 0.0)
-        rec.estimates[0][1] = (xinf0 + 1.0, rec.estimates[0][1][1])
-        rec.estimates[1][0] = (rec.estimates[1][0][0], xinf0 + 1.0)
-        rec.active_sets = [set() for _ in rec.active_sets]
+        est = rec.estimates
+        node0 = MappingProxyType({**est[0], 1: (xinf0 + 1.0, est[0][1][1])})
+        node1 = MappingProxyType({**est[1], 0: (est[1][0][0], xinf0 + 1.0)})
+        rec = replace(
+            rec, estimates=(node0, node1) + est[2:],
+            active_sets=(frozenset(),) * len(rec.active_sets),
+        )
         out = validate_round(
             rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
             w0=w0, xinf0=xinf0, avg0=avg0,
@@ -268,7 +278,7 @@ class TestValidateRound:
         records, w0, xinf0, avg0 = self.checked_records()
         rec = records[10]
         prev = compute_metrics(rec.x_pre, 0.0)
-        rec.x_post = tuple(v - 1e-9 for v in rec.x_post)
+        rec = replace(rec, x_post=tuple(v - 1e-9 for v in rec.x_post))
         out = validate_round(
             rec, prev, THEOREM, row=compute_metrics(rec.x_post, avg0, t=rec.t),
             w0=w0, xinf0=xinf0, avg0=avg0,

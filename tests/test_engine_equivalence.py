@@ -1,13 +1,12 @@
 """Differential tests: the edge-array engine and the vectorised baseline
 against the per-node / per-edge loops in reference_engine, compared bitwise
-(floats by float.hex, so signed zeros count).
+by ``oracles.same_bits`` (floats by their bytes, so signed zeros count).
 
 The loops run on an unvalidated copy of the config (a SimpleNamespace with
 the same fields), so a fixed degree bound that construction rejects is
 still met round by round there, and both sides must fail with the same
 message."""
 
-import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -15,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
+from oracles import same_bits
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.engine import InitSpec, SimulationConfig, run
 from ternary_consensus.errors import (
@@ -30,19 +30,6 @@ SEQ_KINDS = (
     "line", "complete", "periodic", "explicit", "core_synthetic", "relabeled_line",
 )
 THEOREM_EXPONENTS = ((0.25, 0.5), (0.5, 0.75), (0.75, 0.875))
-
-
-def bits(v):
-    """A comparable form of v in which every float is its exact hex string."""
-    if isinstance(v, float):
-        return v.hex()
-    if dataclasses.is_dataclass(v):
-        return type(v).__name__, [bits(getattr(v, f.name)) for f in dataclasses.fields(v)]
-    if isinstance(v, (list, tuple)):
-        return type(v).__name__, [bits(u) for u in v]
-    if isinstance(v, dict):
-        return {k: bits(u) for k, u in v.items()}
-    return v
 
 
 def outcome(fn):
@@ -129,9 +116,9 @@ def test_engine_matches_per_node_reference(fields):
         assert got == want
         return
     assert not isinstance(got, tuple), got
-    assert bits(got.final_x) == bits(want.final_x)
-    assert bits(got.metrics) == bits(want.metrics)
-    assert bits(got.records) == bits(want.records)
+    assert same_bits(got.final_x, want.final_x)
+    assert same_bits(got.metrics, want.metrics)
+    assert same_bits(got.records, want.records)
     assert (got.rounds, got.stopped_at) == (want.rounds, want.stopped_at)
 
 
@@ -163,6 +150,7 @@ def baselines(draw):
 @given(baselines())
 @settings(max_examples=60, deadline=None)
 def test_run_metropolis_matches_per_edge_loop(fields):
-    assert bits(outcome(lambda: run_metropolis(MetropolisConfig(**fields)))) == bits(
-        outcome(lambda: reference_metropolis(SimpleNamespace(**fields)))
+    assert same_bits(
+        outcome(lambda: run_metropolis(MetropolisConfig(**fields))),
+        outcome(lambda: reference_metropolis(SimpleNamespace(**fields))),
     )

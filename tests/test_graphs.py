@@ -182,6 +182,7 @@ class TestMakeSequenceParameters:
             ("relabeled_line", {"base": "line"}, r"\['base'\]"),
             ("periodic", {"rounds": [[]], "path": "r.txt"}, r"\['path'\]"),
             ("torus", {}, "unknown sequence kind"),
+            ("core_synthetic", {"core_edges": [(0, 1)]}, "needs block_len"),
         ],
     )
     def test_bad_parameters_are_value_errors(self, kind, kw, needle):

@@ -5,8 +5,8 @@ that round's record finds nothing. The property test drives the engine round
 by round on small runs, corrupts some rounds' state or checker inputs after
 they run, and asserts that implication for every round. The end-to-end tests
 pin the fallback: a round the screen declines raises the record checker's
-message, a clean checked run builds no record, and a run with a record sink
-and kept records builds one record per round for both.
+message, a clean checked run builds no record, and a kept-records run builds
+one record per round it runs and gives each skipped round its stretch's.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ternary_consensus.engine as engine_mod
+from oracles import same_bits
 from ternary_consensus.analysis import (
     compute_metrics,
     fold_sum,
@@ -286,10 +287,12 @@ def test_records_are_built_once_per_round_for_every_reader(monkeypatch):
         built.append(args[1])
         return _record(*args, **kwargs)
 
+    stepped = []
     returned = []
     real = engine_mod.run_round
 
     def watched(*args):
+        stepped.append(args[1])
         returned.append(real(*args))
 
     monkeypatch.setattr(engine_mod, "_record", counted)
@@ -299,8 +302,12 @@ def test_records_are_built_once_per_round_for_every_reader(monkeypatch):
         ProtocolParams(alpha=0.9, beta=0.0, variant="practical"),
         InitSpec("spike"), 30,
     )
-    result = run(cfg, keep_records=True)
-    assert built == list(range(1, 31))
-    assert [r.t for r in result.records] == built
-    # quiet stretches are recorded without being run
-    assert 0 < len(returned) < 30 and set(returned) == {None}
+    records = run(cfg, keep_records=True).records
+    # one record per round run; quiet stretches are recorded without being run
+    assert built == stepped
+    assert 0 < len(stepped) < 30 and set(returned) == {None}
+    assert [r.t for r in records] == list(range(1, 31))
+    # a skipped round's record is its stretch's opening record but for t
+    for rec in records:
+        opening = records[max(t for t in stepped if t <= rec.t) - 1]
+        assert same_bits(dataclasses.replace(rec, t=opening.t), opening)

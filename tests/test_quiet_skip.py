@@ -1,8 +1,8 @@
 """Differential tests of the quiet-stretch skip: ``run`` on a static graph
 against a plain loop that calls ``run_round`` for every round, and in checked
 runs validates every round's record, and ``run_metropolis`` against a plain
-loop that calls ``_step`` for every round, compared bitwise (floats by
-float.hex, so signed zeros count)."""
+loop that calls ``_step`` for every round, compared bitwise by
+``oracles.same_bits`` (floats by their bytes, so signed zeros count)."""
 
 import dataclasses
 
@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_engine_equivalence import THEOREM_EXPONENTS, bits
+from oracles import same_bits
+from test_engine_equivalence import THEOREM_EXPONENTS
 from ternary_consensus import engine, metropolis
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.cli import main
@@ -85,16 +86,14 @@ def assert_skip_matches(cfg, stop_err=None, stop_v2=None):
     )
     bare = run(cfg, stop_err=stop_err, stop_v2=stop_v2, keep_metrics=False)
     recorded = run(cfg, stop_err=stop_err, stop_v2=stop_v2, keep_records=True)
-    assert bits(kept.metrics) == bits(rows)
-    assert bits([row for row, _ in sunk]) == bits(rows)
+    assert same_bits(kept.metrics, rows)
+    assert same_bits([row for row, _ in sunk], rows)
     if sunk:
-        assert bits(sunk[-1][1]) == bits(x)
-    assert bits(recorded.metrics) == bits(rows)
-    # repr writes every float exactly, signed zeros included, as bits does,
-    # and is several times faster on thousands of records
-    assert repr(recorded.records) == repr(records)
+        assert same_bits(sunk[-1][1], x)
+    assert same_bits(recorded.metrics, rows)
+    assert same_bits(recorded.records, records)
     for result in (kept, bare, recorded):
-        assert bits(result.final_x) == bits(x)
+        assert same_bits(result.final_x, x)
         assert (result.rounds, result.stopped_at) == (rounds, stopped_at)
     return rows
 
@@ -160,7 +159,7 @@ def stretches(rows):
         while (
             j + 1 < len(rows)
             and head.nonzero_msgs == head.active_edges == 0
-            and bits(rows[j + 1])[1][1:] == bits(head)[1][1:]
+            and same_bits(dataclasses.replace(rows[j + 1], t=head.t), head)
         ):
             j += 1
         if j > k:
@@ -199,7 +198,7 @@ def test_exact_consensus_skips_to_t_max(monkeypatch):
         t_max=500,
     )
     calls = counting_run_round(monkeypatch)
-    assert bits(run(cfg, keep_metrics=False).final_x) == bits((0.0, -0.0, 0.0))
+    assert same_bits(run(cfg, keep_metrics=False).final_x, (0.0, -0.0, 0.0))
     assert calls == [1]
     # the jump costs one round whatever the budget
     assert run(dataclasses.replace(cfg, t_max=MAX_ROUNDS), keep_metrics=False).rounds == 2**53
@@ -235,6 +234,28 @@ def test_checked_and_recorded_runs_skip(monkeypatch):
     records = run(COMPLETE_8, keep_records=True).records
     assert 0 < len(calls) < COMPLETE_8.t_max
     assert [rec.t for rec in records] == list(range(1, COMPLETE_8.t_max + 1))
+
+
+def test_a_stretch_shares_one_frozen_record(monkeypatch):
+    """A skipped round's record shares its parts with the record of the round
+    that opens its stretch, and no part of either can be changed."""
+    calls = counting_run_round(monkeypatch)
+    records = run(COMPLETE_8, keep_records=True).records
+    t = next(t for t in calls if t + 1 not in calls and t < COMPLETE_8.t_max)
+    opening, skipped = records[t - 1], records[t]
+    assert skipped.t == t + 1 and skipped.estimates is opening.estimates
+    for rec in (opening, skipped):
+        for field in dataclasses.fields(rec):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, field.name, getattr(rec, field.name))
+        for i, j in rec.graph.edge_list:
+            with pytest.raises(TypeError):
+                rec.estimates[i][j] = (0.0, 0.0)
+            with pytest.raises(TypeError):
+                rec.d_bounds[i, j] = 1.0
+        with pytest.raises(TypeError):
+            rec.estimates[0] = {}
+        assert not any(hasattr(s, "add") for s in rec.active_sets)
 
 
 def raised(call):
@@ -360,12 +381,12 @@ def assert_baseline_skip_matches(cfg, stop_err=None):
             metrics_sink=lambda row, xs: sunk.append((row, xs)),
         )
         run_metropolis(cfg, stop_err=stop_err, keep_metrics=False)
-    assert bits(kept) == bits([row for row, _ in pairs])
-    assert bits(sunk) == bits(pairs)
-    assert bits(kept_x) == bits(x)
+    assert same_bits(kept, [row for row, _ in pairs])
+    assert same_bits(sunk, pairs)
+    assert same_bits(kept_x, x)
     assert len(results) == 3
     for result in results:
-        assert bits(result.final_x) == bits(x)
+        assert same_bits(result.final_x, x)
         assert (result.rounds, result.stopped_at) == (rounds, stopped_at)
     return [row for row, _ in pairs]
 
@@ -374,7 +395,8 @@ def first_repeat(rows):
     """The first round whose row repeats the one before it in all but t, the
     round a baseline run reaches its fixed point at, or None."""
     return next(
-        (b.t for a, b in zip(rows, rows[1:]) if bits(a)[1][1:] == bits(b)[1][1:]),
+        (b.t for a, b in zip(rows, rows[1:])
+         if same_bits(dataclasses.replace(a, t=b.t), b)),
         None,
     )
 
@@ -463,7 +485,7 @@ def test_baseline_signed_zero_flip_is_a_change(monkeypatch):
     calls = counting_step(monkeypatch)
     rows, final_x = run_metropolis(cfg)
     assert len(calls) == 2 and len(rows) == 50
-    assert bits(final_x) == bits((0.5, 0.5, 0.0))
+    assert same_bits(final_x, (0.5, 0.5, 0.0))
     monkeypatch.undo()
     assert_baseline_skip_matches(cfg)
 
