@@ -222,11 +222,11 @@ def cmd_check_core(args) -> int:
         raise ConfigError(
             f"--window: must be >= graph.B ({cfg.block_len}), got {window}"
         )
+    snaps = (cfg.seq.snapshot(t) for t in range(1, window + 1))
     try:
-        snaps = [cfg.seq.snapshot(t) for t in range(1, window + 1)]
-    except ValueError as exc:
+        result = check_core_connected(snaps, cfg.block_len)
+    except ValueError as exc:  # the window asks for a round the sequence lacks
         raise ConfigError(f"graph: {exc}") from None
-    result = check_core_connected(snaps, cfg.block_len)
     verdict = "yes" if result.is_core_connected else "no"
     edges = " ".join(f"{i}-{j}" for i, j in sorted(result.core_edges))
     if not args.quiet:

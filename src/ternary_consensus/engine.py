@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import chain
 from math import floor, inf, isfinite
 from types import MappingProxyType
 
@@ -172,40 +171,44 @@ class RoundRecord:
 
 class EdgeArrays:
     """Edge-indexed arrays of one snapshot, shared by the protocol engine and
-    the averaging baseline. Runners build them once per snapshot object and
-    reuse them while the sequence hands out the same object; building them
-    checks a fixed degree bound against the snapshot, first used at round t.
+    the averaging baseline. Runners build them from the universe rows of the
+    sequence's ``edge_ids(t)`` once per ids object and reuse them while the
+    sequence hands out the same object; building them checks a fixed degree
+    bound against the snapshot, first used at round t.
 
-    Edge k is ``graph.edge_list[k] = (eu[k], ev[k])`` with eu < ev, and D[k]
-    its pair bound under the given policy; ``ends`` lists eu[0], ev[0],
-    eu[1], ev[1], ... The half-edges list every edge once from each endpoint:
-    first every edge from its high end ev[k], then every edge from its low end
-    eu[k], both in edge order. Half-edge h belongs to node h_node[h], refers
-    to edge h_edge[h] and carries sign h_sign[h], -1 at the high end and +1
-    at the low one. The edge list is sorted, so a node's half-edges in the
-    first part name its lower peers in ascending order and those in the
-    second part its higher peers in ascending order. ``np.bincount`` adds its
+    Edge k is ``edges[k] = (eu[k], ev[k])`` with eu < ev, and D[k] its pair
+    bound under the given policy; ``ends`` lists eu[0], ev[0], eu[1], ev[1],
+    ... The half-edges list every edge once from each endpoint: first every
+    edge from its high end ev[k], then every edge from its low end eu[k],
+    both in edge order. Half-edge h belongs to node h_node[h], refers to
+    edge h_edge[h] and carries sign h_sign[h], -1 at the high end and +1 at
+    the low one. The edges are sorted, so a node's half-edges in the first
+    part name its lower peers in ascending order and those in the second
+    part its higher peers in ascending order. ``np.bincount`` adds its
     weights in array order starting from +0.0, so a fold over the half-edges
     adds each node's terms in ascending peer order, as the per-node loops do
     (``np.sum`` adds pairwise and rounds differently once a node has 8 or
     more terms).
     """
 
-    __slots__ = ("graph", "ends", "eu", "ev", "D", "h_node", "h_edge", "h_sign")
+    __slots__ = ("n", "edges", "ends", "eu", "ev", "D", "h_node", "h_edge", "h_sign")
 
-    def __init__(self, g: GraphSnapshot, d_policy: str, d_fixed: float | None, t: int):
-        if d_policy == "fixed":  # only this check reads the Python g.degrees
-            check_fixed_bound(d_policy, d_fixed, g.degrees, t)
-        m = len(g.edge_list)
-        ends = np.fromiter(chain.from_iterable(g.edge_list), np.intp, 2 * m)
+    def __init__(
+        self, n: int, edges: np.ndarray, d_policy: str, d_fixed: float | None, t: int
+    ):
+        m = len(edges)
+        ends = edges.ravel()
         eu = ends[0::2]
         ev = ends[1::2]
-        deg = np.bincount(ends, minlength=g.n) + 1  # the self-loop counts
-        self.graph = g
+        deg = np.bincount(ends, minlength=n) + 1  # the self-loop counts
+        if d_policy == "fixed":
+            check_fixed_bound(d_policy, d_fixed, deg.tolist(), t)
+        self.n = n
+        self.edges = edges
         self.ends = ends
         self.eu = eu
         self.ev = ev
-        self.D = pair_bound(d_policy, d_fixed, g.n, deg[eu], deg[ev])
+        self.D = pair_bound(d_policy, d_fixed, n, deg[eu], deg[ev])
         h = np.arange(2 * m)
         self.h_node = np.concatenate((ev, eu))
         self.h_edge = h % m if m else h
@@ -215,26 +218,27 @@ class EdgeArrays:
         """Per-node sums of +per_edge[k] at eu[k] and -per_edge[k] at ev[k],
         each node's terms added in ascending peer order."""
         if not len(self.h_edge):  # bincount of no weights would give int64 zeros
-            return np.zeros(self.graph.n)
+            return np.zeros(self.n)
         return np.bincount(
             self.h_node,
             weights=self.h_sign * per_edge[self.h_edge],
-            minlength=self.graph.n,
+            minlength=self.n,
         )
 
 
 @dataclass(slots=True, eq=False)
 class EdgeState:
-    """Run state: node values, one estimate pair per undirected edge ever
-    seen, and the arrays of the current snapshot.
+    """Run state: node values, one estimate pair per edge of the sequence's
+    universe, and the arrays of the current snapshot.
 
-    Slot s holds edge (u, v), u < v, the s-th distinct edge to appear:
-    est[s] = (a, b), where a is u's outbound estimate toward v (v's inbound
-    estimate of u) and b is v's outbound estimate toward u. last_seen[s] is
-    the last round the edge was present. With a prune horizon H the protocol
+    Slot s holds edge (u, v) = universe[s], u < v: est[s] = (a, b), where a
+    is u's outbound estimate toward v (v's inbound estimate of u) and b is
+    v's outbound estimate toward u. last_seen[s] is the last round the edge
+    was present, 0 while it has never been: a never-seen slot holds (0, 0),
+    the estimates an edge enters with. With a prune horizon H the protocol
     drops an entry at the end of the first round r with last_seen < r - H;
     here the entry is zeroed when the edge reappears after such a round, and
-    counts as live in a record while last_seen >= t - H.
+    a seen slot counts as live in a record while last_seen >= t - H.
 
     The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
     2k+1), estimate gaps b - a, active mask and pre-update values here, for
@@ -242,12 +246,13 @@ class EdgeState:
     """
 
     x: np.ndarray
+    universe: np.ndarray  # the sequence's: the edge of each slot
     est: np.ndarray
     last_seen: np.ndarray
-    slot_of: dict[Edge, int]
+    ids: np.ndarray | None = None  # the snapshot's edge ids: the slot of each edge
     arrays: EdgeArrays | None = None
-    slot: np.ndarray | None = None  # slot of each edge of the snapshot
     denom: np.ndarray | None = None  # 2*D (practical) or 4*D (theorem)
+    graph: GraphSnapshot | None = None  # the snapshot, built by its first record
     silent: tuple[Message, ...] | None = None  # the snapshot's messages, all q = 0
     q: np.ndarray | None = None  # the last round run
     gap: np.ndarray | None = None
@@ -267,60 +272,55 @@ class RunResult:
 
 
 def init_state(config: SimulationConfig) -> EdgeState:
-    """State at t=0: values per the init spec, no edge seen yet."""
+    """State at t=0: values per the init spec and a zeroed, never-seen slot
+    for every edge of the universe."""
+    universe = config.seq.universe
+    size = len(universe)
     return EdgeState(
         x=np.array(config.init.build(config.seq.n), dtype=float),
-        est=np.zeros((0, 2)),
-        last_seen=np.zeros(0, dtype=np.int64),
-        slot_of={},
+        universe=universe,
+        est=np.zeros((size, 2)),
+        last_seen=np.zeros(size, dtype=np.int64),
     )
 
 
 def _enter_snapshot(
-    state: EdgeState, g: GraphSnapshot, t: int, params: ProtocolParams
+    state: EdgeState, ids: np.ndarray, t: int, params: ProtocolParams
 ) -> None:
-    """Build the arrays of a snapshot first handed out at round t, giving new
-    edges zeroed slots."""
-    arrays = EdgeArrays(g, params.bound_policy, params.d_fixed, t)
-    slot_of = state.slot_of
-    known = len(slot_of)
-    slots = [slot_of.setdefault(e, len(slot_of)) for e in g.edge_list]
-    grown = len(slot_of) - known
-    if grown:
-        state.est = np.concatenate((state.est, np.zeros((grown, 2))))
-        state.last_seen = np.concatenate(
-            (state.last_seen, np.zeros(grown, dtype=np.int64))
-        )
+    """Build the arrays of the edge ids first handed out at round t."""
+    arrays = EdgeArrays(
+        len(state.x), state.universe[ids], params.bound_policy, params.d_fixed, t
+    )
+    state.ids = ids
     state.arrays = arrays
-    state.slot = np.array(slots, dtype=np.intp)
     state.denom = params.denom_scale * arrays.D
-    state.silent = None  # built by the first record of this snapshot
+    state.graph = state.silent = None  # built by the first record of these ids
 
 
 def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     """Execute round t, mutating state in place.
 
-    Phase order as in the protocol: snapshot the graph; zero the estimates of
-    edges reappearing after pruning; compute every message from time-(t-1)
-    state; fold the messages into the estimates; select the active pairs and
-    update values. ``state.nonzero_msgs``/``state.active_edges`` count the
-    round's nonzero messages and mutually active pairs.
+    Phase order as in the protocol: take the round's edge ids; zero the
+    estimates of edges reappearing after pruning; compute every message from
+    time-(t-1) state; fold the messages into the estimates; select the
+    active pairs and update values. ``state.nonzero_msgs``/
+    ``state.active_edges`` count the round's nonzero messages and mutually
+    active pairs.
     """
     params = config.params
-    g = config.seq.snapshot(t)
-    if state.arrays is None or g is not state.arrays.graph:
-        _enter_snapshot(state, g, t, params)
+    ids = config.seq.edge_ids(t)
+    if ids is not state.ids:
+        _enter_snapshot(state, ids, t, params)
     arrays = state.arrays
-    slot = state.slot
     est = state.est
     last_seen = state.last_seen
     if params.prune_horizon is not None:
-        est[slot[last_seen[slot] < t - 1 - params.prune_horizon]] = 0.0
+        est[ids[last_seen[ids] < t - 1 - params.prune_horizon]] = 0.0
     t_alpha, inv_ta, threshold = round_scales(t, params.alpha)
     x = state.x
 
     # messages, in edge order: u -> v then v -> u; x_out[2k] is a, x_out[2k+1] b
-    x_out = est[slot].ravel()
+    x_out = est[ids].ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         v = t_alpha * (x[arrays.ends] - x_out)
     finite = np.isfinite(v)
@@ -335,8 +335,8 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
 
     # fold: both ledger sides of an edge apply the same increment
     x_out += q * inv_ta
-    est[slot] = x_out.reshape(-1, 2)
-    last_seen[slot] = t
+    est[ids] = x_out.reshape(-1, 2)
+    last_seen[ids] = t
 
     # active pairs: both messages 0 and |x_in - x_out| > 4/t^alpha
     gap = x_out[1::2] - x_out[0::2]  # b - a: x_in - x_out at u, negated at v
@@ -348,7 +348,7 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
         if params.variant == "theorem":
             acc = t ** (-params.beta) * acc
         # nodes with no active peer keep x untouched, signed zeros included
-        moved = np.zeros(g.n, dtype=bool)
+        moved = np.zeros(len(x), dtype=bool)
         moved[arrays.eu[act]] = True
         moved[arrays.ev[act]] = True
         x = np.where(moved, x + acc, x)
@@ -382,7 +382,7 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     for t and last_seen. Marking the slots through the last round lets the
     round after the stretch prune as if the stretch had run.
     """
-    d = np.abs(state.x[state.arrays.ends] - state.est[state.slot].ravel())
+    d = np.abs(state.x[state.arrays.ends] - state.est[state.ids].ravel())
     d_max = float(d.max(initial=0.0))
     g_max = float(np.abs(state.gap).max(initial=0.0))
     try:
@@ -394,7 +394,7 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     except OverflowError:  # the power, or floor(inf)
         last = t_max
     if last > t:
-        state.last_seen[state.slot] = last
+        state.last_seen[state.ids] = last
     return max(last, t)
 
 
@@ -402,16 +402,20 @@ def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
     """The per-node view of round t, the last round run, rebuilt from the
     edge arrays. ``run`` copies it for the rest of the quiet stretch t opens,
     as only a static sequence skips (see ``run``)."""
-    g = state.arrays.graph
+    if state.graph is None:
+        state.graph = GraphSnapshot(
+            state.arrays.n, frozenset(map(tuple, state.arrays.edges.tolist()))
+        )
+        # records copy this tuple and patch in the few nonzero symbols
+        state.silent = tuple(
+            m for i, j in state.graph.edge_list
+            for m in (Message(i, j, 0), Message(j, i, 0))
+        )
+    g = state.graph
     n = g.n
     edges = g.edge_list
     q = state.q
     act = state.act
-    if state.silent is None:
-        # records copy this tuple and patch in the few nonzero symbols
-        state.silent = tuple(
-            m for i, j in edges for m in (Message(i, j, 0), Message(j, i, 0))
-        )
     messages = list(state.silent)
     for h in np.flatnonzero(q).tolist():
         src, dst, _ = messages[h]
@@ -426,13 +430,12 @@ def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
         d_bounds[i, j] = float(D[k])
     estimates: list[dict[int, tuple[float, float]]] = [{} for _ in range(n)]
     horizon = params.prune_horizon
-    cutoff = t - horizon if horizon is not None else 0
-    for (i, j), (a, b), seen in zip(
-        state.slot_of, state.est.tolist(), state.last_seen.tolist()
+    live = state.last_seen >= (max(t - horizon, 1) if horizon is not None else 1)
+    for (i, j), (a, b) in zip(
+        state.universe[live].tolist(), state.est[live].tolist()
     ):
-        if seen >= cutoff:
-            estimates[i][j] = (b, a)
-            estimates[j][i] = (a, b)
+        estimates[i][j] = (b, a)
+        estimates[j][i] = (a, b)
     return RoundRecord(
         t, g, tuple(messages), tuple(map(frozenset, active_sets)),
         tuple(state.x_pre.tolist()), tuple(state.x.tolist()),
@@ -547,13 +550,13 @@ def run(
     all but t, and keep_records gives it round t's record with its own t: the
     same x_pre and x_post (x_post is x_pre), no nonzero message, empty active
     sets, and the same estimates, every slot live, since a static sequence
-    has every slot in its snapshot (a skip on any other kind must argue this
-    anew). Its ``prev_metrics``, row s-1, has round t's M, m, W and V2, and
-    so has row t-1. ``validate_round`` reads t only in its messages and in
-    the step cap 0.5*w0*s^-beta + STEP_TOL, which the zero movement never
-    exceeds. So each clause comes out on round s as on round t, which passed,
-    and ``screen_round``, reading the same state, clears round s if it
-    cleared round t.
+    shows every slot of its universe in every round (a skip on any other
+    kind must argue this anew). Its ``prev_metrics``, row s-1, has round t's
+    M, m, W and V2, and so has row t-1. ``validate_round`` reads t only in
+    its messages and in the step cap 0.5*w0*s^-beta + STEP_TOL, which the
+    zero movement never exceeds. So each clause comes out on round s as on
+    round t, which passed, and ``screen_round``, reading the same state,
+    clears round s if it cleared round t.
     """
     params = config.params
     state = init_state(config)

@@ -5,6 +5,10 @@ Nodes are integers 0..n-1. Every node carries an implicit self-loop that is
 never stored in the edge set but is counted in ``degrees``. Sequences are
 1-indexed in the round counter t and fully deterministic: ``snapshot(t)`` is a
 pure function of the sequence parameters, the seed, and t.
+
+Every sequence also lists its edge universe, the sorted array of every edge
+it can show, and hands out round t as ``edge_ids(t)``, the sorted rows of
+that array present in round t. The engine indexes its ledger by these rows.
 """
 
 from __future__ import annotations
@@ -12,8 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 Edge = tuple[int, int]
 SEQUENCE_KINDS = ("static", "periodic", "explicit", "core_synthetic", "relabeled_line")
@@ -117,8 +124,35 @@ def line_edges(n: int) -> frozenset[Edge]:
     return frozenset((i, i + 1) for i in range(n - 1))
 
 
+def _edge_array(edges: Iterable[Edge]) -> np.ndarray:
+    """Normalized edges as a sorted (m, 2) intp array."""
+    return np.array(sorted(edges), dtype=np.intp).reshape(-1, 2)
+
+
+def _all_pairs(n: int) -> np.ndarray:
+    """Every pair (i, j), i < j, of n nodes as a sorted (m, 2) intp array."""
+    return np.column_stack(np.triu_indices(n, 1)).astype(np.intp)
+
+
+def _pair_row(n: int, i, j):
+    """Row of the pair (i, j), i < j, in the sorted array of all pairs of n
+    nodes; i and j may be int arrays."""
+    return i * (2 * n - 1 - i) // 2 + j - i - 1
+
+
+def _check_round(t: int) -> None:
+    if t < 1:
+        raise ValueError(f"round index must be >= 1, got {t}")
+
+
 class GraphSequence:
     """Deterministic source of per-round snapshots; subclasses fix one kind.
+
+    ``universe`` is a sorted, read-only (|U|, 2) intp array of every edge
+    (u, v), u < v, the sequence can show, and ``edge_ids(t)`` the sorted rows
+    of it that form round t; whenever ``snapshot`` repeats a snapshot object,
+    ``edge_ids`` repeats its array object. A generated kind draws the ids and
+    builds ``snapshot(t)`` from them.
 
     Sequences are immutable after construction and ``snapshot`` is pure, so a
     sequence can be shared freely across runs and threads (a core_synthetic
@@ -128,13 +162,29 @@ class GraphSequence:
     kind: str = "abstract"
     n: int
 
+    @cached_property
+    def universe(self) -> np.ndarray:
+        edges = self._universe()
+        edges.setflags(write=False)
+        return edges
+
     def snapshot(self, t: int) -> GraphSnapshot:
-        if t < 1:
-            raise ValueError(f"round index must be >= 1, got {t}")
+        _check_round(t)
         return self._snapshot(t)
 
-    def _snapshot(self, t: int) -> GraphSnapshot:
+    def edge_ids(self, t: int) -> np.ndarray:
+        _check_round(t)
+        return self._edge_ids(t)
+
+    def _universe(self) -> np.ndarray:
         raise NotImplementedError
+
+    def _edge_ids(self, t: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _snapshot(self, t: int) -> GraphSnapshot:
+        rows = self.universe[self._edge_ids(t)].tolist()
+        return GraphSnapshot(self.n, frozenset(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -145,6 +195,16 @@ class StaticSequence(GraphSequence):
     @property
     def n(self) -> int:
         return self.base.n
+
+    def _universe(self) -> np.ndarray:
+        return _edge_array(self.base.edges)
+
+    @cached_property
+    def _all_ids(self) -> np.ndarray:
+        return np.arange(len(self.universe))
+
+    def _edge_ids(self, t: int) -> np.ndarray:
+        return self._all_ids
 
     def _snapshot(self, t: int) -> GraphSnapshot:
         return self.base
@@ -176,14 +236,33 @@ class ExplicitSequence(GraphSequence):
     def __len__(self) -> int:
         return len(self.rounds)
 
-    def _snapshot(self, t: int) -> GraphSnapshot:
+    def _universe(self) -> np.ndarray:
+        return _edge_array(frozenset().union(*(g.edges for g in self.rounds)))
+
+    @cached_property
+    def _ids(self) -> tuple[np.ndarray, ...]:
+        """Each round's ids, one array per distinct snapshot."""
+        row = {e: k for k, e in enumerate(map(tuple, self.universe.tolist()))}
+        ids = {
+            g: np.array([row[e] for e in g.edge_list], dtype=np.intp)
+            for g in self.rounds
+        }
+        return tuple(ids[g] for g in self.rounds)
+
+    def _index(self, t: int) -> int:
         if self.cycle:
-            return self.rounds[(t - 1) % len(self.rounds)]
+            return (t - 1) % len(self.rounds)
         if t > len(self.rounds):
             raise ValueError(
                 f"round {t} beyond explicit sequence of length {len(self.rounds)}"
             )
-        return self.rounds[t - 1]
+        return t - 1
+
+    def _edge_ids(self, t: int) -> np.ndarray:
+        return self._ids[self._index(t)]
+
+    def _snapshot(self, t: int) -> GraphSnapshot:
+        return self.rounds[self._index(t)]
 
 
 @dataclass(frozen=True)
@@ -199,14 +278,16 @@ class RelabeledLineSequence(GraphSequence):
         if self.n < 2:
             raise ValueError("relabeled line needs n >= 2")
 
-    def _snapshot(self, t: int) -> GraphSnapshot:
+    def _universe(self) -> np.ndarray:
+        return _all_pairs(self.n)
+
+    def _edge_ids(self, t: int) -> np.ndarray:
         rng = random.Random(derive_seed(self.seed, t))
         perm = list(range(self.n))
         rng.shuffle(perm)
-        edges = frozenset(
-            normalize_edge(perm[k], perm[k + 1]) for k in range(self.n - 1)
-        )
-        return GraphSnapshot(self.n, edges)
+        a = np.array(perm[:-1], dtype=np.intp)
+        b = np.array(perm[1:], dtype=np.intp)
+        return np.sort(_pair_row(self.n, np.minimum(a, b), np.maximum(a, b)))
 
 
 @dataclass(frozen=True)
@@ -244,16 +325,26 @@ class CoreSyntheticSequence(GraphSequence):
         if not _connected(self.n, self.core_edges):
             raise ValueError("core edge set must form a connected graph on all nodes")
 
-    @cached_property
-    def _core_sorted(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.core_edges))
+    def _universe(self) -> np.ndarray:
+        if self.extra_edge_prob > 0.0:
+            return _all_pairs(self.n)
+        return _edge_array(self.core_edges)
 
     @cached_property
-    def _non_core(self) -> tuple[Edge, ...]:
-        return tuple(sorted(complete_edges(self.n) - self.core_edges))
+    def _core_rows(self) -> list[int]:
+        """The universe rows of the core edges, in sorted edge order."""
+        if self.extra_edge_prob > 0.0:
+            core = _edge_array(self.core_edges)
+            return _pair_row(self.n, core[:, 0], core[:, 1]).tolist()
+        return list(range(len(self.core_edges)))
 
-    def _schedule(self, block: int) -> tuple[frozenset[Edge], ...]:
-        """The core edges of each round of a block, by offset: core edge e
+    @cached_property
+    def _non_core_rows(self) -> list[int]:
+        """The universe rows of the other pairs, in sorted edge order."""
+        return sorted(set(range(len(self.universe))) - set(self._core_rows))
+
+    def _schedule(self, block: int) -> tuple[list[int], ...]:
+        """The core rows of each round of a block, by offset: core edge e
         goes to offset ``randrange(B)`` of the block's child PRNG, drawn in
         sorted edge order. Drawn once and kept until another block is asked
         for, so the result depends on the block alone, in any call order."""
@@ -262,21 +353,22 @@ class CoreSyntheticSequence(GraphSequence):
             return memo[1]
         B = self.block_len
         draw = random.Random(derive_seed(self.seed, 1, block)).randrange
-        rounds: list[list[Edge]] = [[] for _ in range(B)]
-        for e in self._core_sorted:
-            rounds[draw(B)].append(e)
-        schedule = tuple(map(frozenset, rounds))
+        schedule: tuple[list[int], ...] = tuple([] for _ in range(B))
+        for k in self._core_rows:
+            schedule[draw(B)].append(k)
         object.__setattr__(self, "_memo", (block, schedule))
         return schedule
 
-    def _snapshot(self, t: int) -> GraphSnapshot:
+    def _edge_ids(self, t: int) -> np.ndarray:
+        """The round's core rows plus each other pair with probability
+        ``extra_edge_prob``, drawn in sorted edge order."""
         block, offset = divmod(t - 1, self.block_len)
-        edges = self._schedule(block)[offset]
+        ids = self._schedule(block)[offset]
         p = self.extra_edge_prob
         if p > 0.0:
             rand = random.Random(derive_seed(self.seed, 2, t)).random
-            edges = edges.union([e for e in self._non_core if rand() < p])
-        return GraphSnapshot(self.n, edges)
+            ids = sorted(ids + [k for k in self._non_core_rows if rand() < p])
+        return np.array(ids, dtype=np.intp)
 
 
 class CoreCheckResult(NamedTuple):
@@ -285,36 +377,41 @@ class CoreCheckResult(NamedTuple):
 
 
 def check_core_connected(
-    snapshots: list[GraphSnapshot], block_len: int
+    snapshots: Iterable[GraphSnapshot], block_len: int
 ) -> CoreCheckResult:
     """Decide whether a finite window of snapshots has a connected persistent
     core for the given block length.
 
     The maximal candidate core is the intersection over complete blocks of
     each block's edge union; a valid persistent core exists iff this candidate
-    is itself connected. A trailing partial block is ignored.
+    is itself connected. A trailing partial block is ignored. Each block's
+    union is folded into the core as its snapshots arrive, so a generator
+    window is checked in the memory of one block.
     """
-    if not snapshots:
+    it = iter(snapshots)
+    first = next(it, None)
+    if first is None:
         raise ValueError("need at least one snapshot")
     if block_len < 1:
         raise ValueError(f"block length must be >= 1, got {block_len}")
-    if len(snapshots) < block_len:
-        raise ValueError(
-            f"window of {len(snapshots)} rounds is shorter than one block "
-            f"of {block_len}"
-        )
-    n = snapshots[0].n
-    if any(g.n != n for g in snapshots):
-        raise ValueError("all snapshots must share the same node count")
-
-    blocks = len(snapshots) // block_len
+    n = first.n
+    same_n = True
     core: frozenset[Edge] | None = None
-    for k in range(blocks):
-        union: set[Edge] = set()
-        for g in snapshots[k * block_len : (k + 1) * block_len]:
-            union |= g.edges
-        core = frozenset(union) if core is None else core & union
-    assert core is not None
+    union: set[Edge] = set()
+    count = 0
+    for g in chain((first,), it):
+        same_n = same_n and g.n == n
+        union |= g.edges
+        count += 1
+        if count % block_len == 0:
+            core = frozenset(union) if core is None else core & union
+            union = set()
+    if core is None:
+        raise ValueError(
+            f"window of {count} rounds is shorter than one block of {block_len}"
+        )
+    if not same_n:
+        raise ValueError("all snapshots must share the same node count")
     return CoreCheckResult(_connected(n, core), core)
 
 

@@ -61,18 +61,21 @@ def run_metropolis(
     counts as a change) repeats forever, and ``_drive`` emits the rows up to
     t_max without running them.
     """
-    arrays = None
-    x = np.array(config.init.build(config.seq.n), dtype=float)
-    static = config.seq.kind == "static"
+    seq = config.seq
+    arrays = ids = None
+    x = np.array(config.init.build(seq.n), dtype=float)
+    static = seq.kind == "static"
 
     def step(t: int):
-        nonlocal arrays, x
-        g = config.seq.snapshot(t)
-        if arrays is None or g is not arrays.graph:
-            arrays = EdgeArrays(g, config.d_policy, config.d_fixed, t)
+        nonlocal arrays, ids, x
+        if (new_ids := seq.edge_ids(t)) is not ids:
+            ids = new_ids
+            arrays = EdgeArrays(
+                seq.n, seq.universe[ids], config.d_policy, config.d_fixed, t
+            )
         prev, x = x, _step(x, arrays)
         repeats = static and x.tobytes() == prev.tobytes()
-        return x, len(g.edges), 0, config.t_max if repeats else t
+        return x, len(ids), 0, config.t_max if repeats else t
 
     result = _drive(
         x, config.t_max, step,

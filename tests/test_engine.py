@@ -42,6 +42,11 @@ def random_graph(rng: random.Random, n: int, p: float) -> GraphSnapshot:
     )
 
 
+def edge_arrays(g: GraphSnapshot, d_policy: str, d_fixed, t: int) -> EdgeArrays:
+    edges = np.array(g.edge_list, dtype=np.intp).reshape(-1, 2)
+    return EdgeArrays(g.n, edges, d_policy, d_fixed, t)
+
+
 class TestEdgeArrays:
     @pytest.mark.parametrize("n,p", [(1, 0.0), (7, 0.0), (7, 0.3), (40, 0.3), (40, 0.9)])
     @pytest.mark.parametrize("seed", range(3))
@@ -63,7 +68,7 @@ class TestEdgeArrays:
                 for k, ts in enumerate(terms)
             )
         want = [fold_sum(w for _, w in sorted(ts)) for ts in terms]
-        got = EdgeArrays(g, "max_degree", None, 1).fold(np.array(weights, dtype=float))
+        got = edge_arrays(g, "max_degree", None, 1).fold(np.array(weights, dtype=float))
         assert got.dtype == np.float64
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
@@ -72,7 +77,7 @@ class TestEdgeArrays:
     )
     def test_array_pair_bound_equals_the_scalar_form(self, d_policy, d_fixed):
         for g in (random_graph(random.Random(3), 25, 0.4), GraphSnapshot(3, [])):
-            D = EdgeArrays(g, d_policy, d_fixed, 1).D
+            D = edge_arrays(g, d_policy, d_fixed, 1).D
             deg = g.degrees
             want = [
                 pair_bound(d_policy, d_fixed, g.n, deg[i], deg[j])

@@ -10,6 +10,7 @@ message."""
 import itertools
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,31 @@ def test_engine_matches_per_node_reference(fields):
     assert same_bits(got.metrics, want.metrics)
     assert same_bits(got.records, want.records)
     assert (got.rounds, got.stopped_at) == (want.rounds, want.stopped_at)
+
+
+@pytest.mark.parametrize("horizon", [8, 10**20])
+def test_never_seen_slots_stay_out_of_records(horizon):
+    """Every slot of the universe exists from round 1; a record's estimate
+    maps hold only the peers a node has met, at every round, those within
+    the first prune horizon included."""
+    seq = make_sequence(
+        "core_synthetic", 9, 4, core_edges=[(k, k + 1) for k in range(8)],
+        block_len=4, extra_edge_prob=0.05,
+    )
+    params = ProtocolParams(0.25, 0.5, "theorem", "max_degree", None, horizon)
+    cfg = SimulationConfig(seq, params, InitSpec("spike"), 120, check_invariants=True)
+    got = run(cfg, keep_records=True)
+    met = set()
+    for t, rec in enumerate(got.records, start=1):
+        met |= seq.snapshot(t).edges
+        if t <= 8:  # the first prune horizon still has slots never seen
+            assert len(met) < len(seq.universe)
+        held = {(i, j) for i, peers in enumerate(rec.estimates) for j in peers if i < j}
+        assert held <= met
+    want = ref.run(cfg)
+    assert same_bits(got.records, want.records)
+    assert same_bits(got.metrics, want.metrics)
+    assert same_bits(got.final_x, want.final_x)
 
 
 def reference_metropolis(cfg: MetropolisConfig):

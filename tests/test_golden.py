@@ -3,7 +3,8 @@ and baseline, at seed 1 and 300 rounds, for the two fig1 presets' full
 100,000-round runs, for a fig1-line baseline run past its fixed point, for
 the two theorem presets' full 5,000-round runs,
 checked and unchecked, and for a core_synthetic config,
-which no preset uses, with its check-core output; a sweep's sweep.csv; a full-trace
+which no preset uses, with its check-core output; the draws of the two
+generated sequence kinds; a sweep's sweep.csv; a full-trace
 run's metrics.csv and trace.csv; and the summary line of runs that stop at
 round 0, stop mid-run, or never stop. A refactor that changes any byte of
 these outputs changes behaviour; regenerate the values only for an intended
@@ -23,6 +24,7 @@ import ternary_consensus
 from ternary_consensus import engine
 from ternary_consensus.cli import METRICS_HEADER, main
 from ternary_consensus.config import resolve_config
+from ternary_consensus.graphs import make_sequence
 
 GOLDEN = {
     ("fig1-complete", False): "564218f4c8ef42193a518a96b4e79dcadaf72fba4471b141c2bbf39985d30178",
@@ -150,6 +152,26 @@ def test_core_synthetic_check_core_output(tmp_path):
         "core-connected: yes\n"
         "core edges: 0-1 1-2 2-3 3-4 3-10 4-5 5-6 5-11 6-7 7-8 7-12 8-9 12-13\n"
     )
+
+
+# each round's sorted edge list, rounds 1..200, as repr'd tuples
+DRAWS_GOLDEN = {
+    "relabeled_line": "11346b43006c80e2d645a5debda2a88b67eee21bd9b1f143fd58d0584de5e81d",
+    "core_synthetic": "f5b38d72375c7ba5018a5bf5729936abcb944d0cc485ac6e569e509d3febb28e",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWS_GOLDEN))
+def test_generated_sequence_draws(kind):
+    """The generators' draws, pinned before they moved from edge sets to
+    universe rows."""
+    if kind == "relabeled_line":
+        seq = make_sequence(kind, 10, seed=3)
+    else:
+        core = [(i, i + 1) for i in range(11)]
+        seq = make_sequence(kind, 12, core_edges=core, block_len=4, extra_edge_prob=0.1)
+    rounds = repr([seq.snapshot(t).edge_list for t in range(1, 201)])
+    assert hashlib.sha256(rounds.encode()).hexdigest() == DRAWS_GOLDEN[kind]
 
 
 def sha256(path) -> str:

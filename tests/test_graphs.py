@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,8 @@ class TestSequences:
         seq = make_sequence("static", 3, base="line")
         with pytest.raises(ValueError, match=">= 1"):
             seq.snapshot(0)
+        with pytest.raises(ValueError, match=">= 1"):
+            seq.edge_ids(0)
 
     def test_relabeled_line_shape(self):
         seq = make_sequence("relabeled_line", 3, seed=5)
@@ -173,6 +176,79 @@ class TestSequences:
         assert frozenset(line_edges(8)) <= result.core_edges
 
 
+@st.composite
+def any_sequence(draw):
+    """A sequence of any kind on 1 to 7 nodes (relabeled_line from 2), and
+    a number of rounds to read from it."""
+    kind = draw(st.sampled_from(
+        ("static", "periodic", "explicit", "core_synthetic", "relabeled_line")
+    ))
+    n = draw(st.integers(2 if kind == "relabeled_line" else 1, 7))
+    t_max = draw(st.integers(1, 30))
+    pairs = list(itertools.combinations(range(n), 2))
+    # empty subsets give edgeless rounds and isolated nodes
+    subsets = st.just([])
+    if pairs:
+        subsets = st.lists(st.sampled_from(pairs), max_size=len(pairs))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "static":
+        return make_sequence(kind, n, edges=draw(subsets)), t_max
+    if kind == "periodic":
+        rounds = draw(st.lists(subsets, min_size=1, max_size=4))
+        return make_sequence(kind, n, rounds=rounds), t_max
+    if kind == "explicit":
+        rounds = draw(st.lists(subsets, min_size=t_max, max_size=t_max))
+        return make_sequence(kind, n, rounds=rounds), t_max
+    if kind == "relabeled_line":
+        return make_sequence(kind, n, seed), t_max
+    core = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
+    seq = make_sequence(
+        kind, n, seed, core_edges=core, block_len=draw(st.integers(1, 4)),
+        extra_edge_prob=draw(st.sampled_from((0.0, 0.2, 1.0))),
+    )
+    return seq, t_max
+
+
+class TestEdgeUniverse:
+    @given(any_sequence())
+    @settings(max_examples=150, deadline=None)
+    def test_edge_ids_index_the_universe(self, case):
+        seq, t_max = case
+        universe = seq.universe
+        assert universe.dtype == np.intp and universe.shape == (len(universe), 2)
+        assert not universe.flags.writeable
+        rows = list(map(tuple, universe.tolist()))
+        assert rows == sorted(set(rows))
+        assert all(0 <= i < j < seq.n for i, j in rows)
+        ids_of = {}  # snapshot object id -> (snapshot, its ids)
+        shown = set()
+        for t in range(1, t_max + 1):
+            ids, g = seq.edge_ids(t), seq.snapshot(t)
+            assert ids.dtype == np.intp
+            assert (np.diff(ids) > 0).all()
+            assert ((0 <= ids) & (ids < len(universe))).all()
+            assert GraphSnapshot(seq.n, map(tuple, universe[ids].tolist())) == g
+            assert ids_of.setdefault(id(g), (g, ids))[1] is ids
+            shown |= g.edges
+        assert shown <= set(rows)
+
+    def test_universe_by_kind(self):
+        line = list(line_edges(4))
+        all_pairs = sorted(complete_edges(4))
+        cases = [
+            (make_sequence("static", 4, base="line"), sorted(line)),
+            (make_sequence("periodic", 4, rounds=[[(2, 3)], [], [(0, 1), (2, 3)]]),
+             [(0, 1), (2, 3)]),
+            (make_sequence("core_synthetic", 4, core_edges=line, block_len=2),
+             sorted(line)),
+            (make_sequence("core_synthetic", 4, core_edges=line, block_len=2,
+                           extra_edge_prob=0.01), all_pairs),
+            (make_sequence("relabeled_line", 4, seed=1), all_pairs),
+        ]
+        for seq, want in cases:
+            assert list(map(tuple, seq.universe.tolist())) == want, seq.kind
+
+
 class TestMakeSequenceParameters:
     @pytest.mark.parametrize(
         "kind,kw,needle",
@@ -223,12 +299,28 @@ class TestCoreCheck:
         assert check_core_connected(window, 2).is_core_connected
 
     def test_argument_errors(self):
-        with pytest.raises(ValueError):
-            check_core_connected([], 1)
-        with pytest.raises(ValueError):
-            check_core_connected([snap(3, [])], 0)
-        with pytest.raises(ValueError, match="shorter than one block"):
-            check_core_connected([snap(3, [])], 2)
+        mixed = [snap(3, []), snap(4, [])]
+        for window in (list, iter):  # the same checks, in the same order
+            with pytest.raises(ValueError, match="at least one snapshot"):
+                check_core_connected(window([]), 0)
+            with pytest.raises(ValueError, match="block length must be >= 1"):
+                check_core_connected(window([snap(3, [])]), 0)
+            with pytest.raises(ValueError, match="window of 1 rounds is shorter"):
+                check_core_connected(window([snap(3, [])]), 2)
+            with pytest.raises(ValueError, match="shorter than one block"):
+                check_core_connected(window(mixed), 3)
+            with pytest.raises(ValueError, match="same node count"):
+                check_core_connected(window(mixed), 1)
+
+    def test_a_generator_window_gives_the_list_result(self):
+        seq = make_sequence(
+            "core_synthetic", 6, seed=2, core_edges=list(line_edges(6)),
+            block_len=3, extra_edge_prob=0.3,
+        )
+        window = [seq.snapshot(t) for t in range(1, 32)]
+        for B in (1, 3, 4):
+            got = check_core_connected((seq.snapshot(t) for t in range(1, 32)), B)
+            assert got == check_core_connected(window, B)
 
     def test_monotone_in_block_length(self):
         # passing at block length B implies passing at any multiple of B

@@ -105,7 +105,7 @@ def cases(draw):
 def _regap(state):
     """Recompute the snapshot's gaps b - a from the estimates, as run_round
     derives them."""
-    pairs = state.est[state.slot]
+    pairs = state.est[state.ids]
     state.gap = pairs[:, 1] - pairs[:, 0]
 
 
@@ -140,7 +140,7 @@ def _corrupt(state, kind, r, delta, facts):
         state.est[r % len(state.est), r // 7 % 2] += delta
         _regap(state)
     elif kind == "flip_gap":
-        s = state.slot[active[r % len(active)]]
+        s = state.ids[active[r % len(active)]]
         state.est[s] = state.est[s, ::-1].copy()
         _regap(state)
     elif kind in D_FACTORS:

@@ -202,10 +202,10 @@ class TestSharedDegreeBound:
         from ternary_consensus.errors import PolicyViolationError
         from ternary_consensus.protocol import pair_bound
 
-        g = GraphSnapshot(3, line_edges(3))  # degrees 2, 3, 2 with self-loops
+        line = np.array(sorted(line_edges(3)))  # degrees 2, 3, 2 with self-loops
         with pytest.raises(PolicyViolationError, match="pair degree 3 at round 7"):
-            EdgeArrays(g, "fixed", 2.0, 7)
-        assert EdgeArrays(g, "fixed", 3.0, 7).D.tolist() == [3.0, 3.0]
+            EdgeArrays(3, line, "fixed", 2.0, 7)
+        assert EdgeArrays(3, line, "fixed", 3.0, 7).D.tolist() == [3.0, 3.0]
         # the formula itself trusts the check made when the arrays are built
         assert pair_bound("fixed", 2.0, 3, 3, 2) == 2.0
 

@@ -350,8 +350,9 @@ def metropolis_per_round(cfg, stop_err=None):
     while not stop_reached(row, stop_err) and row.t < cfg.t_max:
         t = row.t + 1
         g = cfg.seq.snapshot(t)
-        if arrays is None or g is not arrays.graph:
-            arrays = EdgeArrays(g, cfg.d_policy, cfg.d_fixed, t)
+        if arrays is None or g is not last_g:
+            edges = np.array(g.edge_list, dtype=np.intp).reshape(-1, 2)
+            arrays, last_g = EdgeArrays(g.n, edges, cfg.d_policy, cfg.d_fixed, t), g
         x = metropolis._step(x, arrays)
         xs = tuple(x.tolist())
         row = compute_metrics(xs, avg0, t=t, active_edges=len(g.edges))
