@@ -354,7 +354,7 @@ def screen_round(
     v = state.arrays.ev[act]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = state.gap[act] / (x_pre[v] - x_pre[u])
-        a = w / state.denom[act]
+        a = w / state.arrays.denom[act]
     if not (w.min() >= 2.0 / 3.0 - MATRIX_TOL and w.max() <= 2.0 + MATRIX_TOL):
         return False
     if not 4.0 * n * _UNIT_ROUNDOFF * (1.0 + (n - 1) * a.max()) <= MATRIX_TOL / 2:

@@ -143,9 +143,8 @@ def check_known_bounds(
     (core_synthetic, relabeled_line) are checked as their rounds are run."""
     if d_policy != "fixed" or seq.kind not in ("static", "periodic", "explicit"):
         return
-    rounds = (seq.base,) if seq.kind == "static" else seq.rounds[:t_max]
     seen: set[GraphSnapshot] = set()
-    for t, g in enumerate(rounds, start=1):
+    for t, g in enumerate(seq.rounds[:t_max], start=1):
         if g not in seen:
             seen.add(g)
             check_fixed_bound(d_policy, d_fixed, g.degrees, t)
@@ -171,32 +170,32 @@ class RoundRecord:
 
 class EdgeArrays:
     """Edge-indexed arrays of one snapshot, shared by the protocol engine and
-    the averaging baseline. Runners build them from the universe rows of the
-    sequence's ``edge_ids(t)`` once per ids object and reuse them while the
-    sequence hands out the same object; building them checks a fixed degree
-    bound against the snapshot, first used at round t.
+    the averaging baseline, built by ``round_arrays``; building them checks a
+    fixed degree bound against the snapshot, first used at round t.
 
-    Edge k is ``edges[k] = (eu[k], ev[k])`` with eu < ev, and D[k] its pair
-    bound under the given policy; ``ends`` lists eu[0], ev[0], eu[1], ev[1],
-    ... The half-edges list every edge once from each endpoint: first every
-    edge from its high end ev[k], then every edge from its low end eu[k],
-    both in edge order. Half-edge h belongs to node h_node[h], refers to
-    edge h_edge[h] and carries sign h_sign[h], -1 at the high end and +1 at
-    the low one. The edges are sorted, so a node's half-edges in the first
-    part name its lower peers in ascending order and those in the second
-    part its higher peers in ascending order. ``np.bincount`` adds its
-    weights in array order starting from +0.0, so a fold over the half-edges
-    adds each node's terms in ascending peer order, as the per-node loops do
-    (``np.sum`` adds pairwise and rounds differently once a node has 8 or
-    more terms).
+    Edge k is ``edges[k] = (eu[k], ev[k])`` with eu < ev, its universe row
+    ids[k] (``ids`` is the sequence's ``edge_ids`` array), D[k] its pair
+    bound under the given policy and denom[k] = scale * D[k] the update's
+    denominator; ``ends`` lists eu[0], ev[0], eu[1], ev[1], ... The snapshot
+    ``graph`` and its all-zero messages ``silent`` are built by its first
+    record. The half-edges list every edge once from each endpoint: first
+    every edge from its high end ev[k], then every edge from its low end
+    eu[k], both in edge order; half-edge h belongs to node h_node[h]. The
+    edges are sorted, so a node's half-edges in the first part name its lower
+    peers in ascending order and those in the second part its higher peers
+    in ascending order. ``np.bincount`` adds its weights in array order
+    starting from +0.0, so a fold over the half-edges adds each node's terms
+    in ascending peer order, as the per-node loops do (``np.sum`` adds
+    pairwise and rounds differently once a node has 8 or more terms).
     """
 
-    __slots__ = ("n", "edges", "ends", "eu", "ev", "D", "h_node", "h_edge", "h_sign")
+    __slots__ = ("n", "edges", "ends", "eu", "ev", "D", "denom", "h_node", "ids",
+                 "graph", "silent")
 
     def __init__(
-        self, n: int, edges: np.ndarray, d_policy: str, d_fixed: float | None, t: int
+        self, n: int, edges: np.ndarray, d_policy: str, d_fixed: float | None,
+        t: int, scale: float = 1.0, ids: np.ndarray | None = None,
     ):
-        m = len(edges)
         ends = edges.ravel()
         eu = ends[0::2]
         ev = ends[1::2]
@@ -209,21 +208,32 @@ class EdgeArrays:
         self.eu = eu
         self.ev = ev
         self.D = pair_bound(d_policy, d_fixed, n, deg[eu], deg[ev])
-        h = np.arange(2 * m)
+        self.denom = scale * self.D
         self.h_node = np.concatenate((ev, eu))
-        self.h_edge = h % m if m else h
-        self.h_sign = np.where(h < m, -1.0, 1.0)
+        self.ids = ids
+        self.graph = self.silent = None
 
     def fold(self, per_edge: np.ndarray) -> np.ndarray:
         """Per-node sums of +per_edge[k] at eu[k] and -per_edge[k] at ev[k],
         each node's terms added in ascending peer order."""
-        if not len(self.h_edge):  # bincount of no weights would give int64 zeros
+        if not len(self.h_node):  # bincount of no weights would give int64 zeros
             return np.zeros(self.n)
         return np.bincount(
-            self.h_node,
-            weights=self.h_sign * per_edge[self.h_edge],
-            minlength=self.n,
+            self.h_node, weights=np.concatenate((-per_edge, per_edge)), minlength=self.n
         )
+
+
+def round_arrays(
+    seq: GraphSequence, t: int, d_policy: str, d_fixed: float | None,
+    arrays: EdgeArrays | None, scale: float = 1.0,
+) -> EdgeArrays:
+    """Round t's arrays, the one rule of both runners: ``arrays``, those of the
+    round before, while the sequence hands out their ids object again, and
+    otherwise new arrays of the universe rows ``seq.edge_ids(t)``."""
+    ids = seq.edge_ids(t)
+    if arrays is not None and ids is arrays.ids:
+        return arrays
+    return EdgeArrays(seq.n, seq.universe[ids], d_policy, d_fixed, t, scale, ids)
 
 
 @dataclass(slots=True, eq=False)
@@ -249,11 +259,7 @@ class EdgeState:
     universe: np.ndarray  # the sequence's: the edge of each slot
     est: np.ndarray
     last_seen: np.ndarray
-    ids: np.ndarray | None = None  # the snapshot's edge ids: the slot of each edge
-    arrays: EdgeArrays | None = None
-    denom: np.ndarray | None = None  # 2*D (practical) or 4*D (theorem)
-    graph: GraphSnapshot | None = None  # the snapshot, built by its first record
-    silent: tuple[Message, ...] | None = None  # the snapshot's messages, all q = 0
+    arrays: EdgeArrays | None = None  # denom: 2*D (practical) or 4*D (theorem)
     q: np.ndarray | None = None  # the last round run
     gap: np.ndarray | None = None
     act: np.ndarray | None = None
@@ -284,19 +290,6 @@ def init_state(config: SimulationConfig) -> EdgeState:
     )
 
 
-def _enter_snapshot(
-    state: EdgeState, ids: np.ndarray, t: int, params: ProtocolParams
-) -> None:
-    """Build the arrays of the edge ids first handed out at round t."""
-    arrays = EdgeArrays(
-        len(state.x), state.universe[ids], params.bound_policy, params.d_fixed, t
-    )
-    state.ids = ids
-    state.arrays = arrays
-    state.denom = params.denom_scale * arrays.D
-    state.graph = state.silent = None  # built by the first record of these ids
-
-
 def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     """Execute round t, mutating state in place.
 
@@ -308,10 +301,11 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     active pairs.
     """
     params = config.params
-    ids = config.seq.edge_ids(t)
-    if ids is not state.ids:
-        _enter_snapshot(state, ids, t, params)
-    arrays = state.arrays
+    arrays = state.arrays = round_arrays(
+        config.seq, t, params.bound_policy, params.d_fixed, state.arrays,
+        params.denom_scale,
+    )
+    ids = arrays.ids
     est = state.est
     last_seen = state.last_seen
     if params.prune_horizon is not None:
@@ -344,7 +338,7 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     x_pre = x
     if act.any():
         # inactive edges add +-0.0, which leaves a sum from +0.0 unchanged
-        acc = arrays.fold(np.where(act, gap / state.denom, 0.0))
+        acc = arrays.fold(np.where(act, gap / arrays.denom, 0.0))
         if params.variant == "theorem":
             acc = t ** (-params.beta) * acc
         # nodes with no active peer keep x untouched, signed zeros included
@@ -382,7 +376,8 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     for t and last_seen. Marking the slots through the last round lets the
     round after the stretch prune as if the stretch had run.
     """
-    d = np.abs(state.x[state.arrays.ends] - state.est[state.ids].ravel())
+    ids = state.arrays.ids
+    d = np.abs(state.x[state.arrays.ends] - state.est[ids].ravel())
     d_max = float(d.max(initial=0.0))
     g_max = float(np.abs(state.gap).max(initial=0.0))
     try:
@@ -394,7 +389,7 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     except OverflowError:  # the power, or floor(inf)
         last = t_max
     if last > t:
-        state.last_seen[state.ids] = last
+        state.last_seen[ids] = last
     return max(last, t)
 
 
@@ -402,27 +397,28 @@ def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
     """The per-node view of round t, the last round run, rebuilt from the
     edge arrays. ``run`` copies it for the rest of the quiet stretch t opens,
     as only a static sequence skips (see ``run``)."""
-    if state.graph is None:
-        state.graph = GraphSnapshot(
-            state.arrays.n, frozenset(map(tuple, state.arrays.edges.tolist()))
+    arrays = state.arrays
+    if arrays.graph is None:
+        arrays.graph = GraphSnapshot(
+            arrays.n, frozenset(map(tuple, arrays.edges.tolist()))
         )
         # records copy this tuple and patch in the few nonzero symbols
-        state.silent = tuple(
-            m for i, j in state.graph.edge_list
+        arrays.silent = tuple(
+            m for i, j in arrays.graph.edge_list
             for m in (Message(i, j, 0), Message(j, i, 0))
         )
-    g = state.graph
+    g = arrays.graph
     n = g.n
     edges = g.edge_list
     q = state.q
     act = state.act
-    messages = list(state.silent)
+    messages = list(arrays.silent)
     for h in np.flatnonzero(q).tolist():
         src, dst, _ = messages[h]
         messages[h] = Message(src, dst, int(q[h]))
     active_sets: list[set[int]] = [set() for _ in range(n)]
     d_bounds: dict[Edge, float] = {}
-    D = state.arrays.D
+    D = arrays.D
     for k in np.flatnonzero(act).tolist():
         i, j = edges[k]
         active_sets[i].add(j)

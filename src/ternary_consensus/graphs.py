@@ -134,19 +134,15 @@ def _all_pairs(n: int) -> np.ndarray:
     return np.column_stack(np.triu_indices(n, 1)).astype(np.intp)
 
 
-def _pair_row(n: int, i, j):
-    """Row of the pair (i, j), i < j, in the sorted array of all pairs of n
-    nodes; i and j may be int arrays."""
-    return i * (2 * n - 1 - i) // 2 + j - i - 1
-
-
 def _check_round(t: int) -> None:
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
 
 
 class GraphSequence:
-    """Deterministic source of per-round snapshots; subclasses fix one kind.
+    """Deterministic source of per-round snapshots. Each subclass fixes one
+    kind, except ``ExplicitSequence``, which tabulates the explicit, periodic
+    and static kinds.
 
     ``universe`` is a sorted, read-only (|U|, 2) intp array of every edge
     (u, v), u < v, the sequence can show, and ``edge_ids(t)`` the sorted rows
@@ -168,6 +164,16 @@ class GraphSequence:
         edges.setflags(write=False)
         return edges
 
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """u*n + v of each universe edge (u, v): sorted, as the universe is."""
+        return self.universe[:, 0] * self.n + self.universe[:, 1]
+
+    def _rows(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The universe rows of the edges (u[k], v[k]), u < v, each of them in
+        the universe."""
+        return np.searchsorted(self._keys, u * self.n + v)
+
     def snapshot(self, t: int) -> GraphSnapshot:
         _check_round(t)
         return self._snapshot(t)
@@ -188,46 +194,25 @@ class GraphSequence:
 
 
 @dataclass(frozen=True)
-class StaticSequence(GraphSequence):
-    base: GraphSnapshot
-    kind = "static"
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def _universe(self) -> np.ndarray:
-        return _edge_array(self.base.edges)
-
-    @cached_property
-    def _all_ids(self) -> np.ndarray:
-        return np.arange(len(self.universe))
-
-    def _edge_ids(self, t: int) -> np.ndarray:
-        return self._all_ids
-
-    def _snapshot(self, t: int) -> GraphSnapshot:
-        return self.base
-
-
-@dataclass(frozen=True)
 class ExplicitSequence(GraphSequence):
-    """A fully enumerated list of snapshots. Finite by default, so querying
-    past the end is an error; with ``cycle`` set, round t gets entry
-    (t-1) mod p forever."""
+    """A fully enumerated list of snapshots. An explicit sequence is finite,
+    so querying past the end is an error; a periodic one gives round t entry
+    (t-1) mod p forever, and a static one is a single round so cycled."""
 
     rounds: tuple[GraphSnapshot, ...]
-    cycle: bool = False
+    kind: str = "explicit"
 
     def __post_init__(self):
+        if self.kind not in ("explicit", "periodic", "static"):
+            raise ValueError(f"unknown tabulated sequence kind {self.kind!r}")
         if not self.rounds:
             raise ValueError(f"{self.kind} sequence needs at least one round")
+        if self.kind == "static" and len(self.rounds) != 1:
+            raise ValueError(
+                f"static sequence has exactly one round, got {len(self.rounds)}"
+            )
         if len({g.n for g in self.rounds}) != 1:
             raise ValueError(f"all rounds in a {self.kind} sequence must share n")
-
-    @property
-    def kind(self) -> str:
-        return "periodic" if self.cycle else "explicit"
 
     @property
     def n(self) -> int:
@@ -241,16 +226,16 @@ class ExplicitSequence(GraphSequence):
 
     @cached_property
     def _ids(self) -> tuple[np.ndarray, ...]:
-        """Each round's ids, one array per distinct snapshot."""
-        row = {e: k for k, e in enumerate(map(tuple, self.universe.tolist()))}
-        ids = {
-            g: np.array([row[e] for e in g.edge_list], dtype=np.intp)
-            for g in self.rounds
-        }
+        """Each round's ids, one read-only array per distinct snapshot."""
+        ids = {}
+        for g in dict.fromkeys(self.rounds):
+            edges = _edge_array(g.edges)
+            ids[g] = self._rows(edges[:, 0], edges[:, 1])
+            ids[g].setflags(write=False)
         return tuple(ids[g] for g in self.rounds)
 
     def _index(self, t: int) -> int:
-        if self.cycle:
+        if self.kind != "explicit":
             return (t - 1) % len(self.rounds)
         if t > len(self.rounds):
             raise ValueError(
@@ -287,7 +272,7 @@ class RelabeledLineSequence(GraphSequence):
         rng.shuffle(perm)
         a = np.array(perm[:-1], dtype=np.intp)
         b = np.array(perm[1:], dtype=np.intp)
-        return np.sort(_pair_row(self.n, np.minimum(a, b), np.maximum(a, b)))
+        return np.sort(self._rows(np.minimum(a, b), np.maximum(a, b)))
 
 
 @dataclass(frozen=True)
@@ -333,10 +318,8 @@ class CoreSyntheticSequence(GraphSequence):
     @cached_property
     def _core_rows(self) -> list[int]:
         """The universe rows of the core edges, in sorted edge order."""
-        if self.extra_edge_prob > 0.0:
-            core = _edge_array(self.core_edges)
-            return _pair_row(self.n, core[:, 0], core[:, 1]).tolist()
-        return list(range(len(self.core_edges)))
+        core = _edge_array(self.core_edges)
+        return self._rows(core[:, 0], core[:, 1]).tolist()
 
     @cached_property
     def _non_core_rows(self) -> list[int]:
@@ -464,7 +447,7 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
             raise ValueError(f"unknown static base {base!r}")
         else:
             snap = GraphSnapshot(n, frozenset(normalize_edge(i, j) for i, j in edges))
-        return StaticSequence(snap)
+        return ExplicitSequence((snap,), "static")
     if kind in ("periodic", "explicit"):
         rounds = kw.pop("rounds", None)
         path = kw.pop("path", None) if kind == "explicit" else None
@@ -480,7 +463,7 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
             )
         else:
             raise ValueError(f"{kind} sequence needs its rounds")
-        return ExplicitSequence(snaps, cycle=kind == "periodic")
+        return ExplicitSequence(snaps, kind)
     if kind == "core_synthetic":
         if missing := {"core_edges", "block_len"} - kw.keys():
             raise ValueError(f"{kind} sequence needs {' and '.join(sorted(missing))}")

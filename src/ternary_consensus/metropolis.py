@@ -14,6 +14,7 @@ from .engine import (
     _drive,
     check_known_bounds,
     check_run_lengths,
+    round_arrays,
 )
 from .graphs import GraphSequence
 from .protocol import check_d_policy
@@ -62,20 +63,16 @@ def run_metropolis(
     t_max without running them.
     """
     seq = config.seq
-    arrays = ids = None
+    arrays = None
     x = np.array(config.init.build(seq.n), dtype=float)
     static = seq.kind == "static"
 
     def step(t: int):
-        nonlocal arrays, ids, x
-        if (new_ids := seq.edge_ids(t)) is not ids:
-            ids = new_ids
-            arrays = EdgeArrays(
-                seq.n, seq.universe[ids], config.d_policy, config.d_fixed, t
-            )
+        nonlocal arrays, x
+        arrays = round_arrays(seq, t, config.d_policy, config.d_fixed, arrays)
         prev, x = x, _step(x, arrays)
         repeats = static and x.tobytes() == prev.tobytes()
-        return x, len(ids), 0, config.t_max if repeats else t
+        return x, len(arrays.ids), 0, config.t_max if repeats else t
 
     result = _drive(
         x, config.t_max, step,

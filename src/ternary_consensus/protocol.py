@@ -10,6 +10,7 @@ engine owns phase ordering; each operation computes its per-round scales from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf, isfinite
 from typing import NamedTuple
 
@@ -100,12 +101,12 @@ class ProtocolParams:
         if self.prune_horizon is not None and self.prune_horizon < 1:
             raise ValueError(f"prune_horizon must be >= 1, got {self.prune_horizon}")
 
-    @property
+    @cached_property  # both are read every round, by engine.run_round
     def bound_policy(self) -> str:
         """d_policy, or "max_degree" for the practical variant's 2*max(d_i, d_j)."""
         return self.d_policy if self.variant == "theorem" else "max_degree"
 
-    @property
+    @cached_property
     def denom_scale(self) -> float:
         """c in the update's denominator c*D: 4 (theorem) or 2 (practical)."""
         return 4.0 if self.variant == "theorem" else 2.0

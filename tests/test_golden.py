@@ -5,10 +5,11 @@ the two theorem presets' full 5,000-round runs,
 checked and unchecked, and for a core_synthetic config,
 which no preset uses, with its check-core output; the draws of the two
 generated sequence kinds; a sweep's sweep.csv; a full-trace
-run's metrics.csv and trace.csv; and the summary line of runs that stop at
-round 0, stop mid-run, or never stop. A refactor that changes any byte of
-these outputs changes behaviour; regenerate the values only for an intended
-behaviour change, and say so in the change log."""
+run's metrics.csv and trace.csv; the summary line of runs that stop at
+round 0, stop mid-run, or never stop; and a static graph's metrics.csv
+against the same graph's as a one-round periodic sequence. A refactor that
+changes any byte of these outputs changes behaviour; regenerate the values
+only for an intended behaviour change, and say so in the change log."""
 
 import contextlib
 import hashlib
@@ -106,6 +107,30 @@ def test_checked_run_writes_the_unchecked_bytes(preset, tmp_path):
         argv = ["run", "--config", config, "--seed", "1", "--out", str(out), "--quiet"]
         assert main(argv + flags) == 0
         assert sha256(out / "metrics.csv") == CHECKED_GOLDEN[preset]
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["protocol", "baseline"])
+@pytest.mark.parametrize("preset", ["fig1-line", "theorem-a025-b050"])
+def test_static_graph_writes_the_bytes_of_a_one_round_periodic_one(
+    preset, baseline, tmp_path
+):
+    """A static graph is the period-1 case of a periodic sequence: the same
+    graph as one periodic round writes the same bytes, though only the static
+    kind skips quiet stretches. theorem-a025-b050 sets run.check."""
+    doc = yaml.safe_load(resolve_config(preset).read_text())
+    graph = doc["graph"]
+    base = make_sequence("static", graph["n"], base=graph.pop("base")).snapshot(1)
+    graph.update(kind="periodic", rounds=[[f"{i}-{j}" for i, j in base.edge_list]])
+    periodic = tmp_path / "periodic.yaml"
+    periodic.write_text(yaml.safe_dump(doc))
+    outputs = []
+    for config in (preset, str(periodic)):
+        out = tmp_path / f"out{len(outputs)}"
+        argv = ["run", "--config", config, "--seed", "1", "--t-max", "3000",
+                "--out", str(out), "--quiet"]
+        assert main(argv + ["--baseline"] if baseline else argv) == 0
+        outputs.append((out / "metrics.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # n >= 12, B >= 3, extra edges and pruning on: a fresh snapshot every round

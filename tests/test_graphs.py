@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from reference_engine import core_synthetic_snapshot
 from ternary_consensus.graphs import (
     CoreSyntheticSequence,
+    ExplicitSequence,
     GraphSnapshot,
     check_core_connected,
     complete_edges,
@@ -79,6 +80,24 @@ class TestSequences:
         assert seq.snapshot(2).edges == frozenset()
         with pytest.raises(ValueError, match="beyond explicit sequence"):
             seq.snapshot(3)
+
+    @pytest.mark.parametrize("kind", ["static", "periodic", "explicit"])
+    def test_cached_ids_are_read_only(self, kind):
+        rounds = [line_edges(3)] * 6
+        seq = (make_sequence(kind, 3, base="line") if kind == "static"
+               else make_sequence(kind, 3, rounds=rounds))
+        with pytest.raises(ValueError, match="read-only"):
+            seq.edge_ids(1)[0] = 1
+        assert seq.edge_ids(5).tolist() == [0, 1]
+        assert seq.snapshot(5).edges == line_edges(3)
+
+    def test_tabulated_kinds(self):
+        g = snap(3, line_edges(3))
+        assert ExplicitSequence((g,), "static").kind == "static"
+        with pytest.raises(ValueError, match="exactly one round, got 2"):
+            ExplicitSequence((g, g), "static")
+        with pytest.raises(ValueError, match="unknown tabulated sequence kind"):
+            ExplicitSequence((g,), "core_synthetic")
 
     def test_round_index_starts_at_one(self):
         seq = make_sequence("static", 3, base="line")

@@ -105,7 +105,7 @@ def cases(draw):
 def _regap(state):
     """Recompute the snapshot's gaps b - a from the estimates, as run_round
     derives them."""
-    pairs = state.est[state.ids]
+    pairs = state.est[state.arrays.ids]
     state.gap = pairs[:, 1] - pairs[:, 0]
 
 
@@ -140,18 +140,18 @@ def _corrupt(state, kind, r, delta, facts):
         state.est[r % len(state.est), r // 7 % 2] += delta
         _regap(state)
     elif kind == "flip_gap":
-        s = state.ids[active[r % len(active)]]
+        s = arrays.ids[active[r % len(active)]]
         state.est[s] = state.est[s, ::-1].copy()
         _regap(state)
     elif kind in D_FACTORS:
-        D, denom = arrays.D, state.denom
+        D, denom = arrays.D, arrays.denom
         factor = D_FACTORS[kind]
         arrays.D = D * factor
-        state.denom = denom * factor
+        arrays.denom = denom * factor
 
         def undo():
             arrays.D = D
-            state.denom = denom
+            arrays.denom = denom
 
         return undo
     elif kind.startswith("prev_"):
@@ -219,7 +219,7 @@ def _quartered_bounds(state, t):
     denominator) by 4, which breaks diagonal dominance a few rounds on."""
     if t == 1:
         state.arrays.D = state.arrays.D * 0.25
-        state.denom = state.denom * 0.25
+        state.arrays.denom = state.arrays.denom * 0.25
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from ternary_consensus.engine import InitSpec
 from ternary_consensus.errors import ConfigError, DivergenceError
 from ternary_consensus.graphs import (
+    ExplicitSequence,
     GraphSnapshot,
-    StaticSequence,
     complete_edges,
     line_edges,
     make_sequence,
@@ -21,7 +21,7 @@ from ternary_consensus.metropolis import MetropolisConfig, run_metropolis
 def metropolis_round(x, g: GraphSnapshot, d_policy="max_degree", d_fixed=None):
     """One baseline step from x over g: a one-round run_metropolis."""
     init = InitSpec("explicit", values=tuple(x))
-    cfg = MetropolisConfig(StaticSequence(g), init, 1, d_policy, d_fixed)
+    cfg = MetropolisConfig(ExplicitSequence((g,), "static"), init, 1, d_policy, d_fixed)
     return list(run_metropolis(cfg)[1])
 
 

@@ -30,7 +30,6 @@ from ternary_consensus.errors import ConfigError, InvariantViolationError
 from ternary_consensus.graphs import (
     ExplicitSequence,
     GraphSnapshot,
-    StaticSequence,
     make_sequence,
 )
 from ternary_consensus.metropolis import MetropolisConfig, run_metropolis
@@ -412,10 +411,10 @@ def baseline_runs(draw):
         return GraphSnapshot(n, frozenset(draw(edges)))
 
     if draw(st.integers(0, 3)):  # mostly static: the sequences that skip
-        seq = StaticSequence(snapshot())
+        seq = ExplicitSequence((snapshot(),), "static")
     else:
         seq = ExplicitSequence(
-            tuple(snapshot() for _ in range(draw(st.integers(1, 3)))), cycle=True
+            tuple(snapshot() for _ in range(draw(st.integers(1, 3)))), "periodic"
         )
     d_policy = draw(st.sampled_from(("max_degree", "global_n", "fixed")))
     d_fixed = draw(st.sampled_from((float(n), n + 0.5))) if d_policy == "fixed" else None
@@ -452,7 +451,7 @@ def test_baseline_skip_matches_the_per_round_loop(cfg, data):
 
 
 LINE_4 = MetropolisConfig(
-    StaticSequence(GraphSnapshot(4, frozenset({(0, 1), (1, 2), (2, 3)}))),
+    ExplicitSequence((GraphSnapshot(4, frozenset({(0, 1), (1, 2), (2, 3)})),), "static"),
     InitSpec("spike"),
     t_max=400,
 )
@@ -479,7 +478,7 @@ def test_baseline_signed_zero_flip_is_a_change(monkeypatch):
     +0.0), so round 1 changes the values bitwise and round 2 is the first
     that repeats its input."""
     cfg = MetropolisConfig(
-        StaticSequence(GraphSnapshot(3, frozenset({(0, 1)}))),
+        ExplicitSequence((GraphSnapshot(3, frozenset({(0, 1)})),), "static"),
         InitSpec("explicit", values=(0.5, 0.5, -0.0)),
         t_max=50,
     )
@@ -494,7 +493,7 @@ def test_baseline_signed_zero_flip_is_a_change(monkeypatch):
 @pytest.mark.parametrize("n", [1, 3])
 def test_baseline_edgeless_graph_repeats_from_round_1(monkeypatch, n):
     cfg = MetropolisConfig(
-        StaticSequence(GraphSnapshot(n, frozenset())),
+        ExplicitSequence((GraphSnapshot(n, frozenset()),), "static"),
         InitSpec("explicit", values=(0.25,) * n),
         t_max=30,
     )
