@@ -69,7 +69,8 @@ def compute_metrics(
     lo = min(x)
     mean = fold_sum(x) / len(x)
     v2 = sqrt(fold_sum((v - mean) ** 2 for v in x))
-    err = max(abs(v - avg0) for v in x)
+    # v - avg0 rounds monotonically in v, so |v - avg0| peaks at hi or lo
+    err = max(abs(hi - avg0), abs(lo - avg0))
     return MetricsRow(t, hi, lo, hi - lo, v2, err, active_edges, nonzero_msgs)
 
 

@@ -129,25 +129,21 @@ def cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     out_dir = Path(cfg.out_dir)
     last_row = None
-    last_x = None
-    tail = ""
+    rounds = 0
     trace_fh = None
-    trace_tails: list[str] = []
 
-    def on_row(row, x):
-        # the runners hand every round of a quiet stretch the values object
-        # and fields of the round that opens it: format them once
-        nonlocal last_row, last_x, tail, trace_tails
-        if x is not last_x:
-            last_x = x
-            tail = _metrics_tail(row)
-            if trace_fh is not None:
-                trace_tails = [f",{i},{_fmt(v)}\n" for i, v in enumerate(x)]
-        last_row = row
-        t = str(row.t)
-        metrics_fh.write(f"{t},{tail}")
+    def on_row(row, x, last):
+        # rounds row.t..last share row's fields and the values x: format
+        # them once and stream the stretch's lines without building them
+        nonlocal last_row, rounds
+        last_row, rounds = row, last
+        tail = _metrics_tail(row)
+        metrics_fh.writelines(f"{s},{tail}" for s in range(row.t, last + 1))
         if trace_fh is not None:
-            trace_fh.writelines([t + line for line in trace_tails])
+            lines = [f",{i},{_fmt(v)}\n" for i, v in enumerate(x)]
+            trace_fh.writelines(
+                f"{s}{line}" for s in range(row.t, last + 1) for line in lines
+            )
 
     with _OutputFiles() as files:
         metrics_fh = files.open(out_dir / "metrics.csv")
@@ -177,11 +173,11 @@ def cmd_run(args) -> int:
         if cfg.stop_err is None:
             stop_txt = "n/a"
         elif stop_reached(last_row, cfg.stop_err):
-            stop_txt = str(last_row.t)
+            stop_txt = str(rounds)
         else:
             stop_txt = "not reached"
         print(
-            f"rounds={last_row.t} err_max={_fmt(last_row.err_max)} "
+            f"rounds={rounds} err_max={_fmt(last_row.err_max)} "
             f"V2={_fmt(last_row.V2)} stop_round={stop_txt}"
         )
     return 0

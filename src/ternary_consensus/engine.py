@@ -11,16 +11,17 @@ node folds its active peers in ascending order, as ``value_update`` does.
 
 ``run_round`` mutates an ``EdgeState`` and returns nothing; that state is
 what every reader of a round takes. The metrics sink gets each round's row
-and values. ``_record`` turns the state into a ``RoundRecord`` only when
-``run`` is asked to keep records, or for ``validate_round`` on a round that
-``analysis.screen_round`` does not clear.
+and values, in one call for a whole quiet stretch. ``_record`` turns the
+state into a ``RoundRecord`` only when ``run`` is asked to keep records, or
+for ``validate_round`` on a round that ``analysis.screen_round`` does not
+clear.
 
 On a static graph most rounds of a long run are quiet: no message is
 nonzero and no pair is active. After a quiet round, ``_quiet_until`` bounds
 the rounds that must stay quiet too, and ``run`` skips them: the run loop
-emits their rows without running them. Why the rows, records and checker
-verdicts are bitwise those of running every round is argued once, in
-``run``'s docstring.
+hands them to the sink in one call without running them. Why the rows,
+records and checker verdicts are bitwise those of running every round is
+argued once, in ``run``'s docstring.
 """
 
 from __future__ import annotations
@@ -446,22 +447,21 @@ def _drive(
 ) -> RunResult:
     """The run loop of both runners, from the initial values x. ``step(t)``
     runs round t and returns the new values, the round's active edge and
-    nonzero message counts, and the last round through which it proves the
-    run quiet, every round after t repeating round t's values and counts (t
-    itself when it proves nothing). Only this loop computes the t=0 facts
-    (avg0, the spread w0 and the sup-norm xinf0), applies the stop rule,
-    guards node values against divergence, hands the facts to ``validate``
-    and calls ``metrics_sink(row, x)`` with each round's row and values, a
-    tuple of floats; the last values are ``final_x``.
+    nonzero message counts, and the last round, at most t_max, through which
+    it proves the run quiet, every round after t repeating round t's values
+    and counts (t itself when it proves nothing). Only this loop computes the
+    t=0 facts (avg0, the spread w0 and the sup-norm xinf0), applies the stop
+    rule, guards node values against divergence, hands the facts to
+    ``validate`` and calls the sink; the last values are ``final_x``.
 
-    Rounds of a quiet stretch are not run: each gets the row of the round
-    that opens it, counters included, with its own t, and the same values
-    object. Every round that ``step`` runs gets a new values tuple, so a sink
-    knows a stretch's rows by that object. With no sink and no kept metrics
-    the loop jumps to the stretch's last round. ``validate`` sees every round
-    that ``step`` runs, the one that opens a stretch included, and none of
-    the stretch's rounds. Why that is the output of running every round is
-    argued in ``run``."""
+    The loop runs the round that opens a quiet stretch and jumps over the
+    rest: ``metrics_sink(row, x, last)`` is called once per round run, with
+    its row, its values as a tuple of floats and the stretch's last round,
+    and stands for rounds row.t..last, each with the row's fields and its
+    own t (last == row.t for a round that opens no stretch). Kept rows are
+    expanded likewise. ``validate`` sees every round that ``step`` runs
+    and none of a stretch's skipped rounds. Why that is the output of running
+    every round is argued in ``run``."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -476,36 +476,30 @@ def _drive(
     w0 = prev_row.W
     xinf0 = max(abs(prev_row.M), abs(prev_row.m))
     rows: list[MetricsRow] = []
-    emits = metrics_sink is not None or keep_metrics
-    t = quiet_to = 0
+    t = 0
     while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
         t += 1
-        if t <= quiet_to:  # in a quiet stretch: only t changes
-            row = MetricsRow(t, *fields)
-        else:
-            x, active_edges, nonzero_msgs, quiet_to = step(t)
-            xs = tuple(x.tolist())
-            if not all(map(isfinite, xs)):
-                i = next(i for i, v in enumerate(xs) if not isfinite(v))
-                raise DivergenceError(f"node {i} became non-finite at round {t}: {xs[i]!r}")
-            row = compute_metrics(
-                xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
-            )
-            if validate is not None:
-                violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
-                if violations:
-                    raise InvariantViolationError(t, violations)
-            if quiet_to > t:
-                fields = (row.M, row.m, row.W, row.V2, row.err_max,
-                          row.active_edges, row.nonzero_msgs)
-                if not emits:  # nothing reads the stretch's rows
-                    t = quiet_to
-                    row = MetricsRow(t, *fields)
+        x, active_edges, nonzero_msgs, last = step(t)
+        xs = tuple(x.tolist())
+        if not all(map(isfinite, xs)):
+            i = next(i for i, v in enumerate(xs) if not isfinite(v))
+            raise DivergenceError(f"node {i} became non-finite at round {t}: {xs[i]!r}")
+        row = compute_metrics(
+            xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
+        )
+        if validate is not None:
+            violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
+            if violations:
+                raise InvariantViolationError(t, violations)
         if metrics_sink is not None:
-            metrics_sink(row, xs)
+            metrics_sink(row, xs, last)
         if keep_metrics:
             rows.append(row)
+            fields = (row.M, row.m, row.W, row.V2, row.err_max,
+                      row.active_edges, row.nonzero_msgs)
+            rows.extend(MetricsRow(s, *fields) for s in range(t + 1, last + 1))
         prev_row = row
+        t = last
     stopped_at = t if stop_reached(prev_row, stop_err, stop_v2) else None
     return RunResult(rows, [], xs, rounds=t, stopped_at=stopped_at)
 
@@ -525,22 +519,23 @@ def run(
     round raises InvariantViolationError naming each failed check: a round
     that ``screen_round`` clears has no violation, and any other round's
     record goes to ``validate_round``, the one definition of the invariants
-    and their messages. ``metrics_sink(row, x)`` receives each round's row
-    and values as they are produced, which keeps very long runs memory-flat
-    when keep_metrics is off. keep_records keeps a ``RoundRecord`` of every
-    round in ``RunResult.records``; otherwise records are built only for the
-    checker.
+    and their messages. ``metrics_sink(row, x, last)`` receives the rows and
+    values as they are produced, one call for rounds row.t..last (see
+    ``_drive``), which keeps very long runs memory-flat when keep_metrics is
+    off. keep_records keeps a ``RoundRecord`` of every round in
+    ``RunResult.records``; otherwise records are built only for the checker.
 
     On a static sequence every run skips the quiet stretch after each quiet
-    round t (see ``_quiet_until``): ``_drive`` emits the stretch's rows
-    without running its rounds, and the rows, records, values, stop round
-    and checker verdict are bitwise those of running every round. Round t
-    itself is run, recorded and checked. A quiet round leaves x and every
-    estimate bitwise unchanged: each estimate gains 0 * t^-alpha = +0.0, and
-    no estimate is -0.0. So a skipped round s would run as round t did, and
-    its row differs from round t's in t alone. The stop rule cannot stop the
-    run inside the stretch: round t repeats the values of round t-1, which
-    did not meet it.
+    round t (see ``_quiet_until``): ``_drive`` hands the stretch to the sink
+    with round t's row in one call without running its rounds, and the rows,
+    records, values, stop round and checker verdict are bitwise those of
+    running every round. Round t itself is run, recorded and checked. A
+    quiet round leaves x and every estimate bitwise unchanged: each estimate
+    gains 0 * t^-alpha = +0.0, and no estimate is -0.0. So a skipped round s
+    would run as round t did, and its row differs from round t's in t alone.
+    The stop rule cannot stop the run inside the stretch: round t repeats
+    the values of round t-1, which did not meet it, so the loop may jump to
+    the stretch's last round.
 
     A skipped round s would also give a ``RoundRecord`` equal to round t's in
     all but t, and keep_records gives it round t's record with its own t: the
@@ -557,7 +552,6 @@ def run(
     params = config.params
     state = init_state(config)
     records: list[RoundRecord] = []
-    last_x = None  # the values of the last round kept
     skips = config.seq.kind == "static"
 
     def step(t: int):
@@ -573,15 +567,12 @@ def run(
         rec = _record(state, facts["row"].t, params)
         return validate_round(rec, prev_row, params, **facts)
 
-    def keep_record(row, x):
-        nonlocal last_x
+    def keep_record(row, x, last):
         if metrics_sink is not None:
-            metrics_sink(row, x)
-        if x is last_x:  # a skipped round: _drive hands it the same values
-            records.append(replace(records[-1], t=row.t))
-        else:
-            last_x = x
-            records.append(_record(state, row.t, params))
+            metrics_sink(row, x, last)
+        rec = _record(state, row.t, params)
+        records.append(rec)
+        records.extend(replace(rec, t=s) for s in range(row.t + 1, last + 1))
 
     result = _drive(
         state.x, config.t_max, step,

@@ -59,8 +59,8 @@ def run_metropolis(
 
     A step reads only x and the snapshot's arrays, never t. So on a static
     sequence a round that returns its input bitwise (a -0.0 turned +0.0
-    counts as a change) repeats forever, and ``_drive`` emits the rows up to
-    t_max without running them.
+    counts as a change) repeats forever, and ``_drive`` hands it and the
+    rounds after it up to t_max to the sink in one call without running them.
     """
     seq = config.seq
     arrays = None

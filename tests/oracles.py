@@ -63,6 +63,16 @@ def _same_column(a: list, b: list) -> bool:
     return a == b
 
 
+def per_round_calls(calls) -> list:
+    """The (row, values) pair of every round that metrics-sink calls
+    (row, values, last) stand for: rounds row.t..last, each with the row's
+    fields, its own t and the call's values."""
+    return [
+        (dataclasses.replace(row, t=s), x)
+        for row, x, last in calls for s in range(row.t, last + 1)
+    ]
+
+
 def bound_oracle(n, B, D, alpha, beta, eps, w0, v20, xinf0):
     """Arbitrary-precision evaluation of the convergence-time bound."""
     with mp.workdps(60):

@@ -123,7 +123,7 @@ def test_criterion_2_conservation():
         x0 = cfg.init.build(n)
         tol = 1e-12 * max(1.0, max(abs(v) for v in x0))
 
-        def track(row, x, avg0=fold_sum(x0) / n, n=n):
+        def track(row, x, last, *, avg0=fold_sum(x0) / n, n=n):
             nonlocal worst
             drift = abs(fold_sum(x) / n - avg0)
             worst = max(worst, drift)

@@ -5,12 +5,13 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ternary_consensus.analysis import (
     BoundInputs,
     EffectiveMatrix,
+    MetricsRow,
     compute_metrics,
     fold_sum,
     reconstruct_matrix,
@@ -32,7 +33,14 @@ THEOREM = ProtocolParams(alpha=0.25, beta=0.5, variant="theorem")
 PRACTICAL = ProtocolParams(alpha=0.9, beta=0.0, variant="practical")
 
 
-from oracles import REFERENCE_INPUTS, REFERENCE_VALUE, bound_oracle
+from oracles import REFERENCE_INPUTS, REFERENCE_VALUE, bound_oracle, same_bits
+
+# finite floats, with signed zeros, subnormals and values whose differences
+# or squares leave the float range drawn often
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.0, -1.0)),
+)
 
 
 class TestComputeMetrics:
@@ -73,6 +81,31 @@ class TestComputeMetrics:
         n = len(xs)
         assert row.W / 2 <= row.V2 + 1e-9
         assert row.V2 <= math.sqrt(n) * row.W + 1e-12 * max(1.0, abs(row.M))
+
+    @given(
+        st.lists(EDGE_FLOATS, min_size=1, max_size=12), EDGE_FLOATS,
+        st.integers(0, 10**6), st.integers(0, 50), st.integers(0, 50),
+    )
+    @example([-0.0], 0.0, 1, 0, 0)  # max(hi - avg0, avg0 - lo) gives -0.0
+    @settings(max_examples=500)
+    def test_matches_the_generator_form_bitwise(self, xs, avg0, t, act, msgs):
+        """err_max from the extremes alone gives every field of the form that
+        scans every value bitwise, or the same OverflowError."""
+
+        def oracle(x):
+            hi, lo = max(x), min(x)
+            mean = fold_sum(x) / len(x)
+            v2 = math.sqrt(fold_sum((v - mean) ** 2 for v in x))
+            err = max(abs(v - avg0) for v in x)
+            return MetricsRow(t, hi, lo, hi - lo, v2, err, act, msgs)
+
+        outcomes = []
+        for fn in (oracle, lambda x: compute_metrics(x, avg0, t, act, msgs)):
+            try:
+                outcomes.append(fn(tuple(xs)))
+            except OverflowError:
+                outcomes.append(OverflowError)
+        assert same_bits(*outcomes)
 
 
 def one_pair_record(w=1.0, d=2.0, t=16):

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import per_round_calls
 from ternary_consensus import cli
 from ternary_consensus.analysis import MetricsRow, compute_metrics
 from ternary_consensus.cli import METRICS_HEADER, SWEEP_HEADER, TRACE_HEADER, main
@@ -171,26 +172,34 @@ class TestCmdRun:
         assert [float(v).hex() for *_, v in last] == [v.hex() for v in final_x]
 
     def test_a_zero_of_another_sign_is_not_a_repeated_row(
-        self, write_config, tmp_path, monkeypatch
+        self, write_config, tmp_path, monkeypatch, capsys
     ):
-        """cmd_run formats a row once for the rounds of a quiet stretch, which
-        the runners hand the same values object. Every round they run gets a
-        new tuple, so a row that differs only in the sign of a zero is new."""
+        """cmd_run writes one sink call's row and values for every round the
+        call stands for, rounds row.t..last, and formats each call afresh,
+        so a row that differs only in the sign of a zero is written as its
+        own; the summary names the last round of the last call."""
+        calls = []
 
         def fake_run(config, *, metrics_sink, **kw):
-            for t, zero in ((1, -0.0), (2, 0.0), (3, 0.0)):
-                x = (zero, zero, 0.0)  # a new tuple per round, as _drive builds
-                metrics_sink(MetricsRow(t, zero, zero, 0.0, 0.0, 0.0, 0, 0), x)
-            # the same values object again: round 4 repeats round 3 but for t,
-            # so the fields handed with it are not read
-            metrics_sink(MetricsRow(4, 1.0, 1.0, 1.0, 1.0, 1.0, 9, 9), x)
+            for t, zero, last in ((1, -0.0, 1), (2, 0.0, 2), (3, 0.0, 5)):
+                x = (zero, zero, 0.0)
+                row = MetricsRow(t, zero, zero, 0.0, 0.0, 0.0, 0, 0)
+                calls.append((row, x, last))
+                metrics_sink(row, x, last)
             return SimpleNamespace(final_x=x)
 
         monkeypatch.setattr(cli, "run", fake_run)
-        assert main(["run", "--config", write_config(), "--quiet"]) == 0
-        assert (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:] == [
+        text = BASE_YAML.replace("record_level: metrics_only", "record_level: full_trace")
+        assert main(["run", "--config", write_config(text)]) == 0
+        assert capsys.readouterr().out == "rounds=5 err_max=0 V2=0 stop_round=n/a\n"
+        out = tmp_path / "out"
+        assert out.joinpath("metrics.csv").read_text().splitlines()[1:] == [
             "1,-0,-0,0,0,0,0,0", "2,0,0,0,0,0,0,0", "3,0,0,0,0,0,0,0",
-            "4,0,0,0,0,0,0,0",
+            "4,0,0,0,0,0,0,0", "5,0,0,0,0,0,0,0",
+        ]
+        assert out.joinpath("trace.csv").read_text().splitlines()[1:] == [
+            f"{row.t},{i},{v:.17g}" for row, x in per_round_calls(calls)
+            for i, v in enumerate(x)
         ]
 
     def test_checked_run_passes(self, write_config):
@@ -453,7 +462,7 @@ class TestFailurePath:
 
         def interrupted(*args, metrics_sink, **kwargs):
             x = (1.0, 0.0, 0.0)
-            metrics_sink(compute_metrics(x, 1 / 3, t=1), x)
+            metrics_sink(compute_metrics(x, 1 / 3, t=1), x, 1)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli_mod, "run", interrupted)
@@ -747,7 +756,7 @@ class TestOutputKept:
 
         def interrupted(*args, metrics_sink, **kwargs):
             x = (1.0, 0.0, 0.0)
-            metrics_sink(compute_metrics(x, 1 / 3, t=1), x)
+            metrics_sink(compute_metrics(x, 1 / 3, t=1), x, 1)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli_mod, "run", interrupted)

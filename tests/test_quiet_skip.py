@@ -2,7 +2,9 @@
 against a plain loop that calls ``run_round`` for every round, and in checked
 runs validates every round's record, and ``run_metropolis`` against a plain
 loop that calls ``_step`` for every round, compared bitwise by
-``oracles.same_bits`` (floats by their bytes, so signed zeros count)."""
+``oracles.same_bits`` (floats by their bytes, so signed zeros count); and
+tests of the metrics sink's contract: one call per round stepped, standing
+for the rounds of the quiet stretch it opens."""
 
 import dataclasses
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import same_bits
+from oracles import per_round_calls, same_bits
 from test_engine_equivalence import THEOREM_EXPONENTS
 from ternary_consensus import engine, metropolis
 from ternary_consensus.analysis import compute_metrics, fold_sum
@@ -81,8 +83,9 @@ def assert_skip_matches(cfg, stop_err=None, stop_v2=None):
     sunk = []
     run(
         cfg, stop_err=stop_err, stop_v2=stop_v2, keep_metrics=False,
-        metrics_sink=lambda row, xs: sunk.append((row, xs)),
+        metrics_sink=lambda row, xs, last: sunk.append((row, xs, last)),
     )
+    sunk = per_round_calls(sunk)
     bare = run(cfg, stop_err=stop_err, stop_v2=stop_v2, keep_metrics=False)
     recorded = run(cfg, stop_err=stop_err, stop_v2=stop_v2, keep_records=True)
     assert same_bits(kept.metrics, rows)
@@ -378,11 +381,11 @@ def assert_baseline_skip_matches(cfg, stop_err=None):
         kept, kept_x = run_metropolis(cfg, stop_err=stop_err)
         run_metropolis(
             cfg, stop_err=stop_err, keep_metrics=False,
-            metrics_sink=lambda row, xs: sunk.append((row, xs)),
+            metrics_sink=lambda row, xs, last: sunk.append((row, xs, last)),
         )
         run_metropolis(cfg, stop_err=stop_err, keep_metrics=False)
     assert same_bits(kept, [row for row, _ in pairs])
-    assert same_bits(sunk, pairs)
+    assert same_bits(per_round_calls(sunk), pairs)
     assert same_bits(kept_x, x)
     assert len(results) == 3
     for result in results:
@@ -520,3 +523,103 @@ def test_baseline_on_a_periodic_sequence_steps_every_round(monkeypatch, rounds):
     assert len(calls) == cfg.t_max
     monkeypatch.undo()
     assert first_repeat(assert_baseline_skip_matches(cfg)) < cfg.t_max
+
+
+SINK_SEQUENCES = {
+    "static": make_sequence("static", 6, base="complete"),
+    "periodic": make_sequence(
+        "periodic", 6, rounds=[[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+                               [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]],
+    ),
+    "relabeled_line": make_sequence("relabeled_line", 6, seed=4),
+}
+RUNNERS = ("run", "run_records", "run_metropolis")
+
+
+def sink_config(runner, seq, t_max):
+    if runner == "run_metropolis":
+        return MetropolisConfig(seq, InitSpec("spike"), t_max)
+    return SimulationConfig(
+        seq, ProtocolParams(0.25, 0.5, "theorem", prune_horizon=2),
+        InitSpec("spike"), t_max,
+    )
+
+
+def sink_run(monkeypatch, runner, cfg, stop_err=None):
+    """The sink calls (row, values, last) of one run without kept rows, the
+    number of rounds it stepped, its kept records (run_records only) and its
+    final values."""
+    calls = []
+
+    def sink(*call):
+        calls.append(call)
+
+    records = None
+    if runner == "run_metropolis":
+        stepped = counting_step(monkeypatch)
+        _, final_x = run_metropolis(
+            cfg, stop_err=stop_err, metrics_sink=sink, keep_metrics=False
+        )
+    else:
+        stepped = counting_run_round(monkeypatch)
+        result = run(
+            cfg, stop_err=stop_err, metrics_sink=sink, keep_metrics=False,
+            keep_records=runner == "run_records",
+        )
+        final_x = result.final_x
+        if runner == "run_records":
+            records = result.records
+    monkeypatch.undo()
+    return calls, len(stepped), records, final_x
+
+
+@pytest.mark.parametrize("kind", SINK_SEQUENCES)
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_one_sink_call_per_round_stepped(monkeypatch, runner, kind):
+    """The calls' ranges row.t..last cover rounds 1..rounds once each, one
+    call per round stepped, and the rounds they stand for carry the rows,
+    values and records of a loop that runs every round, bitwise."""
+    cfg = sink_config(runner, SINK_SEQUENCES[kind], 1500)
+    calls, stepped, records, final_x = sink_run(monkeypatch, runner, cfg)
+    if runner == "run_metropolis":
+        pairs, x, rounds, _ = metropolis_per_round(cfg)
+    else:
+        want_records = []
+        rows, x, rounds, _ = per_round(cfg, records=want_records)
+        pairs = [(row, rec.x_post) for row, rec in zip(rows, want_records)]
+    covered = [t for row, _, last in calls for t in range(row.t, last + 1)]
+    assert covered == list(range(1, rounds + 1))
+    assert len(calls) == stepped
+    assert (stepped < rounds) == (kind == "static")
+    assert same_bits(per_round_calls(calls), pairs)
+    if runner == "run_records":
+        assert same_bits(records, want_records)
+    assert same_bits(final_x, x)
+
+
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_t_max_inside_a_stretch_truncates_its_call(monkeypatch, runner):
+    """With t_max inside a run's longest stretch, the calls before it are
+    the same and the stretch's call ends at t_max."""
+    seq = SINK_SEQUENCES["static"]
+    calls = sink_run(monkeypatch, runner, sink_config(runner, seq, 1500))[0]
+    k = max(range(len(calls)), key=lambda k: calls[k][2] - calls[k][0].t)
+    row, x, last = calls[k]
+    assert last - row.t >= 2
+    t_max = (row.t + last) // 2
+    cut, stepped, records, _ = sink_run(
+        monkeypatch, runner, sink_config(runner, seq, t_max)
+    )
+    assert same_bits(cut, calls[:k] + [(row, x, t_max)])
+    assert stepped == k + 1
+    if runner == "run_records":
+        assert [rec.t for rec in records] == list(range(1, t_max + 1))
+
+
+@pytest.mark.parametrize("kind", SINK_SEQUENCES)
+@pytest.mark.parametrize("runner", RUNNERS)
+def test_a_run_stopped_at_round_0_makes_no_call(monkeypatch, runner, kind):
+    cfg = sink_config(runner, SINK_SEQUENCES[kind], 50)
+    calls, stepped, records, final_x = sink_run(monkeypatch, runner, cfg, stop_err=1.0)
+    assert calls == [] and stepped == 0 and records in (None, [])
+    assert same_bits(final_x, cfg.init.build(6))
