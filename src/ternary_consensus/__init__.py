@@ -22,6 +22,7 @@ from .engine import (
     init_state,
     run,
     run_round,
+    silent_float_errors,
 )
 from .errors import (
     ConfigError,

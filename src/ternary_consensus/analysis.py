@@ -297,7 +297,10 @@ def screen_round(
     update denominator ``denom`` = c D (c = 2 or 4, pair bound D >= 1),
     estimate gap b - a and active flag ``act``; and the values ``x_pre``
     before and ``x`` after the round. Each clause passes only when its
-    comparison holds, so a nan declines the round.
+    comparison holds, so a nan declines the round; the maxima and minima
+    are ufunc reductions, which give nan if any input is nan. The screen
+    computes under the caller's float error state (``_drive`` holds
+    ``engine.silent_float_errors``).
 
     (a) estimate mirroring and (b) active-set symmetry hold by construction
     of the edge state (one pair per edge; a nan estimate, the one way a
@@ -341,11 +344,12 @@ def screen_round(
     horizon = params.prune_horizon
     est = state.est
     live = est if horizon is None else est[state.last_seen >= t - horizon]
-    if not np.abs(live).max(initial=0.0) <= xinf0 + ESTIMATE_TOL:
+    est_max = np.maximum.reduce(np.abs(live), axis=None, initial=0.0)
+    if not est_max <= xinf0 + ESTIMATE_TOL:
         return False
     theorem = params.variant == "theorem"
     if theorem:
-        step = 0.0 if x_post is x_pre else np.abs(x_post - x_pre).max()
+        step = 0.0 if x_post is x_pre else np.maximum.reduce(np.abs(x_post - x_pre))
         if not step <= 0.5 * w0 * t ** (-params.beta) + STEP_TOL:
             return False
     act = state.act
@@ -353,16 +357,19 @@ def screen_round(
     if not len(u):
         return True
     v = state.arrays.ev[act]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = state.gap[act] / (x_pre[v] - x_pre[u])
-        a = w / state.arrays.denom[act]
-    if not (w.min() >= 2.0 / 3.0 - MATRIX_TOL and w.max() <= 2.0 + MATRIX_TOL):
+    w = state.gap[act] / (x_pre[v] - x_pre[u])
+    if not (
+        np.minimum.reduce(w) >= 2.0 / 3.0 - MATRIX_TOL
+        and np.maximum.reduce(w) <= 2.0 + MATRIX_TOL
+    ):
         return False
-    if not 4.0 * n * _UNIT_ROUNDOFF * (1.0 + (n - 1) * a.max()) <= MATRIX_TOL / 2:
+    a = w / state.arrays.denom[act]
+    a_max = np.maximum.reduce(a)
+    if not 4.0 * n * _UNIT_ROUNDOFF * (1.0 + (n - 1) * a_max) <= MATRIX_TOL / 2:
         return False
     if theorem:
         s = np.bincount(u, a, n) + np.bincount(v, a, n)
-        if not s.max() <= 0.5 + MATRIX_TOL / 2:
+        if not np.maximum.reduce(s) <= 0.5 + MATRIX_TOL / 2:
             return False
     return True
 

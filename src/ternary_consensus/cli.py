@@ -44,10 +44,11 @@ def _fmt(v: float) -> str:
 
 
 def _metrics_tail(row) -> str:
-    """A metrics.csv line after its t field."""
-    return (
-        f"{_fmt(row.M)},{_fmt(row.m)},{_fmt(row.W)},{_fmt(row.V2)},"
-        f"{_fmt(row.err_max)},{row.active_edges},{row.nonzero_msgs}\n"
+    """A metrics.csv line after its t field; ``%.17g`` writes a float as
+    ``_fmt`` does."""
+    return "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n" % (
+        row.M, row.m, row.W, row.V2, row.err_max, row.active_edges,
+        row.nonzero_msgs,
     )
 
 

@@ -291,8 +291,21 @@ def init_state(config: SimulationConfig) -> EdgeState:
     )
 
 
+def silent_float_errors() -> np.errstate:
+    """The float error state a run computes in: an overflow, an invalid
+    operation or a division by zero gives inf or nan without a numpy
+    warning. ``_drive`` enters it once around its loop, so a run restores
+    its caller's state on every exit; a caller stepping ``run_round`` or
+    ``analysis.screen_round`` by hand enters it around its loop. A
+    non-finite value is still reported once it reaches a quantizer input
+    (``run_round``) or a node value (the loop's divergence guard), and the
+    screen declines a round on any nan it reads."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
-    """Execute round t, mutating state in place.
+    """Execute round t, mutating state in place, under the caller's float
+    error state (see ``silent_float_errors``).
 
     Phase order as in the protocol: take the round's edge ids; zero the
     estimates of edges reappearing after pruning; compute every message from
@@ -316,10 +329,9 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
 
     # messages, in edge order: u -> v then v -> u; x_out[2k] is a, x_out[2k+1] b
     x_out = est[ids].ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = t_alpha * (x[arrays.ends] - x_out)
+    v = t_alpha * (x[arrays.ends] - x_out)
     finite = np.isfinite(v)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         h = int(np.argmin(finite))
         src = arrays.ends
         raise DivergenceError(
@@ -337,7 +349,8 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     gap = x_out[1::2] - x_out[0::2]  # b - a: x_in - x_out at u, negated at v
     act = ((q[0::2] | q[1::2]) == 0) & (np.abs(gap) > threshold)
     x_pre = x
-    if act.any():
+    active_edges = int(np.count_nonzero(act))
+    if active_edges:
         # inactive edges add +-0.0, which leaves a sum from +0.0 unchanged
         acc = arrays.fold(np.where(act, gap / arrays.denom, 0.0))
         if params.variant == "theorem":
@@ -353,7 +366,7 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     state.act = act
     state.x_pre = x_pre
     state.nonzero_msgs = int(np.count_nonzero(q))
-    state.active_edges = int(np.count_nonzero(act))
+    state.active_edges = active_edges
 
 
 QUIET_MARGIN = 1.0 - 1e-9
@@ -379,8 +392,8 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     """
     ids = state.arrays.ids
     d = np.abs(state.x[state.arrays.ends] - state.est[ids].ravel())
-    d_max = float(d.max(initial=0.0))
-    g_max = float(np.abs(state.gap).max(initial=0.0))
+    d_max = float(np.maximum.reduce(d, initial=0.0))
+    g_max = float(np.maximum.reduce(np.abs(state.gap), initial=0.0))
     try:
         scale = min(
             QUIET_MARGIN / d_max if d_max else inf,
@@ -461,7 +474,8 @@ def _drive(
     own t (last == row.t for a round that opens no stretch). Kept rows are
     expanded likewise. ``validate`` sees every round that ``step`` runs
     and none of a stretch's skipped rounds. Why that is the output of running
-    every round is argued in ``run``."""
+    every round is argued in ``run``. ``step``, ``validate`` and the sink run
+    under ``silent_float_errors``, entered once for the whole loop."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -477,29 +491,32 @@ def _drive(
     xinf0 = max(abs(prev_row.M), abs(prev_row.m))
     rows: list[MetricsRow] = []
     t = 0
-    while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
-        t += 1
-        x, active_edges, nonzero_msgs, last = step(t)
-        xs = tuple(x.tolist())
-        if not all(map(isfinite, xs)):
-            i = next(i for i, v in enumerate(xs) if not isfinite(v))
-            raise DivergenceError(f"node {i} became non-finite at round {t}: {xs[i]!r}")
-        row = compute_metrics(
-            xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
-        )
-        if validate is not None:
-            violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
-            if violations:
-                raise InvariantViolationError(t, violations)
-        if metrics_sink is not None:
-            metrics_sink(row, xs, last)
-        if keep_metrics:
-            rows.append(row)
-            fields = (row.M, row.m, row.W, row.V2, row.err_max,
-                      row.active_edges, row.nonzero_msgs)
-            rows.extend(MetricsRow(s, *fields) for s in range(t + 1, last + 1))
-        prev_row = row
-        t = last
+    with silent_float_errors():
+        while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
+            t += 1
+            x, active_edges, nonzero_msgs, last = step(t)
+            xs = tuple(x.tolist())
+            if not all(map(isfinite, xs)):
+                i = next(i for i, v in enumerate(xs) if not isfinite(v))
+                raise DivergenceError(
+                    f"node {i} became non-finite at round {t}: {xs[i]!r}"
+                )
+            row = compute_metrics(
+                xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
+            )
+            if validate is not None:
+                violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
+                if violations:
+                    raise InvariantViolationError(t, violations)
+            if metrics_sink is not None:
+                metrics_sink(row, xs, last)
+            if keep_metrics:
+                rows.append(row)
+                fields = (row.M, row.m, row.W, row.V2, row.err_max,
+                          row.active_edges, row.nonzero_msgs)
+                rows.extend(MetricsRow(s, *fields) for s in range(t + 1, last + 1))
+            prev_row = row
+            t = last
     stopped_at = t if stop_reached(prev_row, stop_err, stop_v2) else None
     return RunResult(rows, [], xs, rounds=t, stopped_at=stopped_at)
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import per_round_calls
 from ternary_consensus import cli
@@ -263,6 +269,20 @@ class TestCmdRun:
         assert v2[-1] < v2[0]
 
 
+EXTREMES = (0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@given(st.lists(st.floats(), min_size=5, max_size=5), st.integers(0, 2**62),
+       st.integers(0, 2**62))
+@example(list(EXTREMES[:5]), 0, 0)
+@example(list(EXTREMES[5:]), 1, 2**62)
+def test_a_metrics_line_writes_each_float_as_fmt_does(values, active, nonzero):
+    row = MetricsRow(1, *values, active, nonzero)
+    expected = ",".join(map(cli._fmt, values)) + f",{active},{nonzero}\n"
+    assert cli._metrics_tail(row) == expected
+
+
 class TestCmdBound:
     REF_ARGS = [
         "bound", "--n", "3", "--B", "1", "--D", "3", "--alpha", "0.25",
@@ -513,6 +533,26 @@ class TestFloatRange:
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and "np.float64" not in err
         assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_overflow_warns_nothing_in_a_fresh_interpreter(self, write_config, tmp_path):
+        # the module entry point, in an interpreter that turns a numpy
+        # RuntimeWarning into an error: the overflow at round 3 is reported
+        # by the quantizer check, with no traceback and no file left
+        path = write_config(TWO_NODE_EXPLICIT_YAML.replace("VALUES", "[8.0e+307, 8.0e+307]"))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ternary_consensus.cli",
+             "run", "--config", path, "--quiet"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("run failed: ")
+        assert "non-finite quantizer input inf" in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 class TestGraphKeys:

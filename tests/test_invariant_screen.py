@@ -32,8 +32,9 @@ from ternary_consensus.engine import (
     init_state,
     run,
     run_round,
+    silent_float_errors,
 )
-from ternary_consensus.errors import InvariantViolationError
+from ternary_consensus.errors import DivergenceError, InvariantViolationError
 from ternary_consensus.graphs import make_sequence
 from ternary_consensus.protocol import ProtocolParams
 
@@ -47,7 +48,8 @@ D_FACTORS = {"halve_D": 0.5, "eighth_D": 0.125, "shrink_D": 1e-12}
 CORRUPTIONS = MATRIX_CORRUPTIONS + (
     "x_post", "est", "prev_M", "prev_m", "prev_V2", "w0", "xinf0", "avg0",
 )
-DELTAS = (1e-13, 3e-12, 1e-9, 1e-3, 0.1, 0.5, 0.9)
+# a nan delta makes the corrupted value nan, which every clause must decline
+DELTAS = (1e-13, 3e-12, 1e-9, 1e-3, 0.1, 0.5, 0.9, float("nan"))
 
 
 @st.composite
@@ -177,30 +179,41 @@ def test_screen_passes_only_rounds_the_record_checker_passes(case):
     w0 = prev_row.W
     xinf0 = max(abs(prev_row.M), abs(prev_row.m))
     pending = sorted(corruptions)
-    for t in range(1, cfg.t_max + 1):
-        run_round(state, t, cfg)
-        facts = {"prev_row": prev_row, "w0": w0, "xinf0": xinf0, "avg0": avg0}
-        undo = []
-        for c in [c for c in pending if c[0] <= t]:
-            _, kind, r, delta, negative = c
-            if not _ready(state, kind):
-                continue
-            pending.remove(c)
-            undo.append(_corrupt(state, kind, r, -delta if negative else delta, facts))
-        row = compute_metrics(state.x.tolist(), avg0, t=t)
-        inputs = dict(row=row, w0=facts["w0"], xinf0=facts["xinf0"], avg0=facts["avg0"])
-        cleared = screen_round(state, params, facts["prev_row"], **inputs)
-        violations = validate_round(
-            _record(state, t, params), facts["prev_row"], params, **inputs
-        )
-        assert not (cleared and violations), violations
-        for fn in undo:
-            if fn is not None:
-                fn()
-        prev_row = row
+    nan_kept = False  # a nan put into x or an estimate stays in the state
+    with silent_float_errors():
+        for t in range(1, cfg.t_max + 1):
+            try:
+                run_round(state, t, cfg)
+            except DivergenceError:  # the next quantizer input is nan
+                assert nan_kept
+                break
+            facts = {"prev_row": prev_row, "w0": w0, "xinf0": xinf0, "avg0": avg0}
+            undo = []
+            for c in [c for c in pending if c[0] <= t]:
+                _, kind, r, delta, negative = c
+                if not _ready(state, kind):
+                    continue
+                pending.remove(c)
+                delta = -delta if negative else delta
+                undo.append(_corrupt(state, kind, r, delta, facts))
+                nan_kept |= delta != delta and kind in ("x_post", "est")
+            row = compute_metrics(state.x.tolist(), avg0, t=t)
+            inputs = dict(
+                row=row, w0=facts["w0"], xinf0=facts["xinf0"], avg0=facts["avg0"]
+            )
+            cleared = screen_round(state, params, facts["prev_row"], **inputs)
+            violations = validate_round(
+                _record(state, t, params), facts["prev_row"], params, **inputs
+            )
+            assert not (cleared and violations), violations
+            for fn in undo:
+                if fn is not None:
+                    fn()
+            prev_row = row
 
 
 THEOREM_FAST = ProtocolParams(alpha=0.25, beta=0.5, variant="theorem")
+PRACTICAL_05 = ProtocolParams(alpha=0.5, beta=0.0, variant="practical")
 
 
 def _equal_endpoints(state, t):
@@ -311,3 +324,61 @@ def test_records_are_built_once_per_round_for_every_reader(monkeypatch):
     for rec in records:
         opening = records[max(t for t in stepped if t <= rec.t) - 1]
         assert same_bits(dataclasses.replace(rec, t=opening.t), opening)
+
+
+def _cleared_round(active, params):
+    """Step a run to the first round the screen clears, with no active pair
+    or with two or more (a nan among finite values, not alone), and return
+    the state and the screen's inputs for that round."""
+    cfg = SimulationConfig(
+        make_sequence("static", 4, base="complete"), params,
+        InitSpec("explicit", values=(3.0, -2.0, 1.5, 0.25)), 40,
+    )
+    state = init_state(cfg)
+    x0 = state.x.tolist()
+    avg0 = fold_sum(x0) / len(x0)
+    prev_row = compute_metrics(x0, avg0, t=0)
+    facts = dict(w0=prev_row.W, xinf0=max(abs(prev_row.M), abs(prev_row.m)), avg0=avg0)
+    for t in range(1, cfg.t_max + 1):
+        run_round(state, t, cfg)
+        row = compute_metrics(state.x.tolist(), avg0, t=t)
+        inputs = dict(row=row, **facts)
+        pairs = np.count_nonzero(state.act)
+        fits = pairs >= 2 if active else pairs == 0
+        if fits and screen_round(state, cfg.params, prev_row, **inputs):
+            return state, cfg.params, prev_row, inputs
+        prev_row = row
+    raise AssertionError("no such round")
+
+
+@pytest.mark.parametrize("reduction", ["est", "step", "w", "a", "s"])
+def test_a_nan_in_any_reduction_declines_the_round(monkeypatch, reduction):
+    # each corruption reaches that reduction's input and no earlier clause's;
+    # a is checked on a practical round, where no s clause follows it (a nan
+    # in w also reaches a, so the w case alone cannot tell the two apart)
+    params = PRACTICAL_05 if reduction == "a" else THEOREM_FAST
+    with silent_float_errors():
+        state, params, prev_row, inputs = _cleared_round(reduction != "step", params)
+        k = np.flatnonzero(state.act)[0] if reduction != "step" else None
+        if reduction == "est":  # every slot is live without a prune horizon
+            state.est[state.arrays.ids[0], 1] = np.nan
+        elif reduction == "step":  # no active pair reads x_pre
+            x_pre = state.x.copy()
+            x_pre[0] = np.nan
+            state.x_pre = x_pre
+        elif reduction == "w":
+            state.gap = state.gap.copy()
+            state.gap[k] = np.nan
+        elif reduction == "a":
+            state.arrays.denom = state.arrays.denom.copy()
+            state.arrays.denom[k] = np.nan
+        else:  # s sums the entries a, which the a clause has passed
+            real = np.bincount
+
+            def with_nan(*args):
+                out = real(*args)
+                out[0] = np.nan
+                return out
+
+            monkeypatch.setattr(np, "bincount", with_nan)
+        assert not screen_round(state, params, prev_row, **inputs)

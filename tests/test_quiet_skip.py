@@ -40,33 +40,35 @@ from ternary_consensus.protocol import ProtocolParams
 
 def per_round(cfg, stop_err=None, stop_v2=None, records=None):
     """The run as rows, final values, rounds and stop round, with every round
-    executed by run_round; each round's record is appended to records, if
-    given. A checked run passes every round's record to validate_round, with
-    no screen in front, and raises on the first round with a violation."""
+    executed by run_round under the run's float error state; each round's
+    record is appended to records, if given. A checked run passes every
+    round's record to validate_round, with no screen in front, and raises on
+    the first round with a violation."""
     state = init_state(cfg)
     x = tuple(state.x.tolist())
     avg0 = fold_sum(x) / len(x)
     row = compute_metrics(x, avg0, t=0)
     w0, xinf0 = row.W, max(abs(row.M), abs(row.m))
     rows = []
-    while not stop_reached(row, stop_err, stop_v2) and row.t < cfg.t_max:
-        t = row.t + 1
-        run_round(state, t, cfg)
-        x = tuple(state.x.tolist())
-        prev, row = row, compute_metrics(
-            x, avg0, t=t, active_edges=state.active_edges,
-            nonzero_msgs=state.nonzero_msgs,
-        )
-        rec = engine._record(state, t, cfg.params)
-        if records is not None:
-            records.append(rec)
-        if cfg.check_invariants:
-            violations = engine.validate_round(
-                rec, prev, cfg.params, row=row, w0=w0, xinf0=xinf0, avg0=avg0,
+    with engine.silent_float_errors():
+        while not stop_reached(row, stop_err, stop_v2) and row.t < cfg.t_max:
+            t = row.t + 1
+            run_round(state, t, cfg)
+            x = tuple(state.x.tolist())
+            prev, row = row, compute_metrics(
+                x, avg0, t=t, active_edges=state.active_edges,
+                nonzero_msgs=state.nonzero_msgs,
             )
-            if violations:
-                raise InvariantViolationError(t, violations)
-        rows.append(row)
+            rec = engine._record(state, t, cfg.params)
+            if records is not None:
+                records.append(rec)
+            if cfg.check_invariants:
+                violations = engine.validate_round(
+                    rec, prev, cfg.params, row=row, w0=w0, xinf0=xinf0, avg0=avg0,
+                )
+                if violations:
+                    raise InvariantViolationError(t, violations)
+            rows.append(row)
     stopped_at = row.t if stop_reached(row, stop_err, stop_v2) else None
     return rows, x, row.t, stopped_at
 
