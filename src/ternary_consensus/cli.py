@@ -31,7 +31,7 @@ from .errors import (
     InvariantViolationError,
     ProtocolError,
 )
-from .graphs import check_core_connected
+from .graphs import fold_core
 from .metropolis import run_metropolis
 
 METRICS_HEADER = "t,M,m,W,V2,err_max,active_edges,nonzero_msgs"
@@ -219,9 +219,10 @@ def cmd_check_core(args) -> int:
         raise ConfigError(
             f"--window: must be >= graph.B ({cfg.block_len}), got {window}"
         )
-    snaps = (cfg.seq.snapshot(t) for t in range(1, window + 1))
+    seq = cfg.seq
+    key_rounds = (seq._keys[seq.edge_ids(t)] for t in range(1, window + 1))
     try:
-        result = check_core_connected(snaps, cfg.block_len)
+        result = fold_core(seq.n, key_rounds, cfg.block_len)
     except ValueError as exc:  # the window asks for a round the sequence lacks
         raise ConfigError(f"graph: {exc}") from None
     verdict = "yes" if result.is_core_connected else "no"

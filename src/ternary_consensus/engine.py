@@ -27,7 +27,7 @@ argued once, in ``run``'s docstring.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import floor, inf, isfinite
 from types import MappingProxyType
 
@@ -234,7 +234,9 @@ def round_arrays(
     ids = seq.edge_ids(t)
     if arrays is not None and ids is arrays.ids:
         return arrays
-    return EdgeArrays(seq.n, seq.universe[ids], d_policy, d_fixed, t, scale, ids)
+    return EdgeArrays(
+        seq.n, seq.universe.take(ids, axis=0), d_policy, d_fixed, t, scale, ids
+    )
 
 
 @dataclass(slots=True, eq=False)
@@ -251,6 +253,13 @@ class EdgeState:
     here the entry is zeroed when the edge reappears after such a round, and
     a seen slot counts as live in a record while last_seen >= t - H.
 
+    ``pairs`` is the memory of ``est`` seen as one 16-byte element per slot
+    (no copy), so a round moves its slots with 1-D gathers and scatters,
+    which numpy does at about a third of the cost of indexing rows of
+    ``est``; ``pairs[ids].view(np.float64)`` is ``est[ids].ravel()`` bit for
+    bit. Change ``est`` in place only: ``pairs`` views the array it was
+    built on.
+
     The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
     2k+1), estimate gaps b - a, active mask and pre-update values here, for
     ``analysis.screen_round`` and ``_record``.
@@ -258,8 +267,9 @@ class EdgeState:
 
     x: np.ndarray
     universe: np.ndarray  # the sequence's: the edge of each slot
-    est: np.ndarray
+    est: np.ndarray  # (|U|, 2) floats, C-contiguous
     last_seen: np.ndarray
+    pairs: np.ndarray = field(init=False, repr=False)
     arrays: EdgeArrays | None = None  # denom: 2*D (practical) or 4*D (theorem)
     q: np.ndarray | None = None  # the last round run
     gap: np.ndarray | None = None
@@ -267,6 +277,9 @@ class EdgeState:
     x_pre: np.ndarray | None = None
     nonzero_msgs: int = 0
     active_edges: int = 0
+
+    def __post_init__(self):
+        self.pairs = self.est.view(np.complex128).reshape(-1)
 
 
 @dataclass(slots=True)
@@ -320,15 +333,15 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
         params.denom_scale,
     )
     ids = arrays.ids
-    est = state.est
+    pairs = state.pairs
     last_seen = state.last_seen
     if params.prune_horizon is not None:
-        est[ids[last_seen[ids] < t - 1 - params.prune_horizon]] = 0.0
+        pairs[ids[last_seen[ids] < t - 1 - params.prune_horizon]] = 0.0
     t_alpha, inv_ta, threshold = round_scales(t, params.alpha)
     x = state.x
 
     # messages, in edge order: u -> v then v -> u; x_out[2k] is a, x_out[2k+1] b
-    x_out = est[ids].ravel()
+    x_out = pairs[ids].view(np.float64)
     v = t_alpha * (x[arrays.ends] - x_out)
     finite = np.isfinite(v)
     if not np.logical_and.reduce(finite):
@@ -342,12 +355,12 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
 
     # fold: both ledger sides of an edge apply the same increment
     x_out += q * inv_ta
-    est[ids] = x_out.reshape(-1, 2)
+    pairs[ids] = x_out.view(np.complex128)
     last_seen[ids] = t
 
     # active pairs: both messages 0 and |x_in - x_out| > 4/t^alpha
     gap = x_out[1::2] - x_out[0::2]  # b - a: x_in - x_out at u, negated at v
-    act = ((q[0::2] | q[1::2]) == 0) & (np.abs(gap) > threshold)
+    act = (q.view(np.int16) == 0) & (np.abs(gap) > threshold)  # both symbols 0
     x_pre = x
     active_edges = int(np.count_nonzero(act))
     if active_edges:
@@ -391,7 +404,7 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     round after the stretch prune as if the stretch had run.
     """
     ids = state.arrays.ids
-    d = np.abs(state.x[state.arrays.ends] - state.est[ids].ravel())
+    d = np.abs(state.x[state.arrays.ends] - state.pairs[ids].view(np.float64))
     d_max = float(np.maximum.reduce(d, initial=0.0))
     g_max = float(np.maximum.reduce(np.abs(state.gap), initial=0.0))
     try:

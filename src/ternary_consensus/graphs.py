@@ -359,43 +359,63 @@ class CoreCheckResult(NamedTuple):
     core_edges: frozenset[Edge]
 
 
-def check_core_connected(
-    snapshots: Iterable[GraphSnapshot], block_len: int
+def fold_core(
+    n: int, key_rounds: Iterable[np.ndarray], block_len: int
 ) -> CoreCheckResult:
-    """Decide whether a finite window of snapshots has a connected persistent
-    core for the given block length.
+    """Decide whether a finite window has a connected persistent core for the
+    given block length, from each round's edge keys u*n + v (the form of
+    ``GraphSequence._keys``).
 
     The maximal candidate core is the intersection over complete blocks of
     each block's edge union; a valid persistent core exists iff this candidate
-    is itself connected. A trailing partial block is ignored. Each block's
-    union is folded into the core as its snapshots arrive, so a generator
-    window is checked in the memory of one block.
+    is itself connected. A trailing partial block is ignored. The union and
+    the core are masks over the n*n keys, folded as the rounds arrive, so a
+    generator window is checked in the memory of one block.
     """
-    it = iter(snapshots)
-    first = next(it, None)
-    if first is None:
-        raise ValueError("need at least one snapshot")
     if block_len < 1:
         raise ValueError(f"block length must be >= 1, got {block_len}")
-    n = first.n
-    same_n = True
-    core: frozenset[Edge] | None = None
-    union: set[Edge] = set()
+    union = np.zeros(n * n, dtype=bool)
+    core = None
     count = 0
-    for g in chain((first,), it):
-        same_n = same_n and g.n == n
-        union |= g.edges
+    for keys in key_rounds:
+        union[keys] = True
         count += 1
         if count % block_len == 0:
-            core = frozenset(union) if core is None else core & union
-            union = set()
+            core = union if core is None else core & union
+            union = np.zeros(n * n, dtype=bool)
     if core is None:
         raise ValueError(
             f"window of {count} rounds is shorter than one block of {block_len}"
         )
+    u, v = np.divmod(np.flatnonzero(core), n)
+    edges = frozenset(zip(u.tolist(), v.tolist()))
+    return CoreCheckResult(_connected(n, edges), edges)
+
+
+def check_core_connected(
+    snapshots: Iterable[GraphSnapshot], block_len: int
+) -> CoreCheckResult:
+    """``fold_core`` over a window of snapshots, all on the node count of the
+    first."""
+    it = iter(snapshots)
+    first = next(it, None)
+    if first is None:
+        raise ValueError("need at least one snapshot")
+    n = first.n
+    same_n = True
+
+    def key_rounds():
+        nonlocal same_n
+        for g in chain((first,), it):
+            same_n = same_n and g.n == n
+            # a mismatched window fails below, once its length is checked
+            edges = g.edges if same_n else ()
+            yield np.array([i * n + j for i, j in edges], dtype=np.intp)
+
+    result = fold_core(n, key_rounds(), block_len)
     if not same_n:
         raise ValueError("all snapshots must share the same node count")
-    return CoreCheckResult(_connected(n, core), core)
+    return result
 
 
 def parse_rounds_text(text: str, n: int) -> tuple[GraphSnapshot, ...]:

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import per_round_calls, same_bits
 from reference_engine import World, init_state, run_round
+from ternary_consensus import engine as edge_engine
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.engine import (
     EdgeArrays,
@@ -444,3 +445,72 @@ class TestStopRule:
         if "stop_err" in stop:  # the baseline takes no V2 threshold
             rows, final_x = run_metropolis(MetropolisConfig(seq, init, 5), **stop)
             assert rows == [] and [v.hex() for v in final_x] == want
+
+
+class TestLedgerView:
+    """``EdgeState.pairs`` is ``est``'s memory seen as one 16-byte element per
+    slot, and every round reads and writes the ledger through it: a change
+    made to ``est`` in place between two rounds reaches the next round, as it
+    reaches a state built afresh on a copy of the changed arrays."""
+
+    @staticmethod
+    def stepped(cfg, rounds):
+        state = edge_engine.init_state(cfg)
+        with edge_engine.silent_float_errors():
+            for t in range(1, rounds + 1):
+                edge_engine.run_round(state, t, cfg)
+        return state
+
+    @staticmethod
+    def rebuilt(state):
+        """The state on fresh copies of its arrays, its view built on them."""
+        return edge_engine.EdgeState(
+            state.x.copy(), state.universe, state.est.copy(),
+            state.last_seen.copy(), arrays=state.arrays, gap=state.gap.copy(),
+        )
+
+    def test_the_view_shares_the_ledgers_memory(self):
+        seq = make_sequence("static", 5, base="complete")
+        state = edge_engine.init_state(sim(seq, PRACTICAL_09, InitSpec("spike"), 5))
+        pairs = state.pairs
+        assert pairs.shape == (len(seq.universe),) and pairs.itemsize == 16
+        assert np.shares_memory(pairs, state.est)
+        state.est[3] = (1.5, -0.0)
+        got = pairs[np.array([3])].view(np.float64)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in (1.5, -0.0)]
+
+    @pytest.mark.parametrize("kind", ["static", "core_synthetic"])
+    def test_run_round_sees_est_changed_in_place(self, kind):
+        if kind == "static":
+            seq = make_sequence("static", 4, base="line")
+        else:
+            seq = make_sequence(
+                "core_synthetic", 6, 3, core_edges=[(k, k + 1) for k in range(5)],
+                block_len=2, extra_edge_prob=0.3,
+            )
+        params = ProtocolParams(0.9, 0.0, "practical", prune_horizon=1)
+        cfg = sim(seq, params, InitSpec("uniform_random", seed=4, lo=-2.0, hi=2.0), 8)
+        state = self.stepped(cfg, 3)
+        untouched = self.rebuilt(state)
+        ids = seq.edge_ids(4)
+        state.est[ids] = [(-3.0, 2.5)] + [(0.5, -0.0)] * (len(ids) - 1)
+        fresh = self.rebuilt(state)
+        with edge_engine.silent_float_errors():
+            for s in (state, fresh, untouched):
+                edge_engine.run_round(s, 4, cfg)
+        for name in ("x", "est", "last_seen", "q", "gap", "act"):
+            assert same_bits(
+                getattr(state, name).tolist(), getattr(fresh, name).tolist()
+            ), name
+        assert state.q.tolist() != untouched.q.tolist()
+
+    def test_quiet_until_sees_est_changed_in_place(self):
+        seq = make_sequence("static", 2, base="line")
+        init = InitSpec("explicit", values=(0.0, 0.0))
+        state = self.stepped(sim(seq, PRACTICAL_09, init, 10**6), 1)
+        assert not (state.nonzero_msgs or state.active_edges)
+        assert edge_engine._quiet_until(self.rebuilt(state), 1, 0.9, 10**6) == 10**6
+        # the gaps stay those of round 1; only the quantizer inputs change
+        state.est[0] = (0.25, 0.25)
+        want = edge_engine._quiet_until(self.rebuilt(state), 1, 0.9, 10**6)
+        assert edge_engine._quiet_until(state, 1, 0.9, 10**6) == want == 4

@@ -14,6 +14,7 @@ from ternary_consensus.graphs import (
     check_core_connected,
     complete_edges,
     derive_seed,
+    fold_core,
     line_edges,
     make_sequence,
     parse_rounds_text,
@@ -340,6 +341,19 @@ class TestCoreCheck:
         for B in (1, 3, 4):
             got = check_core_connected((seq.snapshot(t) for t in range(1, 32)), B)
             assert got == check_core_connected(window, B)
+
+    @given(any_sequence(), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_sequence_keys_give_the_snapshot_result(self, case, B):
+        # check-core folds each round's universe keys, not its snapshot
+        seq, t_max = case
+        keys = (seq._keys[seq.edge_ids(t)] for t in range(1, t_max + 1))
+        snaps = [seq.snapshot(t) for t in range(1, t_max + 1)]
+        if t_max < B:
+            with pytest.raises(ValueError, match="shorter than one block"):
+                fold_core(seq.n, keys, B)
+            return
+        assert fold_core(seq.n, keys, B) == check_core_connected(snaps, B)
 
     def test_monotone_in_block_length(self):
         # passing at block length B implies passing at any multiple of B
