@@ -37,6 +37,9 @@ from .metropolis import run_metropolis
 METRICS_HEADER = "t,M,m,W,V2,err_max,active_edges,nonzero_msgs"
 TRACE_HEADER = "t,node,x"
 SWEEP_HEADER = "n,rounds_to_err,final_err"
+# metrics.csv lines built per write: a long quiet stretch is written in
+# pieces of this many rounds, so its output never sits in memory whole
+STRETCH_CHUNK = 512
 
 
 def _fmt(v: float) -> str:
@@ -135,11 +138,13 @@ def cmd_run(args) -> int:
 
     def on_row(row, x, last):
         # rounds row.t..last share row's fields and the values x: format
-        # them once and stream the stretch's lines without building them
+        # them once and join each round number in front of them
         nonlocal last_row, rounds
         last_row, rounds = row, last
-        tail = _metrics_tail(row)
-        metrics_fh.writelines(f"{s},{tail}" for s in range(row.t, last + 1))
+        sep = "," + _metrics_tail(row)
+        for t in range(row.t, last + 1, STRETCH_CHUNK):
+            chunk = range(t, min(t + STRETCH_CHUNK, last + 1))
+            metrics_fh.write(sep.join(map(str, chunk)) + sep)
         if trace_fh is not None:
             lines = [f",{i},{_fmt(v)}\n" for i, v in enumerate(x)]
             trace_fh.writelines(

@@ -333,29 +333,34 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
         params.denom_scale,
     )
     ids = arrays.ids
-    pairs = state.pairs
     last_seen = state.last_seen
+    # the round's slots, gathered; written back whole once the messages are
+    # folded in, so a round that fails leaves the ledger as it found it
+    ledger = state.pairs[ids]
     if params.prune_horizon is not None:
-        pairs[ids[last_seen[ids] < t - 1 - params.prune_horizon]] = 0.0
+        ledger[last_seen[ids] < t - 1 - params.prune_horizon] = 0.0
     t_alpha, inv_ta, threshold = round_scales(t, params.alpha)
     x = state.x
 
     # messages, in edge order: u -> v then v -> u; x_out[2k] is a, x_out[2k+1] b
-    x_out = pairs[ids].view(np.float64)
+    x_out = ledger.view(np.float64)
     v = t_alpha * (x[arrays.ends] - x_out)
-    finite = np.isfinite(v)
-    if not np.logical_and.reduce(finite):
-        h = int(np.argmin(finite))
-        src = arrays.ends
-        raise DivergenceError(
-            f"message from node {src[h]} to node {src[h ^ 1]} at round {t} has "
-            f"a non-finite quantizer input {float(v[h])!r}"
-        )
+    # a sum of finite inputs can overflow, but any inf or nan input makes it
+    # non-finite: only then is every input tested
+    if not isfinite(np.add.reduce(v)):
+        finite = np.isfinite(v)
+        if not np.logical_and.reduce(finite):
+            h = int(np.argmin(finite))
+            src = arrays.ends
+            raise DivergenceError(
+                f"message from node {src[h]} to node {src[h ^ 1]} at round {t} "
+                f"has a non-finite quantizer input {float(v[h])!r}"
+            )
     q = (v > 1.0).view(np.int8) - (v < -1.0).view(np.int8)
 
     # fold: both ledger sides of an edge apply the same increment
     x_out += q * inv_ta
-    pairs[ids] = x_out.view(np.complex128)
+    state.pairs[ids] = ledger
     last_seen[ids] = t
 
     # active pairs: both messages 0 and |x_in - x_out| > 4/t^alpha
@@ -509,14 +514,16 @@ def _drive(
             t += 1
             x, active_edges, nonzero_msgs, last = step(t)
             xs = tuple(x.tolist())
-            if not all(map(isfinite, xs)):
-                i = next(i for i, v in enumerate(xs) if not isfinite(v))
-                raise DivergenceError(
-                    f"node {i} became non-finite at round {t}: {xs[i]!r}"
-                )
             row = compute_metrics(
                 xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
             )
+            # any inf or nan value makes the mean, and so V2, non-finite
+            if not isfinite(row.V2):
+                for i, v in enumerate(xs):
+                    if not isfinite(v):
+                        raise DivergenceError(
+                            f"node {i} became non-finite at round {t}: {v!r}"
+                        )
             if validate is not None:
                 violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
                 if violations:

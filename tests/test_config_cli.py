@@ -5,7 +5,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+import yaml
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import per_round_calls
@@ -13,9 +14,11 @@ from ternary_consensus import cli
 from ternary_consensus.analysis import MetricsRow, compute_metrics
 from ternary_consensus.cli import METRICS_HEADER, SWEEP_HEADER, TRACE_HEADER, main
 from ternary_consensus.config import (
+    _parse_yaml,
     load_config,
     load_config_data,
     preset_names,
+    read_config_doc,
     resolve_config,
 )
 from ternary_consensus.errors import ConfigError
@@ -85,8 +88,6 @@ class TestConfigLoading:
         ],
     )
     def test_key_precise_errors(self, mangle, needle):
-        import yaml
-
         doc = yaml.safe_load(BASE_YAML.format(out="out"))
         mangle(doc)
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
@@ -130,6 +131,101 @@ class TestConfigLoading:
     def test_unknown_preset_errors(self):
         with pytest.raises(ConfigError, match="neither a file nor a preset"):
             resolve_config("no-such-preset")
+
+
+SHIPPED_CONFIGS = [resolve_config(name) for name in preset_names()] + [
+    Path(__file__).resolve().parents[1] / "perfbench" / "varying.yaml"
+]
+
+
+def _yaml_outcome(parse, text):
+    try:
+        return "ok", repr(parse(text))  # repr: a .nan scalar equals itself
+    except (yaml.YAMLError, ValueError) as exc:
+        return "error", str(exc)
+
+
+# lines near the fast path's edge: plain `key: scalar` lines, and tabs, block
+# scalars, flow lists and quotes, on which libyaml and safe_load disagree
+_YAML_LINE = st.builds(
+    lambda indent, key, value, comment: f"{' ' * indent}{key}:{value}{comment}",
+    st.sampled_from([0, 0, 1, 2, 4]),
+    st.sampled_from(["a", "b", "B", "t_max", "on", "null", "_x1"]),
+    st.one_of(
+        st.just(""),
+        st.builds(
+            "".join,
+            st.tuples(
+                st.sampled_from([" ", "  ", "\t"]),
+                st.one_of(
+                    st.sampled_from(
+                        ["null", ".nan", "-.inf", "...", "0x1F", "1_000", "|#", ">", "[b :]", "'q'"]
+                    ),
+                    st.text("-._+/aZe019", min_size=1, max_size=6),
+                ),
+            ),
+        ),
+    ),
+    st.sampled_from(["", " # c", "#c", "  #: y", " #\tc"]),
+)
+
+
+class TestYamlLoader:
+    @pytest.fixture(params=["as-built", "without-libyaml"])
+    def pyyaml_build(self, request, monkeypatch):
+        """PyYAML as installed, or with its libyaml loaders taken out: a
+        config must parse to the same document, or fail with the same
+        message, on either build."""
+        if request.param == "without-libyaml":
+            for name in ("CBaseLoader", "CSafeLoader", "CFullLoader", "CUnsafeLoader", "CLoader"):
+                monkeypatch.delattr(yaml, name, raising=False)
+            monkeypatch.setattr(yaml, "__with_libyaml__", False)
+
+    def test_shipped_configs_parse_as_under_safe_load(self, pyyaml_build):
+        assert len(SHIPPED_CONFIGS) == len(preset_names()) + 1
+        for path in SHIPPED_CONFIGS:
+            doc, base_dir = read_config_doc(path)
+            assert doc == yaml.safe_load(path.read_text())
+            assert base_dir == path.parent
+
+    @given(st.lists(st.one_of(_YAML_LINE, st.sampled_from(["", "# c", " "])), max_size=6))
+    @settings(max_examples=400, deadline=None)
+    def test_the_fast_path_parses_as_safe_load(self, lines):
+        text = "\n".join(lines) + "\n"
+        assert _yaml_outcome(_parse_yaml, text) == _yaml_outcome(yaml.safe_load, text)
+
+    def test_a_flow_text_libyaml_refuses_parses(self, pyyaml_build, write_config):
+        path = write_config(BASE_YAML.replace("  seed: 1\n", "  seed: [b :]\n", 1))
+        doc, _ = read_config_doc(path)
+        assert doc["graph"]["seed"] == [{"b": None}]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            BASE_YAML.replace("alpha: 0.9", "alpha: 1" + "0" * 5000),
+            BASE_YAML.replace("n: 3", "n: [3"),
+            BASE_YAML.replace("  base: complete", " base: complete"),
+            BASE_YAML.replace("  seed: 1", "\t seed: 1"),
+            BASE_YAML.replace("alpha: 0.9", "alpha:\t0.9"),
+            BASE_YAML.replace("beta: 0.0", "beta: |#\n    0.0"),
+        ],
+        ids=[
+            "5000-digit-int",
+            "unclosed-flow",
+            "bad-indent",
+            "tab-indent",
+            "tab-after-colon",
+            "block-scalar-hash",
+        ],
+    )
+    def test_invalid_yaml_exits_1(self, pyyaml_build, write_config, tmp_path, capsys, text):
+        path = write_config(text)
+        _, message = _yaml_outcome(yaml.safe_load, Path(path).read_text())
+        assert main(["run", "--config", path, "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config: invalid YAML in {path}: {message}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestCmdRun:

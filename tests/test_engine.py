@@ -411,6 +411,39 @@ class TestRunInputs:
         with pytest.raises(DivergenceError, match="round 3 has a non-finite quantizer input inf"):
             run(cfg)
 
+    def test_an_overflowing_sum_of_finite_quantizer_inputs_is_no_divergence(self):
+        # six inputs of t^0.9 * 5e307 stay finite through round 4 (4^0.9 *
+        # 5e307 ~ 1.74e308), but their sum, which run_round tests first, is
+        # inf from round 1; only round 5's inputs are inf themselves
+        with edge_engine.silent_float_errors():
+            assert np.add.reduce(np.full(6, 5e307)) == np.inf
+        seq = make_sequence("static", 3, base="complete")
+        init = InitSpec("explicit", values=(5e307, 5e307, 5e307))
+        assert run(sim(seq, PRACTICAL_09, init, 4)).rounds == 4
+        with pytest.raises(DivergenceError, match=(
+            r"^message from node 0 to node 1 at round 5 has a non-finite "
+            r"quantizer input inf$"
+        )):
+            run(sim(seq, PRACTICAL_09, init, 5))
+
+    def test_a_failed_round_leaves_the_ledger_as_it_found_it(self):
+        # edge (0, 1) is back at round 4 after two rounds away: past the
+        # prune horizon 1, its estimates (1, 1) read as (0, 0), and the
+        # quantizer input 4^0.9 * 8e307 overflows
+        seq = make_sequence("periodic", 2, rounds=[[(0, 1)], [], []])
+        params = ProtocolParams(alpha=0.9, beta=0.0, variant="practical",
+                                prune_horizon=1)
+        cfg = sim(seq, params, InitSpec("explicit", values=(8e307, 8e307)), 4)
+        state = edge_engine.init_state(cfg)
+        with edge_engine.silent_float_errors():
+            for t in range(1, 4):
+                edge_engine.run_round(state, t, cfg)
+            est = state.est.copy()
+            assert est.tolist() == [[1.0, 1.0]]
+            with pytest.raises(DivergenceError, match="at round 4 has a non-finite"):
+                edge_engine.run_round(state, 4, cfg)
+        assert est.tobytes() == state.est.tobytes()
+
     def test_round_budget_below_1_rejected(self):
         seq = make_sequence("static", 3, base="line")
         with pytest.raises(ConfigError, match="run.t_max: must be >= 1, got 0"):
