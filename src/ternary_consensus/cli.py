@@ -225,7 +225,7 @@ def cmd_check_core(args) -> int:
             f"--window: must be >= graph.B ({cfg.block_len}), got {window}"
         )
     seq = cfg.seq
-    key_rounds = (seq._keys[seq.edge_ids(t)] for t in range(1, window + 1))
+    key_rounds = (seq.edge_keys(t) for t in range(1, window + 1))
     try:
         result = fold_core(seq.n, key_rounds, cfg.block_len)
     except ValueError as exc:  # the window asks for a round the sequence lacks
@@ -295,11 +295,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument(
-        "--config",
-        required=config_required,
-        help="config file path or shipped preset name",
+        "--config", required=True, help="config file path or shipped preset name"
     )
     p.add_argument("--out", help="override output.dir")
     p.add_argument("--seed", type=int, help="override graph and init seeds")

@@ -19,7 +19,7 @@ import yaml
 
 from .engine import InitSpec, SimulationConfig, check_run_lengths
 from .errors import ConfigError
-from .graphs import SEQUENCE_KINDS, GraphSequence, make_sequence
+from .graphs import SEQUENCE_KINDS, Edge, GraphSequence, make_sequence, parse_edge
 from .metropolis import MetropolisConfig
 from .protocol import ProtocolParams
 
@@ -122,29 +122,19 @@ def _as_str(v, path: str) -> str:
     return v
 
 
-def _parse_edge(tok, path: str) -> tuple[int, int]:
-    if isinstance(tok, str):
-        parts = tok.split("-")
-        if len(parts) == 2:
-            try:
-                return int(parts[0]), int(parts[1])
-            except ValueError:
-                pass
-    elif isinstance(tok, (list, tuple)) and len(tok) == 2:
-        try:
-            return int(tok[0]), int(tok[1])
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{path}: bad edge {tok!r}, expected 'i-j' or [i, j]")
-
-
-def _parse_edges(v, path: str) -> list[tuple[int, int]]:
+def _parse_edges(v, path: str) -> list[Edge]:
     if not isinstance(v, list):
         raise ConfigError(f"{path}: expected a list of edges")
-    return [_parse_edge(tok, f"{path}[{k}]") for k, tok in enumerate(v)]
+    edges = []
+    for k, tok in enumerate(v):
+        try:
+            edges.append(parse_edge(tok))
+        except ValueError as exc:
+            raise ConfigError(f"{path}[{k}]: {exc}") from None
+    return edges
 
 
-def _parse_rounds(v, path: str) -> list[list[tuple[int, int]]]:
+def _parse_rounds(v, path: str) -> list[list[Edge]]:
     if not isinstance(v, list):
         raise ConfigError(f"{path}: expected a list of rounds")
     return [_parse_edges(r, f"{path}[{k}]") for k, r in enumerate(v)]
@@ -216,7 +206,7 @@ def _build_protocol(sec: dict) -> ProtocolParams:
 
 def _build_init(sec: dict) -> InitSpec:
     kind = _as_str(_need(sec, "init", "kind"), "init.kind")
-    seed = _as_int(sec.get("seed", 0), "init.seed") if "seed" in sec else 0
+    seed = _as_int(sec["seed"], "init.seed") if "seed" in sec else 0
     lo = _as_float(sec["lo"], "init.lo") if "lo" in sec else 0.0
     hi = _as_float(sec["hi"], "init.hi") if "hi" in sec else 1.0
     values = None
@@ -286,8 +276,8 @@ def read_config_doc(path: str | Path) -> tuple[dict, Path]:
     override flags into the document before validation)."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     try:
         doc = _parse_yaml(text)

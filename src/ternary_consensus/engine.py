@@ -431,9 +431,7 @@ def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
     as only a static sequence skips (see ``run``)."""
     arrays = state.arrays
     if arrays.graph is None:
-        arrays.graph = GraphSnapshot(
-            arrays.n, frozenset(map(tuple, arrays.edges.tolist()))
-        )
+        arrays.graph = GraphSnapshot(arrays.n, arrays.edges.tolist())
         # records copy this tuple and patch in the few nonzero symbols
         arrays.silent = tuple(
             m for i, j in arrays.graph.edge_list

@@ -44,18 +44,33 @@ def derive_seed(seed: int, *words: int) -> int:
     return z
 
 
-def normalize_edge(i: int, j: int) -> Edge:
-    return (i, j) if i < j else (j, i)
+def parse_edge(tok) -> Edge:
+    """One edge as written in a config or rounds file: an "i-j" string, or a
+    2-item list of ints (not bools, not floats). The pair keeps its order;
+    ``GraphSnapshot`` normalizes it."""
+    if isinstance(tok, str):
+        parts = tok.split("-")
+        if len(parts) == 2:
+            try:
+                return int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+    elif isinstance(tok, (list, tuple)) and len(tok) == 2:
+        i, j = tok
+        if type(i) is int and type(j) is int:
+            return i, j
+    raise ValueError(f"bad edge {tok!r}, expected 'i-j' or [i, j]")
 
 
 @dataclass(frozen=True)
 class GraphSnapshot:
     """One round's undirected edge set.
 
-    Edges are stored as normalized (low, high) pairs of distinct endpoints;
-    the per-node self-loop is implicit. Derived views (sorted edge list,
-    degrees) are cached, which matters because static sequences hand out the
-    same snapshot every round.
+    ``edges`` may be any iterable of int pairs, each in either order; they
+    are stored as a frozenset of normalized (low, high) pairs of distinct
+    endpoints. The per-node self-loop is implicit. Derived views (sorted edge
+    list, degrees) are cached, which matters because static sequences hand out
+    the same snapshot every round.
     """
 
     n: int
@@ -64,10 +79,7 @@ class GraphSnapshot:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count must be >= 1, got {self.n}")
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(
-                self, "edges", frozenset(normalize_edge(i, j) for i, j in self.edges)
-            )
+        edges = set()
         for i, j in self.edges:
             # bool included; numpy would read 0.5 as node 0 without a word
             if type(i) is not int or type(j) is not int:
@@ -78,8 +90,8 @@ class GraphSnapshot:
                 raise ValueError(f"self-pair ({i},{j}) must not be stored")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            if i > j:
-                raise ValueError(f"edge ({i},{j}) not normalized")
+            edges.add((i, j) if i < j else (j, i))
+        object.__setattr__(self, "edges", frozenset(edges))
 
     @cached_property
     def edge_list(self) -> tuple[Edge, ...]:
@@ -169,6 +181,10 @@ class GraphSequence:
         """u*n + v of each universe edge (u, v): sorted, as the universe is."""
         return self.universe[:, 0] * self.n + self.universe[:, 1]
 
+    def edge_keys(self, t: int) -> np.ndarray:
+        """u*n + v of each edge (u, v) of round t, sorted."""
+        return self._keys[self.edge_ids(t)]
+
     def _rows(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The universe rows of the edges (u[k], v[k]), u < v, each of them in
         the universe."""
@@ -189,8 +205,7 @@ class GraphSequence:
         raise NotImplementedError
 
     def _snapshot(self, t: int) -> GraphSnapshot:
-        rows = self.universe[self._edge_ids(t)].tolist()
-        return GraphSnapshot(self.n, frozenset(map(tuple, rows)))
+        return GraphSnapshot(self.n, self.universe[self._edge_ids(t)].tolist())
 
 
 @dataclass(frozen=True)
@@ -294,19 +309,14 @@ class CoreSyntheticSequence(GraphSequence):
     kind = "core_synthetic"
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "core_edges",
-            frozenset(normalize_edge(i, j) for i, j in self.core_edges),
-        )
         if self.block_len < 1:
             raise ValueError(f"block length must be >= 1, got {self.block_len}")
         if not (0.0 <= self.extra_edge_prob <= 1.0):
             raise ValueError(
                 f"extra_edge_prob must be in [0,1], got {self.extra_edge_prob}"
             )
-        # validate endpoints via snapshot construction rules
-        GraphSnapshot(self.n, self.core_edges)
+        core = GraphSnapshot(self.n, self.core_edges).edges
+        object.__setattr__(self, "core_edges", core)
         if not _connected(self.n, self.core_edges):
             raise ValueError("core edge set must form a connected graph on all nodes")
 
@@ -364,7 +374,7 @@ def fold_core(
 ) -> CoreCheckResult:
     """Decide whether a finite window has a connected persistent core for the
     given block length, from each round's edge keys u*n + v (the form of
-    ``GraphSequence._keys``).
+    ``GraphSequence.edge_keys``).
 
     The maximal candidate core is the intersection over complete blocks of
     each block's edge union; a valid persistent core exists iff this candidate
@@ -423,17 +433,8 @@ def parse_rounds_text(text: str, n: int) -> tuple[GraphSnapshot, ...]:
     space-separated "i-j" tokens, a blank line meaning an edgeless round."""
     rounds = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        edges = set()
-        for tok in line.split():
-            try:
-                a, b = tok.split("-")
-                edges.add(normalize_edge(int(a), int(b)))
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: bad edge token {tok!r}, expected 'i-j'"
-                ) from None
         try:
-            rounds.append(GraphSnapshot(n, frozenset(edges)))
+            rounds.append(GraphSnapshot(n, map(parse_edge, line.split())))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return tuple(rounds)
@@ -466,7 +467,7 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
         elif base is not None:
             raise ValueError(f"unknown static base {base!r}")
         else:
-            snap = GraphSnapshot(n, frozenset(normalize_edge(i, j) for i, j in edges))
+            snap = GraphSnapshot(n, edges)
         return ExplicitSequence((snap,), "static")
     if kind in ("periodic", "explicit"):
         rounds = kw.pop("rounds", None)
@@ -475,12 +476,9 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
         if path is not None:
             if rounds is not None:
                 raise ValueError("explicit sequence takes rounds or path, not both")
-            snaps = parse_rounds_text(Path(path).read_text(), n)
+            snaps = parse_rounds_text(Path(path).read_text(encoding="utf-8"), n)
         elif rounds is not None:
-            snaps = tuple(
-                GraphSnapshot(n, frozenset(normalize_edge(i, j) for i, j in r))
-                for r in rounds
-            )
+            snaps = tuple(GraphSnapshot(n, r) for r in rounds)
         else:
             raise ValueError(f"{kind} sequence needs its rounds")
         return ExplicitSequence(snaps, kind)
@@ -491,13 +489,7 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
         block_len = kw.pop("block_len")
         prob = kw.pop("extra_edge_prob", 0.0)
         _reject_extra(kind, kw)
-        return CoreSyntheticSequence(
-            n,
-            frozenset(normalize_edge(i, j) for i, j in core),
-            block_len,
-            prob,
-            seed,
-        )
+        return CoreSyntheticSequence(n, core, block_len, prob, seed)
     _reject_extra(kind, kw)
     return RelabeledLineSequence(n, seed)
 

@@ -50,6 +50,19 @@ output:
 """
 
 
+def fresh_cli(argv, cwd, *flags):
+    """``python [flags] -m ternary_consensus.cli argv`` in a fresh interpreter
+    that imports the package from this checkout's src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    ))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "ternary_consensus.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd,
+    )
+
+
 @pytest.fixture
 def write_config(tmp_path):
     def _write(text=None, name="exp.yaml", **fmt):
@@ -635,14 +648,8 @@ class TestFloatRange:
         # RuntimeWarning into an error: the overflow at round 3 is reported
         # by the quantizer check, with no traceback and no file left
         path = write_config(TWO_NODE_EXPLICIT_YAML.replace("VALUES", "[8.0e+307, 8.0e+307]"))
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(src), os.environ.get("PYTHONPATH")))
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ternary_consensus.cli",
-             "run", "--config", path, "--quiet"],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
+        proc = fresh_cli(
+            ["run", "--config", path, "--quiet"], tmp_path, "-W", "error::RuntimeWarning"
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("run failed: ")
@@ -700,6 +707,94 @@ class TestGraphKeys:
         )
         assert main(["run", "--config", write_config(text), "--quiet"]) == 1
         assert "needs core_edges" in capsys.readouterr().err
+
+
+class TestEdgeGrammar:
+    """graphs.parse_edge is the one edge grammar: an "i-j" string or a 2-item
+    list of ints. Any other token in edges, core_edges or rounds exits 1
+    naming its key and index, and leaves no file."""
+
+    GRAPHS = {
+        "edges": ('  kind: static\n  edges: ["0-1", TOKEN]\n', "graph.edges[1]"),
+        "core_edges": (
+            '  kind: core_synthetic\n  core_edges: ["0-1", TOKEN, "1-2"]\n',
+            "graph.core_edges[1]",
+        ),
+        "rounds": (
+            '  kind: periodic\n  rounds: [["0-1"], ["1-2", TOKEN]]\n',
+            "graph.rounds[1][1]",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "token",
+        ["[0.7, 1]", "[true, 2]", '["0", 1]', "[1]", "[0, 1, 2]", '"0-1-2"',
+         '"a-b"', "5"],
+        ids=["float", "bool", "string-in-list", "one-item", "three-items",
+             "three-parts", "not-ints", "not-a-list"],
+    )
+    @pytest.mark.parametrize("key", sorted(GRAPHS))
+    def test_bad_token_exits_1_naming_key_and_index(
+        self, key, token, write_config, tmp_path, capsys
+    ):
+        graph, where = self.GRAPHS[key]
+        text = BASE_YAML.replace(
+            "  kind: static\n  base: complete\n", graph.replace("TOKEN", token)
+        )
+        assert main(["run", "--config", write_config(text), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {where}: bad edge {yaml.safe_load(token)!r}, "
+            "expected 'i-j' or [i, j]\n"
+        )
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("key", sorted(GRAPHS))
+    def test_int_tokens_in_either_form_run(self, key, write_config, tmp_path):
+        graph, _ = self.GRAPHS[key]
+        text = BASE_YAML.replace(
+            "  kind: static\n  base: complete\n", graph.replace("TOKEN", "[2, 0]")
+        )
+        assert main(["run", "--config", write_config(text), "--quiet"]) == 0
+        assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+class TestConfigEncoding:
+    """A config file is read as UTF-8; one that is not is a config error."""
+
+    NON_UTF8 = b"graph:\n  kind: static\xff\xfe\n"
+
+    @pytest.mark.parametrize(
+        "verb", [["run"], ["check-core"], ["sweep", "--n-list", "3,4"]],
+        ids=["run", "check-core", "sweep"],
+    )
+    def test_non_utf8_config_exits_1(self, verb, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_bytes(self.NON_UTF8)
+        assert main(verb + ["--config", str(path), "--out", str(tmp_path / "out"),
+                            "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: cannot read {path}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_in_a_fresh_interpreter(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_bytes(self.NON_UTF8)
+        proc = fresh_cli(["run", "--config", str(path), "--quiet"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"config error: config: cannot read {path}: ")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_non_utf8_rounds_file_is_a_graph_error(self, write_config, tmp_path, capsys):
+        (tmp_path / "rounds.txt").write_bytes(b"0-1\n1-2\xff\n")
+        text = BASE_YAML.replace(
+            "  kind: static\n  base: complete\n", "  kind: explicit\n  path: rounds.txt\n"
+        ).replace("t_max: 5", "t_max: 2")
+        assert main(["run", "--config", write_config(text), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: graph: 'utf-8' codec can't decode")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBoundRange:

@@ -29,6 +29,8 @@ class TestGraphSnapshot:
     def test_normalizes_and_dedupes(self):
         g = GraphSnapshot(3, {(1, 0), (0, 1), (2, 1)})
         assert g.edges == {(0, 1), (1, 2)}
+        g = GraphSnapshot(3, frozenset({(1, 0), (1, 2)}))
+        assert g.edges == {(0, 1), (1, 2)}
 
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError, match="self-pair"):
@@ -347,7 +349,7 @@ class TestCoreCheck:
     def test_sequence_keys_give_the_snapshot_result(self, case, B):
         # check-core folds each round's universe keys, not its snapshot
         seq, t_max = case
-        keys = (seq._keys[seq.edge_ids(t)] for t in range(1, t_max + 1))
+        keys = (seq.edge_keys(t) for t in range(1, t_max + 1))
         snaps = [seq.snapshot(t) for t in range(1, t_max + 1)]
         if t_max < B:
             with pytest.raises(ValueError, match="shorter than one block"):
@@ -390,6 +392,11 @@ class TestRoundsText:
     def test_bad_token(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_rounds_text("0-1\n0:1\n", 3)
+
+    @pytest.mark.parametrize("token", ["0-1-2", "a-1", "0.5-1", "-1-2"])
+    def test_token_the_edge_parser_refuses_names_its_line(self, token):
+        with pytest.raises(ValueError, match=f"^line 3: bad edge '{token}', "):
+            parse_rounds_text(f"0-1\n1-2\n2-0 {token}\n", 3)
 
 
 def test_derive_seed_is_stable():
