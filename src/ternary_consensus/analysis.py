@@ -278,6 +278,16 @@ def validate_round(
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+def monotone(prev_metrics: MetricsRow, row: MetricsRow) -> bool:
+    """True only if ``row`` passes ``validate_round``'s monotonicity clauses
+    against ``prev_metrics``; a nan fails."""
+    return (
+        row.M <= prev_metrics.M + MONOTONE_TOL
+        and row.m >= prev_metrics.m - MONOTONE_TOL
+        and row.V2 <= prev_metrics.V2 + MONOTONE_TOL
+    )
+
+
 def screen_round(
     state: "EdgeState",
     params: ProtocolParams,
@@ -330,11 +340,7 @@ def screen_round(
     then pass, and s_i <= 1/2 + MATRIX_TOL / 2 here gives d_i >= 1/2 -
     MATRIX_TOL there (dominance, theorem variant).
     """
-    if not (
-        row.M <= prev_metrics.M + MONOTONE_TOL
-        and row.m >= prev_metrics.m - MONOTONE_TOL
-        and row.V2 <= prev_metrics.V2 + MONOTONE_TOL
-    ):
+    if not monotone(prev_metrics, row):
         return False
     t, x_pre, x_post = row.t, state.x_pre, state.x
     n = len(x_post)
@@ -372,6 +378,68 @@ def screen_round(
         if not np.maximum.reduce(s) <= 0.5 + MATRIX_TOL / 2:
             return False
     return True
+
+
+def screen_block(
+    state: "EdgeState",
+    params: ProtocolParams,
+    values: np.ndarray,
+    first: int,
+    *,
+    w0: float,
+    xinf0: float,
+    avg0: float,
+) -> np.ndarray:
+    """Per round of a block of message-free rounds first, first+1, ... with
+    the active mask ``state.act`` (``engine._active_block``), whose values
+    are values[1:], values[0] those of round first-1: True only if
+    ``screen_round`` clears that round once its row passes ``monotone``.
+
+    Every clause but monotonicity is ``screen_round``'s, evaluated as an
+    array over the block's rounds with the same IEEE operations on the same
+    floats in the same order, so each round's verdict is the one
+    ``screen_round`` gives on that round's state: (g) the conservation fold
+    adds the node columns left to right from +0.0, which is ``fold_sum``'s
+    order in every row; (d) the estimates are those of round first-1, which
+    no round of the block changes, and every slot of a static graph is
+    live; (e) the step bound; w within [2/3, 2]; the a_max clause; and the
+    dominance sums (theorem variant), two ``np.bincount`` calls over the
+    rounds' bins r*n + node, which add each node's entries per round in
+    ``screen_round``'s order. (The dominance margin holds in any summation
+    order anyway: the rounding bound of a sum of nonnegative terms, Higham
+    eq. 4.4, does not depend on their order.) Rows that hold a nan or an
+    inf fail, as every comparison with a nan does.
+    """
+    x_pre, x_post = values[:-1], values[1:]
+    k, n = x_post.shape
+    est_max = np.maximum.reduce(np.abs(state.est), axis=None, initial=0.0)
+    if not est_max <= xinf0 + ESTIMATE_TOL:
+        return np.zeros(k, dtype=bool)
+    total = np.zeros(k)
+    for j in range(n):
+        total += x_post[:, j]
+    ok = abs(total / n - avg0) <= CONSERVATION_TOL * max(1.0, xinf0)
+    theorem = params.variant == "theorem"
+    if theorem:
+        damp = np.array([s ** (-params.beta) for s in range(first, first + k)])
+        step = np.maximum.reduce(np.abs(x_post - x_pre), axis=1)
+        ok &= step <= 0.5 * w0 * damp + STEP_TOL
+    act = state.act
+    u = state.arrays.eu[act]
+    v = state.arrays.ev[act]
+    w = state.gap[act] / (x_pre[:, v] - x_pre[:, u])
+    ok &= np.minimum.reduce(w, axis=1) >= 2.0 / 3.0 - MATRIX_TOL
+    ok &= np.maximum.reduce(w, axis=1) <= 2.0 + MATRIX_TOL
+    a = w / state.arrays.denom[act]
+    a_max = np.maximum.reduce(a, axis=1)
+    ok &= 4.0 * n * _UNIT_ROUNDOFF * (1.0 + (n - 1) * a_max) <= MATRIX_TOL / 2
+    if theorem:
+        bins = np.arange(0, k * n, n)[:, None]
+        s = np.bincount((bins + u).ravel(), a.ravel(), k * n) + np.bincount(
+            (bins + v).ravel(), a.ravel(), k * n
+        )
+        ok &= np.maximum.reduce(s.reshape(k, n), axis=1) <= 0.5 + MATRIX_TOL / 2
+    return ok
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ clear.
 On a static graph most rounds of a long run are quiet: no message is
 nonzero and no pair is active. After a quiet round, ``_quiet_until`` bounds
 the rounds that must stay quiet too, and ``run`` skips them: the run loop
-hands them to the sink in one call without running them. Why the rows,
+hands them to the sink in one call without running them. Most of the other
+rounds send no nonzero message and keep the active set of the round before;
+``_active_block`` computes a stretch of them as one accumulate, up to the
+first round that sends a message or changes the active set. Why the rows,
 records and checker verdicts are bitwise those of running every round is
 argued once, in ``run``'s docstring.
 """
@@ -38,6 +41,8 @@ from .analysis import (
     MetricsRow,
     compute_metrics,
     fold_sum,
+    monotone,
+    screen_block,
     screen_round,
     validate_round,
 )
@@ -52,6 +57,7 @@ from .protocol import (
 )
 
 INIT_KINDS = ("spike", "uniform_random", "explicit")
+TABULATED_KINDS = ("static", "periodic", "explicit")
 MAX_ROUNDS = 2**53
 
 
@@ -142,7 +148,7 @@ def check_known_bounds(
     periodic or explicit snapshot used in rounds 1..t_max, naming the first
     round that uses it, as the run itself would. Generated sequences
     (core_synthetic, relabeled_line) are checked as their rounds are run."""
-    if d_policy != "fixed" or seq.kind not in ("static", "periodic", "explicit"):
+    if d_policy != "fixed" or seq.kind not in TABULATED_KINDS:
         return
     seen: set[GraphSnapshot] = set()
     for t, g in enumerate(seq.rounds[:t_max], start=1):
@@ -226,17 +232,26 @@ class EdgeArrays:
 
 def round_arrays(
     seq: GraphSequence, t: int, d_policy: str, d_fixed: float | None,
-    arrays: EdgeArrays | None, scale: float = 1.0,
+    memo: dict[int, EdgeArrays], scale: float = 1.0,
 ) -> EdgeArrays:
-    """Round t's arrays, the one rule of both runners: ``arrays``, those of the
-    round before, while the sequence hands out their ids object again, and
-    otherwise new arrays of the universe rows ``seq.edge_ids(t)``."""
+    """Round t's arrays, the one rule of both runners: the arrays in ``memo``,
+    a run's map from id(ids) to the arrays built for that ids object, while
+    the sequence hands out an ids object again, and otherwise new arrays of
+    the universe rows ``seq.edge_ids(t)``. A tabulated sequence hands out one
+    ids object per distinct snapshot, and the memo keeps the arrays of each;
+    a generated one rarely repeats an edge set, and the memo keeps those of
+    the last round only. Each entry holds its ids object, so no other object
+    can take its id while the entry lives."""
     ids = seq.edge_ids(t)
-    if arrays is not None and ids is arrays.ids:
-        return arrays
-    return EdgeArrays(
-        seq.n, seq.universe.take(ids, axis=0), d_policy, d_fixed, t, scale, ids
-    )
+    arrays = memo.get(id(ids))
+    if arrays is None:
+        arrays = EdgeArrays(
+            seq.n, seq.universe.take(ids, axis=0), d_policy, d_fixed, t, scale, ids
+        )
+        if seq.kind not in TABULATED_KINDS:
+            memo.clear()
+        memo[id(ids)] = arrays
+    return arrays
 
 
 @dataclass(slots=True, eq=False)
@@ -262,7 +277,8 @@ class EdgeState:
 
     The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
     2k+1), estimate gaps b - a, active mask and pre-update values here, for
-    ``analysis.screen_round`` and ``_record``.
+    ``analysis.screen_round`` and ``_record``; an active block leaves those
+    of its last round. ``memo`` holds the arrays ``round_arrays`` built.
     """
 
     x: np.ndarray
@@ -271,6 +287,7 @@ class EdgeState:
     last_seen: np.ndarray
     pairs: np.ndarray = field(init=False, repr=False)
     arrays: EdgeArrays | None = None  # denom: 2*D (practical) or 4*D (theorem)
+    memo: dict[int, EdgeArrays] = field(default_factory=dict, repr=False)
     q: np.ndarray | None = None  # the last round run
     gap: np.ndarray | None = None
     act: np.ndarray | None = None
@@ -329,7 +346,7 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     """
     params = config.params
     arrays = state.arrays = round_arrays(
-        config.seq, t, params.bound_policy, params.d_fixed, state.arrays,
+        config.seq, t, params.bound_policy, params.d_fixed, state.memo,
         params.denom_scale,
     )
     ids = arrays.ids
@@ -425,6 +442,58 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     return max(last, t)
 
 
+BLOCK_AFTER = 8  # stretch rounds stepped one by one before a block is tried
+BLOCK_FIRST = 32  # rounds in a stretch's first block; doubled after each clean one
+BLOCK_ELEMENTS = 2**13  # cap on a block's rounds times max(2m, n)
+
+
+def _active_block(
+    state: EdgeState, t: int, params: ProtocolParams, size: int
+) -> np.ndarray:
+    """The values of rounds t-1, t, ..., t+k-1 as the rows of a (k+1, n)
+    array, where round t-1 is the last round run and k <= size counts the
+    rounds before the first event: a half-edge whose quantizer input leaves
+    [-1, 1] (a message) or is not finite, an edge whose activation differs
+    from round t-1's, or a node value that is not finite. The state is left
+    as round t+k-1 would leave it, its edges marked seen through that round.
+
+    While no message is sent, every estimate, and so every gap, keeps its
+    value (``run`` argues why), and with the active mask fixed so do the
+    folded vector f and the moved nodes. Round s then moves x by s^-beta * f
+    (theorem variant) or f (practical) on the moved nodes, so the rows are
+    one ``np.add.accumulate``, which adds in sequence as the rounds do. Each
+    round's events are tested with its own ``round_scales(s, alpha)`` and
+    the engine's expressions, on the values of round s-1.
+    """
+    arrays = state.arrays
+    act, gap, x = state.act, state.gap, state.x
+    rounds = range(t, t + size)
+    scales = np.array([round_scales(s, params.alpha) for s in rounds])
+    f = arrays.fold(np.where(act, gap / arrays.denom, 0.0))
+    moved = np.zeros(len(x), dtype=bool)
+    moved[arrays.eu[act]] = True
+    moved[arrays.ev[act]] = True
+    steps = np.empty((size + 1, np.count_nonzero(moved)))
+    steps[0] = x[moved]
+    steps[1:] = f[moved]
+    if params.variant == "theorem":
+        steps[1:] *= np.array([s ** (-params.beta) for s in rounds])[:, None]
+    values = np.repeat(x[None], size + 1, axis=0)
+    values[:, moved] = np.add.accumulate(steps)
+    # round s's quantizer inputs s^alpha * (x - x_out), formed in place
+    v = values[:-1, arrays.ends]
+    v -= state.pairs[arrays.ids].view(np.float64)
+    v *= scales[:, 0:1]
+    calm = np.logical_and.reduce(np.abs(v, out=v) <= 1.0, axis=1)  # no message, no nan
+    calm &= np.logical_and.reduce((np.abs(gap) > scales[:, 2:3]) == act, axis=1)
+    calm &= np.logical_and.reduce(np.isfinite(values[1:]), axis=1)
+    k = size if np.logical_and.reduce(calm) else int(np.argmin(calm))
+    if k:
+        state.x_pre, state.x = values[k - 1].copy(), values[k].copy()
+        state.last_seen[arrays.ids] = t + k - 1
+    return values[: k + 1]
+
+
 def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
     """The per-node view of round t, the last round run, rebuilt from the
     edge arrays. ``run`` copies it for the rest of the quiet stretch t opens,
@@ -475,23 +544,27 @@ def _drive(
     metrics_sink=None, keep_metrics: bool = True,
 ) -> RunResult:
     """The run loop of both runners, from the initial values x. ``step(t)``
-    runs round t and returns the new values, the round's active edge and
-    nonzero message counts, and the last round, at most t_max, through which
-    it proves the run quiet, every round after t repeating round t's values
-    and counts (t itself when it proves nothing). Only this loop computes the
-    t=0 facts (avg0, the spread w0 and the sup-norm xinf0), applies the stop
-    rule, guards node values against divergence, hands the facts to
-    ``validate`` and calls the sink; the last values are ``final_x``.
+    computes round t, or rounds t, t+1, ... of an active block, and returns
+    their values (one vector, or one row per round), their active edge and
+    nonzero message counts, and the last round, at most t_max, through
+    which it proves the run quiet, every round after the last one computed
+    repeating its values and counts (that round itself when it proves
+    nothing). Only this loop computes the t=0 facts (avg0, the spread w0 and
+    the sup-norm xinf0), builds each round's row with ``compute_metrics``,
+    applies the stop rule after each row, guards node values against
+    divergence, hands the facts to ``validate`` and calls the sink; the
+    last values are ``final_x``.
 
     The loop runs the round that opens a quiet stretch and jumps over the
-    rest: ``metrics_sink(row, x, last)`` is called once per round run, with
-    its row, its values as a tuple of floats and the stretch's last round,
-    and stands for rounds row.t..last, each with the row's fields and its
-    own t (last == row.t for a round that opens no stretch). Kept rows are
-    expanded likewise. ``validate`` sees every round that ``step`` runs
-    and none of a stretch's skipped rounds. Why that is the output of running
-    every round is argued in ``run``. ``step``, ``validate`` and the sink run
-    under ``silent_float_errors``, entered once for the whole loop."""
+    rest: ``metrics_sink(row, x, last)`` is called once per round computed,
+    with its row, its values as a tuple of floats and the stretch's last
+    round, and stands for rounds row.t..last, each with the row's fields and
+    its own t (last == row.t for a round that opens no stretch, and for
+    every round of a block). Kept rows are expanded likewise. ``validate``
+    sees every round that ``step`` computes and none of a stretch's skipped
+    rounds. Why that is the output of running every round is argued in
+    ``run``. ``step``, ``validate`` and the sink run under
+    ``silent_float_errors``, entered once for the whole loop."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -509,32 +582,41 @@ def _drive(
     t = 0
     with silent_float_errors():
         while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
-            t += 1
-            x, active_edges, nonzero_msgs, last = step(t)
-            xs = tuple(x.tolist())
-            row = compute_metrics(
-                xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
-            )
-            # any inf or nan value makes the mean, and so V2, non-finite
-            if not isfinite(row.V2):
-                for i, v in enumerate(xs):
-                    if not isfinite(v):
-                        raise DivergenceError(
-                            f"node {i} became non-finite at round {t}: {v!r}"
-                        )
-            if validate is not None:
-                violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
-                if violations:
-                    raise InvariantViolationError(t, violations)
-            if metrics_sink is not None:
-                metrics_sink(row, xs, last)
-            if keep_metrics:
-                rows.append(row)
-                fields = (row.M, row.m, row.W, row.V2, row.err_max,
-                          row.active_edges, row.nonzero_msgs)
-                rows.extend(MetricsRow(s, *fields) for s in range(t + 1, last + 1))
-            prev_row = row
-            t = last
+            values, active_edges, nonzero_msgs, last = step(t + 1)
+            computed = values.tolist()
+            if values.ndim == 1:
+                computed = (computed,)
+            final = t + len(computed)
+            for x in computed:
+                t += 1
+                xs = tuple(x)
+                row = compute_metrics(
+                    xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
+                )
+                # any inf or nan value makes the mean, and so V2, non-finite
+                if not isfinite(row.V2):
+                    for i, v in enumerate(xs):
+                        if not isfinite(v):
+                            raise DivergenceError(
+                                f"node {i} became non-finite at round {t}: {v!r}"
+                            )
+                if validate is not None:
+                    violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
+                    if violations:
+                        raise InvariantViolationError(t, violations)
+                end = last if t == final else t
+                if metrics_sink is not None:
+                    metrics_sink(row, xs, end)
+                if keep_metrics:
+                    rows.append(row)
+                    fields = (row.M, row.m, row.W, row.V2, row.err_max,
+                              row.active_edges, row.nonzero_msgs)
+                    rows.extend(MetricsRow(s, *fields) for s in range(t + 1, end + 1))
+                prev_row = row
+                if t < final and stop_reached(row, stop_err, stop_v2):
+                    break
+            else:
+                t = last
     stopped_at = t if stop_reached(prev_row, stop_err, stop_v2) else None
     return RunResult(rows, [], xs, rounds=t, stopped_at=stopped_at)
 
@@ -583,23 +665,101 @@ def run(
     zero movement never exceeds. So each clause comes out on round s as on
     round t, which passed, and ``screen_round``, reading the same state,
     clears round s if it cleared round t.
+
+    On a static sequence a run without records also computes active
+    stretches in blocks. After BLOCK_AFTER rounds in a row that send no
+    nonzero message and keep the active mask of the round before,
+    ``_active_block`` computes the next rounds, BLOCK_FIRST at first and
+    twice as many after each block that ends on its size, up to the first
+    event; the event round is run by ``run_round``, so its errors are the
+    per-round ones. The block is bitwise the rounds it stands for. A round
+    without a nonzero message changes no estimate, as a quiet round does,
+    so every gap keeps its value; ``_active_block`` tests each round for a
+    message, with the engine's quantizer expression and the round's own
+    ``round_scales``, and for a change of the active mask, with the same
+    threshold, so inside the block the active mask, the folded vector f and
+    the moved nodes are those of the round before it. Round s then adds
+    s**(-beta) * f (f, practical variant) to the moved nodes' values, the
+    same IEEE products and sums that ``run_round`` forms, and
+    ``np.add.accumulate`` adds them in round order. Every slot stays live
+    and is marked seen through the block's last round, as a run of its
+    rounds would leave it. ``_drive`` builds each round's row from its
+    values, stops at the first row that meets the stop rule, and calls the
+    sink once per round.
+
+    In a checked run, ``analysis.screen_block`` evaluates ``screen_round``'s
+    array clauses over the block's rounds at once, with the same float
+    operations in the same order, and a round it clears whose row passes
+    ``monotone`` is one that ``screen_round`` clears: it has no violation.
+    Any other round of the block goes through ``screen_round`` and ``validate_round`` on a view of
+    the state that holds its own values before and after: every other part
+    of that state (estimates, gaps, active mask, no message, every slot
+    live) is what running the round would leave. So a block round gets the
+    per-round verdict and messages, and a checked run raises at the round,
+    with the violations, of checking every round.
+
+    The quiet skip and the block do not share one event test, although a
+    quiet round is a block round with f = 0. ``_quiet_until`` bounds a
+    stretch in closed form, with a margin, in one step of any length (quiet
+    stretches reach 10^9 rounds); the block tests each round exactly, at a
+    cost that grows with the stretch. The kind gate is the same, ``static``,
+    for the reason given above for the skip.
     """
     params = config.params
     state = init_state(config)
     records: list[RoundRecord] = []
     skips = config.seq.kind == "static"
+    in_blocks = skips and not keep_records
+    streak = 0  # stretch rounds run in a row: no message, the mask of the round before
+    size = BLOCK_FIRST
+    block = None  # (first round, values) of the last block handed to _drive
+    cleared = None  # its rounds' screen_block verdicts, once screened
 
     def step(t: int):
+        nonlocal streak, size, block, cleared
+        if streak >= BLOCK_AFTER:
+            width = max(len(state.arrays.ends), len(state.x))
+            cap = min(size, max(1, BLOCK_ELEMENTS // width), config.t_max - t + 1)
+            values = _active_block(state, t, params, cap)
+            k = len(values) - 1
+            if k == cap:
+                size = min(2 * size, BLOCK_ELEMENTS)
+            else:  # round t+k has an event: run it
+                streak, size = 0, BLOCK_FIRST
+            if k:
+                block, cleared = (t, values), None
+                return values[1:], state.active_edges, 0, t + k - 1
+        block = None
+        prev_act = state.act
         run_round(state, t, config)
         quiet_to = t
-        if skips and not (state.nonzero_msgs or state.active_edges):
-            quiet_to = _quiet_until(state, t, params.alpha, config.t_max)
+        stretch = False
+        if skips and not state.nonzero_msgs:
+            if not state.active_edges:
+                quiet_to = _quiet_until(state, t, params.alpha, config.t_max)
+            elif in_blocks and prev_act is not None:
+                stretch = prev_act.tobytes() == state.act.tobytes()
+        streak = streak + 1 if stretch else 0
         return state.x, state.active_edges, state.nonzero_msgs, quiet_to
 
     def validate(prev_row, **facts):
-        if screen_round(state, params, prev_row, **facts):
+        nonlocal cleared
+        row = facts["row"]
+        view = state
+        if block is not None:
+            first, values = block
+            if cleared is None:
+                cleared = screen_block(
+                    state, params, values, first,
+                    w0=facts["w0"], xinf0=facts["xinf0"], avg0=facts["avg0"],
+                )
+            i = row.t - first
+            if cleared[i] and monotone(prev_row, row):
+                return []
+            view = replace(state, x_pre=values[i], x=values[i + 1])
+        if screen_round(view, params, prev_row, **facts):
             return []
-        rec = _record(state, facts["row"].t, params)
+        rec = _record(view, row.t, params)
         return validate_round(rec, prev_row, params, **facts)
 
     def keep_record(row, x, last):

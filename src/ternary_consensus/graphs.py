@@ -45,16 +45,14 @@ def derive_seed(seed: int, *words: int) -> int:
 
 
 def parse_edge(tok) -> Edge:
-    """One edge as written in a config or rounds file: an "i-j" string, or a
-    2-item list of ints (not bools, not floats). The pair keeps its order;
-    ``GraphSnapshot`` normalizes it."""
+    """One edge as written in a config or rounds file: an "i-j" string of two
+    runs of ASCII digits, or a 2-item list of ints (not bools, not floats).
+    The pair keeps its order; ``GraphSnapshot`` normalizes it."""
     if isinstance(tok, str):
         parts = tok.split("-")
-        if len(parts) == 2:
-            try:
-                return int(parts[0]), int(parts[1])
-            except ValueError:
-                pass
+        # int() would also take signs, spaces, underscores and other scripts' digits
+        if len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
+            return int(parts[0]), int(parts[1])
     elif isinstance(tok, (list, tuple)) and len(tok) == 2:
         i, j = tok
         if type(i) is int and type(j) is int:
@@ -428,6 +426,22 @@ def check_core_connected(
     return result
 
 
+def _read_rounds_file(path) -> str:
+    """The text of a rounds file, which must be UTF-8; a byte that is not
+    is reported with the file and its line as ``parse_rounds_text`` counts
+    lines."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line = len((head + "x").splitlines())
+        raise ValueError(
+            f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 "
+            f"({exc.reason})"
+        ) from None
+
+
 def parse_rounds_text(text: str, n: int) -> tuple[GraphSnapshot, ...]:
     """Parse the explicit-sequence text form: one round per line, edges as
     space-separated "i-j" tokens, a blank line meaning an edgeless round."""
@@ -476,7 +490,7 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
         if path is not None:
             if rounds is not None:
                 raise ValueError("explicit sequence takes rounds or path, not both")
-            snaps = parse_rounds_text(Path(path).read_text(encoding="utf-8"), n)
+            snaps = parse_rounds_text(_read_rounds_file(path), n)
         elif rounds is not None:
             snaps = tuple(GraphSnapshot(n, r) for r in rounds)
         else:

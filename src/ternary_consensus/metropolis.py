@@ -63,13 +63,13 @@ def run_metropolis(
     rounds after it up to t_max to the sink in one call without running them.
     """
     seq = config.seq
-    arrays = None
+    memo: dict = {}
     x = np.array(config.init.build(seq.n), dtype=float)
     static = seq.kind == "static"
 
     def step(t: int):
-        nonlocal arrays, x
-        arrays = round_arrays(seq, t, config.d_policy, config.d_fixed, arrays)
+        nonlocal x
+        arrays = round_arrays(seq, t, config.d_policy, config.d_fixed, memo)
         prev, x = x, _step(x, arrays)
         repeats = static and x.tobytes() == prev.tobytes()
         return x, len(arrays.ids), 0, config.t_max if repeats else t

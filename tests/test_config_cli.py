@@ -729,9 +729,10 @@ class TestEdgeGrammar:
     @pytest.mark.parametrize(
         "token",
         ["[0.7, 1]", "[true, 2]", '["0", 1]', "[1]", "[0, 1, 2]", '"0-1-2"',
-         '"a-b"', "5"],
+         '"a-b"', "5", '"1_0-2"', '"+0-1"', '"0 -1"', '"\\u0663-4"'],
         ids=["float", "bool", "string-in-list", "one-item", "three-items",
-             "three-parts", "not-ints", "not-a-list"],
+             "three-parts", "not-ints", "not-a-list", "underscore", "sign",
+             "space", "non-ascii-digit"],
     )
     @pytest.mark.parametrize("key", sorted(GRAPHS))
     def test_bad_token_exits_1_naming_key_and_index(
@@ -787,13 +788,17 @@ class TestConfigEncoding:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_non_utf8_rounds_file_is_a_graph_error(self, write_config, tmp_path, capsys):
+        """The error names the rounds file and the line of the bad byte, as a
+        missing rounds file's error names the file."""
         (tmp_path / "rounds.txt").write_bytes(b"0-1\n1-2\xff\n")
         text = BASE_YAML.replace(
             "  kind: static\n  base: complete\n", "  kind: explicit\n  path: rounds.txt\n"
         ).replace("t_max: 5", "t_max: 2")
         assert main(["run", "--config", write_config(text), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: graph: 'utf-8' codec can't decode")
+        assert capsys.readouterr().err == (
+            f"config error: graph: {tmp_path / 'rounds.txt'}: line 2: byte 0xff "
+            "is not UTF-8 (invalid start byte)\n"
+        )
         assert not (tmp_path / "out").exists()
 
 

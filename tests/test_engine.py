@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import per_round_calls, same_bits
-from reference_engine import World, init_state, run_round
+from reference_engine import World, init_state, metropolis_round, run_round
+from reference_engine import run as reference_run
 from ternary_consensus import engine as edge_engine
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.engine import (
@@ -547,3 +548,53 @@ class TestLedgerView:
         state.est[0] = (0.25, 0.25)
         want = edge_engine._quiet_until(self.rebuilt(state), 1, 0.9, 10**6)
         assert edge_engine._quiet_until(state, 1, 0.9, 10**6) == want == 4
+
+
+class TestArraysMemo:
+    """A run builds the arrays of a tabulated sequence's snapshot once, the
+    first time it shows, and reuses them whenever the snapshot comes back."""
+
+    LINE_STAR = make_sequence(
+        "periodic", 20, rounds=[
+            [(i, i + 1) for i in range(19)], [(0, j) for j in range(1, 20)],
+        ],
+    )
+
+    @staticmethod
+    def counting_arrays(monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[4])  # the round that first uses them
+            return EdgeArrays(*args, **kwargs)
+
+        monkeypatch.setattr(edge_engine, "EdgeArrays", counted)
+        return built
+
+    def test_a_periodic_run_builds_two_arrays(self, monkeypatch):
+        cfg = sim(self.LINE_STAR, THEOREM_FAST, InitSpec("spike"), 300)
+        built = self.counting_arrays(monkeypatch)
+        got = run(cfg)
+        assert built == [1, 2]
+        monkeypatch.undo()
+        want = reference_run(cfg)
+        assert same_bits(got.metrics, want.metrics)
+        assert same_bits(got.final_x, want.final_x)
+
+    def test_a_periodic_baseline_builds_two_arrays(self, monkeypatch):
+        cfg = MetropolisConfig(self.LINE_STAR, InitSpec("spike"), 300)
+        built = self.counting_arrays(monkeypatch)
+        rows, final_x = run_metropolis(cfg)
+        assert built == [1, 2]
+        x = list(cfg.init.build(20))
+        for t in range(1, 301):
+            x = metropolis_round(x, self.LINE_STAR.snapshot(t), "max_degree", None)
+        assert same_bits(final_x, tuple(x))
+        assert rows[-1].t == 300
+
+    def test_a_generated_run_keeps_the_last_rounds_arrays(self, monkeypatch):
+        cfg = sim(make_sequence("relabeled_line", 6, seed=2), THEOREM_FAST,
+                  InitSpec("spike"), 40)
+        built = self.counting_arrays(monkeypatch)
+        run(cfg)
+        assert built == list(range(1, 41))

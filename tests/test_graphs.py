@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -393,10 +394,22 @@ class TestRoundsText:
         with pytest.raises(ValueError, match="line 2"):
             parse_rounds_text("0-1\n0:1\n", 3)
 
-    @pytest.mark.parametrize("token", ["0-1-2", "a-1", "0.5-1", "-1-2"])
+    @pytest.mark.parametrize(
+        "token", ["0-1-2", "a-1", "0.5-1", "-1-2", "+0-1", "1_0-2", "\u0663-1"]
+    )
     def test_token_the_edge_parser_refuses_names_its_line(self, token):
-        with pytest.raises(ValueError, match=f"^line 3: bad edge '{token}', "):
+        want = "^" + re.escape(f"line 3: bad edge '{token}', ")
+        with pytest.raises(ValueError, match=want):
             parse_rounds_text(f"0-1\n1-2\n2-0 {token}\n", 3)
+
+    def test_non_utf8_file_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "rounds.txt"
+        path.write_bytes(b"0-1\r\n\n1-2\xff\n")
+        with pytest.raises(ValueError) as exc:
+            make_sequence("explicit", 3, path=path)
+        assert str(exc.value) == (
+            f"{path}: line 3: byte 0xff is not UTF-8 (invalid start byte)"
+        )
 
 
 def test_derive_seed_is_stable():

@@ -19,9 +19,13 @@ from hypothesis import strategies as st
 
 import ternary_consensus.engine as engine_mod
 from oracles import same_bits
+from test_quiet_skip import per_round
+from ternary_consensus import analysis
 from ternary_consensus.analysis import (
     compute_metrics,
     fold_sum,
+    monotone,
+    screen_block,
     screen_round,
     validate_round,
 )
@@ -382,3 +386,80 @@ def test_a_nan_in_any_reduction_declines_the_round(monkeypatch, reduction):
 
             monkeypatch.setattr(np, "bincount", with_nan)
         assert not screen_round(state, params, prev_row, **inputs)
+
+
+BLOCK_RUNS = {
+    "theorem": SimulationConfig(
+        make_sequence("static", 6, base="line"), THEOREM_FAST,
+        InitSpec("uniform_random", seed=3, lo=-3.0, hi=5.0), 1200,
+    ),
+    "practical": SimulationConfig(
+        make_sequence("static", 12, base="complete"),
+        ProtocolParams(alpha=0.9, beta=0.0, variant="practical"),
+        InitSpec("uniform_random", seed=1), 1000,
+    ),
+}
+
+
+@pytest.mark.parametrize("variant, tolerance, value", [
+    ("theorem", None, None),
+    ("theorem", "STEP_TOL", -0.1),
+    ("theorem", "CONSERVATION_TOL", 1e-16),
+    ("theorem", "MATRIX_TOL", 8e-15),
+    ("theorem", "ESTIMATE_TOL", -0.8),
+    ("practical", None, None),
+    ("practical", "CONSERVATION_TOL", 1e-16),
+])
+def test_the_block_screen_clears_only_rounds_without_violation(
+    monkeypatch, variant, tolerance, value
+):
+    """``screen_block`` gives each round of an active block, once its row
+    passes ``monotone``, ``screen_round``'s verdict on that round's own
+    state, and clears a round only if its record, from a loop that runs
+    every round, passes ``validate_round``. With a tolerance moved so that
+    some block rounds fail, it declines some and clears others. Blocks are
+    tried after one stretch round, so the practical variant's short
+    stretches make blocks too."""
+    cfg = BLOCK_RUNS[variant]
+    params = cfg.params
+    x0 = cfg.init.build(cfg.seq.n)
+    avg0 = fold_sum(x0) / len(x0)
+    row0 = compute_metrics(x0, avg0)
+    facts = dict(w0=row0.W, xinf0=max(abs(row0.M), abs(row0.m)), avg0=avg0)
+    records = []
+    rows = [row0] + per_round(cfg, records=records)[0]
+    if tolerance is not None:
+        monkeypatch.setattr(analysis, tolerance, value)
+    verdicts = []
+    active_block = engine_mod._active_block
+
+    def screened(state, t, params, size):
+        values = active_block(state, t, params, size)
+        if len(values) > 1:  # the state is the block's now, later rounds change it
+            ok = screen_block(state, params, values, t, **facts)
+            verdicts.append((t, ok))
+            xs = values.tolist()
+            for i, clear in enumerate(ok.tolist()):
+                prev = compute_metrics(xs[i], avg0, t=t + i - 1)
+                row = compute_metrics(xs[i + 1], avg0, t=t + i)
+                view = dataclasses.replace(state, x_pre=values[i], x=values[i + 1])
+                if monotone(prev, row):
+                    assert clear == screen_round(view, params, prev, row=row, **facts)
+        return values
+
+    monkeypatch.setattr(engine_mod, "BLOCK_AFTER", 1)
+    monkeypatch.setattr(engine_mod, "BLOCK_FIRST", 2)
+    monkeypatch.setattr(engine_mod, "_active_block", screened)
+    run(cfg, keep_metrics=False)
+    cleared = declined = 0
+    for first, ok in verdicts:
+        for t, clear in enumerate(ok.tolist(), start=first):
+            if not clear:
+                declined += 1
+            elif monotone(rows[t - 1], rows[t]):
+                cleared += 1
+                assert validate_round(
+                    records[t - 1], rows[t - 1], params, row=rows[t], **facts
+                ) == []
+    assert cleared
+    assert bool(declined) == (tolerance is not None)

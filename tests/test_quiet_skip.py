@@ -1,12 +1,14 @@
-"""Differential tests of the quiet-stretch skip: ``run`` on a static graph
-against a plain loop that calls ``run_round`` for every round, and in checked
-runs validates every round's record, and ``run_metropolis`` against a plain
-loop that calls ``_step`` for every round, compared bitwise by
-``oracles.same_bits`` (floats by their bytes, so signed zeros count); and
-tests of the metrics sink's contract: one call per round stepped, standing
-for the rounds of the quiet stretch it opens."""
+"""Differential tests of the quiet-stretch skip and of active blocks: ``run``
+on a static graph against a plain loop that calls ``run_round`` for every
+round, and in checked runs validates every round's record, and
+``run_metropolis`` against a plain loop that calls ``_step`` for every round,
+compared bitwise by ``oracles.same_bits`` (floats by their bytes, so signed
+zeros count); and tests of the metrics sink's contract: one call per round
+run or computed in a block, standing for the rounds of the quiet stretch it
+opens."""
 
 import dataclasses
+from math import inf
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import per_round_calls, same_bits
 from test_engine_equivalence import THEOREM_EXPONENTS
-from ternary_consensus import engine, metropolis
+from ternary_consensus import analysis, engine, metropolis
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.cli import main
 from ternary_consensus.engine import (
@@ -115,8 +117,17 @@ def counting_run_round(monkeypatch):
 
 @st.composite
 def static_runs(draw):
-    n = draw(st.integers(2, 8))
-    seq = make_sequence("static", n, base=draw(st.sampled_from(("line", "complete"))))
+    """A static run, its stop thresholds, and the block sizes (BLOCK_AFTER,
+    BLOCK_FIRST) to run it with: small ones put blocks into short stretches
+    and make them end on their size, so every block path is drawn often."""
+    n = draw(st.integers(1, 8))
+    graph = draw(st.sampled_from(("line", "complete", "drawn")))
+    if graph == "drawn" or n == 1:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        seq = make_sequence("static", n, edges=sorted(edges))
+    else:
+        seq = make_sequence("static", n, base=graph)
     d_policy = draw(st.sampled_from(("max_degree", "global_n", "fixed")))
     d_fixed = draw(st.sampled_from((float(n), n + 0.5))) if d_policy == "fixed" else None
     prune = draw(st.one_of(st.none(), st.integers(1, 5)))
@@ -130,7 +141,8 @@ def static_runs(draw):
     if kind == "spike":
         init = InitSpec("spike")
     elif kind == "uniform_random":
-        init = InitSpec("uniform_random", seed=draw(st.integers(0, 1000)), lo=-3.0, hi=5.0)
+        lo, hi = draw(st.sampled_from(((-3.0, 5.0), (0.0, 1.0))))
+        init = InitSpec("uniform_random", seed=draw(st.integers(0, 1000)), lo=lo, hi=hi)
     else:
         value = st.one_of(
             st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-300)),
@@ -143,13 +155,25 @@ def static_runs(draw):
     )
     stop_err = draw(st.sampled_from((None, None, 0.3, 0.1, 0.02)))
     stop_v2 = draw(st.sampled_from((None, None, 0.3, 0.1, 0.02)))
-    return cfg, stop_err, stop_v2
+    sizes = (
+        draw(st.sampled_from((1, 3, engine.BLOCK_AFTER))),
+        draw(st.sampled_from((1, 2, engine.BLOCK_FIRST))),
+    )
+    return cfg, stop_err, stop_v2, sizes
+
+
+def block_sizes(mp, sizes):
+    mp.setattr(engine, "BLOCK_AFTER", sizes[0])
+    mp.setattr(engine, "BLOCK_FIRST", sizes[1])
 
 
 @given(static_runs())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_skip_matches_the_per_round_loop(case):
-    assert_skip_matches(*case)
+    cfg, stop_err, stop_v2, sizes = case
+    with pytest.MonkeyPatch.context() as mp:
+        block_sizes(mp, sizes)
+        assert_skip_matches(cfg, stop_err, stop_v2)
 
 
 def stretches(rows):
@@ -328,6 +352,174 @@ def test_checked_workload_skips_rounds(monkeypatch, tmp_path):
     its rounds, so the checked skip cannot switch off unnoticed."""
     argv = ["run", "--config", "theorem-a025-b050"]
     assert 0 < stepped_rounds(monkeypatch, tmp_path, argv, 5000) < 5000
+
+
+def test_checked_workload_runs_blocks(monkeypatch, tmp_path):
+    """The benchmark's checked theorem-a075-b0875 run (4,999 rounds stepped
+    one by one before active blocks) runs fewer than 1,000 rounds through
+    run_round, so the block path cannot switch off unnoticed."""
+    argv = ["run", "--config", "theorem-a075-b0875"]
+    assert 0 < stepped_rounds(monkeypatch, tmp_path, argv, 5000) < 1000
+
+
+def recording_blocks(mp):
+    """(t, size, k) of each active block a run computes: rounds t..t+k-1
+    of at most size."""
+    blocks = []
+    active_block = engine._active_block
+
+    def recorded(state, t, params, size):
+        values = active_block(state, t, params, size)
+        blocks.append((t, size, len(values) - 1))
+        return values
+
+    mp.setattr(engine, "_active_block", recorded)
+    return blocks
+
+
+def block_rounds(cfg, **stops):
+    """The rounds a run computes in active blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = recording_blocks(mp)
+        run(cfg, keep_metrics=False, **stops)
+    return {s for t, _, k in blocks for s in range(t, t + k)}
+
+
+LINE_6 = SimulationConfig(
+    make_sequence("static", 6, base="line"),
+    ProtocolParams(0.25, 0.5, "theorem"),
+    InitSpec("uniform_random", seed=3, lo=-3.0, hi=5.0),
+    t_max=1200,
+)
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_blocks_end_before_a_message_and_an_activation(checked):
+    """Blocks that end early end before a round with a nonzero message and
+    before a round whose active set grows; both loops agree bitwise."""
+    cfg = dataclasses.replace(LINE_6, check_invariants=checked)
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = recording_blocks(mp)
+        rows = assert_skip_matches(cfg)
+    events = set()
+    for t, size, k in blocks:
+        if k < size and t + k <= cfg.t_max:
+            row, before = rows[t + k - 1], rows[t + k - 2]
+            events.add(
+                "message" if row.nonzero_msgs else
+                "activation" if row.active_edges > before.active_edges else "other"
+            )
+    assert events == {"message", "activation"}
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_stops_and_t_max_inside_a_block(checked):
+    cfg = dataclasses.replace(LINE_6, check_invariants=checked)
+    rows = per_round(cfg)[0]
+    inside = block_rounds(cfg)
+    t = next(t for t in sorted(inside) if {t - 2, t + 2} <= inside)
+    assert_skip_matches(dataclasses.replace(cfg, t_max=t))
+    assert t in block_rounds(dataclasses.replace(cfg, t_max=t))
+    # each threshold is the value of a block round that first meets it
+    for key, field in (("stop_err", "err_max"), ("stop_v2", "V2")):
+        values = [getattr(row, field) for row in rows]
+        t = next(
+            t for t in sorted(inside)
+            if {t - 2, t + 2} <= inside and values[t - 1] < min(values[: t - 1])
+        )
+        stop = {key: values[t - 1]}
+        assert assert_skip_matches(cfg, **stop)[-1].t == t
+        assert t in block_rounds(cfg, **stop)
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_practical_blocks_match(checked):
+    """The practical variant's stretches are short: with blocks tried after
+    one stretch round, its blocks (no damping factor) match the loop too."""
+    cfg = SimulationConfig(
+        make_sequence("static", 12, base="complete"),
+        ProtocolParams(0.9, 0.0, "practical"), InitSpec("uniform_random", seed=1),
+        t_max=1000, check_invariants=checked,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        block_sizes(mp, (1, 2))
+        blocks = recording_blocks(mp)
+        assert_skip_matches(cfg)
+    assert sum(k for _, _, k in blocks) >= 10
+
+
+@pytest.mark.parametrize("variant", ["theorem", "practical"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_edgeless_runs_match(variant, n):
+    params = (
+        ProtocolParams(0.5, 0.75, "theorem") if variant == "theorem"
+        else ProtocolParams(0.5, 0.0, "practical")
+    )
+    for checked in (False, True):
+        assert_skip_matches(SimulationConfig(
+            make_sequence("static", n, edges=[]), params,
+            InitSpec("explicit", values=(0.5, -0.0, 2.0)[:n]), t_max=300,
+            check_invariants=checked,
+        ))
+
+
+def test_a_rejected_block_round_fails_both_loops_alike(monkeypatch):
+    """With the step bound's tolerance lowered so that validate_round rejects
+    a round that a block computes, the block screen declines that round, and
+    the run raises the per-round loop's error at the same round."""
+    cfg = dataclasses.replace(LINE_6, check_invariants=True)
+    records = []
+    per_round(dataclasses.replace(cfg, check_invariants=False), records=records)
+    inside = block_rounds(cfg)
+    w0 = max(records[0].x_pre) - min(records[0].x_pre)
+    beta = cfg.params.beta
+    # the tolerance tol that rejects round t and no round before it, if any
+    worst = -inf
+    for rec in records:
+        t = rec.t
+        step = max(abs(b - a) for a, b in zip(rec.x_pre, rec.x_post))
+        tol = step - 0.5 * w0 * t ** (-beta)
+        tol = np.nextafter(tol, -inf)
+        while not step > 0.5 * w0 * t ** (-beta) + tol:
+            tol = np.nextafter(tol, -inf)
+        if tol >= worst and t in inside:
+            break
+        worst = max(worst, step - 0.5 * w0 * t ** (-beta))
+    else:
+        raise AssertionError("no block round can be rejected first")
+    monkeypatch.setattr(analysis, "STEP_TOL", float(tol))
+    want = raised(lambda: per_round(cfg))
+    assert want[0] == t and want[1][0].startswith("step-bound: ")
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = recording_blocks(mp)
+        assert raised(lambda: run(cfg)) == want
+    assert any(b <= t < b + k for b, _, k in blocks)
+    assert raised(lambda: run(cfg, keep_metrics=False)) == want
+
+
+def test_a_block_round_whose_row_fails_monotone_is_checked_per_round(monkeypatch):
+    """``screen_block`` leaves monotonicity to the rows: a block round whose
+    row fails ``monotone`` goes to screen_round and validate_round, and a
+    violation found there stops the run at the per-round loop's round."""
+    cfg = dataclasses.replace(LINE_6, check_invariants=True)
+    inside = block_rounds(cfg)
+    t = sorted(inside)[len(inside) // 2]
+    monotone = engine.monotone
+    monkeypatch.setattr(
+        engine, "monotone", lambda prev, row: row.t != t and monotone(prev, row)
+    )
+    validate_round = engine.validate_round
+
+    def rejects_t(rec, prev_metrics, params, **facts):
+        extra = [f"injected: round {t}"] if rec.t == t else []
+        return validate_round(rec, prev_metrics, params, **facts) + extra
+
+    monkeypatch.setattr(engine, "validate_round", rejects_t)
+    monkeypatch.setattr(engine, "screen_round", lambda *args, **kwargs: False)
+    want = raised(lambda: per_round(cfg))
+    assert want == (t, [f"injected: round {t}"])
+    assert raised(lambda: run(cfg, keep_metrics=False)) == want
+    assert t in block_rounds(dataclasses.replace(cfg, check_invariants=False))
 
 
 def counting_step(monkeypatch):
@@ -549,14 +741,15 @@ def sink_config(runner, seq, t_max):
 
 def sink_run(monkeypatch, runner, cfg, stop_err=None):
     """The sink calls (row, values, last) of one run without kept rows, the
-    number of rounds it stepped, its kept records (run_records only) and its
-    final values."""
+    number of rounds it computed (stepped, or in an active block), its kept
+    records (run_records only) and its final values."""
     calls = []
 
     def sink(*call):
         calls.append(call)
 
     records = None
+    blocks = []
     if runner == "run_metropolis":
         stepped = counting_step(monkeypatch)
         _, final_x = run_metropolis(
@@ -564,6 +757,7 @@ def sink_run(monkeypatch, runner, cfg, stop_err=None):
         )
     else:
         stepped = counting_run_round(monkeypatch)
+        blocks = recording_blocks(monkeypatch)
         result = run(
             cfg, stop_err=stop_err, metrics_sink=sink, keep_metrics=False,
             keep_records=runner == "run_records",
@@ -572,15 +766,16 @@ def sink_run(monkeypatch, runner, cfg, stop_err=None):
         if runner == "run_records":
             records = result.records
     monkeypatch.undo()
-    return calls, len(stepped), records, final_x
+    return calls, len(stepped) + sum(k for _, _, k in blocks), records, final_x
 
 
 @pytest.mark.parametrize("kind", SINK_SEQUENCES)
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_one_sink_call_per_round_stepped(monkeypatch, runner, kind):
     """The calls' ranges row.t..last cover rounds 1..rounds once each, one
-    call per round stepped, and the rounds they stand for carry the rows,
-    values and records of a loop that runs every round, bitwise."""
+    call per round run or computed in a block, and the rounds they stand
+    for carry the rows, values and records of a loop that runs every round,
+    bitwise."""
     cfg = sink_config(runner, SINK_SEQUENCES[kind], 1500)
     calls, stepped, records, final_x = sink_run(monkeypatch, runner, cfg)
     if runner == "run_metropolis":
