@@ -74,6 +74,42 @@ def compute_metrics(
     return MetricsRow(t, hi, lo, hi - lo, v2, err, active_edges, nonzero_msgs)
 
 
+def block_metrics(values: np.ndarray, avg0: float) -> np.ndarray | None:
+    """``compute_metrics`` of each row of a (k, n) array as the rows M, m,
+    W, V2, err_max of a (5, k) array, bitwise, or None if a V2 is not
+    finite: a row that is not finite, a squared deviation beyond the float
+    range (``compute_metrics`` raises OverflowError) or a sum of squares
+    that overflows then goes to ``compute_metrics`` row by row.
+
+    Each expression is ``compute_metrics``' own on the same floats. Max and
+    min are the first element that reaches the extreme, as ``max`` and
+    ``min`` return it (a ufunc reduction may return 0.0 for [-0.0, 0.0]).
+    The mean and the sum of squares add the columns left to right from
+    +0.0, ``fold_sum``'s order. A square is C ``pow`` of |d|, as Python's
+    ``d ** 2`` computes it; ``d * d`` rounds differently on some doubles.
+    err_max's two terms are absolute values, never -0.0, and finite or inf
+    when V2 is finite, so ``np.maximum`` of them is their ``max``."""
+    k, n = values.shape
+    at = np.arange(0, k * n, n)
+    hi = values.ravel()[at + np.argmax(values, axis=1)]
+    lo = values.ravel()[at + np.argmin(values, axis=1)]
+    mean = _fold_columns(values) / n
+    squares = np.float_power(np.abs(values - mean[:, None]), 2.0)
+    v2 = np.sqrt(_fold_columns(squares))
+    if not np.isfinite(v2).all():
+        return None
+    err = np.maximum(np.abs(hi - avg0), np.abs(lo - avg0))
+    return np.stack((hi, lo, hi - lo, v2, err))
+
+
+def _fold_columns(values: np.ndarray) -> np.ndarray:
+    """The ``fold_sum`` of each row of a (k, n) array."""
+    total = np.zeros(len(values))
+    for j in range(values.shape[1]):
+        total += values[:, j]
+    return total
+
+
 @dataclass(frozen=True)
 class EffectiveMatrix:
     """The symmetric update matrix implied by one round's record, together
@@ -278,13 +314,14 @@ def validate_round(
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def monotone(prev_metrics: MetricsRow, row: MetricsRow) -> bool:
+def monotone(prev_metrics: MetricsRow, row: MetricsRow):
     """True only if ``row`` passes ``validate_round``'s monotonicity clauses
-    against ``prev_metrics``; a nan fails."""
+    against ``prev_metrics``; a nan fails. Rows whose fields are columns
+    (``engine._drive``'s blocks) give the verdicts as a column."""
     return (
-        row.M <= prev_metrics.M + MONOTONE_TOL
-        and row.m >= prev_metrics.m - MONOTONE_TOL
-        and row.V2 <= prev_metrics.V2 + MONOTONE_TOL
+        (row.M <= prev_metrics.M + MONOTONE_TOL)
+        & (row.m >= prev_metrics.m - MONOTONE_TOL)
+        & (row.V2 <= prev_metrics.V2 + MONOTONE_TOL)
     )
 
 
@@ -415,13 +452,12 @@ def screen_block(
     est_max = np.maximum.reduce(np.abs(state.est), axis=None, initial=0.0)
     if not est_max <= xinf0 + ESTIMATE_TOL:
         return np.zeros(k, dtype=bool)
-    total = np.zeros(k)
-    for j in range(n):
-        total += x_post[:, j]
+    total = _fold_columns(x_post)
     ok = abs(total / n - avg0) <= CONSERVATION_TOL * max(1.0, xinf0)
     theorem = params.variant == "theorem"
     if theorem:
-        damp = np.array([s ** (-params.beta) for s in range(first, first + k)])
+        # C pow, as s ** -beta computes it
+        damp = np.float_power(np.arange(first, first + k, dtype=float), -params.beta)
         step = np.maximum.reduce(np.abs(x_post - x_pre), axis=1)
         ok &= step <= 0.5 * w0 * damp + STEP_TOL
     act = state.act

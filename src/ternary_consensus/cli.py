@@ -137,14 +137,17 @@ def cmd_run(args) -> int:
     trace_fh = None
 
     def on_row(row, x, last):
-        # rounds row.t..last share row's fields and the values x: format
-        # them once and join each round number in front of them
+        # one round is one line; rounds row.t..last share row's fields and
+        # the values x: format them once and join each round number in front
         nonlocal last_row, rounds
         last_row, rounds = row, last
-        sep = "," + _metrics_tail(row)
-        for t in range(row.t, last + 1, STRETCH_CHUNK):
-            chunk = range(t, min(t + STRETCH_CHUNK, last + 1))
-            metrics_fh.write(sep.join(map(str, chunk)) + sep)
+        if last == row.t:
+            metrics_fh.write(f"{last},{_metrics_tail(row)}")
+        else:
+            sep = "," + _metrics_tail(row)
+            for t in range(row.t, last + 1, STRETCH_CHUNK):
+                chunk = range(t, min(t + STRETCH_CHUNK, last + 1))
+                metrics_fh.write(sep.join(map(str, chunk)) + sep)
         if trace_fh is not None:
             lines = [f",{i},{_fmt(v)}\n" for i, v in enumerate(x)]
             trace_fh.writelines(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from math import floor, inf, isfinite
 from types import MappingProxyType
 
@@ -39,6 +40,7 @@ import numpy as np
 from .analysis import CONSERVATION_TOL  # noqa: F401  (importable from engine too)
 from .analysis import (
     MetricsRow,
+    block_metrics,
     compute_metrics,
     fold_sum,
     monotone,
@@ -115,15 +117,15 @@ def check_run_lengths(seq: GraphSequence, init: InitSpec, t_max: int) -> None:
         )
 
 
-def stop_reached(
-    row: MetricsRow, stop_err: float | None, stop_v2: float | None = None
-) -> bool:
+def stop_reached(row: MetricsRow, stop_err: float | None, stop_v2: float | None = None):
     """The stop rule of both runners: a run stops after the first metrics
     row, the t=0 row included, with err_max at or below stop_err or V2 at or
-    below stop_v2. A threshold of None never stops the run."""
-    return (stop_err is not None and row.err_max <= stop_err) or (
-        stop_v2 is not None and row.V2 <= stop_v2
-    )
+    below stop_v2. A threshold of None never stops the run. A row whose
+    fields are columns (``_drive``'s blocks) gets the verdicts as a column."""
+    hit = stop_err is not None and row.err_max <= stop_err
+    if stop_v2 is not None:
+        hit = hit | (row.V2 <= stop_v2)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -463,12 +465,13 @@ def _active_block(
     (theorem variant) or f (practical) on the moved nodes, so the rows are
     one ``np.add.accumulate``, which adds in sequence as the rounds do. Each
     round's events are tested with its own ``round_scales(s, alpha)`` and
-    the engine's expressions, on the values of round s-1.
+    the engine's expressions, on the values of round s-1; the round scales
+    and s^-beta are C ``pow`` columns, as ``run_round`` computes them.
     """
     arrays = state.arrays
     act, gap, x = state.act, state.gap, state.x
-    rounds = range(t, t + size)
-    scales = np.array([round_scales(s, params.alpha) for s in rounds])
+    rounds = np.arange(t, t + size, dtype=float)
+    t_alpha, _, threshold = round_scales(rounds, params.alpha)
     f = arrays.fold(np.where(act, gap / arrays.denom, 0.0))
     moved = np.zeros(len(x), dtype=bool)
     moved[arrays.eu[act]] = True
@@ -477,15 +480,15 @@ def _active_block(
     steps[0] = x[moved]
     steps[1:] = f[moved]
     if params.variant == "theorem":
-        steps[1:] *= np.array([s ** (-params.beta) for s in rounds])[:, None]
+        steps[1:] *= np.float_power(rounds, -params.beta)[:, None]
     values = np.repeat(x[None], size + 1, axis=0)
     values[:, moved] = np.add.accumulate(steps)
     # round s's quantizer inputs s^alpha * (x - x_out), formed in place
     v = values[:-1, arrays.ends]
     v -= state.pairs[arrays.ids].view(np.float64)
-    v *= scales[:, 0:1]
+    v *= t_alpha[:, None]
     calm = np.logical_and.reduce(np.abs(v, out=v) <= 1.0, axis=1)  # no message, no nan
-    calm &= np.logical_and.reduce((np.abs(gap) > scales[:, 2:3]) == act, axis=1)
+    calm &= np.logical_and.reduce((np.abs(gap) > threshold[:, None]) == act, axis=1)
     calm &= np.logical_and.reduce(np.isfinite(values[1:]), axis=1)
     k = size if np.logical_and.reduce(calm) else int(np.argmin(calm))
     if k:
@@ -539,7 +542,7 @@ def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
 
 
 def _drive(
-    x: np.ndarray, t_max: int, step, *, validate=None,
+    x: np.ndarray, t_max: int, step, *, validate=None, screen=None,
     stop_err: float | None = None, stop_v2: float | None = None,
     metrics_sink=None, keep_metrics: bool = True,
 ) -> RunResult:
@@ -550,10 +553,10 @@ def _drive(
     which it proves the run quiet, every round after the last one computed
     repeating its values and counts (that round itself when it proves
     nothing). Only this loop computes the t=0 facts (avg0, the spread w0 and
-    the sup-norm xinf0), builds each round's row with ``compute_metrics``,
-    applies the stop rule after each row, guards node values against
-    divergence, hands the facts to ``validate`` and calls the sink; the
-    last values are ``final_x``.
+    the sup-norm xinf0), builds each round's row with ``compute_metrics``
+    (or a block's as columns, below), applies the stop rule after each row,
+    guards node values against divergence, hands the facts to ``validate``
+    and calls the sink; the last values are ``final_x``.
 
     The loop runs the round that opens a quiet stretch and jumps over the
     rest: ``metrics_sink(row, x, last)`` is called once per round computed,
@@ -563,8 +566,21 @@ def _drive(
     every round of a block). Kept rows are expanded likewise. ``validate``
     sees every round that ``step`` computes and none of a stretch's skipped
     rounds. Why that is the output of running every round is argued in
-    ``run``. ``step``, ``validate`` and the sink run under
-    ``silent_float_errors``, entered once for the whole loop."""
+    ``run``. ``step``, ``validate``, ``screen`` and the sink run under
+    ``silent_float_errors``, entered once for the whole loop.
+
+    A block is taken as columns, bitwise the rows ``compute_metrics`` would
+    build (``analysis.block_metrics``): max and min are the first element
+    that reaches the extreme, as ``max`` and ``min`` return it, and a
+    square is C ``pow``, as Python's ``** 2`` computes it. A block with a V2
+    that is not finite (a value that is not finite, or a square or a sum
+    beyond the float range, where ``compute_metrics`` may raise
+    OverflowError) goes row by row instead. One column test finds the first
+    row that meets the stop rule. In a checked run a row is cleared when
+    ``screen(w0=, xinf0=, avg0=)``, a verdict per round of the block, and
+    ``monotone`` over the columns both pass it; only another row goes to
+    ``validate``. ``MetricsRow`` objects are built only for the sink, for
+    kept rows, and for the rows that ``validate`` and the next step read."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -576,16 +592,52 @@ def _drive(
             f"the average ({avg0!r}) or the dispersion of the initial values "
             f"is beyond the float range"
         )
-    w0 = prev_row.W
     xinf0 = max(abs(prev_row.M), abs(prev_row.m))
+    facts = {"w0": prev_row.W, "xinf0": xinf0, "avg0": avg0}
     rows: list[MetricsRow] = []
     t = 0
     with silent_float_errors():
         while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
             values, active_edges, nonzero_msgs, last = step(t + 1)
-            computed = values.tolist()
             if values.ndim == 1:
-                computed = (computed,)
+                computed = (values.tolist(),)
+            elif (cols := block_metrics(values, avg0)) is None:
+                computed = values.tolist()
+            else:  # a block, as columns: rows through the first that stops the run
+                counts = (active_edges, nonzero_msgs)
+                ts = np.arange(t + 1, t + 1 + len(values))
+                now = MetricsRow(ts, *cols, *counts)
+                hits = np.flatnonzero(stop_reached(now, stop_err, stop_v2))
+                k = int(hits[0]) + 1 if len(hits) else len(values)
+                failed = None
+                if validate is not None:
+                    head = (prev_row.M, prev_row.m, prev_row.W, prev_row.V2, prev_row.err_max)
+                    before = np.column_stack((head, cols[:, :-1]))
+                    cleared = screen(**facts)
+                    cleared &= monotone(MetricsRow(ts - 1, *before, *counts), now)
+                    for i in np.flatnonzero(~cleared[:k]).tolist():
+                        prev = MetricsRow(t + i, *before[:, i].tolist(), *counts)
+                        row = MetricsRow(t + 1 + i, *cols[:, i].tolist(), *counts)
+                        failed = validate(prev if i else prev_row, row=row, **facts)
+                        if failed:
+                            k = i
+                            break
+                if metrics_sink is not None or keep_metrics:
+                    built = list(map(
+                        MetricsRow, range(t + 1, t + 1 + k), *cols[:, :k].tolist(),
+                        repeat(active_edges, k), repeat(nonzero_msgs, k),
+                    ))
+                    if metrics_sink is not None:
+                        for row, x in zip(built, values[:k].tolist()):
+                            metrics_sink(row, tuple(x), row.t)
+                    if keep_metrics:
+                        rows.extend(built)
+                if failed:
+                    raise InvariantViolationError(t + 1 + k, failed)
+                t += k
+                prev_row = MetricsRow(t, *cols[:, k - 1].tolist(), *counts)
+                xs = tuple(values[k - 1].tolist())
+                continue
             final = t + len(computed)
             for x in computed:
                 t += 1
@@ -601,7 +653,7 @@ def _drive(
                                 f"node {i} became non-finite at round {t}: {v!r}"
                             )
                 if validate is not None:
-                    violations = validate(prev_row, row=row, w0=w0, xinf0=xinf0, avg0=avg0)
+                    violations = validate(prev_row, row=row, **facts)
                     if violations:
                         raise InvariantViolationError(t, violations)
                 end = last if t == final else t
@@ -680,18 +732,23 @@ def run(
     threshold, so inside the block the active mask, the folded vector f and
     the moved nodes are those of the round before it. Round s then adds
     s**(-beta) * f (f, practical variant) to the moved nodes' values, the
-    same IEEE products and sums that ``run_round`` forms, and
-    ``np.add.accumulate`` adds them in round order. Every slot stays live
-    and is marked seen through the block's last round, as a run of its
-    rounds would leave it. ``_drive`` builds each round's row from its
-    values, stops at the first row that meets the stop rule, and calls the
-    sink once per round.
+    same IEEE products and sums that ``run_round`` forms (s**(-beta) and
+    the round scales as C ``pow`` columns, which is what ``**`` computes),
+    and ``np.add.accumulate`` adds them in round order. Every slot stays
+    live and is marked seen through the block's last round, as a run of its
+    rounds would leave it. ``_drive`` takes the block's rows as columns
+    with ``compute_metrics``' own float operations (``block_metrics``: max
+    and min as the first element that reaches the extreme, squares as C
+    ``pow``, and the block row by row when a square or a sum overflows),
+    stops at the first row that meets the stop rule, and calls the sink
+    once per round.
 
     In a checked run, ``analysis.screen_block`` evaluates ``screen_round``'s
     array clauses over the block's rounds at once, with the same float
     operations in the same order, and a round it clears whose row passes
-    ``monotone`` is one that ``screen_round`` clears: it has no violation.
-    Any other round of the block goes through ``screen_round`` and ``validate_round`` on a view of
+    ``monotone``, evaluated over the block's columns, is one that
+    ``screen_round`` clears: it has no violation. Any other round of the
+    block goes through ``screen_round`` and ``validate_round`` on a view of
     the state that holds its own values before and after: every other part
     of that state (estimates, gaps, active mask, no message, every slot
     live) is what running the round would leave. So a block round gets the
@@ -713,10 +770,9 @@ def run(
     streak = 0  # stretch rounds run in a row: no message, the mask of the round before
     size = BLOCK_FIRST
     block = None  # (first round, values) of the last block handed to _drive
-    cleared = None  # its rounds' screen_block verdicts, once screened
 
     def step(t: int):
-        nonlocal streak, size, block, cleared
+        nonlocal streak, size, block
         if streak >= BLOCK_AFTER:
             width = max(len(state.arrays.ends), len(state.x))
             cap = min(size, max(1, BLOCK_ELEMENTS // width), config.t_max - t + 1)
@@ -727,7 +783,7 @@ def run(
             else:  # round t+k has an event: run it
                 streak, size = 0, BLOCK_FIRST
             if k:
-                block, cleared = (t, values), None
+                block = (t, values)
                 return values[1:], state.active_edges, 0, t + k - 1
         block = None
         prev_act = state.act
@@ -742,20 +798,16 @@ def run(
         streak = streak + 1 if stretch else 0
         return state.x, state.active_edges, state.nonzero_msgs, quiet_to
 
+    def screen(**facts):
+        first, values = block
+        return screen_block(state, params, values, first, **facts)
+
     def validate(prev_row, **facts):
-        nonlocal cleared
         row = facts["row"]
         view = state
         if block is not None:
             first, values = block
-            if cleared is None:
-                cleared = screen_block(
-                    state, params, values, first,
-                    w0=facts["w0"], xinf0=facts["xinf0"], avg0=facts["avg0"],
-                )
             i = row.t - first
-            if cleared[i] and monotone(prev_row, row):
-                return []
             view = replace(state, x_pre=values[i], x=values[i + 1])
         if screen_round(view, params, prev_row, **facts):
             return []
@@ -772,7 +824,7 @@ def run(
     result = _drive(
         state.x, config.t_max, step,
         validate=validate if config.check_invariants else None,
-        stop_err=stop_err, stop_v2=stop_v2,
+        screen=screen, stop_err=stop_err, stop_v2=stop_v2,
         metrics_sink=keep_record if keep_records else metrics_sink,
         keep_metrics=keep_metrics,
     )

@@ -153,14 +153,16 @@ def quantize(v: float) -> int:
     return 0
 
 
-def round_scales(t: int, alpha: float) -> tuple[float, float, float]:
+def round_scales(t, alpha: float) -> tuple:
     """Per-round scale factors (t^alpha, 1/t^alpha, 4/t^alpha).
 
     Single source for these expressions: each operation here calls it with
     ``(t, params.alpha)`` and the engine once per round, so every node
-    quantizes, increments, and thresholds with bit-identical constants.
+    quantizes, increments, and thresholds with bit-identical constants. A
+    float array of rounds gives each factor as a column, with C ``pow`` for
+    the power, as ``t**alpha`` computes it (``np.power`` need not).
     """
-    t_alpha = t**alpha
+    t_alpha = t**alpha if type(t) is int else np.float_power(t, alpha)
     inv = 1.0 / t_alpha
     return t_alpha, inv, 4.0 * inv
 

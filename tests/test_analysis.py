@@ -12,6 +12,7 @@ from ternary_consensus.analysis import (
     BoundInputs,
     EffectiveMatrix,
     MetricsRow,
+    block_metrics,
     compute_metrics,
     fold_sum,
     reconstruct_matrix,
@@ -25,6 +26,7 @@ from ternary_consensus.engine import (
     RoundRecord,
     SimulationConfig,
     run,
+    silent_float_errors,
 )
 from ternary_consensus.graphs import GraphSnapshot, make_sequence
 from ternary_consensus.protocol import ProtocolParams
@@ -41,6 +43,29 @@ EDGE_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.0, -1.0)),
 )
+# doubles whose C pow square, Python's d ** 2, differs from d * d; the
+# second one's difference reaches the V2 of the row [d, -d]
+POW_NOT_PRODUCT = (
+    float.fromhex("0x1.68c2492aa509cp-503"), float.fromhex("0x1.689450a1df324p-3"),
+)
+
+
+@st.composite
+def value_blocks(draw):
+    """1-6 rows of n = 1-8 values: rows of signed zeros, all -0.0 rows,
+    and rows that tie +-0.0 at any position among magnitudes 1e+-300, the
+    values above and their negations."""
+    n = draw(st.integers(1, 8))
+    value = st.one_of(EDGE_FLOATS, st.sampled_from(
+        (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300)
+        + POW_NOT_PRODUCT + tuple(-d for d in POW_NOT_PRODUCT)
+    ))
+    row = st.one_of(
+        st.lists(value, min_size=n, max_size=n),
+        st.lists(st.sampled_from((0.0, -0.0)), min_size=n, max_size=n),
+        st.just([-0.0] * n),
+    )
+    return draw(st.lists(row, min_size=1, max_size=6))
 
 
 class TestComputeMetrics:
@@ -106,6 +131,29 @@ class TestComputeMetrics:
             except OverflowError:
                 outcomes.append(OverflowError)
         assert same_bits(*outcomes)
+
+    @given(value_blocks(), EDGE_FLOATS)
+    @example([[d, -d] for d in POW_NOT_PRODUCT], 0.0)
+    @example([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]], -0.0)
+    @example([[1e300, -1e300]], 0.0)  # the squares overflow
+    @settings(max_examples=500)
+    def test_block_metrics_are_compute_metrics_per_row(self, rows, avg0):
+        """block_metrics' columns are each row's compute_metrics by bytes,
+        or None when a row's V2 is not finite or its square overflows."""
+        assert all(d**2 != d * d for d in POW_NOT_PRODUCT)
+        want = []
+        for x in rows:
+            try:
+                want.append(compute_metrics(tuple(x), avg0))
+            except OverflowError:
+                want.append(None)
+        with silent_float_errors():  # as the run loop calls it
+            cols = block_metrics(np.array(rows), avg0)
+        if cols is None:
+            assert any(row is None or not math.isfinite(row.V2) for row in want)
+        else:
+            got = [MetricsRow(0, *fields, 0, 0) for fields in cols.T.tolist()]
+            assert same_bits(got, want)
 
 
 def one_pair_record(w=1.0, d=2.0, t=16):

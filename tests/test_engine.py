@@ -481,6 +481,44 @@ class TestStopRule:
             assert rows == [] and [v.hex() for v in final_x] == want
 
 
+class TestBlockColumns:
+    """``_drive`` takes a block as columns, bitwise the rows it would build
+    one by one; a block with a V2 that is not finite goes row by row, so an
+    overflowing square raises OverflowError and a non-finite value the
+    divergence guard's error, after the same sink calls."""
+
+    @staticmethod
+    def drive(rows, as_block, **stops):
+        x0, rest = np.array(rows[0]), np.array(rows[1:])
+
+        def step(t):
+            if as_block:  # every round left, as one block
+                return rest[t - 1 :], 2, 0, len(rest)
+            return rest[t - 1], 2, 0, t
+
+        calls = []
+        try:
+            result = edge_engine._drive(
+                x0, len(rest), step, metrics_sink=lambda *call: calls.append(call),
+                **stops,
+            )
+        except (OverflowError, DivergenceError) as exc:
+            return type(exc), calls
+        return (result.metrics, result.final_x, result.rounds, result.stopped_at), calls
+
+    @pytest.mark.parametrize("rows, stops", [
+        ([[1.0, -0.0, 0.0], [0.5, 0.0, -0.0], [0.25, -0.0, 0.5], [0.25, 0.25, 0.25]], {}),
+        ([[1.0, 0.0], [0.75, 0.25], [0.6, 0.4], [0.55, 0.45], [0.5, 0.5]], {"stop_err": 0.1}),
+        ([[1.0, 0.0], [0.75, 0.25], [0.6, 0.4], [0.55, 0.45], [0.5, 0.5]], {"stop_v2": 0.2}),
+        ([[0.0, 0.0], [1.0, 2.0], [1e200, -1e200], [0.0, 0.0]], {}),  # a square overflows
+        ([[0.0, 0.0], [1.0, 2.0], [np.inf, 0.0], [0.0, 0.0]], {}),
+    ])
+    def test_a_block_gives_the_rows_of_its_rounds(self, rows, stops):
+        block = self.drive(rows, True, **stops)
+        assert same_bits(block, self.drive(rows, False, **stops))
+        assert len(block[1]) < len(rows) - 1 or not stops
+
+
 class TestLedgerView:
     """``EdgeState.pairs`` is ``est``'s memory seen as one 16-byte element per
     slot, and every round reads and writes the ledger through it: a change

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_engine_equivalence import THEOREM_EXPONENTS
 from ternary_consensus.errors import ProtocolError
 from ternary_consensus.protocol import (
     LedgerEntry,
@@ -245,3 +247,20 @@ def test_zero_messages_pin_outbound_estimate_near_value():
             if msg.q == 0:
                 x_out = rec.estimates[msg.src][msg.dst][1]
                 assert abs(x_out - rec.x_pre[msg.src]) <= inv_ta + 1e-15
+
+
+@pytest.mark.parametrize("alpha, beta", THEOREM_EXPONENTS)
+def test_float_power_is_the_scalar_power(alpha, beta):
+    """A block's round scales and damping factors are np.float_power
+    columns; they must be s ** e, C pow, bit for bit, for rounds up to
+    10^10, and round_scales' columns its per-round scalars."""
+    rounds = np.unique(np.concatenate((
+        np.arange(1, 20001), np.geomspace(1, 1e10, 20000).round(),
+    )))
+    ints = rounds.astype(np.int64).tolist()
+    for e in (alpha, -beta):
+        want = np.array([s**e for s in ints])
+        assert np.float_power(rounds, e).tobytes() == want.tobytes()
+    cols = np.array(round_scales(rounds, alpha))
+    want = np.array([round_scales(s, alpha) for s in ints]).T
+    assert cols.tobytes() == want.tobytes()

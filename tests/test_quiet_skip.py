@@ -498,15 +498,17 @@ def test_a_rejected_block_round_fails_both_loops_alike(monkeypatch):
 
 
 def test_a_block_round_whose_row_fails_monotone_is_checked_per_round(monkeypatch):
-    """``screen_block`` leaves monotonicity to the rows: a block round whose
-    row fails ``monotone`` goes to screen_round and validate_round, and a
-    violation found there stops the run at the per-round loop's round."""
+    """``screen_block`` leaves monotonicity to ``monotone`` over the block's
+    columns: a block round whose row fails it goes to screen_round and
+    validate_round, and a violation found there stops the run at the
+    per-round loop's round. The patched ``monotone`` fails round t's row
+    whether it gets one row or a block's columns."""
     cfg = dataclasses.replace(LINE_6, check_invariants=True)
     inside = block_rounds(cfg)
     t = sorted(inside)[len(inside) // 2]
     monotone = engine.monotone
     monkeypatch.setattr(
-        engine, "monotone", lambda prev, row: row.t != t and monotone(prev, row)
+        engine, "monotone", lambda prev, row: (row.t != t) & monotone(prev, row)
     )
     validate_round = engine.validate_round
 
