@@ -35,7 +35,6 @@ from .graphs import (
     CoreCheckResult,
     GraphSequence,
     GraphSnapshot,
-    check_core_connected,
     make_sequence,
 )
 from .metropolis import MetropolisConfig, run_metropolis

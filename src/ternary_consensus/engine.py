@@ -165,7 +165,8 @@ class RoundRecord:
     per-node active sets, pre/post value vectors, the engine's per-pair degree
     bounds for active pairs, and each node's (x_in, x_out) estimate pairs at
     time t. Every field is immutable, so the records of a quiet stretch share
-    their parts: sound because only static sequences skip (see ``run``)."""
+    their parts. A round skipped or computed in an active block gets the
+    record that running it would give (see ``run``)."""
 
     t: int
     graph: GraphSnapshot
@@ -280,7 +281,8 @@ class EdgeState:
     The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
     2k+1), estimate gaps b - a, active mask and pre-update values here, for
     ``analysis.screen_round`` and ``_record``; an active block leaves those
-    of its last round. ``memo`` holds the arrays ``round_arrays`` built.
+    of its last round, and ``run`` views an earlier one with its own values.
+    ``memo`` holds the arrays ``round_arrays`` built.
     """
 
     x: np.ndarray
@@ -498,9 +500,10 @@ def _active_block(
 
 
 def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
-    """The per-node view of round t, the last round run, rebuilt from the
-    edge arrays. ``run`` copies it for the rest of the quiet stretch t opens,
-    as only a static sequence skips (see ``run``)."""
+    """The per-node view of round t, rebuilt from the edge arrays of the
+    state that round leaves: the state after the last round run, or ``run``'s
+    view of a block round. ``run`` copies it for the rest of the quiet
+    stretch t opens, as only a static sequence skips (see ``run``)."""
     arrays = state.arrays
     if arrays.graph is None:
         arrays.graph = GraphSnapshot(arrays.n, arrays.edges.tolist())
@@ -618,7 +621,7 @@ def _drive(
                     for i in np.flatnonzero(~cleared[:k]).tolist():
                         prev = MetricsRow(t + i, *before[:, i].tolist(), *counts)
                         row = MetricsRow(t + 1 + i, *cols[:, i].tolist(), *counts)
-                        failed = validate(prev if i else prev_row, row=row, **facts)
+                        failed = validate(prev, row=row, **facts)
                         if failed:
                             k = i
                             break
@@ -718,9 +721,9 @@ def run(
     round t, which passed, and ``screen_round``, reading the same state,
     clears round s if it cleared round t.
 
-    On a static sequence a run without records also computes active
-    stretches in blocks. After BLOCK_AFTER rounds in a row that send no
-    nonzero message and keep the active mask of the round before,
+    On a static sequence every run also computes active stretches in
+    blocks. After BLOCK_AFTER rounds in a row that send no nonzero message
+    and keep the active mask of the round before,
     ``_active_block`` computes the next rounds, BLOCK_FIRST at first and
     twice as many after each block that ends on its size, up to the first
     event; the event round is run by ``run_round``, so its errors are the
@@ -743,17 +746,19 @@ def run(
     stops at the first row that meets the stop rule, and calls the sink
     once per round.
 
-    In a checked run, ``analysis.screen_block`` evaluates ``screen_round``'s
-    array clauses over the block's rounds at once, with the same float
-    operations in the same order, and a round it clears whose row passes
-    ``monotone``, evaluated over the block's columns, is one that
-    ``screen_round`` clears: it has no violation. Any other round of the
-    block goes through ``screen_round`` and ``validate_round`` on a view of
-    the state that holds its own values before and after: every other part
-    of that state (estimates, gaps, active mask, no message, every slot
-    live) is what running the round would leave. So a block round gets the
-    per-round verdict and messages, and a checked run raises at the round,
-    with the violations, of checking every round.
+    A block round's view (``view``) is the state with the round's own values
+    before and after: every other part of that state (estimates, gaps,
+    active mask, no message, every slot live) is what running the round
+    would leave. keep_records gives a block round the record of its view,
+    and so the record of running it. In a checked run,
+    ``analysis.screen_block`` evaluates ``screen_round``'s array clauses
+    over the block's rounds at once, with the same float operations in the
+    same order, and a round it clears whose row passes ``monotone``,
+    evaluated over the block's columns, is one that ``screen_round`` clears:
+    it has no violation. Any other round of the block goes through
+    ``screen_round`` and ``validate_round`` on its view. So a block round
+    gets the per-round verdict and messages, and a checked run raises at the
+    round, with the violations, of checking every round.
 
     The quiet skip and the block do not share one event test, although a
     quiet round is a block round with f = 0. ``_quiet_until`` bounds a
@@ -766,7 +771,6 @@ def run(
     state = init_state(config)
     records: list[RoundRecord] = []
     skips = config.seq.kind == "static"
-    in_blocks = skips and not keep_records
     streak = 0  # stretch rounds run in a row: no message, the mask of the round before
     size = BLOCK_FIRST
     block = None  # (first round, values) of the last block handed to _drive
@@ -793,7 +797,7 @@ def run(
         if skips and not state.nonzero_msgs:
             if not state.active_edges:
                 quiet_to = _quiet_until(state, t, params.alpha, config.t_max)
-            elif in_blocks and prev_act is not None:
+            elif prev_act is not None:
                 stretch = prev_act.tobytes() == state.act.tobytes()
         streak = streak + 1 if stretch else 0
         return state.x, state.active_edges, state.nonzero_msgs, quiet_to
@@ -802,22 +806,27 @@ def run(
         first, values = block
         return screen_block(state, params, values, first, **facts)
 
+    def view(t: int) -> EdgeState:
+        """Round t's state: the state itself after a round run, and for a
+        block round the state with that round's values before and after."""
+        if block is None:
+            return state
+        first, values = block
+        i = t - first
+        return replace(state, x_pre=values[i], x=values[i + 1])
+
     def validate(prev_row, **facts):
-        row = facts["row"]
-        view = state
-        if block is not None:
-            first, values = block
-            i = row.t - first
-            view = replace(state, x_pre=values[i], x=values[i + 1])
-        if screen_round(view, params, prev_row, **facts):
+        t = facts["row"].t
+        round_state = view(t)
+        if screen_round(round_state, params, prev_row, **facts):
             return []
-        rec = _record(view, row.t, params)
+        rec = _record(round_state, t, params)
         return validate_round(rec, prev_row, params, **facts)
 
     def keep_record(row, x, last):
         if metrics_sink is not None:
             metrics_sink(row, x, last)
-        rec = _record(state, row.t, params)
+        rec = _record(view(row.t), row.t, params)
         records.append(rec)
         records.extend(replace(rec, t=s) for s in range(row.t + 1, last + 1))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -103,9 +102,6 @@ class GraphSnapshot:
             deg[i] += 1
             deg[j] += 1
         return tuple(deg)
-
-    def is_connected(self) -> bool:
-        return _connected(self.n, self.edges)
 
 
 def _connected(n: int, edges: Iterable[Edge]) -> bool:
@@ -398,32 +394,6 @@ def fold_core(
     u, v = np.divmod(np.flatnonzero(core), n)
     edges = frozenset(zip(u.tolist(), v.tolist()))
     return CoreCheckResult(_connected(n, edges), edges)
-
-
-def check_core_connected(
-    snapshots: Iterable[GraphSnapshot], block_len: int
-) -> CoreCheckResult:
-    """``fold_core`` over a window of snapshots, all on the node count of the
-    first."""
-    it = iter(snapshots)
-    first = next(it, None)
-    if first is None:
-        raise ValueError("need at least one snapshot")
-    n = first.n
-    same_n = True
-
-    def key_rounds():
-        nonlocal same_n
-        for g in chain((first,), it):
-            same_n = same_n and g.n == n
-            # a mismatched window fails below, once its length is checked
-            edges = g.edges if same_n else ()
-            yield np.array([i * n + j for i, j in edges], dtype=np.intp)
-
-    result = fold_core(n, key_rounds(), block_len)
-    if not same_n:
-        raise ValueError("all snapshots must share the same node count")
-    return result
 
 
 def _read_rounds_file(path) -> str:

@@ -13,6 +13,7 @@ from itertools import chain
 from operator import attrgetter
 
 import mpmath as mp
+import numpy as np
 
 _EXACT = frozenset({int, bool, str, type(None)})  # == on these is bitwise
 
@@ -71,6 +72,33 @@ def per_round_calls(calls) -> list:
         (dataclasses.replace(row, t=s), x)
         for row, x, last in calls for s in range(row.t, last + 1)
     ]
+
+
+def snapshot_keys(window):
+    """Each snapshot's edge keys u*n + v, as ``graphs.fold_core`` takes a
+    round."""
+    for g in window:
+        yield np.array([i * g.n + j for i, j in g.edges], dtype=np.intp)
+
+
+def connected(n, edges) -> bool:
+    """Whether the graph on nodes 0..n-1 with the given edges is connected,
+    by breadth-first search."""
+    nbrs = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in nbrs[u]:
+                if v not in seen:
+                    seen.add(v)
+                    reached.append(v)
+        frontier = reached
+    return len(seen) == n
 
 
 def bound_oracle(n, B, D, alpha, beta, eps, w0, v20, xinf0):

@@ -14,7 +14,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import REFERENCE_INPUTS, REFERENCE_VALUE, bound_oracle
+from oracles import (
+    REFERENCE_INPUTS,
+    REFERENCE_VALUE,
+    bound_oracle,
+    connected,
+    snapshot_keys,
+)
 from ternary_consensus.analysis import (
     BoundInputs,
     compute_metrics,
@@ -27,8 +33,8 @@ from ternary_consensus.engine import InitSpec, SimulationConfig, run
 from ternary_consensus.errors import InvariantViolationError
 from ternary_consensus.graphs import (
     GraphSnapshot,
-    check_core_connected,
     complete_edges,
+    fold_core,
     line_edges,
     make_sequence,
 )
@@ -363,15 +369,17 @@ def _brute_force_core(window, block_len, n):
     for r in range(len(universe), 0, -1):
         for cand in itertools.combinations(universe, r):
             c = frozenset(cand)
-            if all(c <= u for u in unions) and GraphSnapshot(n, c).is_connected():
+            if all(c <= u for u in unions) and connected(n, c):
                 return True
     # no edges at all: connected only for n == 1
     return n == 1 and blocks > 0
 
 
 def test_criterion_8_core_checker_vs_brute_force():
-    """Checker agrees with explicit subset search: exhaustively on 3-node
-    windows, and on seeded random 4-node windows up to length 8."""
+    """The fold that check-core runs (``fold_core``) agrees with explicit
+    subset search, whose connectivity test is the oracles' own BFS:
+    exhaustively on 3-node windows, and on seeded random 4-node windows up
+    to length 8."""
     checked = 0
     # exhaustive: every 3-node window of length 2 and 3
     subsets3 = [
@@ -385,7 +393,7 @@ def test_criterion_8_core_checker_vs_brute_force():
             for B in (1, 2):
                 if len(window) < B:
                     continue
-                got = check_core_connected(window, B).is_core_connected
+                got = fold_core(3, snapshot_keys(window), B).is_core_connected
                 want = _brute_force_core(window, B, 3)
                 assert got == want, f"n=3 {rounds} B={B}: {got} vs {want}"
                 checked += 1
@@ -399,7 +407,7 @@ def test_criterion_8_core_checker_vs_brute_force():
             for _ in range(8)
         ]
         for B in (1, 2):
-            got = check_core_connected(window, B).is_core_connected
+            got = fold_core(4, snapshot_keys(window), B).is_core_connected
             want = _brute_force_core(window, B, 4)
             assert got == want, f"n=4 trial={trial} B={B}: {got} vs {want}"
             checked += 1

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference_engine as ref
 from oracles import same_bits
+from ternary_consensus import engine
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.engine import InitSpec, SimulationConfig, run
 from ternary_consensus.errors import (
@@ -108,11 +109,17 @@ def simulations(draw):
     )
 
 
-@given(simulations())
+@given(simulations(), st.sampled_from((1, 3, 8)), st.sampled_from((1, 2, 32)))
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_engine_matches_per_node_reference(fields):
+def test_engine_matches_per_node_reference(fields, block_after, block_first):
+    """Static runs compute active stretches in blocks; the block sizes
+    (BLOCK_AFTER, BLOCK_FIRST) are drawn small too, so that runs of at most
+    60 rounds take blocks and their rounds' records meet the per-node loop."""
     want = outcome(lambda: ref.run(SimpleNamespace(**fields)))
-    got = outcome(lambda: run(SimulationConfig(**fields), keep_records=True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "BLOCK_AFTER", block_after)
+        mp.setattr(engine, "BLOCK_FIRST", block_first)
+        got = outcome(lambda: run(SimulationConfig(**fields), keep_records=True))
     if isinstance(want, tuple):
         assert got == want
         return

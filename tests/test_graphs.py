@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import connected, snapshot_keys
 from reference_engine import core_synthetic_snapshot
 from ternary_consensus.graphs import (
     CoreSyntheticSequence,
     ExplicitSequence,
     GraphSnapshot,
-    check_core_connected,
     complete_edges,
     derive_seed,
     fold_core,
@@ -24,6 +24,12 @@ from ternary_consensus.graphs import (
 
 def snap(n, edges):
     return GraphSnapshot(n, frozenset(edges))
+
+
+def core(window, B):
+    """``fold_core`` over a window of snapshots on the node count of the
+    first."""
+    return fold_core(window[0].n, snapshot_keys(window), B)
 
 
 class TestGraphSnapshot:
@@ -62,9 +68,10 @@ class TestGraphSnapshot:
         assert g.degrees[0] == 2
 
     def test_connectivity(self):
-        assert snap(3, line_edges(3)).is_connected()
-        assert not snap(3, [(0, 1)]).is_connected()
-        assert snap(1, []).is_connected()
+        # the core of a one-round window is its edge set
+        assert core([snap(3, line_edges(3))], 1).is_core_connected
+        assert not core([snap(3, [(0, 1)])], 1).is_core_connected
+        assert core([snap(1, [])], 1).is_core_connected
 
 
 class TestSequences:
@@ -114,7 +121,7 @@ class TestSequences:
         seq = make_sequence("relabeled_line", 3, seed=5)
         g = seq.snapshot(4)
         assert len(g.edges) == 2
-        assert g.is_connected()
+        assert connected(g.n, g.edges)
 
     @pytest.mark.parametrize("seed", [0, 1, 17, 2**40])
     def test_relabeled_line_properties(self, seed):
@@ -122,7 +129,7 @@ class TestSequences:
         for t in range(1, 40):
             g = seq.snapshot(t)
             assert len(g.edges) == 6
-            assert g.is_connected()
+            assert connected(g.n, g.edges)
 
     @given(
         st.sampled_from(["static", "relabeled_line", "core_synthetic", "periodic"]),
@@ -194,7 +201,7 @@ class TestSequences:
             core_edges=list(line_edges(8)), block_len=B, extra_edge_prob=0.2,
         )
         window = [seq.snapshot(t) for t in range(1, 4 * B + 1)]
-        result = check_core_connected(window, B)
+        result = core(window, B)
         assert result.is_core_connected
         assert frozenset(line_edges(8)) <= result.core_edges
 
@@ -302,16 +309,16 @@ class TestMakeSequenceParameters:
 class TestCoreCheck:
     def test_constant_complete(self):
         window = [snap(3, complete_edges(3))] * 4
-        res = check_core_connected(window, 1)
+        res = core(window, 1)
         assert res.is_core_connected
         assert res.core_edges == complete_edges(3)
 
     def test_alternating_pair(self):
         window = [snap(3, [(0, 1)]), snap(3, [(1, 2)])] * 4
-        res2 = check_core_connected(window, 2)
+        res2 = core(window, 2)
         assert res2.is_core_connected
         assert res2.core_edges == {(0, 1), (1, 2)}
-        res1 = check_core_connected(window, 1)
+        res1 = core(window, 1)
         assert not res1.is_core_connected
         assert res1.core_edges == frozenset()
 
@@ -319,31 +326,28 @@ class TestCoreCheck:
         window = [snap(3, [(0, 1)]), snap(3, [(1, 2)])] * 4
         # 9th round would wreck the intersection if it formed its own block
         window.append(snap(3, []))
-        assert check_core_connected(window, 2).is_core_connected
+        assert core(window, 2).is_core_connected
 
     def test_argument_errors(self):
-        mixed = [snap(3, []), snap(4, [])]
         for window in (list, iter):  # the same checks, in the same order
-            with pytest.raises(ValueError, match="at least one snapshot"):
-                check_core_connected(window([]), 0)
             with pytest.raises(ValueError, match="block length must be >= 1"):
-                check_core_connected(window([snap(3, [])]), 0)
+                fold_core(3, window([]), 0)
+            with pytest.raises(ValueError, match="block length must be >= 1"):
+                fold_core(3, window(snapshot_keys([snap(3, [])])), 0)
+            with pytest.raises(ValueError, match="window of 0 rounds is shorter"):
+                fold_core(3, window([]), 1)
             with pytest.raises(ValueError, match="window of 1 rounds is shorter"):
-                check_core_connected(window([snap(3, [])]), 2)
-            with pytest.raises(ValueError, match="shorter than one block"):
-                check_core_connected(window(mixed), 3)
-            with pytest.raises(ValueError, match="same node count"):
-                check_core_connected(window(mixed), 1)
+                fold_core(3, window(snapshot_keys([snap(3, [])])), 2)
 
     def test_a_generator_window_gives_the_list_result(self):
         seq = make_sequence(
             "core_synthetic", 6, seed=2, core_edges=list(line_edges(6)),
             block_len=3, extra_edge_prob=0.3,
         )
-        window = [seq.snapshot(t) for t in range(1, 32)]
+        window = list(snapshot_keys(seq.snapshot(t) for t in range(1, 32)))
         for B in (1, 3, 4):
-            got = check_core_connected((seq.snapshot(t) for t in range(1, 32)), B)
-            assert got == check_core_connected(window, B)
+            got = fold_core(6, snapshot_keys(seq.snapshot(t) for t in range(1, 32)), B)
+            assert got == fold_core(6, window, B)
 
     @given(any_sequence(), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
@@ -356,7 +360,7 @@ class TestCoreCheck:
             with pytest.raises(ValueError, match="shorter than one block"):
                 fold_core(seq.n, keys, B)
             return
-        assert fold_core(seq.n, keys, B) == check_core_connected(snaps, B)
+        assert fold_core(seq.n, keys, B) == core(snaps, B)
 
     def test_monotone_in_block_length(self):
         # passing at block length B implies passing at any multiple of B
@@ -372,13 +376,13 @@ class TestCoreCheck:
             for B in range(1, length + 1):
                 if length % B:
                     continue
-                if not check_core_connected(window, B).is_core_connected:
+                if not core(window, B).is_core_connected:
                     continue
                 for mult in range(2, length // B + 1):
                     MB = B * mult
                     if length % MB:
                         continue
-                    assert check_core_connected(window, MB).is_core_connected
+                    assert core(window, MB).is_core_connected
 
 
 class TestRoundsText:
@@ -427,7 +431,7 @@ def test_edges_partition_of_windows():
     ]
     for seq in seqs:
         window = [seq.snapshot(t) for t in range(1, 9)]
-        check_core_connected(window, 2)
+        core(window, 2)
 
 
 def test_brute_force_core_agreement_small():
@@ -443,7 +447,7 @@ def test_brute_force_core_agreement_small():
         for r in range(len(universe), 0, -1):
             for cand in itertools.combinations(universe, r):
                 c = frozenset(cand)
-                if all(c <= u for u in unions) and snap(3, c).is_connected():
+                if all(c <= u for u in unions) and connected(3, c):
                     return True
         return False
 
@@ -455,5 +459,5 @@ def test_brute_force_core_agreement_small():
     for rounds in itertools.product(subsets, repeat=3):
         window = [snap(3, e) for e in rounds]
         for B in (1, 2, 3):
-            got = check_core_connected(window, B).is_core_connected
+            got = core(window, B).is_core_connected
             assert got == brute(window, B)

@@ -254,13 +254,20 @@ def test_overflowing_bound_skips_to_t_max(monkeypatch):
     assert_skip_matches(cfg)
 
 
-def test_checked_and_recorded_runs_skip(monkeypatch):
+def test_checked_and_recorded_runs_skip_and_take_blocks(monkeypatch):
+    """Keeping records changes what a run keeps, not its path: a recorded
+    run skips quiet stretches and computes active stretches in blocks, as a
+    checked one does."""
     calls = counting_run_round(monkeypatch)
+    blocks = recording_blocks(monkeypatch)
     run(dataclasses.replace(COMPLETE_8, check_invariants=True), keep_metrics=False)
     assert 0 < len(calls) < COMPLETE_8.t_max
+    assert sum(k for _, _, k in blocks)
     calls.clear()
+    blocks.clear()
     records = run(COMPLETE_8, keep_records=True).records
     assert 0 < len(calls) < COMPLETE_8.t_max
+    assert sum(k for _, _, k in blocks)
     assert [rec.t for rec in records] == list(range(1, COMPLETE_8.t_max + 1))
 
 
