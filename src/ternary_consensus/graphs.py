@@ -26,6 +26,16 @@ SEQUENCE_KINDS = ("static", "periodic", "explicit", "core_synthetic", "relabeled
 
 _MASK64 = (1 << 64) - 1
 
+# the most rounds a core_synthetic sequence draws at once
+CHUNK_ROUNDS = 32
+
+
+def _core_words(c: int) -> int:
+    """The 32-bit words drawn per block for its c core offsets. Each word
+    gives an offset with odds of at least 1/2, so fewer than 3 blocks in
+    10,000 run short."""
+    return 4 * c + 8
+
 
 def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
@@ -154,11 +164,13 @@ class GraphSequence:
     (u, v), u < v, the sequence can show, and ``edge_ids(t)`` the sorted rows
     of it that form round t; whenever ``snapshot`` repeats a snapshot object,
     ``edge_ids`` repeats its array object. A generated kind draws the ids and
-    builds ``snapshot(t)`` from them.
+    builds ``snapshot(t)`` from them, and hands out a fresh array per call:
+    a core_synthetic sequence a read-only view into the ids of the chunk of
+    rounds it drew with t, a relabeled line a new array.
 
     Sequences are immutable after construction and ``snapshot`` is pure, so a
     sequence can be shared freely across runs and threads (a core_synthetic
-    sequence keeps the draws of its last block, which changes no result).
+    sequence keeps the draws of its last chunk, which changes no result).
     """
 
     kind: str = "abstract"
@@ -286,12 +298,16 @@ class RelabeledLineSequence(GraphSequence):
 
 @dataclass(frozen=True)
 class CoreSyntheticSequence(GraphSequence):
-    """Guarantees each core edge appears exactly once per length-B block, at a
-    block position drawn from a per-block child PRNG; every non-core pair is
-    added independently with probability ``extra_edge_prob`` per round.
+    """Guarantees each core edge appears exactly once per length-B block, at
+    the block position ``randrange(B)`` of a per-block child PRNG; every
+    non-core pair is added in a round when ``random()`` of the round's child
+    PRNG is below ``extra_edge_prob``. Both draw in sorted edge order.
 
     The core edge set must form a connected graph over all n nodes so the
     generated sequence carries a connected persistent backbone by construction.
+
+    The rounds are drawn a chunk at a time, with one ``getrandbits`` per
+    round and per block and one numpy pass per chunk, bitwise those calls.
     """
 
     n: int
@@ -320,42 +336,99 @@ class CoreSyntheticSequence(GraphSequence):
         return _edge_array(self.core_edges)
 
     @cached_property
-    def _core_rows(self) -> list[int]:
+    def _core_rows(self) -> np.ndarray:
         """The universe rows of the core edges, in sorted edge order."""
         core = _edge_array(self.core_edges)
-        return self._rows(core[:, 0], core[:, 1]).tolist()
+        return self._rows(core[:, 0], core[:, 1])
 
     @cached_property
-    def _non_core_rows(self) -> list[int]:
+    def _non_core_rows(self) -> np.ndarray:
         """The universe rows of the other pairs, in sorted edge order."""
-        return sorted(set(range(len(self.universe))) - set(self._core_rows))
-
-    def _schedule(self, block: int) -> tuple[list[int], ...]:
-        """The core rows of each round of a block, by offset: core edge e
-        goes to offset ``randrange(B)`` of the block's child PRNG, drawn in
-        sorted edge order. Drawn once and kept until another block is asked
-        for, so the result depends on the block alone, in any call order."""
-        memo = self._memo
-        if memo is not None and memo[0] == block:
-            return memo[1]
-        B = self.block_len
-        draw = random.Random(derive_seed(self.seed, 1, block)).randrange
-        schedule: tuple[list[int], ...] = tuple([] for _ in range(B))
-        for k in self._core_rows:
-            schedule[draw(B)].append(k)
-        object.__setattr__(self, "_memo", (block, schedule))
-        return schedule
+        is_core = np.zeros(len(self.universe), dtype=bool)
+        is_core[self._core_rows] = True
+        return np.flatnonzero(~is_core)
 
     def _edge_ids(self, t: int) -> np.ndarray:
-        """The round's core rows plus each other pair with probability
-        ``extra_edge_prob``, drawn in sorted edge order."""
-        block, offset = divmod(t - 1, self.block_len)
-        ids = self._schedule(block)[offset]
-        p = self.extra_edge_prob
-        if p > 0.0:
-            rand = random.Random(derive_seed(self.seed, 2, t)).random
-            ids = sorted(ids + [k for k in self._non_core_rows if rand() < p])
-        return np.array(ids, dtype=np.intp)
+        """Round t's slice of the chunk of rounds drawn with it. A chunk
+        starts at the round asked for; while calls stay sequential, each
+        next chunk is twice as long as the last, up to ``CHUNK_ROUNDS``.
+        Every round is drawn from its own child PRNGs, so the result
+        depends on t alone, in any call order."""
+        memo = self._memo
+        if memo is None or not memo[0] <= t < memo[1]:
+            size = 1
+            if memo is not None and t == memo[1]:
+                size = min(2 * (memo[1] - memo[0]), CHUNK_ROUNDS)
+            memo = (t, t + size, *self._draw(t, size))
+            object.__setattr__(self, "_memo", memo)
+        start, _, ids, cuts = memo
+        return ids[cuts[t - start] : cuts[t - start + 1]]
+
+    def _draw(self, t0: int, size: int) -> tuple[np.ndarray, list[int]]:
+        """Rounds t0..t0+size-1 as one read-only array of their ids, round
+        after round, and the size + 1 cut points between rounds.
+
+        A round holds the core edges drawn to its offset in its block (see
+        ``_offsets``) and each other pair, in sorted edge order, for which
+        ``random()`` of the round's child PRNG is below ``extra_edge_prob``.
+        ``random()`` takes two 32-bit words w0, w1 of the generator and
+        gives ((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53; ``getrandbits(64*M)``
+        hands out the same words, the first in its lowest bits, so M
+        ``random()`` calls are read from its bytes."""
+        blocks, offsets = np.divmod(np.arange(t0 - 1, t0 - 1 + size), self.block_len)
+        mask = np.zeros((size, len(self.universe)), dtype=bool)
+        core, rest = self._core_rows, self._non_core_rows
+        if len(core):
+            first = int(blocks[0])
+            drawn = self._offsets(range(first, int(blocks[-1]) + 1))
+            mask[:, core] = drawn[blocks - first] == offsets[:, None]
+        p, m = self.extra_edge_prob, len(rest)
+        if p > 0.0 and m:
+            data = b"".join(
+                random.Random(derive_seed(self.seed, 2, t))
+                .getrandbits(64 * m).to_bytes(8 * m, "little")
+                for t in range(t0, t0 + size)
+            )
+            w = np.frombuffer(data, dtype="<u4").reshape(size, m, 2)
+            u = ((w[..., 0] >> 5) * 67108864.0 + (w[..., 1] >> 6)) * 2.0**-53
+            mask[:, rest] = u < p
+        rounds, ids = np.nonzero(mask)
+        ids.setflags(write=False)
+        return ids, np.searchsorted(rounds, np.arange(size + 1)).tolist()
+
+    def _offsets(self, blocks: range) -> np.ndarray:
+        """Each block's core offsets, one row per block: core edge e goes to
+        offset ``randrange(B)`` of the block's child PRNG, drawn in sorted
+        edge order.
+
+        ``randrange(B)`` draws ``getrandbits(k)``, k = B.bit_length(), until
+        it is below B, and ``getrandbits(k)`` for k <= 32 is the top k bits
+        of one 32-bit word. So a block's offsets are the first C such values
+        below B among the words of one ``getrandbits``, C the number of core
+        edges. A block whose ``_core_words(C)`` words hold fewer, or whose B
+        needs more than 32 bits, is drawn with ``randrange`` itself."""
+        B, c = self.block_len, len(self._core_rows)
+        k = B.bit_length()
+        got = np.empty((len(blocks), c), dtype=np.int64)
+        short = range(len(blocks))  # every block, while B needs over 32 bits
+        if k <= 32:
+            words = _core_words(c)
+            data = b"".join(
+                random.Random(derive_seed(self.seed, 1, b))
+                .getrandbits(32 * words).to_bytes(4 * words, "little")
+                for b in blocks
+            )
+            vals = np.frombuffer(data, dtype="<u4").reshape(len(blocks), words)
+            vals = vals >> (32 - k)
+            below = vals < B
+            full = np.count_nonzero(below, axis=1) >= c
+            take = below & (np.cumsum(below, axis=1) <= c) & full[:, None]
+            got[full] = vals[take].reshape(-1, c)
+            short = np.flatnonzero(~full).tolist()
+        for i in short:
+            draw = random.Random(derive_seed(self.seed, 1, blocks[i])).randrange
+            got[i] = [draw(B) for _ in range(c)]
+        return got
 
 
 class CoreCheckResult(NamedTuple):

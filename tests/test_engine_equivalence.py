@@ -109,25 +109,73 @@ def simulations(draw):
     )
 
 
-@given(simulations(), st.sampled_from((1, 3, 8)), st.sampled_from((1, 2, 32)))
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_engine_matches_per_node_reference(fields, block_after, block_first):
-    """Static runs compute active stretches in blocks; the block sizes
-    (BLOCK_AFTER, BLOCK_FIRST) are drawn small too, so that runs of at most
-    60 rounds take blocks and their rounds' records meet the per-node loop."""
+@st.composite
+def static_theorem_runs(draw):
+    """A theorem-variant run from a spike on a static line or complete graph,
+    with t_max in the hundreds: long enough that its active stretches reach
+    blocks. At (alpha, beta) = (1/4, 1/2) about a third of these runs
+    compute no block round by t = 300, so that pair is left out here."""
+    n = draw(st.integers(2, 10))
+    alpha, beta = draw(st.sampled_from(THEOREM_EXPONENTS[1:]))
+    params = ProtocolParams(
+        alpha, beta, "theorem", draw(st.sampled_from(("max_degree", "global_n"))),
+        None, draw(st.one_of(st.none(), st.integers(1, 5))),
+    )
+    return dict(
+        seq=make_sequence("static", n, base=draw(st.sampled_from(("line", "complete")))),
+        params=params, init=InitSpec("spike"), t_max=draw(st.integers(100, 400)),
+        check_invariants=draw(st.booleans()),
+    )
+
+
+def compare_with_reference(fields, block_after, block_first):
+    """Run ``fields`` through the engine, with the block sizes (BLOCK_AFTER,
+    BLOCK_FIRST) drawn small too, and through the per-node loop; assert that
+    both give the same result bitwise, records included, and return the
+    number of rounds the engine computed in active blocks."""
     want = outcome(lambda: ref.run(SimpleNamespace(**fields)))
+    block_rounds = []
+    active_block = engine._active_block
+
+    def counted(state, t, params, size):
+        values = active_block(state, t, params, size)
+        block_rounds.append(len(values) - 1)
+        return values
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "BLOCK_AFTER", block_after)
         mp.setattr(engine, "BLOCK_FIRST", block_first)
+        mp.setattr(engine, "_active_block", counted)
         got = outcome(lambda: run(SimulationConfig(**fields), keep_records=True))
     if isinstance(want, tuple):
         assert got == want
-        return
+        return sum(block_rounds)
     assert not isinstance(got, tuple), got
     assert same_bits(got.final_x, want.final_x)
     assert same_bits(got.metrics, want.metrics)
     assert same_bits(got.records, want.records)
     assert (got.rounds, got.stopped_at) == (want.rounds, want.stopped_at)
+    return sum(block_rounds)
+
+
+BLOCK_SIZES = (st.sampled_from((1, 3, 8)), st.sampled_from((1, 2, 32)))
+
+
+@given(simulations(), *BLOCK_SIZES)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_engine_matches_per_node_reference(fields, block_after, block_first):
+    """Static runs compute active stretches in blocks; the block sizes
+    (BLOCK_AFTER, BLOCK_FIRST) are drawn small too, so that runs of at most
+    60 rounds take blocks and their rounds' records meet the per-node loop."""
+    compare_with_reference(fields, block_after, block_first)
+
+
+@given(static_theorem_runs(), *BLOCK_SIZES)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_static_theorem_blocks_match_per_node_reference(fields, block_after, block_first):
+    """Every example computes rounds in active blocks, and their records
+    meet the per-node loop."""
+    assert compare_with_reference(fields, block_after, block_first) > 0
 
 
 @pytest.mark.parametrize("horizon", [8, 10**20])

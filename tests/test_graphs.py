@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 
 from oracles import connected, snapshot_keys
 from reference_engine import core_synthetic_snapshot
+from ternary_consensus import graphs
+from ternary_consensus.config import load_config_data, read_config_doc
 from ternary_consensus.graphs import (
+    CHUNK_ROUNDS,
     CoreSyntheticSequence,
     ExplicitSequence,
     GraphSnapshot,
@@ -20,6 +24,9 @@ from ternary_consensus.graphs import (
     make_sequence,
     parse_rounds_text,
 )
+
+
+VARYING = Path(__file__).resolve().parents[1] / "perfbench" / "varying.yaml"
 
 
 def snap(n, edges):
@@ -174,20 +181,84 @@ class TestSequences:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_core_synthetic_matches_the_per_round_redraw(self, data):
-        """Each block's core schedule is drawn once and kept; a snapshot is
-        still a pure function of t, visited in any order."""
+        """Rounds are drawn in chunks, each block's core offsets from one
+        ``getrandbits``; a snapshot is still the per-round redraw. A first
+        run of rounds ramps the chunks up to ``CHUNK_ROUNDS`` and past it, B
+        reaches past a chunk, so that a block spans two, and then rounds are
+        read in random and in descending order. A complete core leaves no
+        other pair to draw, and a shrunk word budget sends blocks to the
+        ``randrange`` fallback."""
         n = data.draw(st.integers(2, 12), label="n")
-        B = data.draw(st.integers(1, 5), label="B")
+        B = data.draw(
+            st.one_of(st.integers(1, 5), st.integers(CHUNK_ROUNDS - 2, 2 * CHUNK_ROUNDS)),
+            label="B",
+        )
         p = data.draw(st.sampled_from([0.0, 0.05, 0.4, 1.0]), label="p")
         seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-        # a random spanning tree plus a few more core edges
-        tree = {(data.draw(st.integers(0, k - 1)), k) for k in range(1, n)}
-        more = data.draw(st.sets(st.sampled_from(sorted(complete_edges(n)))))
-        seq = CoreSyntheticSequence(n, frozenset(tree | more), B, p, seed)
-        ts = data.draw(st.lists(st.integers(1, 6 * B), min_size=1, max_size=12))
+        if data.draw(st.booleans(), label="complete core"):
+            core_edges = complete_edges(n)
+        else:
+            # a random spanning tree plus a few more core edges
+            tree = {(data.draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+            more = data.draw(st.sets(st.sampled_from(sorted(complete_edges(n)))))
+            core_edges = frozenset(tree | more)
+        seq = CoreSyntheticSequence(n, core_edges, B, p, seed)
+        words = data.draw(st.sampled_from([None, 0, 1]), label="words per core edge")
+        span = data.draw(st.integers(1, 4 * CHUNK_ROUNDS), label="span")
+        ts = data.draw(st.lists(st.integers(1, 2 * span), min_size=1, max_size=12))
         shuffled = data.draw(st.permutations(ts + ts), label="shuffled")
-        for t in shuffled + sorted(ts, reverse=True):
-            assert seq.snapshot(t).edges == core_synthetic_snapshot(seq, t).edges
+        with pytest.MonkeyPatch.context() as mp:
+            if words is not None:
+                mp.setattr(graphs, "_core_words", lambda c: words * c)
+            for t in [*range(1, span + 1), *shuffled, *sorted(ts, reverse=True)]:
+                assert not seq.edge_ids(t).flags.writeable
+                assert seq.snapshot(t).edges == core_synthetic_snapshot(seq, t).edges
+
+    @pytest.mark.parametrize("B", [4, 7, 2**33 + 1])
+    def test_core_synthetic_short_blocks_fall_back_to_randrange(self, B):
+        """A block whose words hold fewer than C offsets below B (here, with
+        one word per core edge), or whose B needs more than 32 bits, is
+        drawn with ``randrange`` itself, and gives the per-round redraw."""
+        seq = CoreSyntheticSequence(8, line_edges(8), B, 0.3, seed=11)
+        calls = []
+        randrange = random.Random.randrange
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_core_words", lambda c: c)
+            mp.setattr(
+                random.Random, "randrange",
+                lambda rng, *args: calls.append(args) or randrange(rng, *args),
+            )
+            got = [seq.snapshot(t).edges for t in range(1, 120)]
+        assert calls
+        assert got == [core_synthetic_snapshot(seq, t).edges for t in range(1, 120)]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_core_synthetic_long_window_matches_the_calls(self, seed):
+        """15,000 rounds of perfbench/varying.yaml's sequence at each seed,
+        read in order as a run reads them, are bitwise the ids of one
+        ``randrange(B)`` per core edge from each block's child PRNG and one
+        ``random()`` per other pair from each round's, both in sorted edge
+        order. The benchmark's run reads 14,133 rounds at seed 1 and 13,964
+        at seed 2."""
+        doc, base_dir = read_config_doc(VARYING)
+        doc["graph"]["seed"] = seed
+        seq = load_config_data(doc, base_dir).seq
+        pairs = sorted(complete_edges(seq.n))
+        assert seq.universe.tolist() == [list(e) for e in pairs]
+        core_rows = [k for k, e in enumerate(pairs) if e in seq.core_edges]
+        rest = [k for k, e in enumerate(pairs) if e not in seq.core_edges]
+        B, p = seq.block_len, seq.extra_edge_prob
+        for t in range(1, 15_001):
+            block, offset = divmod(t - 1, B)
+            if offset == 0:
+                draw = random.Random(derive_seed(seed, 1, block)).randrange
+                at = [draw(B) for _ in core_rows]
+            rand = random.Random(derive_seed(seed, 2, t)).random
+            # p > random(), one call per other pair
+            below = map(p.__gt__, itertools.starmap(rand, itertools.repeat((), len(rest))))
+            want = [k for k, o in zip(core_rows, at) if o == offset]
+            want = sorted(want + list(itertools.compress(rest, below)))
+            assert seq.edge_ids(t).tolist() == want, t
 
     def test_core_synthetic_rejects_disconnected_core(self):
         with pytest.raises(ValueError, match="connected"):
