@@ -22,9 +22,10 @@ the rounds that must stay quiet too, and ``run`` skips them: the run loop
 hands them to the sink in one call without running them. Most of the other
 rounds send no nonzero message and keep the active set of the round before;
 ``_active_block`` computes a stretch of them as one accumulate, up to the
-first round that sends a message or changes the active set. Why the rows,
-records and checker verdicts are bitwise those of running every round is
-argued once, in ``run``'s docstring.
+first round that sends a message or changes the active set; it is the one
+place that compares active sets. Why the rows, records and checker verdicts
+are bitwise those of running every round is argued once, in ``run``'s
+docstring.
 """
 
 from __future__ import annotations
@@ -447,7 +448,6 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
 
 
 BLOCK_AFTER = 8  # stretch rounds stepped one by one before a block is tried
-BLOCK_FIRST = 32  # rounds in a stretch's first block; doubled after each clean one
 BLOCK_ELEMENTS = 2**13  # cap on a block's rounds times max(2m, n)
 
 
@@ -723,28 +723,28 @@ def run(
 
     On a static sequence every run also computes active stretches in
     blocks. After BLOCK_AFTER rounds in a row that send no nonzero message
-    and keep the active mask of the round before,
-    ``_active_block`` computes the next rounds, BLOCK_FIRST at first and
-    twice as many after each block that ends on its size, up to the first
-    event; the event round is run by ``run_round``, so its errors are the
-    per-round ones. The block is bitwise the rounds it stands for. A round
-    without a nonzero message changes no estimate, as a quiet round does,
-    so every gap keeps its value; ``_active_block`` tests each round for a
-    message, with the engine's quantizer expression and the round's own
-    ``round_scales``, and for a change of the active mask, with the same
-    threshold, so inside the block the active mask, the folded vector f and
-    the moved nodes are those of the round before it. Round s then adds
-    s**(-beta) * f (f, practical variant) to the moved nodes' values, the
-    same IEEE products and sums that ``run_round`` forms (s**(-beta) and
-    the round scales as C ``pow`` columns, which is what ``**`` computes),
-    and ``np.add.accumulate`` adds them in round order. Every slot stays
-    live and is marked seen through the block's last round, as a run of its
-    rounds would leave it. ``_drive`` takes the block's rows as columns
-    with ``compute_metrics``' own float operations (``block_metrics``: max
-    and min as the first element that reaches the extreme, squares as C
-    ``pow``, and the block row by row when a square or a sum overflows),
-    stops at the first row that meets the stop rule, and calls the sink
-    once per round.
+    and have an active pair, ``_active_block`` computes the next rounds, as
+    many as BLOCK_ELEMENTS allows, up to the first event; the event round
+    is run by ``run_round``, so its errors are the per-round ones. A block
+    reads only the state of the round before it and tests each of its
+    rounds, so at any size and after any round it is bitwise the rounds it
+    stands for. A round without a nonzero message changes no estimate, as a
+    quiet round does, so every gap keeps its value; ``_active_block`` tests
+    each round for a message, with the engine's quantizer expression and
+    the round's own ``round_scales``, and for a change of the active mask,
+    with the same threshold, so inside the block the active mask, the
+    folded vector f and the moved nodes are those of the round before it.
+    Round s then adds s**(-beta) * f (f, practical variant) to the moved
+    nodes' values, the same IEEE products and sums that ``run_round`` forms
+    (s**(-beta) and the round scales as C ``pow`` columns, which is what
+    ``**`` computes), and ``np.add.accumulate`` adds them in round order.
+    Every slot stays live and is marked seen through the block's last
+    round, as a run of its rounds would leave it. ``_drive`` takes the
+    block's rows as columns with ``compute_metrics``' own float operations
+    (``block_metrics``: max and min as the first element that reaches the
+    extreme, squares as C ``pow``, and the block row by row when a square
+    or a sum overflows), stops at the first row that meets the stop rule,
+    and calls the sink once per round.
 
     A block round's view (``view``) is the state with the round's own values
     before and after: every other part of that state (estimates, gaps,
@@ -771,35 +771,28 @@ def run(
     state = init_state(config)
     records: list[RoundRecord] = []
     skips = config.seq.kind == "static"
-    streak = 0  # stretch rounds run in a row: no message, the mask of the round before
-    size = BLOCK_FIRST
+    streak = 0  # stretch rounds run in a row: no message, an active pair
     block = None  # (first round, values) of the last block handed to _drive
 
     def step(t: int):
-        nonlocal streak, size, block
+        nonlocal streak, block
         if streak >= BLOCK_AFTER:
             width = max(len(state.arrays.ends), len(state.x))
-            cap = min(size, max(1, BLOCK_ELEMENTS // width), config.t_max - t + 1)
+            cap = min(max(1, BLOCK_ELEMENTS // width), config.t_max - t + 1)
             values = _active_block(state, t, params, cap)
             k = len(values) - 1
-            if k == cap:
-                size = min(2 * size, BLOCK_ELEMENTS)
-            else:  # round t+k has an event: run it
-                streak, size = 0, BLOCK_FIRST
+            if k < cap:  # round t+k has an event: run it
+                streak = 0
             if k:
                 block = (t, values)
                 return values[1:], state.active_edges, 0, t + k - 1
         block = None
-        prev_act = state.act
         run_round(state, t, config)
         quiet_to = t
-        stretch = False
-        if skips and not state.nonzero_msgs:
-            if not state.active_edges:
-                quiet_to = _quiet_until(state, t, params.alpha, config.t_max)
-            elif prev_act is not None:
-                stretch = prev_act.tobytes() == state.act.tobytes()
-        streak = streak + 1 if stretch else 0
+        silent = skips and not state.nonzero_msgs
+        if silent and not state.active_edges:
+            quiet_to = _quiet_until(state, t, params.alpha, config.t_max)
+        streak = streak + 1 if silent and state.active_edges else 0
         return state.x, state.active_edges, state.nonzero_msgs, quiet_to
 
     def screen(**facts):

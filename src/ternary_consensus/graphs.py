@@ -321,6 +321,8 @@ class CoreSyntheticSequence(GraphSequence):
     def __post_init__(self):
         if self.block_len < 1:
             raise ValueError(f"block length must be >= 1, got {self.block_len}")
+        if self.block_len >= 2**63:  # the chunk draw divides int64 rounds by it
+            raise ValueError(f"block length must be < 2**63, got {self.block_len}")
         if not (0.0 <= self.extra_edge_prob <= 1.0):
             raise ValueError(
                 f"extra_edge_prob must be in [0,1], got {self.extra_edge_prob}"

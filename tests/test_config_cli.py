@@ -492,6 +492,21 @@ class TestCmdCheckCore:
         path = write_config(CORE_YAML)
         assert main(["check-core", "--config", path, "--window", "2"]) == 1
 
+    @pytest.mark.parametrize("B", [2**63, 2**100])
+    @pytest.mark.parametrize("verb", ["run", "check-core"])
+    def test_block_length_beyond_int64_exits_1(
+        self, verb, B, write_config, tmp_path, capsys
+    ):
+        """A core_synthetic block length of 2**63 or more is one config
+        error line, not a traceback from the int64 draw; 2**63 - 1 runs."""
+        path = write_config(CORE_YAML.replace("B: 3", f"B: {B}"))
+        assert main([verb, "--config", path, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: graph: block length must be < 2**63, got {B}\n"
+        assert not (tmp_path / "out").exists()
+        path = write_config(CORE_YAML.replace("B: 3", f"B: {2**63 - 1}"))
+        assert main(["run", "--config", path, "--quiet"]) == 0
+
 
 class TestCmdSweep:
     def test_complete_sweep(self, write_config, tmp_path):

@@ -18,6 +18,7 @@ import reference_engine as ref
 from oracles import same_bits
 from ternary_consensus import engine
 from ternary_consensus.analysis import compute_metrics, fold_sum
+from ternary_consensus.config import load_config, resolve_config
 from ternary_consensus.engine import InitSpec, SimulationConfig, run
 from ternary_consensus.errors import (
     DivergenceError,
@@ -128,11 +129,21 @@ def static_theorem_runs(draw):
     )
 
 
-def compare_with_reference(fields, block_after, block_first):
-    """Run ``fields`` through the engine, with the block sizes (BLOCK_AFTER,
-    BLOCK_FIRST) drawn small too, and through the per-node loop; assert that
-    both give the same result bitwise, records included, and return the
-    number of rounds the engine computed in active blocks."""
+def block_elements(seq, rounds):
+    """The BLOCK_ELEMENTS that caps each block of a static run on seq at the
+    given number of rounds (a block asks for BLOCK_ELEMENTS // max(2m, n)
+    rounds), or the engine's own for None."""
+    if rounds is None:
+        return engine.BLOCK_ELEMENTS
+    return rounds * max(2 * len(seq.universe), seq.n)
+
+
+def compare_with_reference(fields, block_after, block_cap):
+    """Run ``fields`` through the engine, with BLOCK_AFTER drawn small too
+    and each block capped at ``block_cap`` rounds (see
+    ``block_elements``), and through the per-node loop; assert that both
+    give the same result bitwise, records included, and return the number
+    of rounds the engine computed in active blocks."""
     want = outcome(lambda: ref.run(SimpleNamespace(**fields)))
     block_rounds = []
     active_block = engine._active_block
@@ -144,7 +155,7 @@ def compare_with_reference(fields, block_after, block_first):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "BLOCK_AFTER", block_after)
-        mp.setattr(engine, "BLOCK_FIRST", block_first)
+        mp.setattr(engine, "BLOCK_ELEMENTS", block_elements(fields["seq"], block_cap))
         mp.setattr(engine, "_active_block", counted)
         got = outcome(lambda: run(SimulationConfig(**fields), keep_records=True))
     if isinstance(want, tuple):
@@ -158,24 +169,76 @@ def compare_with_reference(fields, block_after, block_first):
     return sum(block_rounds)
 
 
-BLOCK_SIZES = (st.sampled_from((1, 3, 8)), st.sampled_from((1, 2, 32)))
+# BLOCK_AFTER, and the rounds a block asks for: 1, a few, or the default cap
+BLOCK_SIZES = (st.sampled_from((1, 3, 8)), st.sampled_from((1, 3, None)))
 
 
 @given(simulations(), *BLOCK_SIZES)
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_engine_matches_per_node_reference(fields, block_after, block_first):
-    """Static runs compute active stretches in blocks; the block sizes
-    (BLOCK_AFTER, BLOCK_FIRST) are drawn small too, so that runs of at most
-    60 rounds take blocks and their rounds' records meet the per-node loop."""
-    compare_with_reference(fields, block_after, block_first)
+def test_engine_matches_per_node_reference(fields, block_after, block_cap):
+    """Static runs compute active stretches in blocks; BLOCK_AFTER and the
+    block cap are drawn small too, so that runs of at most 60 rounds take
+    blocks, blocks end on their cap and are followed by another, and their
+    rounds' records meet the per-node loop."""
+    compare_with_reference(fields, block_after, block_cap)
 
 
 @given(static_theorem_runs(), *BLOCK_SIZES)
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_static_theorem_blocks_match_per_node_reference(fields, block_after, block_first):
+def test_static_theorem_blocks_match_per_node_reference(fields, block_after, block_cap):
     """Every example computes rounds in active blocks, and their records
     meet the per-node loop."""
-    assert compare_with_reference(fields, block_after, block_first) > 0
+    assert compare_with_reference(fields, block_after, block_cap) > 0
+
+
+def test_every_block_asks_for_its_full_cap(monkeypatch):
+    """Every block attempt asks for as many rounds as BLOCK_ELEMENTS allows,
+    or the rounds left to t_max: on the preset's complete-8 graph (28 edges,
+    56 half-edges) that is 8192 // 56 = 146 rounds."""
+    cfg = load_config(resolve_config("theorem-a075-b0875")).simulation()
+    cap = engine.BLOCK_ELEMENTS // 56
+    asked = []
+    active_block = engine._active_block
+
+    def recorded(state, t, params, size):
+        asked.append((t, size))
+        return active_block(state, t, params, size)
+
+    monkeypatch.setattr(engine, "_active_block", recorded)
+    run(cfg, keep_metrics=False)
+    assert len(asked) > 1
+    assert asked == [(t, min(cap, cfg.t_max - t + 1)) for t, _ in asked]
+
+
+def test_a_block_may_follow_a_change_of_the_active_set(monkeypatch):
+    """With BLOCK_AFTER = 1 a block is tried right after a stepped round
+    whose active set differs from the round before it: ``_active_block``
+    alone compares active sets. The run is still the per-node loop's
+    bitwise: rows, records, final values and the checked verdict."""
+    fields = dict(
+        seq=make_sequence("static", 8, base="complete"),
+        params=ProtocolParams(0.75, 0.875, "theorem"), init=InitSpec("spike"),
+        t_max=300, check_invariants=True,
+    )
+    masks = {}  # round -> its active mask, for rounds stepped or in a block
+    after_change = []
+    run_round, active_block = engine.run_round, engine._active_block
+
+    def stepped(state, t, config):
+        run_round(state, t, config)
+        masks[t] = state.act.tobytes()
+
+    def block(state, t, params, size):
+        if t - 2 in masks and masks[t - 1] != masks[t - 2]:
+            after_change.append(t)
+        values = active_block(state, t, params, size)  # keeps the mask
+        masks.update(dict.fromkeys(range(t, t + len(values) - 1), state.act.tobytes()))
+        return values
+
+    monkeypatch.setattr(engine, "run_round", stepped)
+    monkeypatch.setattr(engine, "_active_block", block)
+    compare_with_reference(fields, 1, None)
+    assert after_change
 
 
 @pytest.mark.parametrize("horizon", [8, 10**20])

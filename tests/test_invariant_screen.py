@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import ternary_consensus.engine as engine_mod
 from oracles import same_bits
+from test_engine_equivalence import block_elements
 from test_quiet_skip import per_round
 from ternary_consensus import analysis
 from ternary_consensus.analysis import (
@@ -419,7 +420,8 @@ def test_the_block_screen_clears_only_rounds_without_violation(
     every round, passes ``validate_round``. With a tolerance moved so that
     some block rounds fail, it declines some and clears others. Blocks are
     tried after one stretch round, so the practical variant's short
-    stretches make blocks too."""
+    stretches make blocks too, and capped at 4 rounds, so many end on their
+    cap and are followed by another."""
     cfg = BLOCK_RUNS[variant]
     params = cfg.params
     x0 = cfg.init.build(cfg.seq.n)
@@ -448,7 +450,7 @@ def test_the_block_screen_clears_only_rounds_without_violation(
         return values
 
     monkeypatch.setattr(engine_mod, "BLOCK_AFTER", 1)
-    monkeypatch.setattr(engine_mod, "BLOCK_FIRST", 2)
+    monkeypatch.setattr(engine_mod, "BLOCK_ELEMENTS", block_elements(cfg.seq, 4))
     monkeypatch.setattr(engine_mod, "_active_block", screened)
     run(cfg, keep_metrics=False)
     cleared = declined = 0

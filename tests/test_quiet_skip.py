@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import per_round_calls, same_bits
-from test_engine_equivalence import THEOREM_EXPONENTS
+from test_engine_equivalence import THEOREM_EXPONENTS, block_elements
 from ternary_consensus import analysis, engine, metropolis
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.cli import main
@@ -118,8 +118,9 @@ def counting_run_round(monkeypatch):
 @st.composite
 def static_runs(draw):
     """A static run, its stop thresholds, and the block sizes (BLOCK_AFTER,
-    BLOCK_FIRST) to run it with: small ones put blocks into short stretches
-    and make them end on their size, so every block path is drawn often."""
+    BLOCK_ELEMENTS) to run it with: small ones put blocks into short
+    stretches and make them end on their cap of 1 or 3 rounds, followed by
+    another block, so every block path is drawn often."""
     n = draw(st.integers(1, 8))
     graph = draw(st.sampled_from(("line", "complete", "drawn")))
     if graph == "drawn" or n == 1:
@@ -157,14 +158,14 @@ def static_runs(draw):
     stop_v2 = draw(st.sampled_from((None, None, 0.3, 0.1, 0.02)))
     sizes = (
         draw(st.sampled_from((1, 3, engine.BLOCK_AFTER))),
-        draw(st.sampled_from((1, 2, engine.BLOCK_FIRST))),
+        block_elements(seq, draw(st.sampled_from((1, 3, None)))),
     )
     return cfg, stop_err, stop_v2, sizes
 
 
 def block_sizes(mp, sizes):
     mp.setattr(engine, "BLOCK_AFTER", sizes[0])
-    mp.setattr(engine, "BLOCK_FIRST", sizes[1])
+    mp.setattr(engine, "BLOCK_ELEMENTS", sizes[1])
 
 
 @given(static_runs())
