@@ -21,11 +21,11 @@ nonzero and no pair is active. After a quiet round, ``_quiet_until`` bounds
 the rounds that must stay quiet too, and ``run`` skips them: the run loop
 hands them to the sink in one call without running them. Most of the other
 rounds send no nonzero message and keep the active set of the round before;
-``_active_block`` computes a stretch of them as one accumulate, up to the
-first round that sends a message or changes the active set; it is the one
-place that compares active sets. Why the rows, records and checker verdicts
-are bitwise those of running every round is argued once, in ``run``'s
-docstring.
+when ``_calm_through`` predicts such a stretch, ``_active_block`` computes it
+as one accumulate, up to the first round that sends a message or changes
+the active set; it is the one place that compares active sets. Why the
+rows, records and checker verdicts are bitwise those of running every round
+is argued once, in ``run``'s docstring.
 """
 
 from __future__ import annotations
@@ -280,9 +280,9 @@ class EdgeState:
     built on.
 
     The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
-    2k+1), estimate gaps b - a, active mask and pre-update values here, for
-    ``analysis.screen_round`` and ``_record``; an active block leaves those
-    of its last round, and ``run`` views an earlier one with its own values.
+    2k+1), estimate gaps b - a, active mask, fold f and pre-update values
+    here, for ``analysis.screen_round``, ``_record`` and the blocks; an active
+    block leaves those of its last round (``run`` views the others).
     ``memo`` holds the arrays ``round_arrays`` built.
     """
 
@@ -296,6 +296,7 @@ class EdgeState:
     q: np.ndarray | None = None  # the last round run
     gap: np.ndarray | None = None
     act: np.ndarray | None = None
+    f: np.ndarray | None = None  # fold of active gap/denom, before t^-beta
     x_pre: np.ndarray | None = None
     nonzero_msgs: int = 0
     active_edges: int = 0
@@ -390,11 +391,11 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     act = (q.view(np.int16) == 0) & (np.abs(gap) > threshold)  # both symbols 0
     x_pre = x
     active_edges = int(np.count_nonzero(act))
+    f = None
     if active_edges:
         # inactive edges add +-0.0, which leaves a sum from +0.0 unchanged
-        acc = arrays.fold(np.where(act, gap / arrays.denom, 0.0))
-        if params.variant == "theorem":
-            acc = t ** (-params.beta) * acc
+        f = arrays.fold(np.where(act, gap / arrays.denom, 0.0))
+        acc = t ** (-params.beta) * f if params.variant == "theorem" else f
         # nodes with no active peer keep x untouched, signed zeros included
         moved = np.zeros(len(x), dtype=bool)
         moved[arrays.eu[act]] = True
@@ -404,6 +405,7 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     state.q = q
     state.gap = gap
     state.act = act
+    state.f = f
     state.x_pre = x_pre
     state.nonzero_msgs = int(np.count_nonzero(q))
     state.active_edges = active_edges
@@ -430,9 +432,7 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     for t and last_seen. Marking the slots through the last round lets the
     round after the stretch prune as if the stretch had run.
     """
-    ids = state.arrays.ids
-    d = np.abs(state.x[state.arrays.ends] - state.pairs[ids].view(np.float64))
-    d_max = float(np.maximum.reduce(d, initial=0.0))
+    d_max = float(np.maximum.reduce(_inputs(state), initial=0.0))
     g_max = float(np.maximum.reduce(np.abs(state.gap), initial=0.0))
     try:
         scale = min(
@@ -443,11 +443,35 @@ def _quiet_until(state: EdgeState, t: int, alpha: float, t_max: int) -> int:
     except OverflowError:  # the power, or floor(inf)
         last = t_max
     if last > t:
-        state.last_seen[ids] = last
+        state.last_seen[state.arrays.ids] = last
     return max(last, t)
 
 
-BLOCK_AFTER = 8  # stretch rounds stepped one by one before a block is tried
+def _inputs(state: EdgeState) -> np.ndarray:
+    """d_h = |x_i - x_out| for every half-edge h of node i, in ``arrays.ends``
+    order, after the last round run (see ``_quiet_until``)."""
+    arrays = state.arrays
+    return np.abs(state.x[arrays.ends] - state.pairs[arrays.ids].view(np.float64))
+
+
+def _calm_through(state: EdgeState, t: int, s: int, params: ProtocolParams) -> bool:
+    """Whether rounds t+1..s are predicted calm after round t, which sent no
+    nonzero message and has an active pair: no inactive edge's gap exceeds
+    4/s^alpha, and s^alpha * (d_h + |f_i| * S) <= 1 for every half-edge h of
+    node i, where S = ((s-1)^(1-beta) - t^(1-beta)) / (1-beta) bounds the sum
+    of r^-beta over r = t+1..s-1 from above (beta is 0 when practical). Both
+    clauses only tighten as s grows. The prediction only decides whether a
+    block is tried: ``_active_block`` tests each of its rounds exactly."""
+    s_alpha = s**params.alpha
+    if np.count_nonzero(np.abs(state.gap) > 4.0 / s_alpha) != state.active_edges:
+        return False  # the cheap clause first: it rejects most predictions
+    b = 1.0 - params.beta
+    d = _inputs(state)
+    d += np.abs(state.f)[state.arrays.ends] * (((s - 1) ** b - t**b) / b)
+    return s_alpha * float(np.maximum.reduce(d)) <= 1.0
+
+
+BLOCK_AFTER = 8  # the shortest predicted calm stretch worth a block
 BLOCK_ELEMENTS = 2**13  # cap on a block's rounds times max(2m, n)
 
 
@@ -474,13 +498,12 @@ def _active_block(
     act, gap, x = state.act, state.gap, state.x
     rounds = np.arange(t, t + size, dtype=float)
     t_alpha, _, threshold = round_scales(rounds, params.alpha)
-    f = arrays.fold(np.where(act, gap / arrays.denom, 0.0))
     moved = np.zeros(len(x), dtype=bool)
     moved[arrays.eu[act]] = True
     moved[arrays.ev[act]] = True
     steps = np.empty((size + 1, np.count_nonzero(moved)))
     steps[0] = x[moved]
-    steps[1:] = f[moved]
+    steps[1:] = state.f[moved]
     if params.variant == "theorem":
         steps[1:] *= np.float_power(rounds, -params.beta)[:, None]
     values = np.repeat(x[None], size + 1, axis=0)
@@ -722,29 +745,31 @@ def run(
     clears round s if it cleared round t.
 
     On a static sequence every run also computes active stretches in
-    blocks. After BLOCK_AFTER rounds in a row that send no nonzero message
-    and have an active pair, ``_active_block`` computes the next rounds, as
-    many as BLOCK_ELEMENTS allows, up to the first event; the event round
+    blocks. When ``_calm_through`` predicts, after a stepped round t that
+    sends no nonzero message and has an active pair, that rounds t+1..s, s =
+    min(t + BLOCK_AFTER, t_max), stay so, ``_active_block`` computes the
+    next rounds, as many as BLOCK_ELEMENTS allows, up to the first event; a
+    block that ends on that cap is followed by another, and the event round
     is run by ``run_round``, so its errors are the per-round ones. A block
     reads only the state of the round before it and tests each of its
     rounds, so at any size and after any round it is bitwise the rounds it
     stands for. A round without a nonzero message changes no estimate, as a
     quiet round does, so every gap keeps its value; ``_active_block`` tests
-    each round for a message, with the engine's quantizer expression and
-    the round's own ``round_scales``, and for a change of the active mask,
-    with the same threshold, so inside the block the active mask, the
-    folded vector f and the moved nodes are those of the round before it.
-    Round s then adds s**(-beta) * f (f, practical variant) to the moved
-    nodes' values, the same IEEE products and sums that ``run_round`` forms
+    each round for a message, with the engine's quantizer expression and the
+    round's own ``round_scales``, and for a change of the active mask, with
+    the same threshold, so inside the block the active mask, the folded
+    vector f and the moved nodes are those of the round before it. Round s
+    then adds s**(-beta) * f (f, practical variant) to the moved nodes'
+    values, the same IEEE products and sums that ``run_round`` forms
     (s**(-beta) and the round scales as C ``pow`` columns, which is what
     ``**`` computes), and ``np.add.accumulate`` adds them in round order.
-    Every slot stays live and is marked seen through the block's last
-    round, as a run of its rounds would leave it. ``_drive`` takes the
-    block's rows as columns with ``compute_metrics``' own float operations
+    Every slot stays live and is marked seen through the block's last round,
+    as a run of its rounds would leave it. ``_drive`` takes the block's rows
+    as columns with ``compute_metrics``' own float operations
     (``block_metrics``: max and min as the first element that reaches the
-    extreme, squares as C ``pow``, and the block row by row when a square
-    or a sum overflows), stops at the first row that meets the stop rule,
-    and calls the sink once per round.
+    extreme, squares as C ``pow``, and the block row by row when a square or
+    a sum overflows), stops at the first row that meets the stop rule, and
+    calls the sink once per round.
 
     A block round's view (``view``) is the state with the round's own values
     before and after: every other part of that state (estimates, gaps,
@@ -760,39 +785,40 @@ def run(
     gets the per-round verdict and messages, and a checked run raises at the
     round, with the violations, of checking every round.
 
-    The quiet skip and the block do not share one event test, although a
-    quiet round is a block round with f = 0. ``_quiet_until`` bounds a
-    stretch in closed form, with a margin, in one step of any length (quiet
-    stretches reach 10^9 rounds); the block tests each round exactly, at a
-    cost that grows with the stretch. The kind gate is the same, ``static``,
-    for the reason given above for the skip.
+    The quiet skip is the prediction's f = 0 case: ``_quiet_until`` solves
+    its two clauses for the last round in closed form, with a margin, and
+    trusts the bound, so one step skips any length (quiet stretches reach
+    10^9 rounds); a block trusts no bound and tests each round, at a cost
+    that grows with the stretch. The kind gate is the same, ``static``, for
+    the reason given above for the skip.
     """
     params = config.params
     state = init_state(config)
     records: list[RoundRecord] = []
     skips = config.seq.kind == "static"
-    streak = 0  # stretch rounds run in a row: no message, an active pair
+    ahead = False  # a calm stretch is predicted, or the last block ended on its cap
     block = None  # (first round, values) of the last block handed to _drive
 
     def step(t: int):
-        nonlocal streak, block
-        if streak >= BLOCK_AFTER:
+        nonlocal ahead, block
+        if ahead:
             width = max(len(state.arrays.ends), len(state.x))
             cap = min(max(1, BLOCK_ELEMENTS // width), config.t_max - t + 1)
             values = _active_block(state, t, params, cap)
             k = len(values) - 1
-            if k < cap:  # round t+k has an event: run it
-                streak = 0
+            ahead = k == cap  # otherwise round t+k has an event: run it
             if k:
                 block = (t, values)
                 return values[1:], state.active_edges, 0, t + k - 1
         block = None
         run_round(state, t, config)
         quiet_to = t
-        silent = skips and not state.nonzero_msgs
-        if silent and not state.active_edges:
-            quiet_to = _quiet_until(state, t, params.alpha, config.t_max)
-        streak = streak + 1 if silent and state.active_edges else 0
+        if skips and not state.nonzero_msgs:
+            if not state.active_edges:
+                quiet_to = _quiet_until(state, t, params.alpha, config.t_max)
+            elif t < config.t_max:
+                s = min(t + BLOCK_AFTER, config.t_max)
+                ahead = _calm_through(state, t, s, params)
         return state.x, state.active_edges, state.nonzero_msgs, quiet_to
 
     def screen(**facts):

@@ -7,6 +7,7 @@ the same fields), so a fixed degree bound that construction rejects is
 still met round by round there, and both sides must fail with the same
 message."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -139,11 +140,12 @@ def block_elements(seq, rounds):
 
 
 def compare_with_reference(fields, block_after, block_cap):
-    """Run ``fields`` through the engine, with BLOCK_AFTER drawn small too
-    and each block capped at ``block_cap`` rounds (see
-    ``block_elements``), and through the per-node loop; assert that both
-    give the same result bitwise, records included, and return the number
-    of rounds the engine computed in active blocks."""
+    """Run ``fields`` through the engine, with BLOCK_AFTER, the shortest
+    predicted calm stretch that takes a block, drawn small too and each block
+    capped at ``block_cap`` rounds (see ``block_elements``), and through the
+    per-node loop; assert that both give the same result bitwise, records
+    included, and return the number of rounds the engine computed in active
+    blocks."""
     want = outcome(lambda: ref.run(SimpleNamespace(**fields)))
     block_rounds = []
     active_block = engine._active_block
@@ -169,7 +171,8 @@ def compare_with_reference(fields, block_after, block_cap):
     return sum(block_rounds)
 
 
-# BLOCK_AFTER, and the rounds a block asks for: 1, a few, or the default cap
+# BLOCK_AFTER (the shortest predicted calm stretch that takes a block), and
+# the rounds a block asks for: 1, a few, or the default cap
 BLOCK_SIZES = (st.sampled_from((1, 3, 8)), st.sampled_from((1, 3, None)))
 
 
@@ -177,9 +180,9 @@ BLOCK_SIZES = (st.sampled_from((1, 3, 8)), st.sampled_from((1, 3, None)))
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_engine_matches_per_node_reference(fields, block_after, block_cap):
     """Static runs compute active stretches in blocks; BLOCK_AFTER and the
-    block cap are drawn small too, so that runs of at most 60 rounds take
-    blocks, blocks end on their cap and are followed by another, and their
-    rounds' records meet the per-node loop."""
+    block cap are drawn small too, so that short predicted stretches in runs
+    of at most 60 rounds take blocks, blocks end on their cap and are
+    followed by another, and their rounds' records meet the per-node loop."""
     compare_with_reference(fields, block_after, block_cap)
 
 
@@ -211,10 +214,11 @@ def test_every_block_asks_for_its_full_cap(monkeypatch):
 
 
 def test_a_block_may_follow_a_change_of_the_active_set(monkeypatch):
-    """With BLOCK_AFTER = 1 a block is tried right after a stepped round
-    whose active set differs from the round before it: ``_active_block``
-    alone compares active sets. The run is still the per-node loop's
-    bitwise: rows, records, final values and the checked verdict."""
+    """With BLOCK_AFTER = 1 a block is tried after any stepped round whose
+    next round is predicted calm, one whose active set differs from the round
+    before it too: ``_active_block`` alone compares active sets. The run is
+    still the per-node loop's bitwise: rows, records, final values and the
+    checked verdict."""
     fields = dict(
         seq=make_sequence("static", 8, base="complete"),
         params=ProtocolParams(0.75, 0.875, "theorem"), init=InitSpec("spike"),
@@ -239,6 +243,75 @@ def test_a_block_may_follow_a_change_of_the_active_set(monkeypatch):
     monkeypatch.setattr(engine, "_active_block", block)
     compare_with_reference(fields, 1, None)
     assert after_change
+
+
+def preset_run(name):
+    """A preset's simulation; fig1-complete at 4,000 rounds from init seed 1,
+    as the benchmark's dense workload runs it; complete-32 at (1/2, 3/4), the
+    shortest active stretches, for 3,000 rounds."""
+    if name == "complete-32":
+        return SimulationConfig(
+            make_sequence("static", 32, base="complete"),
+            ProtocolParams(0.5, 0.75, "theorem"),
+            InitSpec("uniform_random", seed=3), t_max=3000,
+        )
+    cfg = load_config(resolve_config(name)).simulation()
+    if name == "fig1-complete":
+        cfg = dataclasses.replace(
+            cfg, t_max=4000, init=dataclasses.replace(cfg.init, seed=1)
+        )
+    return cfg
+
+
+# the run_round calls of each preset run, pinned exactly
+STEPPED_ROUNDS = {"theorem-a075-b0875": 125, "theorem-a025-b050": 13, "fig1-complete": 470}
+
+
+@pytest.mark.parametrize("name", sorted(STEPPED_ROUNDS))
+def test_stepped_rounds_are_pinned(monkeypatch, name):
+    """A block starts as soon as a calm stretch is predicted, so a run steps
+    only its events and the rounds whose next BLOCK_AFTER rounds are not
+    predicted calm."""
+    stepped = []
+    run_round = engine.run_round
+
+    def counted(state, t, config):
+        stepped.append(t)
+        run_round(state, t, config)
+
+    monkeypatch.setattr(engine, "run_round", counted)
+    run(preset_run(name), keep_metrics=False)
+    assert len(stepped) == STEPPED_ROUNDS[name]
+
+
+@pytest.mark.parametrize("name", [*sorted(STEPPED_ROUNDS), "complete-32"])
+def test_a_prediction_never_overshoots(monkeypatch, name):
+    """A prediction after round t that rounds t+1..s stay calm holds: the
+    block tried next computes at least min(s - t, size) rounds. The blocks'
+    own tests are exact, so a wrong bound (its sum S or an exponent) shows
+    as a block that ends before s."""
+    predicted = {}  # stepped round t -> s, for each positive prediction
+    blocks = []
+    calm_through, active_block = engine._calm_through, engine._active_block
+
+    def predicts(state, t, s, params):
+        calm = calm_through(state, t, s, params)
+        if calm:
+            predicted[t] = s
+        return calm
+
+    def block(state, t, params, size):
+        values = active_block(state, t, params, size)
+        blocks.append((t, size, len(values) - 1))
+        return values
+
+    monkeypatch.setattr(engine, "_calm_through", predicts)
+    monkeypatch.setattr(engine, "_active_block", block)
+    run(preset_run(name), keep_metrics=False)
+    gated = [(t - 1, size, k) for t, size, k in blocks if t - 1 in predicted]
+    assert len(gated) == len(predicted) > 0
+    for t, size, k in gated:
+        assert k >= min(predicted[t] - t, size), (t, predicted[t], size, k)
 
 
 @pytest.mark.parametrize("horizon", [8, 10**20])

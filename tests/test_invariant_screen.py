@@ -419,9 +419,9 @@ def test_the_block_screen_clears_only_rounds_without_violation(
     state, and clears a round only if its record, from a loop that runs
     every round, passes ``validate_round``. With a tolerance moved so that
     some block rounds fail, it declines some and clears others. Blocks are
-    tried after one stretch round, so the practical variant's short
-    stretches make blocks too, and capped at 4 rounds, so many end on their
-    cap and are followed by another."""
+    tried when one calm round is predicted (BLOCK_AFTER = 1), so the
+    practical variant's short stretches make blocks too, and capped at 4
+    rounds, so many end on their cap and are followed by another."""
     cfg = BLOCK_RUNS[variant]
     params = cfg.params
     x0 = cfg.init.build(cfg.seq.n)

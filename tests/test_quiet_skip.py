@@ -117,10 +117,11 @@ def counting_run_round(monkeypatch):
 
 @st.composite
 def static_runs(draw):
-    """A static run, its stop thresholds, and the block sizes (BLOCK_AFTER,
-    BLOCK_ELEMENTS) to run it with: small ones put blocks into short
-    stretches and make them end on their cap of 1 or 3 rounds, followed by
-    another block, so every block path is drawn often."""
+    """A static run, its stop thresholds, and the block sizes to run it with:
+    BLOCK_AFTER, the shortest predicted calm stretch that takes a block, and
+    BLOCK_ELEMENTS. Small ones put blocks into short stretches and make them
+    end on their cap of 1 or 3 rounds, followed by another block, so every
+    block path is drawn often."""
     n = draw(st.integers(1, 8))
     graph = draw(st.sampled_from(("line", "complete", "drawn")))
     if graph == "drawn" or n == 1:
