@@ -311,9 +311,6 @@ def validate_round(
     return out
 
 
-_UNIT_ROUNDOFF = 2.0**-53
-
-
 def monotone(prev_metrics: MetricsRow, row: MetricsRow):
     """True only if ``row`` passes ``validate_round``'s monotonicity clauses
     against ``prev_metrics``; a nan fails. Rows whose fields are columns
@@ -325,150 +322,97 @@ def monotone(prev_metrics: MetricsRow, row: MetricsRow):
     )
 
 
-def screen_round(
-    state: "EdgeState",
-    params: ProtocolParams,
-    prev_metrics: MetricsRow,
-    *,
-    row: MetricsRow,
-    w0: float,
-    xinf0: float,
-    avg0: float,
-) -> bool:
-    """True only if ``validate_round`` finds no violation in the round
-    row.t just run on ``state``; False says nothing, and the caller then
-    builds the record and validates it.
-
-    The state holds the estimate pairs ``est`` (a, b) per slot with their
-    ``last_seen`` rounds; per edge of the snapshot its endpoints eu < ev,
-    update denominator ``denom`` = c D (c = 2 or 4, pair bound D >= 1),
-    estimate gap b - a and active flag ``act``; and the values ``x_pre``
-    before and ``x`` after the round. Each clause passes only when its
-    comparison holds, so a nan declines the round; the maxima and minima
-    are ufunc reductions, which give nan if any input is nan. The screen
-    computes under the caller's float error state (``_drive`` holds
-    ``engine.silent_float_errors``).
-
-    (a) estimate mirroring and (b) active-set symmetry hold by construction
-    of the edge state (one pair per edge; a nan estimate, the one way a
-    mirror check can fail, fails (d) here). These clauses are exact, the
-    same IEEE operations on the same floats as the record path: (c) the
-    monotonicity of ``row`` against ``prev_metrics``; (d) |estimate| over
-    both sides of every live slot; (e) the step bound, theorem variant, with
-    nothing to check when x_post is x_pre; (g) the same ``fold_sum`` of the
-    same values; and, per active edge, w = gap / (x_pre[ev] - x_pre[eu])
-    within [2/3, 2]. A degenerate pair (equal endpoints) makes w inf or nan
-    and declines. The rest of the matrix structure follows. The matrix is
-    symmetric: reconstruct_matrix's a_ji is (a - b) / (x_u - x_v) / denom,
-    exactly a_ij. Its entries a = w / denom are positive and at least
-    (2/3 - MATRIX_TOL) / (4 D) > 1/(8 D) + 1/(25 D), which clears
-    1/(8 D) - MATRIX_TOL with room for any rounding.
-
-    Row and column sums and the diagonals are sums in another order than
-    reconstruct_matrix's. Node i's row and column sum its diagonal
-    d_i = 1 - a_i1 - a_i2 - ... (left to right) and its k <= n - 1 entries
-    a_ij, which are exactly 1 before rounding; with A_i = sum_j a_ij and
-    g_n = n u / (1 - n u), u = 2^-53, each deviates from 1 by at most
-    g_n (3 + g_n)(1 + A_i) (Higham, "Accuracy and Stability of Numerical
-    Algorithms", 2002, eq. 4.4, for both summations), and 1 - s_i, with s_i
-    the per-node bincount of a here, differs from d_i by at most
-    2 g_n (1 + A_i). The clause 4 n u (1 + (n - 1) max a) <= MATRIX_TOL / 2
-    bounds both rounding gaps by half the tolerance: the rows and columns
-    then pass, and s_i <= 1/2 + MATRIX_TOL / 2 here gives d_i >= 1/2 -
-    MATRIX_TOL there (dominance, theorem variant).
-    """
-    if not monotone(prev_metrics, row):
-        return False
-    t, x_pre, x_post = row.t, state.x_pre, state.x
-    n = len(x_post)
-    drift = abs(fold_sum(x_post.tolist()) / n - avg0)
-    if not drift <= CONSERVATION_TOL * max(1.0, xinf0):
-        return False
-    horizon = params.prune_horizon
-    est = state.est
-    live = est if horizon is None else est[state.last_seen >= t - horizon]
-    est_max = np.maximum.reduce(np.abs(live), axis=None, initial=0.0)
-    if not est_max <= xinf0 + ESTIMATE_TOL:
-        return False
-    theorem = params.variant == "theorem"
-    if theorem:
-        step = 0.0 if x_post is x_pre else np.maximum.reduce(np.abs(x_post - x_pre))
-        if not step <= 0.5 * w0 * t ** (-params.beta) + STEP_TOL:
-            return False
-    act = state.act
-    u = state.arrays.eu[act]
-    if not len(u):
-        return True
-    v = state.arrays.ev[act]
-    w = state.gap[act] / (x_pre[v] - x_pre[u])
-    if not (
-        np.minimum.reduce(w) >= 2.0 / 3.0 - MATRIX_TOL
-        and np.maximum.reduce(w) <= 2.0 + MATRIX_TOL
-    ):
-        return False
-    a = w / state.arrays.denom[act]
-    a_max = np.maximum.reduce(a)
-    if not 4.0 * n * _UNIT_ROUNDOFF * (1.0 + (n - 1) * a_max) <= MATRIX_TOL / 2:
-        return False
-    if theorem:
-        s = np.bincount(u, a, n) + np.bincount(v, a, n)
-        if not np.maximum.reduce(s) <= 0.5 + MATRIX_TOL / 2:
-            return False
-    return True
-
-
 def screen_block(
     state: "EdgeState",
     params: ProtocolParams,
-    values: np.ndarray,
+    x_pre: np.ndarray,
+    x_post: np.ndarray,
     first: int,
     *,
     w0: float,
     xinf0: float,
     avg0: float,
 ) -> np.ndarray:
-    """Per round of a block of message-free rounds first, first+1, ... with
-    the active mask ``state.act`` (``engine._active_block``), whose values
-    are values[1:], values[0] those of round first-1: True only if
-    ``screen_round`` clears that round once its row passes ``monotone``.
+    """Per round first + r of k rounds on the snapshot and active mask of
+    ``state``, with the values x_pre[r] before it and x_post[r] after it
+    ((k, n) arrays): True only if ``validate_round`` finds no violation in
+    that round once its row passes ``monotone``; False says nothing, and the
+    caller then validates the round's record. A round ``engine.run_round``
+    just ran is a block of one row, ``state.x_pre[None]`` and
+    ``state.x[None]``; the rounds of an active block share every other part
+    of the state, as ``engine.run`` argues. Every clause is taken per row,
+    so a round's verdict does not depend on the other rows.
 
-    Every clause but monotonicity is ``screen_round``'s, evaluated as an
-    array over the block's rounds with the same IEEE operations on the same
-    floats in the same order, so each round's verdict is the one
-    ``screen_round`` gives on that round's state: (g) the conservation fold
-    adds the node columns left to right from +0.0, which is ``fold_sum``'s
-    order in every row; (d) the estimates are those of round first-1, which
-    no round of the block changes, and every slot of a static graph is
-    live; (e) the step bound; w within [2/3, 2]; the a_max clause; and the
-    dominance sums (theorem variant), two ``np.bincount`` calls over the
-    rounds' bins r*n + node, which add each node's entries per round in
-    ``screen_round``'s order. (The dominance margin holds in any summation
-    order anyway: the rounding bound of a sum of nonnegative terms, Higham
-    eq. 4.4, does not depend on their order.) Rows that hold a nan or an
-    inf fail, as every comparison with a nan does.
+    The state holds the estimate pairs ``est`` (a, b) per slot with their
+    ``last_seen`` rounds; per edge of the snapshot its endpoints eu < ev,
+    update denominator ``denom`` = c D (c = 2 or 4, pair bound D >= 1),
+    estimate gap b - a and active flag ``act``; per node its degree ``deg``
+    counting the self-loop. Each clause passes only when its comparison
+    holds, so a nan declines the round: the maxima are ufunc reductions,
+    which give nan if any input is nan. The screen computes under the
+    caller's float error state (see ``engine.silent_float_errors``).
+
+    (a) estimate mirroring and (b) active-set symmetry hold by construction
+    of the edge state (one pair per edge; a nan estimate, the one way a
+    mirror check can fail, fails (d) here); (c) is ``monotone``'s. These
+    clauses are exact, the same IEEE operations on the same floats as the
+    record path: (d) |estimate| over both sides of every slot live in the
+    last round, last_seen >= first + k - 1 - H under a prune horizon H (an
+    active block's static graph shows every slot in its last round); (e)
+    the step bound, theorem variant, s^-beta as C ``pow``, as ``**``
+    computes it; (g) conservation, ``np.add.accumulate`` adding each row
+    left to right, which plus 0.0 is ``fold_sum`` bitwise; and, per active
+    edge, w = gap / (x_pre[ev] - x_pre[eu]) within [2/3, 2]. A degenerate
+    pair (equal endpoints) makes w inf or nan and declines. The rest of the
+    matrix structure follows. The matrix is symmetric: reconstruct_matrix's
+    a_ji is (a - b) / (x_u - x_v) / denom, exactly a_ij. Its entries
+    a = w / denom are positive and at least (2/3 - MATRIX_TOL) / (4 D) >
+    1/(8 D) + 1/(25 D), which clears 1/(8 D) - MATRIX_TOL with room for any
+    rounding.
+
+    Row and column sums and the diagonals are sums in another order than
+    reconstruct_matrix's. Node i's row and column hold its diagonal
+    d_i = 1 - a_i1 - a_i2 - ... (left to right), one entry a_ij per active
+    peer, and exact zeros, which add no rounding. With Delta the snapshot's
+    largest degree counting the self-loop, each sum has at most Delta
+    nonzero terms, exactly 1 in sum before rounding. With
+    A_i = sum_j a_ij <= (Delta - 1) max a and g = Delta u / (1 - Delta u),
+    u = 2^-53, each deviates from 1 by at most g (3 + g)(1 + A_i) (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, eq. 4.4, in any
+    summation order), and 1 - s_i, with s_i the per-node ``np.bincount``
+    of a here (bins r*n + node, per row), differs from d_i by at most
+    2 g (1 + A_i). The clause 4 Delta u (1 + (Delta - 1) max a) <=
+    MATRIX_TOL / 2 bounds both rounding gaps by half the tolerance: the
+    rows and columns then pass, and s_i <= 1/2 + MATRIX_TOL / 2 here gives
+    d_i >= 1/2 - MATRIX_TOL there (dominance, theorem variant). On a
+    complete graph Delta is n.
     """
-    x_pre, x_post = values[:-1], values[1:]
     k, n = x_post.shape
-    est_max = np.maximum.reduce(np.abs(state.est), axis=None, initial=0.0)
+    horizon = params.prune_horizon
+    est = state.est
+    if horizon is not None:
+        est = est[state.last_seen >= first + k - 1 - horizon]
+    est_max = np.maximum.reduce(np.abs(est), axis=None, initial=0.0)
     if not est_max <= xinf0 + ESTIMATE_TOL:
         return np.zeros(k, dtype=bool)
-    total = _fold_columns(x_post)
+    total = np.add.accumulate(x_post, axis=1)[:, -1] + 0.0
     ok = abs(total / n - avg0) <= CONSERVATION_TOL * max(1.0, xinf0)
     theorem = params.variant == "theorem"
     if theorem:
-        # C pow, as s ** -beta computes it
         damp = np.float_power(np.arange(first, first + k, dtype=float), -params.beta)
         step = np.maximum.reduce(np.abs(x_post - x_pre), axis=1)
         ok &= step <= 0.5 * w0 * damp + STEP_TOL
-    act = state.act
-    u = state.arrays.eu[act]
-    v = state.arrays.ev[act]
+    arrays, act = state.arrays, state.act
+    u, v = arrays.eu[act], arrays.ev[act]
+    if not len(u):  # no active pair, no matrix to check
+        return ok
     w = state.gap[act] / (x_pre[:, v] - x_pre[:, u])
-    ok &= np.minimum.reduce(w, axis=1) >= 2.0 / 3.0 - MATRIX_TOL
-    ok &= np.maximum.reduce(w, axis=1) <= 2.0 + MATRIX_TOL
-    a = w / state.arrays.denom[act]
+    in_range = (w >= 2.0 / 3.0 - MATRIX_TOL) & (w <= 2.0 + MATRIX_TOL)
+    ok &= np.logical_and.reduce(in_range, axis=1)
+    a = w / arrays.denom[act]
     a_max = np.maximum.reduce(a, axis=1)
-    ok &= 4.0 * n * _UNIT_ROUNDOFF * (1.0 + (n - 1) * a_max) <= MATRIX_TOL / 2
+    delta = np.maximum.reduce(arrays.deg)
+    ok &= 4.0 * delta * 2.0**-53 * (1.0 + (delta - 1) * a_max) <= MATRIX_TOL / 2
     if theorem:
         bins = np.arange(0, k * n, n)[:, None]
         s = np.bincount((bins + u).ravel(), a.ravel(), k * n) + np.bincount(

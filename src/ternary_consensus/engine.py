@@ -11,10 +11,11 @@ node folds its active peers in ascending order, as ``value_update`` does.
 
 ``run_round`` mutates an ``EdgeState`` and returns nothing; that state is
 what every reader of a round takes. The metrics sink gets each round's row
-and values, in one call for a whole quiet stretch. ``_record`` turns the
-state into a ``RoundRecord`` only when ``run`` is asked to keep records, or
-for ``validate_round`` on a round that ``analysis.screen_round`` does not
-clear.
+and values, in one call for a whole quiet stretch. A checked run screens
+every round it computes with ``analysis.screen_block``, a round it runs as
+a block of one row. ``_record`` turns the state into a ``RoundRecord`` only
+when ``run`` is asked to keep records, or for ``validate_round`` on a round
+that the screen does not clear.
 
 On a static graph most rounds of a long run are quiet: no message is
 nonzero and no pair is active. After a quiet round, ``_quiet_until`` bounds
@@ -46,7 +47,6 @@ from .analysis import (
     fold_sum,
     monotone,
     screen_block,
-    screen_round,
     validate_round,
 )
 from .errors import ConfigError, DivergenceError, InvariantViolationError
@@ -187,11 +187,12 @@ class EdgeArrays:
     Edge k is ``edges[k] = (eu[k], ev[k])`` with eu < ev, its universe row
     ids[k] (``ids`` is the sequence's ``edge_ids`` array), D[k] its pair
     bound under the given policy and denom[k] = scale * D[k] the update's
-    denominator; ``ends`` lists eu[0], ev[0], eu[1], ev[1], ... The snapshot
-    ``graph`` and its all-zero messages ``silent`` are built by its first
-    record. The half-edges list every edge once from each endpoint: first
-    every edge from its high end ev[k], then every edge from its low end
-    eu[k], both in edge order; half-edge h belongs to node h_node[h]. The
+    denominator; deg[i] is node i's degree counting the self-loop. ``ends``
+    lists eu[0], ev[0], eu[1], ev[1], ... The snapshot ``graph`` and its
+    all-zero messages ``silent`` are built by its first record. The
+    half-edges list every edge once from each endpoint: first every edge
+    from its high end ev[k], then every edge from its low end eu[k], both in
+    edge order; half-edge h belongs to node h_node[h]. The
     edges are sorted, so a node's half-edges in the first part name its lower
     peers in ascending order and those in the second part its higher peers
     in ascending order. ``np.bincount`` adds its weights in array order
@@ -200,8 +201,8 @@ class EdgeArrays:
     pairwise and rounds differently once a node has 8 or more terms).
     """
 
-    __slots__ = ("n", "edges", "ends", "eu", "ev", "D", "denom", "h_node", "ids",
-                 "graph", "silent")
+    __slots__ = ("n", "edges", "ends", "eu", "ev", "deg", "D", "denom", "h_node",
+                 "ids", "graph", "silent")
 
     def __init__(
         self, n: int, edges: np.ndarray, d_policy: str, d_fixed: float | None,
@@ -218,6 +219,7 @@ class EdgeArrays:
         self.ends = ends
         self.eu = eu
         self.ev = ev
+        self.deg = deg
         self.D = pair_bound(d_policy, d_fixed, n, deg[eu], deg[ev])
         self.denom = scale * self.D
         self.h_node = np.concatenate((ev, eu))
@@ -281,7 +283,7 @@ class EdgeState:
 
     The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
     2k+1), estimate gaps b - a, active mask, fold f and pre-update values
-    here, for ``analysis.screen_round``, ``_record`` and the blocks; an active
+    here, for ``analysis.screen_block``, ``_record`` and the blocks; an active
     block leaves those of its last round (``run`` views the others).
     ``memo`` holds the arrays ``round_arrays`` built.
     """
@@ -332,7 +334,7 @@ def silent_float_errors() -> np.errstate:
     operation or a division by zero gives inf or nan without a numpy
     warning. ``_drive`` enters it once around its loop, so a run restores
     its caller's state on every exit; a caller stepping ``run_round`` or
-    ``analysis.screen_round`` by hand enters it around its loop. A
+    ``analysis.screen_block`` by hand enters it around its loop. A
     non-finite value is still reported once it reaches a quantizer input
     (``run_round``) or a node value (the loop's divergence guard), and the
     screen declines a round on any nan it reads."""
@@ -581,19 +583,21 @@ def _drive(
     nothing). Only this loop computes the t=0 facts (avg0, the spread w0 and
     the sup-norm xinf0), builds each round's row with ``compute_metrics``
     (or a block's as columns, below), applies the stop rule after each row,
-    guards node values against divergence, hands the facts to ``validate``
-    and calls the sink; the last values are ``final_x``.
+    guards node values against divergence, hands the facts to ``screen``
+    and ``validate`` and calls the sink; the last values are ``final_x``.
 
     The loop runs the round that opens a quiet stretch and jumps over the
     rest: ``metrics_sink(row, x, last)`` is called once per round computed,
     with its row, its values as a tuple of floats and the stretch's last
     round, and stands for rounds row.t..last, each with the row's fields and
     its own t (last == row.t for a round that opens no stretch, and for
-    every round of a block). Kept rows are expanded likewise. ``validate``
-    sees every round that ``step`` computes and none of a stretch's skipped
-    rounds. Why that is the output of running every round is argued in
-    ``run``. ``step``, ``validate``, ``screen`` and the sink run under
-    ``silent_float_errors``, entered once for the whole loop.
+    every round of a block). Kept rows are expanded likewise. Every round
+    that ``step`` computes, and none of a stretch's skipped rounds, is
+    checked: ``screen(first, k, **facts)`` gives rounds first..first+k-1 a
+    verdict each, and only a round that it or ``monotone`` of its row
+    declines goes to ``validate``. Why that is the output of running every
+    round is argued in ``run``. ``step``, ``screen``, ``validate`` and the
+    sink run under ``silent_float_errors``, entered once for the whole loop.
 
     A block is taken as columns, bitwise the rows ``compute_metrics`` would
     build (``analysis.block_metrics``): max and min are the first element
@@ -602,11 +606,10 @@ def _drive(
     that is not finite (a value that is not finite, or a square or a sum
     beyond the float range, where ``compute_metrics`` may raise
     OverflowError) goes row by row instead. One column test finds the first
-    row that meets the stop rule. In a checked run a row is cleared when
-    ``screen(w0=, xinf0=, avg0=)``, a verdict per round of the block, and
-    ``monotone`` over the columns both pass it; only another row goes to
-    ``validate``. ``MetricsRow`` objects are built only for the sink, for
-    kept rows, and for the rows that ``validate`` and the next step read."""
+    row that meets the stop rule, and the block's rows are screened in one
+    call, with ``monotone`` over the columns. ``MetricsRow`` objects are
+    built only for the sink, for kept rows, and for the rows that
+    ``validate`` and the next step read."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -639,7 +642,7 @@ def _drive(
                 if validate is not None:
                     head = (prev_row.M, prev_row.m, prev_row.W, prev_row.V2, prev_row.err_max)
                     before = np.column_stack((head, cols[:, :-1]))
-                    cleared = screen(**facts)
+                    cleared = screen(t + 1, len(values), **facts)
                     cleared &= monotone(MetricsRow(ts - 1, *before, *counts), now)
                     for i in np.flatnonzero(~cleared[:k]).tolist():
                         prev = MetricsRow(t + i, *before[:, i].tolist(), *counts)
@@ -678,7 +681,9 @@ def _drive(
                             raise DivergenceError(
                                 f"node {i} became non-finite at round {t}: {v!r}"
                             )
-                if validate is not None:
+                if validate is not None and not (
+                    monotone(prev_row, row) and screen(t, 1, **facts)[0]
+                ):
                     violations = validate(prev_row, row=row, **facts)
                     if violations:
                         raise InvariantViolationError(t, violations)
@@ -712,7 +717,8 @@ def run(
 
     With check_invariants set, every round is checked and the first violating
     round raises InvariantViolationError naming each failed check: a round
-    that ``screen_round`` clears has no violation, and any other round's
+    that ``analysis.screen_block`` (a round run is a block of one row) and
+    ``monotone`` of its row clear has no violation, and any other round's
     record goes to ``validate_round``, the one definition of the invariants
     and their messages. ``metrics_sink(row, x, last)`` receives the rows and
     values as they are produced, one call for rounds row.t..last (see
@@ -741,8 +747,8 @@ def run(
     M, m, W and V2, and so has row t-1. ``validate_round`` reads t only in
     its messages and in the step cap 0.5*w0*s^-beta + STEP_TOL, which the
     zero movement never exceeds. So each clause comes out on round s as on
-    round t, which passed, and ``screen_round``, reading the same state,
-    clears round s if it cleared round t.
+    round t, which passed, and the screen, which reads t also in its live
+    mask and finds every slot live, clears round s if it cleared round t.
 
     On a static sequence every run also computes active stretches in
     blocks. When ``_calm_through`` predicts, after a stepped round t that
@@ -775,15 +781,12 @@ def run(
     before and after: every other part of that state (estimates, gaps,
     active mask, no message, every slot live) is what running the round
     would leave. keep_records gives a block round the record of its view,
-    and so the record of running it. In a checked run,
-    ``analysis.screen_block`` evaluates ``screen_round``'s array clauses
-    over the block's rounds at once, with the same float operations in the
-    same order, and a round it clears whose row passes ``monotone``,
-    evaluated over the block's columns, is one that ``screen_round`` clears:
-    it has no violation. Any other round of the block goes through
-    ``screen_round`` and ``validate_round`` on its view. So a block round
-    gets the per-round verdict and messages, and a checked run raises at the
-    round, with the violations, of checking every round.
+    and so the record of running it. In a checked run, ``screen_block``
+    takes the block's rounds as its rows, so each round's verdict is that
+    of its view, and ``monotone`` runs over the block's columns; a round
+    either declines goes through ``validate_round`` on its view. So a block round
+    gets the per-round verdict and messages, and a checked run raises at
+    the round, with the violations, of checking every round.
 
     The quiet skip is the prediction's f = 0 case: ``_quiet_until`` solves
     its two clauses for the last round in closed form, with a margin, and
@@ -821,9 +824,14 @@ def run(
                 ahead = _calm_through(state, t, s, params)
         return state.x, state.active_edges, state.nonzero_msgs, quiet_to
 
-    def screen(**facts):
-        first, values = block
-        return screen_block(state, params, values, first, **facts)
+    def screen(first: int, k: int, **facts):
+        """``screen_block`` on rounds first..first+k-1 of the last step."""
+        if block is None:
+            x_pre, x_post = state.x_pre[None], state.x[None]
+        else:
+            i = first - block[0]
+            x_pre, x_post = block[1][i : i + k], block[1][i + 1 : i + 1 + k]
+        return screen_block(state, params, x_pre, x_post, first, **facts)
 
     def view(t: int) -> EdgeState:
         """Round t's state: the state itself after a round run, and for a
@@ -836,11 +844,7 @@ def run(
 
     def validate(prev_row, **facts):
         t = facts["row"].t
-        round_state = view(t)
-        if screen_round(round_state, params, prev_row, **facts):
-            return []
-        rec = _record(round_state, t, params)
-        return validate_round(rec, prev_row, params, **facts)
+        return validate_round(_record(view(t), t, params), prev_row, params, **facts)
 
     def keep_record(row, x, last):
         if metrics_sink is not None:
@@ -851,8 +855,8 @@ def run(
 
     result = _drive(
         state.x, config.t_max, step,
-        validate=validate if config.check_invariants else None,
-        screen=screen, stop_err=stop_err, stop_v2=stop_v2,
+        screen=screen, validate=validate if config.check_invariants else None,
+        stop_err=stop_err, stop_v2=stop_v2,
         metrics_sink=keep_record if keep_records else metrics_sink,
         keep_metrics=keep_metrics,
     )

@@ -329,6 +329,8 @@ class TestCmdRun:
     def test_invariant_violation_exits_2_and_removes_partials(
         self, write_config, tmp_path, monkeypatch
     ):
+        import numpy as np
+
         import ternary_consensus.engine as engine_mod
 
         def fake_validate(rec, prev, params, *, row, w0, xinf0, avg0):
@@ -336,7 +338,10 @@ class TestCmdRun:
 
         # the screen clears every round of this clean run: make it decline,
         # so the record checker is reached
-        monkeypatch.setattr(engine_mod, "screen_round", lambda *a, **k: False)
+        monkeypatch.setattr(
+            engine_mod, "screen_block",
+            lambda state, params, x_pre, x_post, *a, **k: np.zeros(len(x_post), dtype=bool),
+        )
         monkeypatch.setattr(engine_mod, "validate_round", fake_validate)
         code = main(["run", "--config", write_config(), "--check", "--quiet"])
         assert code == 2

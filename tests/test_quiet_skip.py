@@ -322,7 +322,10 @@ def test_a_rejected_quiet_round_fails_both_loops_alike(monkeypatch):
         return out
 
     monkeypatch.setattr(engine, "validate_round", rejects_quiet)
-    monkeypatch.setattr(engine, "screen_round", lambda *args, **kwargs: False)
+    monkeypatch.setattr(
+        engine, "screen_block",
+        lambda state, params, x_pre, x_post, *a, **k: np.zeros(len(x_post), dtype=bool),
+    )
     want = raised(lambda: per_round(cfg))
     t, violations = want
     assert violations == [f"quiet: round {t} repeats the values before it"]
@@ -508,10 +511,10 @@ def test_a_rejected_block_round_fails_both_loops_alike(monkeypatch):
 
 def test_a_block_round_whose_row_fails_monotone_is_checked_per_round(monkeypatch):
     """``screen_block`` leaves monotonicity to ``monotone`` over the block's
-    columns: a block round whose row fails it goes to screen_round and
-    validate_round, and a violation found there stops the run at the
-    per-round loop's round. The patched ``monotone`` fails round t's row
-    whether it gets one row or a block's columns."""
+    columns: a block round that the screen clears but whose row fails
+    ``monotone`` goes to validate_round, and a violation found there stops
+    the run at the per-round loop's round. The patched ``monotone`` fails
+    round t's row whether it gets one row or a block's columns."""
     cfg = dataclasses.replace(LINE_6, check_invariants=True)
     inside = block_rounds(cfg)
     t = sorted(inside)[len(inside) // 2]
@@ -526,7 +529,6 @@ def test_a_block_round_whose_row_fails_monotone_is_checked_per_round(monkeypatch
         return validate_round(rec, prev_metrics, params, **facts) + extra
 
     monkeypatch.setattr(engine, "validate_round", rejects_t)
-    monkeypatch.setattr(engine, "screen_round", lambda *args, **kwargs: False)
     want = raised(lambda: per_round(cfg))
     assert want == (t, [f"injected: round {t}"])
     assert raised(lambda: run(cfg, keep_metrics=False)) == want
