@@ -338,10 +338,10 @@ def screen_block(
     ((k, n) arrays): True only if ``validate_round`` finds no violation in
     that round once its row passes ``monotone``; False says nothing, and the
     caller then validates the round's record. A round ``engine.run_round``
-    just ran is a block of one row, ``state.x_pre[None]`` and
-    ``state.x[None]``; the rounds of an active block share every other part
-    of the state, as ``engine.run`` argues. Every clause is taken per row,
-    so a round's verdict does not depend on the other rows.
+    just ran is a block of one row: the values the caller held before the
+    call and ``state.x``. The rounds of an active block share every other
+    part of the state, as ``engine.run`` argues. Every clause is taken per
+    row, so a round's verdict does not depend on the other rows.
 
     The state holds the estimate pairs ``est`` (a, b) per slot with their
     ``last_seen`` rounds; per edge of the snapshot its endpoints eu < ev,

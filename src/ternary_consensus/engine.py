@@ -9,13 +9,14 @@ result is bitwise identical to running ``protocol`` node by node: every
 float operation is the same IEEE operation on the same operands, and each
 node folds its active peers in ascending order, as ``value_update`` does.
 
-``run_round`` mutates an ``EdgeState`` and returns nothing; that state is
-what every reader of a round takes. The metrics sink gets each round's row
-and values, in one call for a whole quiet stretch. A checked run screens
-every round it computes with ``analysis.screen_block``, a round it runs as
-a block of one row. ``_record`` turns the state into a ``RoundRecord`` only
-when ``run`` is asked to keep records, or for ``validate_round`` on a round
-that the screen does not clear.
+``run_round`` mutates an ``EdgeState`` and returns nothing; every reader of
+a round takes that state and the round's values before and after it, which
+the run loop hands out. The metrics sink gets each round's row and values,
+in one call for a whole quiet stretch. A checked run screens every round it
+computes with ``analysis.screen_block``, a round it runs as a block of one
+row. ``_record`` turns the state and the two value vectors into a
+``RoundRecord`` only when ``run`` is asked to keep records, or for
+``validate_round`` on a round that the screen does not clear.
 
 On a static graph most rounds of a long run are quiet: no message is
 nonzero and no pair is active. After a quiet round, ``_quiet_until`` bounds
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import repeat
 from math import floor, inf, isfinite
 from types import MappingProxyType
@@ -282,9 +284,11 @@ class EdgeState:
     built on.
 
     The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
-    2k+1), estimate gaps b - a, active mask, fold f and pre-update values
-    here, for ``analysis.screen_block``, ``_record`` and the blocks; an active
-    block leaves those of its last round (``run`` views the others).
+    2k+1), estimate gaps b - a, active mask and fold f here, for
+    ``analysis.screen_block``, ``_record`` and the blocks; an active block
+    leaves those of its last round, which are those of each of its rounds.
+    The values before a round are not kept: ``x`` is replaced, never changed
+    in place, so a caller keeps them by holding ``x`` before the round.
     ``memo`` holds the arrays ``round_arrays`` built.
     """
 
@@ -299,7 +303,6 @@ class EdgeState:
     gap: np.ndarray | None = None
     act: np.ndarray | None = None
     f: np.ndarray | None = None  # fold of active gap/denom, before t^-beta
-    x_pre: np.ndarray | None = None
     nonzero_msgs: int = 0
     active_edges: int = 0
 
@@ -391,7 +394,6 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     # active pairs: both messages 0 and |x_in - x_out| > 4/t^alpha
     gap = x_out[1::2] - x_out[0::2]  # b - a: x_in - x_out at u, negated at v
     act = (q.view(np.int16) == 0) & (np.abs(gap) > threshold)  # both symbols 0
-    x_pre = x
     active_edges = int(np.count_nonzero(act))
     f = None
     if active_edges:
@@ -408,7 +410,6 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     state.gap = gap
     state.act = act
     state.f = f
-    state.x_pre = x_pre
     state.nonzero_msgs = int(np.count_nonzero(q))
     state.active_edges = active_edges
 
@@ -519,16 +520,20 @@ def _active_block(
     calm &= np.logical_and.reduce(np.isfinite(values[1:]), axis=1)
     k = size if np.logical_and.reduce(calm) else int(np.argmin(calm))
     if k:
-        state.x_pre, state.x = values[k - 1].copy(), values[k].copy()
+        state.x = values[k].copy()
         state.last_seen[arrays.ids] = t + k - 1
     return values[: k + 1]
 
 
-def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
-    """The per-node view of round t, rebuilt from the edge arrays of the
-    state that round leaves: the state after the last round run, or ``run``'s
-    view of a block round. ``run`` copies it for the rest of the quiet
-    stretch t opens, as only a static sequence skips (see ``run``)."""
+def _record(
+    state: EdgeState, t: int, params: ProtocolParams, x_pre, x_post
+) -> RoundRecord:
+    """Round t's per-node view, rebuilt from the edge arrays of the state
+    the last step left (a round run, or an active block, each of whose
+    rounds leaves that state but for the values; see ``run``), with the
+    round's values x_pre before it and x_post after it, vectors or tuples
+    of floats. ``run`` copies it for the rest of the quiet stretch t
+    opens, as only a static sequence skips (see ``run``)."""
     arrays = state.arrays
     if arrays.graph is None:
         arrays.graph = GraphSnapshot(arrays.n, arrays.edges.tolist())
@@ -564,7 +569,7 @@ def _record(state: EdgeState, t: int, params: ProtocolParams) -> RoundRecord:
         estimates[j][i] = (a, b)
     return RoundRecord(
         t, g, tuple(messages), tuple(map(frozenset, active_sets)),
-        tuple(state.x_pre.tolist()), tuple(state.x.tolist()),
+        tuple(map(float, x_pre)), tuple(map(float, x_post)),
         MappingProxyType(d_bounds), tuple(map(MappingProxyType, estimates)),
     )
 
@@ -593,23 +598,24 @@ def _drive(
     its own t (last == row.t for a round that opens no stretch, and for
     every round of a block). Kept rows are expanded likewise. Every round
     that ``step`` computes, and none of a stretch's skipped rounds, is
-    checked: ``screen(first, k, **facts)`` gives rounds first..first+k-1 a
-    verdict each, and only a round that it or ``monotone`` of its row
-    declines goes to ``validate``. Why that is the output of running every
-    round is argued in ``run``. ``step``, ``screen``, ``validate`` and the
-    sink run under ``silent_float_errors``, entered once for the whole loop.
+    checked: ``screen(x_pre, x_post, first, **facts)`` gives rounds
+    first..first+k-1 a verdict each, from their values before and after,
+    the rows of two (k, n) arrays, and only a round that it or ``monotone``
+    of its row declines goes to ``validate(prev_row, x_pre, x_post, *, row,
+    **facts)``. The values before round 1 are x, and before any later round
+    those after the round before it: the row before it in a block, or the
+    values a stretch repeats. Why that is the output of running every round is
+    argued in ``run``. ``step``, ``screen``, ``validate`` and the sink run
+    under ``silent_float_errors``, entered once for the whole loop.
 
     A block is taken as columns, bitwise the rows ``compute_metrics`` would
-    build (``analysis.block_metrics``): max and min are the first element
-    that reaches the extreme, as ``max`` and ``min`` return it, and a
-    square is C ``pow``, as Python's ``** 2`` computes it. A block with a V2
-    that is not finite (a value that is not finite, or a square or a sum
-    beyond the float range, where ``compute_metrics`` may raise
-    OverflowError) goes row by row instead. One column test finds the first
-    row that meets the stop rule, and the block's rows are screened in one
-    call, with ``monotone`` over the columns. ``MetricsRow`` objects are
-    built only for the sink, for kept rows, and for the rows that
-    ``validate`` and the next step read."""
+    build (see ``analysis.block_metrics``); a block with a V2 that is not
+    finite goes row by row instead, where ``compute_metrics`` may raise
+    OverflowError and the divergence guard names a value that is not
+    finite. One column test finds the first row that meets the stop rule,
+    and the block's rows are screened in one call, with ``monotone`` over
+    the columns. ``MetricsRow`` objects are built only for the sink, for
+    kept rows, and for the rows that ``validate`` and the next step read."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -625,13 +631,13 @@ def _drive(
     facts = {"w0": prev_row.W, "xinf0": xinf0, "avg0": avg0}
     rows: list[MetricsRow] = []
     t = 0
-    with silent_float_errors():
+    with silent_float_errors():  # x: the values after round t, before the next
         while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
             values, active_edges, nonzero_msgs, last = step(t + 1)
             if values.ndim == 1:
-                computed = (values.tolist(),)
+                computed = (values,)
             elif (cols := block_metrics(values, avg0)) is None:
-                computed = values.tolist()
+                computed = values
             else:  # a block, as columns: rows through the first that stops the run
                 counts = (active_edges, nonzero_msgs)
                 ts = np.arange(t + 1, t + 1 + len(values))
@@ -642,12 +648,13 @@ def _drive(
                 if validate is not None:
                     head = (prev_row.M, prev_row.m, prev_row.W, prev_row.V2, prev_row.err_max)
                     before = np.column_stack((head, cols[:, :-1]))
-                    cleared = screen(t + 1, len(values), **facts)
+                    pre = np.concatenate((x[None], values[:-1]))
+                    cleared = screen(pre, values, t + 1, **facts)
                     cleared &= monotone(MetricsRow(ts - 1, *before, *counts), now)
                     for i in np.flatnonzero(~cleared[:k]).tolist():
                         prev = MetricsRow(t + i, *before[:, i].tolist(), *counts)
                         row = MetricsRow(t + 1 + i, *cols[:, i].tolist(), *counts)
-                        failed = validate(prev, row=row, **facts)
+                        failed = validate(prev, pre[i], values[i], row=row, **facts)
                         if failed:
                             k = i
                             break
@@ -657,20 +664,20 @@ def _drive(
                         repeat(active_edges, k), repeat(nonzero_msgs, k),
                     ))
                     if metrics_sink is not None:
-                        for row, x in zip(built, values[:k].tolist()):
-                            metrics_sink(row, tuple(x), row.t)
+                        for row, v in zip(built, values[:k].tolist()):
+                            metrics_sink(row, tuple(v), row.t)
                     if keep_metrics:
                         rows.extend(built)
                 if failed:
                     raise InvariantViolationError(t + 1 + k, failed)
                 t += k
                 prev_row = MetricsRow(t, *cols[:, k - 1].tolist(), *counts)
-                xs = tuple(values[k - 1].tolist())
+                x = values[k - 1]
                 continue
             final = t + len(computed)
-            for x in computed:
+            for x_post in computed:
                 t += 1
-                xs = tuple(x)
+                xs = tuple(x_post.tolist())
                 row = compute_metrics(
                     xs, avg0, t=t, active_edges=active_edges, nonzero_msgs=nonzero_msgs
                 )
@@ -682,9 +689,10 @@ def _drive(
                                 f"node {i} became non-finite at round {t}: {v!r}"
                             )
                 if validate is not None and not (
-                    monotone(prev_row, row) and screen(t, 1, **facts)[0]
+                    monotone(prev_row, row)
+                    and screen(x[None], x_post[None], t, **facts)[0]
                 ):
-                    violations = validate(prev_row, row=row, **facts)
+                    violations = validate(prev_row, x, x_post, row=row, **facts)
                     if violations:
                         raise InvariantViolationError(t, violations)
                 end = last if t == final else t
@@ -696,12 +704,13 @@ def _drive(
                               row.active_edges, row.nonzero_msgs)
                     rows.extend(MetricsRow(s, *fields) for s in range(t + 1, end + 1))
                 prev_row = row
+                x = x_post
                 if t < final and stop_reached(row, stop_err, stop_v2):
                     break
             else:
                 t = last
     stopped_at = t if stop_reached(prev_row, stop_err, stop_v2) else None
-    return RunResult(rows, [], xs, rounds=t, stopped_at=stopped_at)
+    return RunResult(rows, [], tuple(x.tolist()), rounds=t, stopped_at=stopped_at)
 
 
 def run(
@@ -724,7 +733,9 @@ def run(
     values as they are produced, one call for rounds row.t..last (see
     ``_drive``), which keeps very long runs memory-flat when keep_metrics is
     off. keep_records keeps a ``RoundRecord`` of every round in
-    ``RunResult.records``; otherwise records are built only for the checker.
+    ``RunResult.records``, with the values of the sink's previous call (the
+    initial values for round 1) as the round's values before it; otherwise
+    records are built only for the checker.
 
     On a static sequence every run skips the quiet stretch after each quiet
     round t (see ``_quiet_until``): ``_drive`` hands the stretch to the sink
@@ -772,21 +783,20 @@ def run(
     Every slot stays live and is marked seen through the block's last round,
     as a run of its rounds would leave it. ``_drive`` takes the block's rows
     as columns with ``compute_metrics``' own float operations
-    (``block_metrics``: max and min as the first element that reaches the
-    extreme, squares as C ``pow``, and the block row by row when a square or
-    a sum overflows), stops at the first row that meets the stop rule, and
-    calls the sink once per round.
+    (``block_metrics``), stops at the first row that meets the stop rule,
+    and calls the sink once per round.
 
-    A block round's view (``view``) is the state with the round's own values
-    before and after: every other part of that state (estimates, gaps,
-    active mask, no message, every slot live) is what running the round
-    would leave. keep_records gives a block round the record of its view,
-    and so the record of running it. In a checked run, ``screen_block``
-    takes the block's rounds as its rows, so each round's verdict is that
-    of its view, and ``monotone`` runs over the block's columns; a round
-    either declines goes through ``validate_round`` on its view. So a block round
-    gets the per-round verdict and messages, and a checked run raises at
-    the round, with the violations, of checking every round.
+    So the state a block leaves is, but for its values, the state that
+    running any one of its rounds leaves (estimates, gaps, active mask, no
+    message, every slot live), and each reader takes a round's own values
+    before and after it from ``_drive``: the record of a block round, kept
+    or validated, is the record of running it. In a checked run,
+    ``screen_block`` takes the block's rounds as its rows, each verdict
+    that of the round alone, and ``monotone`` runs over the block's
+    columns; a round either declines goes through ``validate_round`` on its
+    record. So a block round gets the per-round verdict and messages, and
+    a checked run raises at the round, with the violations, of checking
+    every round.
 
     The quiet skip is the prediction's f = 0 case: ``_quiet_until`` solves
     its two clauses for the last round in closed form, with a margin, and
@@ -800,10 +810,9 @@ def run(
     records: list[RoundRecord] = []
     skips = config.seq.kind == "static"
     ahead = False  # a calm stretch is predicted, or the last block ended on its cap
-    block = None  # (first round, values) of the last block handed to _drive
 
     def step(t: int):
-        nonlocal ahead, block
+        nonlocal ahead
         if ahead:
             width = max(len(state.arrays.ends), len(state.x))
             cap = min(max(1, BLOCK_ELEMENTS // width), config.t_max - t + 1)
@@ -811,9 +820,7 @@ def run(
             k = len(values) - 1
             ahead = k == cap  # otherwise round t+k has an event: run it
             if k:
-                block = (t, values)
                 return values[1:], state.active_edges, 0, t + k - 1
-        block = None
         run_round(state, t, config)
         quiet_to = t
         if skips and not state.nonzero_msgs:
@@ -824,38 +831,24 @@ def run(
                 ahead = _calm_through(state, t, s, params)
         return state.x, state.active_edges, state.nonzero_msgs, quiet_to
 
-    def screen(first: int, k: int, **facts):
-        """``screen_block`` on rounds first..first+k-1 of the last step."""
-        if block is None:
-            x_pre, x_post = state.x_pre[None], state.x[None]
-        else:
-            i = first - block[0]
-            x_pre, x_post = block[1][i : i + k], block[1][i + 1 : i + 1 + k]
-        return screen_block(state, params, x_pre, x_post, first, **facts)
+    def validate(prev_row, x_pre, x_post, *, row, **facts):
+        record = _record(state, row.t, params, x_pre, x_post)
+        return validate_round(record, prev_row, params, row=row, **facts)
 
-    def view(t: int) -> EdgeState:
-        """Round t's state: the state itself after a round run, and for a
-        block round the state with that round's values before and after."""
-        if block is None:
-            return state
-        first, values = block
-        i = t - first
-        return replace(state, x_pre=values[i], x=values[i + 1])
-
-    def validate(prev_row, **facts):
-        t = facts["row"].t
-        return validate_round(_record(view(t), t, params), prev_row, params, **facts)
+    prev_x = tuple(state.x.tolist())  # the values of the sink's last call
 
     def keep_record(row, x, last):
+        nonlocal prev_x
         if metrics_sink is not None:
             metrics_sink(row, x, last)
-        rec = _record(view(row.t), row.t, params)
+        rec = _record(state, row.t, params, prev_x, x)
         records.append(rec)
         records.extend(replace(rec, t=s) for s in range(row.t + 1, last + 1))
+        prev_x = x
 
     result = _drive(
-        state.x, config.t_max, step,
-        screen=screen, validate=validate if config.check_invariants else None,
+        state.x, config.t_max, step, screen=partial(screen_block, state, params),
+        validate=validate if config.check_invariants else None,
         stop_err=stop_err, stop_v2=stop_v2,
         metrics_sink=keep_record if keep_records else metrics_sink,
         keep_metrics=keep_metrics,

@@ -7,7 +7,7 @@ from oracles import per_round_calls, same_bits
 from reference_engine import World, init_state, metropolis_round, run_round
 from reference_engine import run as reference_run
 from ternary_consensus import engine as edge_engine
-from ternary_consensus.analysis import compute_metrics, fold_sum
+from ternary_consensus.analysis import block_metrics, compute_metrics, fold_sum
 from ternary_consensus.engine import (
     EdgeArrays,
     InitSpec,
@@ -517,6 +517,63 @@ class TestBlockColumns:
         block = self.drive(rows, True, **stops)
         assert same_bits(block, self.drive(rows, False, **stops))
         assert len(block[1]) < len(rows) - 1 or not stops
+
+
+class TestRoundValues:
+    """``_drive`` hands ``screen`` and ``validate`` each round's values before
+    and after it: before round 1 the initial values, and before any later
+    round the values after the round before it, whether that round was
+    stepped, opened a quiet stretch, ended a block taken as columns or ended
+    one taken row by row."""
+
+    X0 = [1.0, -0.0, 0.5]
+    # the step of each round it starts at, and the last round it stands for
+    STEPS = {
+        1: ([0.75, 0.25, 0.5], 1),  # stepped
+        2: ([0.625, 0.375, 0.5], 4),  # stepped, opens a stretch through 4
+        5: ([[0.6, 0.4, 0.5], [0.55, 0.45, 0.5], [0.5, 0.5, -0.0]], 7),  # a block
+        # a block whose sum of squares overflows, so V2 is inf: row by row
+        8: ([[1e154, -1e154, 0.5], [1.2e154, -1.2e154, 0.0]], 9),
+        10: ([0.5, 0.5, 0.5], 10),
+    }
+
+    def test_each_round_gets_the_values_after_the_round_before(self):
+        def step(t):
+            values, last = self.STEPS[t]
+            return np.array(values), 2, 0, last
+
+        screened, validated, sunk = [], [], []
+
+        def screen(x_pre, x_post, first, **facts):
+            screened.extend(
+                (first + r, tuple(pre), tuple(post))
+                for r, (pre, post) in enumerate(zip(x_pre.tolist(), x_post.tolist()))
+            )
+            return np.zeros(len(x_post), dtype=bool)  # decline every round
+
+        def validate(prev_row, x_pre, x_post, *, row, **facts):
+            validated.append((row.t, tuple(x_pre.tolist()), tuple(x_post.tolist())))
+            return []
+
+        result = edge_engine._drive(
+            np.array(self.X0), 10, step, screen=screen, validate=validate,
+            metrics_sink=lambda row, x, last: sunk.append((row.t, x, last)),
+        )
+        after = {0: tuple(self.X0)}  # the values after each round
+        for first, (values, last) in self.STEPS.items():
+            rows = np.array(values, ndmin=2).tolist()
+            for t in range(first, last + 1):  # a stretch's skipped rounds repeat it
+                after[t] = tuple(rows[min(t - first, len(rows) - 1)])
+        with edge_engine.silent_float_errors():
+            assert block_metrics(np.array(self.STEPS[8][0]), 0.0) is None
+        computed = [1, 2, 5, 6, 7, 8, 9, 10]  # every round but the stretch's 3 and 4
+        assert [t for t, _, _ in validated] == computed
+        # rounds 8 and 9 fail monotone, which the screen is not asked after
+        assert [t for t, _, _ in screened] == [1, 2, 5, 6, 7, 10]
+        for t, x_pre, x_post in screened + validated:
+            assert same_bits((x_pre, x_post), (after[t - 1], after[t])), t
+        assert same_bits(sunk, [(t, after[t], 4 if t == 2 else t) for t in computed])
+        assert same_bits(result.final_x, after[10])
 
 
 class TestLedgerView:

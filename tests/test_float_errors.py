@@ -13,6 +13,7 @@ surface as a FloatingPointError.
 import numpy as np
 import pytest
 
+from test_invariant_screen import equal_endpoints
 from ternary_consensus import engine, metropolis
 from ternary_consensus.engine import InitSpec, SimulationConfig, run
 from ternary_consensus.errors import (
@@ -40,22 +41,6 @@ def _sim(seq, values, t_max, params=PRACTICAL_09, **kw):
 
 def _complete(n):
     return make_sequence("static", n, base="complete")
-
-
-def _equal_endpoints(monkeypatch):
-    """Give each round's first active pair equal pre-update values: the screen
-    divides by their zero difference and the record checker flags round 4."""
-    real = engine.run_round
-
-    def corrupted(state, t, config):
-        real(state, t, config)
-        active = np.flatnonzero(state.act)
-        if len(active):
-            x = state.x_pre.copy()
-            x[state.arrays.ev[active[0]]] = x[state.arrays.eu[active[0]]]
-            state.x_pre = x
-
-    monkeypatch.setattr(engine, "run_round", corrupted)
 
 
 def _overflowing_step(monkeypatch):
@@ -87,7 +72,7 @@ EXITS = {
         run,
         _sim(_complete(4), (3.0, -2.0, 1.5, 0.25), 40, THEOREM_FAST,
              check_invariants=True),
-        None, _equal_endpoints, None, InvariantViolationError,
+        None, equal_endpoints, None, InvariantViolationError,
     ),
     # a relabeled line has pair degree 3 from round 1: checked as it runs
     "run-policy": (

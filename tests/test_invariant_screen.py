@@ -4,11 +4,11 @@
 round only if ``validate_round`` on that round's record finds nothing. The
 property test drives the engine round by round on small runs, screens each
 round as a block of one row, corrupts some rounds' state or checker inputs
-after they run, and asserts that implication for every round. The
-end-to-end tests pin the fallback: a round the screen declines raises the
-record checker's message, a clean checked run builds no record, and a
-kept-records run builds one record per round it runs and gives each skipped
-round its stretch's.
+(the values before the round among them) after they run, and asserts that
+implication for every round. The end-to-end tests pin the fallback: a round
+the screen declines raises the record checker's message, a clean checked
+run builds no record, and a kept-records run builds one record per round it
+runs and gives each skipped round its stretch's.
 """
 
 import dataclasses
@@ -58,12 +58,12 @@ CORRUPTIONS = MATRIX_CORRUPTIONS + (
 DELTAS = (1e-13, 3e-12, 1e-9, 1e-3, 0.1, 0.5, 0.9, float("nan"))
 
 
-def clears(state, params, prev_row, *, row, **facts):
-    """The verdict of a checked run on the round just run on ``state``: its
-    row passes ``monotone`` and ``screen_block`` clears it as a block of one
-    row."""
+def clears(state, params, x_pre, x_post, prev_row, *, row, **facts):
+    """The verdict of a checked run on a round that left ``state``, with the
+    values x_pre before it and x_post after it: its row passes ``monotone``
+    and ``screen_block`` clears it as a block of one row."""
     return bool(monotone(prev_row, row)) and bool(screen_block(
-        state, params, state.x_pre[None], state.x[None], row.t, **facts
+        state, params, x_pre[None], x_post[None], row.t, **facts
     )[0])
 
 
@@ -139,7 +139,8 @@ def _ready(state, kind):
 
 def _corrupt(state, kind, r, delta, facts):
     """Apply one corruption to the state of the round just run, or to the
-    checker inputs in ``facts``; returns an undo for a corrupted D."""
+    checker inputs in ``facts``, the values before the round among them;
+    returns an undo for a corrupted D."""
     arrays = state.arrays
     active = np.flatnonzero(state.act)
     if kind == "x_post":
@@ -150,9 +151,9 @@ def _corrupt(state, kind, r, delta, facts):
         # move an active pair's high endpoint by delta times their distance
         k = active[r % len(active)]
         i, j = arrays.eu[k], arrays.ev[k]
-        x = state.x_pre.copy()
+        x = facts["x_pre"].copy()
         x[j] = x[i] if kind == "equal_ends" else x[j] - delta * (x[j] - x[i])
-        state.x_pre = x
+        facts["x_pre"] = x
     elif kind == "est" and len(state.est):
         state.est[r % len(state.est), r // 7 % 2] += delta
         _regap(state)
@@ -197,12 +198,14 @@ def test_screen_passes_only_rounds_the_record_checker_passes(case):
     nan_kept = False  # a nan put into x or an estimate stays in the state
     with silent_float_errors():
         for t in range(1, cfg.t_max + 1):
+            x_pre = state.x
             try:
                 run_round(state, t, cfg)
             except DivergenceError:  # the next quantizer input is nan
                 assert nan_kept
                 break
-            facts = {"prev_row": prev_row, "w0": w0, "xinf0": xinf0, "avg0": avg0}
+            facts = {"x_pre": x_pre, "prev_row": prev_row, "w0": w0, "xinf0": xinf0,
+                     "avg0": avg0}
             undo = []
             for c in [c for c in pending if c[0] <= t]:
                 _, kind, r, delta, negative = c
@@ -216,9 +219,11 @@ def test_screen_passes_only_rounds_the_record_checker_passes(case):
             inputs = dict(
                 row=row, w0=facts["w0"], xinf0=facts["xinf0"], avg0=facts["avg0"]
             )
-            cleared = clears(state, params, facts["prev_row"], **inputs)
+            x_pre = facts["x_pre"]
+            cleared = clears(state, params, x_pre, state.x, facts["prev_row"], **inputs)
             violations = validate_round(
-                _record(state, t, params), facts["prev_row"], params, **inputs
+                _record(state, t, params, x_pre, state.x), facts["prev_row"], params,
+                **inputs,
             )
             assert not (cleared and violations), violations
             for fn in undo:
@@ -231,30 +236,49 @@ THEOREM_FAST = ProtocolParams(alpha=0.25, beta=0.5, variant="theorem")
 PRACTICAL_05 = ProtocolParams(alpha=0.5, beta=0.0, variant="practical")
 
 
-def _equal_endpoints(state, t):
-    """After each round: give the first active pair equal pre-update values,
-    which no consistent round can (activity needs |x_v - x_u| >= 2/t^alpha)."""
-    active = np.flatnonzero(state.act)
-    if len(active):
-        k = active[0]
-        x = state.x_pre.copy()
-        x[state.arrays.ev[k]] = x[state.arrays.eu[k]]
-        state.x_pre = x
+def equal_endpoints(monkeypatch):
+    """Give each round's first active pair equal pre-update values, which no
+    consistent round can (activity needs |x_v - x_u| >= 2/t^alpha), in the
+    values a run hands to ``screen_block`` and to ``_record``."""
+    screen, record = engine_mod.screen_block, engine_mod._record
+
+    def equal_ends(state, x_pre):
+        x_pre = np.array(x_pre, dtype=float)
+        active = np.flatnonzero(state.act)
+        if len(active):
+            k = active[0]
+            x_pre[..., state.arrays.ev[k]] = x_pre[..., state.arrays.eu[k]]
+        return x_pre
+
+    def screened(state, params, x_pre, *args, **kwargs):
+        return screen(state, params, equal_ends(state, x_pre), *args, **kwargs)
+
+    def recorded(state, t, params, x_pre, x_post):
+        return record(state, t, params, equal_ends(state, x_pre), x_post)
+
+    monkeypatch.setattr(engine_mod, "screen_block", screened)
+    monkeypatch.setattr(engine_mod, "_record", recorded)
 
 
-def _quartered_bounds(state, t):
+def _quartered_bounds(monkeypatch):
     """After round 1: divide every pair bound (and so the update's
     denominator) by 4, which breaks diagonal dominance a few rounds on."""
-    if t == 1:
-        state.arrays.D = state.arrays.D * 0.25
-        state.arrays.denom = state.arrays.denom * 0.25
+    real = engine_mod.run_round
+
+    def corrupted(state, t, config):
+        real(state, t, config)
+        if t == 1:
+            state.arrays.D = state.arrays.D * 0.25
+            state.arrays.denom = state.arrays.denom * 0.25
+
+    monkeypatch.setattr(engine_mod, "run_round", corrupted)
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (
-            _equal_endpoints,
+            equal_endpoints,
             "invariant violations at round 4:\n"
             "  step-bound: node 1 moved 4.7724210958933515 > (W(0)/2)/t^beta at t=4\n"
             "  matrix-degenerate: degenerate active pair (0,1) at t=4: equal "
@@ -273,13 +297,7 @@ def test_declined_round_raises_the_record_checkers_message(
     monkeypatch, corrupt, message
 ):
     # the texts are those of the record checker validating every round
-    real = engine_mod.run_round
-
-    def corrupted(state, t, config):
-        real(state, t, config)
-        corrupt(state, t)
-
-    monkeypatch.setattr(engine_mod, "run_round", corrupted)
+    corrupt(monkeypatch)
     cfg = SimulationConfig(
         make_sequence("static", 4, base="complete"), THEOREM_FAST,
         InitSpec("explicit", values=(3.0, -2.0, 1.5, 0.25)), 40,
@@ -327,12 +345,13 @@ def test_a_long_line_is_screened_by_its_largest_degree(monkeypatch):
     validated = 0
     with silent_float_errors():
         for t in range(1, cfg.t_max + 1):
+            x_pre = state.x
             run_round(state, t, cfg)
             row = compute_metrics(state.x.tolist(), avg0, t=t)
-            assert clears(state, params, prev_row, row=row, **facts)
+            assert clears(state, params, x_pre, state.x, prev_row, row=row, **facts)
             if state.active_edges and validated < 3:
                 validated += 1
-                rec = _record(state, t, params)
+                rec = _record(state, t, params, x_pre, state.x)
                 assert validate_round(rec, prev_row, params, row=row, **facts) == []
             prev_row = row
     assert validated == 3
@@ -386,7 +405,8 @@ def test_records_are_built_once_per_round_for_every_reader(monkeypatch):
 def _cleared_round(active, params):
     """Step a run to the first round the screen clears, with no active pair
     or with two or more (a nan among finite values, not alone), and return
-    the state and the screen's inputs for that round."""
+    the state, the values before the round and the screen's other inputs
+    for that round."""
     cfg = SimulationConfig(
         make_sequence("static", 4, base="complete"), params,
         InitSpec("explicit", values=(3.0, -2.0, 1.5, 0.25)), 40,
@@ -397,13 +417,14 @@ def _cleared_round(active, params):
     prev_row = compute_metrics(x0, avg0, t=0)
     facts = dict(w0=prev_row.W, xinf0=max(abs(prev_row.M), abs(prev_row.m)), avg0=avg0)
     for t in range(1, cfg.t_max + 1):
+        x_pre = state.x
         run_round(state, t, cfg)
         row = compute_metrics(state.x.tolist(), avg0, t=t)
         inputs = dict(row=row, **facts)
         pairs = np.count_nonzero(state.act)
         fits = pairs >= 2 if active else pairs == 0
-        if fits and clears(state, cfg.params, prev_row, **inputs):
-            return state, cfg.params, prev_row, inputs
+        if fits and clears(state, cfg.params, x_pre, state.x, prev_row, **inputs):
+            return state, cfg.params, x_pre, prev_row, inputs
         prev_row = row
     raise AssertionError("no such round")
 
@@ -415,14 +436,15 @@ def test_a_nan_in_any_reduction_declines_the_round(monkeypatch, reduction):
     # in w also reaches a, so the w case alone cannot tell the two apart)
     params = PRACTICAL_05 if reduction == "a" else THEOREM_FAST
     with silent_float_errors():
-        state, params, prev_row, inputs = _cleared_round(reduction != "step", params)
+        state, params, x_pre, prev_row, inputs = _cleared_round(
+            reduction != "step", params
+        )
         k = np.flatnonzero(state.act)[0] if reduction != "step" else None
         if reduction == "est":  # every slot is live without a prune horizon
             state.est[state.arrays.ids[0], 1] = np.nan
         elif reduction == "step":  # no active pair reads x_pre
-            x_pre = state.x.copy()
+            x_pre = x_pre.copy()
             x_pre[0] = np.nan
-            state.x_pre = x_pre
         elif reduction == "w":
             state.gap = state.gap.copy()
             state.gap[k] = np.nan
@@ -438,7 +460,7 @@ def test_a_nan_in_any_reduction_declines_the_round(monkeypatch, reduction):
                 return out
 
             monkeypatch.setattr(np, "bincount", with_nan)
-        assert not clears(state, params, prev_row, **inputs)
+        assert not clears(state, params, x_pre, state.x, prev_row, **inputs)
 
 
 BLOCK_RUNS = {
@@ -468,7 +490,7 @@ def test_the_block_screen_clears_only_rounds_without_violation(
 ):
     """``screen_block`` gives each round of an active block, once its row
     passes ``monotone``, the verdict of a one-row call on that round's own
-    state, and clears a round only if its record, from a loop that runs
+    values before and after it, and clears a round only if its record, from a loop that runs
     every round, passes ``validate_round``. With a tolerance moved so that
     some block rounds fail, it declines some and clears others. Blocks are
     tried when one calm round is predicted (BLOCK_AFTER = 1), so the
@@ -496,9 +518,10 @@ def test_the_block_screen_clears_only_rounds_without_violation(
             for i, clear in enumerate(ok.tolist()):
                 prev = compute_metrics(xs[i], avg0, t=t + i - 1)
                 row = compute_metrics(xs[i + 1], avg0, t=t + i)
-                view = dataclasses.replace(state, x_pre=values[i], x=values[i + 1])
                 if monotone(prev, row):
-                    assert clear == clears(view, params, prev, row=row, **facts)
+                    assert clear == clears(
+                        state, params, values[i], values[i + 1], prev, row=row, **facts
+                    )
         return values
 
     monkeypatch.setattr(engine_mod, "BLOCK_AFTER", 1)

@@ -55,13 +55,14 @@ def per_round(cfg, stop_err=None, stop_v2=None, records=None):
     with engine.silent_float_errors():
         while not stop_reached(row, stop_err, stop_v2) and row.t < cfg.t_max:
             t = row.t + 1
+            x_pre = state.x
             run_round(state, t, cfg)
             x = tuple(state.x.tolist())
             prev, row = row, compute_metrics(
                 x, avg0, t=t, active_edges=state.active_edges,
                 nonzero_msgs=state.nonzero_msgs,
             )
-            rec = engine._record(state, t, cfg.params)
+            rec = engine._record(state, t, cfg.params, x_pre, state.x)
             if records is not None:
                 records.append(rec)
             if cfg.check_invariants:
