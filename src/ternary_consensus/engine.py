@@ -587,9 +587,10 @@ def _drive(
     repeating its values and counts (that round itself when it proves
     nothing). Only this loop computes the t=0 facts (avg0, the spread w0 and
     the sup-norm xinf0), builds each round's row with ``compute_metrics``
-    (or a block's as columns, below), applies the stop rule after each row,
-    guards node values against divergence, hands the facts to ``screen``
-    and ``validate`` and calls the sink; the last values are ``final_x``.
+    (or a clear block's as columns, below), applies the stop rule after each
+    row, guards node values against divergence, hands the facts to
+    ``screen`` and ``validate`` and calls the sink; the last values are
+    ``final_x``.
 
     The loop runs the round that opens a quiet stretch and jumps over the
     rest: ``metrics_sink(row, x, last)`` is called once per round computed,
@@ -609,13 +610,15 @@ def _drive(
     under ``silent_float_errors``, entered once for the whole loop.
 
     A block is taken as columns, bitwise the rows ``compute_metrics`` would
-    build (see ``analysis.block_metrics``); a block with a V2 that is not
-    finite goes row by row instead, where ``compute_metrics`` may raise
-    OverflowError and the divergence guard names a value that is not
-    finite. One column test finds the first row that meets the stop rule,
-    and the block's rows are screened in one call, with ``monotone`` over
-    the columns. ``MetricsRow`` objects are built only for the sink, for
-    kept rows, and for the rows that ``validate`` and the next step read."""
+    build (see ``analysis.block_metrics``), only when it has nothing to
+    report: every row is finite, no row meets the stop rule, and in a checked
+    run ``screen`` and ``monotone`` over the columns clear every row. Any
+    other block goes row by row, as stepped rounds do, so only the row loop
+    raises, validates and stops: there ``compute_metrics`` may raise
+    OverflowError, the divergence guard names a value that is not finite,
+    and a declined round is screened again alone, its verdict that of the
+    block call. ``MetricsRow`` objects are built only for the sink, for kept
+    rows, and for the rows that ``validate`` and the next step read."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -634,47 +637,36 @@ def _drive(
     with silent_float_errors():  # x: the values after round t, before the next
         while not stop_reached(prev_row, stop_err, stop_v2) and t < t_max:
             values, active_edges, nonzero_msgs, last = step(t + 1)
-            if values.ndim == 1:
-                computed = (values,)
-            elif (cols := block_metrics(values, avg0)) is None:
-                computed = values
-            else:  # a block, as columns: rows through the first that stops the run
+            computed = values if values.ndim == 2 else (values,)
+            k = len(computed)
+            if k > 1 and (cols := block_metrics(values, avg0)) is not None:
                 counts = (active_edges, nonzero_msgs)
-                ts = np.arange(t + 1, t + 1 + len(values))
+                ts = np.arange(t + 1, t + 1 + k)
                 now = MetricsRow(ts, *cols, *counts)
-                hits = np.flatnonzero(stop_reached(now, stop_err, stop_v2))
-                k = int(hits[0]) + 1 if len(hits) else len(values)
-                failed = None
-                if validate is not None:
+                clear = not np.any(stop_reached(now, stop_err, stop_v2))
+                if clear and validate is not None:
                     head = (prev_row.M, prev_row.m, prev_row.W, prev_row.V2, prev_row.err_max)
                     before = np.column_stack((head, cols[:, :-1]))
                     pre = np.concatenate((x[None], values[:-1]))
                     cleared = screen(pre, values, t + 1, **facts)
                     cleared &= monotone(MetricsRow(ts - 1, *before, *counts), now)
-                    for i in np.flatnonzero(~cleared[:k]).tolist():
-                        prev = MetricsRow(t + i, *before[:, i].tolist(), *counts)
-                        row = MetricsRow(t + 1 + i, *cols[:, i].tolist(), *counts)
-                        failed = validate(prev, pre[i], values[i], row=row, **facts)
-                        if failed:
-                            k = i
-                            break
-                if metrics_sink is not None or keep_metrics:
-                    built = list(map(
-                        MetricsRow, range(t + 1, t + 1 + k), *cols[:, :k].tolist(),
-                        repeat(active_edges, k), repeat(nonzero_msgs, k),
-                    ))
-                    if metrics_sink is not None:
-                        for row, v in zip(built, values[:k].tolist()):
-                            metrics_sink(row, tuple(v), row.t)
-                    if keep_metrics:
-                        rows.extend(built)
-                if failed:
-                    raise InvariantViolationError(t + 1 + k, failed)
-                t += k
-                prev_row = MetricsRow(t, *cols[:, k - 1].tolist(), *counts)
-                x = values[k - 1]
-                continue
-            final = t + len(computed)
+                    clear = cleared.all()
+                if clear:  # nothing to report: the block's rows, as columns
+                    if metrics_sink is not None or keep_metrics:
+                        built = list(map(
+                            MetricsRow, range(t + 1, t + 1 + k), *cols.tolist(),
+                            repeat(active_edges, k), repeat(nonzero_msgs, k),
+                        ))
+                        if metrics_sink is not None:
+                            for row, v in zip(built, values.tolist()):
+                                metrics_sink(row, tuple(v), row.t)
+                        if keep_metrics:
+                            rows.extend(built)
+                    t += k
+                    prev_row = MetricsRow(t, *cols[:, -1].tolist(), *counts)
+                    x = values[-1]
+                    continue
+            final = t + k
             for x_post in computed:
                 t += 1
                 xs = tuple(x_post.tolist())
@@ -783,8 +775,8 @@ def run(
     Every slot stays live and is marked seen through the block's last round,
     as a run of its rounds would leave it. ``_drive`` takes the block's rows
     as columns with ``compute_metrics``' own float operations
-    (``block_metrics``), stops at the first row that meets the stop rule,
-    and calls the sink once per round.
+    (``block_metrics``) when it has nothing to report, and otherwise row by
+    row, and calls the sink once per round.
 
     So the state a block leaves is, but for its values, the state that
     running any one of its rounds leaves (estimates, gaps, active mask, no
@@ -792,11 +784,9 @@ def run(
     before and after it from ``_drive``: the record of a block round, kept
     or validated, is the record of running it. In a checked run,
     ``screen_block`` takes the block's rounds as its rows, each verdict
-    that of the round alone, and ``monotone`` runs over the block's
-    columns; a round either declines goes through ``validate_round`` on its
-    record. So a block round gets the per-round verdict and messages, and
-    a checked run raises at the round, with the violations, of checking
-    every round.
+    that of the round alone. So a block round gets the per-round verdict
+    and messages, and a checked run raises at the round, with the
+    violations, of checking every round.
 
     The quiet skip is the prediction's f = 0 case: ``_quiet_until`` solves
     its two clauses for the last round in closed form, with a margin, and

@@ -290,13 +290,7 @@ def value_update(
         return
     ledger = state.ledger
     acc = 0.0
-    if params.variant == "practical":
-        for j in sorted(active):
-            entry = ledger[j]
-            acc += (entry.x_in - entry.x_out) / (2.0 * d_bounds[j])
-        state.x += acc
-    else:
-        for j in sorted(active):
-            entry = ledger[j]
-            acc += (entry.x_in - entry.x_out) / (4.0 * d_bounds[j])
-        state.x += t ** (-params.beta) * acc
+    for j in sorted(active):
+        entry = ledger[j]
+        acc += (entry.x_in - entry.x_out) / (params.denom_scale * d_bounds[j])
+    state.x += t ** (-params.beta) * acc  # practical: t**-0.0 * acc is acc

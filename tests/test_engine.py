@@ -483,12 +483,14 @@ class TestStopRule:
 
 class TestBlockColumns:
     """``_drive`` takes a block as columns, bitwise the rows it would build
-    one by one; a block with a V2 that is not finite goes row by row, so an
-    overflowing square raises OverflowError and a non-finite value the
-    divergence guard's error, after the same sink calls."""
+    one by one, only when it has nothing to report; a block with a V2 that
+    is not finite, a row that meets the stop rule or a round the screen
+    declines goes row by row, so an overflowing square raises OverflowError
+    and a non-finite value the divergence guard's error, after the same sink
+    calls, and only the row loop stops the run or validates a round."""
 
     @staticmethod
-    def drive(rows, as_block, **stops):
+    def drive(rows, as_block, **kw):
         x0, rest = np.array(rows[0]), np.array(rows[1:])
 
         def step(t):
@@ -500,7 +502,7 @@ class TestBlockColumns:
         try:
             result = edge_engine._drive(
                 x0, len(rest), step, metrics_sink=lambda *call: calls.append(call),
-                **stops,
+                **kw,
             )
         except (OverflowError, DivergenceError) as exc:
             return type(exc), calls
@@ -518,13 +520,46 @@ class TestBlockColumns:
         assert same_bits(block, self.drive(rows, False, **stops))
         assert len(block[1]) < len(rows) - 1 or not stops
 
+    @pytest.mark.parametrize("stops, declined, by_row", [
+        ({}, None, []),  # nothing to report: every row as columns
+        ({"stop_err": 0.1}, None, [1, 2]),  # row 2 meets the stop rule
+        ({"stop_v2": 0.2}, None, [1, 2]),
+        ({}, 3, [1, 2, 3, 4]),  # a checked run whose screen declines round 3
+    ])
+    def test_only_a_block_with_nothing_to_report_is_taken_as_columns(
+        self, monkeypatch, stops, declined, by_row
+    ):
+        rows = [[1.0, 0.0], [0.75, 0.25], [0.6, 0.4], [0.55, 0.45], [0.5, 0.5]]
+        computed, validated = [], []
+
+        def counted(x, avg0, t=0, **counts):
+            computed.append(t)
+            return compute_metrics(x, avg0, t, **counts)
+
+        def screen(x_pre, x_post, first, **facts):
+            return np.arange(first, first + len(x_post)) != declined
+
+        def validate(prev_row, x_pre, x_post, *, row, **facts):
+            validated.append(row.t)
+            return []
+
+        monkeypatch.setattr(edge_engine, "compute_metrics", counted)
+        checks = {"screen": screen, "validate": validate} if declined else {}
+        block = self.drive(rows, True, **stops, **checks)
+        assert computed[1:] == by_row  # the rows past t=0 built one by one
+        assert validated == ([declined] if declined else [])
+        validated.clear()
+        assert same_bits(block, self.drive(rows, False, **stops, **checks))
+        assert validated == ([declined] if declined else [])
+
 
 class TestRoundValues:
     """``_drive`` hands ``screen`` and ``validate`` each round's values before
     and after it: before round 1 the initial values, and before any later
     round the values after the round before it, whether that round was
-    stepped, opened a quiet stretch, ended a block taken as columns or ended
-    one taken row by row."""
+    stepped, opened a quiet stretch, or sat in a block screened as columns
+    and then, declined, taken row by row, or in one taken row by row because
+    its V2 is not finite."""
 
     X0 = [1.0, -0.0, 0.5]
     # the step of each round it starts at, and the last round it stands for
@@ -568,8 +603,10 @@ class TestRoundValues:
             assert block_metrics(np.array(self.STEPS[8][0]), 0.0) is None
         computed = [1, 2, 5, 6, 7, 8, 9, 10]  # every round but the stretch's 3 and 4
         assert [t for t, _, _ in validated] == computed
-        # rounds 8 and 9 fail monotone, which the screen is not asked after
-        assert [t for t, _, _ in screened] == [1, 2, 5, 6, 7, 10]
+        # the block 5-7 is screened as columns, declined, and then goes row by
+        # row: rounds 5 and 6 are screened again, while round 7 (its V2 grows)
+        # and rounds 8 and 9 fail monotone, which the screen is not asked after
+        assert [t for t, _, _ in screened] == [1, 2, 5, 6, 7, 5, 6, 10]
         for t, x_pre, x_post in screened + validated:
             assert same_bits((x_pre, x_post), (after[t - 1], after[t])), t
         assert same_bits(sunk, [(t, after[t], 4 if t == 2 else t) for t in computed])
