@@ -35,12 +35,21 @@ def fold_sum(values) -> float:
     """The floats of ``values`` added left to right, starting from 0.0. This
     is the builtin ``sum`` of Python 3.10 and 3.11; Python 3.12 compensates
     its float sums, which rounds differently. Every float sum that reaches a
-    CSV, a stop decision or a check goes through here, so the output bytes
-    do not depend on the interpreter."""
+    CSV, a stop decision or a check goes through here or through its array
+    form ``fold_rows``, so the output bytes do not depend on the
+    interpreter."""
     total = 0.0
     for v in values:
         total += v
     return total
+
+
+def fold_rows(values: np.ndarray) -> np.ndarray:
+    """The ``fold_sum`` of each row of a (k, n) array, n >= 1, bitwise.
+    ``np.add.accumulate`` adds left to right, as ``fold_sum`` does, but from
+    the first element, not from +0.0; that changes at most a -0.0 total,
+    which ``+ 0.0`` maps to +0.0. (``np.sum`` adds pairwise.)"""
+    return np.add.accumulate(values, axis=1)[:, -1] + 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,30 +93,22 @@ def block_metrics(values: np.ndarray, avg0: float) -> np.ndarray | None:
     Each expression is ``compute_metrics``' own on the same floats. Max and
     min are the first element that reaches the extreme, as ``max`` and
     ``min`` return it (a ufunc reduction may return 0.0 for [-0.0, 0.0]).
-    The mean and the sum of squares add the columns left to right from
-    +0.0, ``fold_sum``'s order. A square is C ``pow`` of |d|, as Python's
-    ``d ** 2`` computes it; ``d * d`` rounds differently on some doubles.
-    err_max's two terms are absolute values, never -0.0, and finite or inf
-    when V2 is finite, so ``np.maximum`` of them is their ``max``."""
+    The mean and the sum of squares are ``fold_rows``. A square is C
+    ``pow`` of |d|, as Python's ``d ** 2`` computes it; ``d * d`` rounds
+    differently on some doubles. err_max's two terms are absolute values,
+    never -0.0, and finite or inf when V2 is finite, so ``np.maximum`` of
+    them is their ``max``."""
     k, n = values.shape
     at = np.arange(0, k * n, n)
     hi = values.ravel()[at + np.argmax(values, axis=1)]
     lo = values.ravel()[at + np.argmin(values, axis=1)]
-    mean = _fold_columns(values) / n
+    mean = fold_rows(values) / n
     squares = np.float_power(np.abs(values - mean[:, None]), 2.0)
-    v2 = np.sqrt(_fold_columns(squares))
+    v2 = np.sqrt(fold_rows(squares))
     if not np.isfinite(v2).all():
         return None
     err = np.maximum(np.abs(hi - avg0), np.abs(lo - avg0))
     return np.stack((hi, lo, hi - lo, v2, err))
-
-
-def _fold_columns(values: np.ndarray) -> np.ndarray:
-    """The ``fold_sum`` of each row of a (k, n) array."""
-    total = np.zeros(len(values))
-    for j in range(values.shape[1]):
-        total += values[:, j]
-    return total
 
 
 @dataclass(frozen=True)
@@ -360,15 +361,14 @@ def screen_block(
     last round, last_seen >= first + k - 1 - H under a prune horizon H (an
     active block's static graph shows every slot in its last round); (e)
     the step bound, theorem variant, s^-beta as C ``pow``, as ``**``
-    computes it; (g) conservation, ``np.add.accumulate`` adding each row
-    left to right, which plus 0.0 is ``fold_sum`` bitwise; and, per active
-    edge, w = gap / (x_pre[ev] - x_pre[eu]) within [2/3, 2]. A degenerate
-    pair (equal endpoints) makes w inf or nan and declines. The rest of the
-    matrix structure follows. The matrix is symmetric: reconstruct_matrix's
-    a_ji is (a - b) / (x_u - x_v) / denom, exactly a_ij. Its entries
-    a = w / denom are positive and at least (2/3 - MATRIX_TOL) / (4 D) >
-    1/(8 D) + 1/(25 D), which clears 1/(8 D) - MATRIX_TOL with room for any
-    rounding.
+    computes it; (g) conservation, each row summed by ``fold_rows``; and,
+    per active edge, w = gap / (x_pre[ev] - x_pre[eu]) within [2/3, 2]. A
+    degenerate pair (equal endpoints) makes w inf or nan and declines. The
+    rest of the matrix structure follows. The matrix is symmetric:
+    reconstruct_matrix's a_ji is (a - b) / (x_u - x_v) / denom, exactly
+    a_ij. Its entries a = w / denom are positive and at least
+    (2/3 - MATRIX_TOL) / (4 D) > 1/(8 D) + 1/(25 D), which clears
+    1/(8 D) - MATRIX_TOL with room for any rounding.
 
     Row and column sums and the diagonals are sums in another order than
     reconstruct_matrix's. Node i's row and column hold its diagonal
@@ -395,8 +395,7 @@ def screen_block(
     est_max = np.maximum.reduce(np.abs(est), axis=None, initial=0.0)
     if not est_max <= xinf0 + ESTIMATE_TOL:
         return np.zeros(k, dtype=bool)
-    total = np.add.accumulate(x_post, axis=1)[:, -1] + 0.0
-    ok = abs(total / n - avg0) <= CONSERVATION_TOL * max(1.0, xinf0)
+    ok = abs(fold_rows(x_post) / n - avg0) <= CONSERVATION_TOL * max(1.0, xinf0)
     theorem = params.variant == "theorem"
     if theorem:
         damp = np.float_power(np.arange(first, first + k, dtype=float), -params.beta)

@@ -246,7 +246,7 @@ def cmd_sweep(args) -> int:
     try:
         n_list = sorted({int(tok) for tok in args.n_list.split(",") if tok.strip()})
     except ValueError:
-        raise ConfigError(f"--n-list: expected comma-separated integers") from None
+        raise ConfigError("--n-list: expected comma-separated integers") from None
     if not n_list or min(n_list) < 2:
         raise ConfigError("--n-list: need node counts >= 2")
 

@@ -448,26 +448,25 @@ def fold_core(
     The maximal candidate core is the intersection over complete blocks of
     each block's edge union; a valid persistent core exists iff this candidate
     is itself connected. A trailing partial block is ignored. The union and
-    the core are masks over the n*n keys, folded as the rounds arrive, so a
-    generator window is checked in the memory of one block.
+    the core are sets of keys, folded as the rounds arrive, so a generator
+    window is checked in the memory of one block's edges and the core.
     """
     if block_len < 1:
         raise ValueError(f"block length must be >= 1, got {block_len}")
-    union = np.zeros(n * n, dtype=bool)
+    union: set[int] = set()
     core = None
     count = 0
     for keys in key_rounds:
-        union[keys] = True
+        union.update(keys.tolist())
         count += 1
         if count % block_len == 0:
             core = union if core is None else core & union
-            union = np.zeros(n * n, dtype=bool)
+            union = set()
     if core is None:
         raise ValueError(
             f"window of {count} rounds is shorter than one block of {block_len}"
         )
-    u, v = np.divmod(np.flatnonzero(core), n)
-    edges = frozenset(zip(u.tolist(), v.tolist()))
+    edges = frozenset(divmod(key, n) for key in core)
     return CoreCheckResult(_connected(n, edges), edges)
 
 

@@ -14,6 +14,7 @@ from ternary_consensus.analysis import (
     MetricsRow,
     block_metrics,
     compute_metrics,
+    fold_rows,
     fold_sum,
     reconstruct_matrix,
     theorem_bound,
@@ -93,6 +94,25 @@ class TestComputeMetrics:
         assert fold_sum([1e16, 1.0, -1e16]) == 0.0
         assert math.fsum([1e16, 1.0, -1e16]) == 1.0
         assert fold_sum([-0.0]).hex() == "0x0.0p+0"
+
+    # signed-zero rows (a fold from +0.0 never gives -0.0), a row a pairwise
+    # sum rounds differently (np.sum gives 1.0000000000000014e16), and rows
+    # whose sum is nan
+    FOLD_ROWS = (
+        [-0.0, -0.0, -0.0], [-0.0], [-0.0, 0.0, -0.0], [1e16, 1.0, -1e16],
+        [1e16] + [1.0] * 15, [math.inf, -math.inf], [math.nan, 1.0],
+    )
+
+    def test_fold_rows_is_fold_sum_per_row(self):
+        """fold_rows gives each row's fold_sum by bytes, as a (1, n) array
+        and stacked with the rows of its length."""
+        with silent_float_errors():  # inf + -inf
+            for x in self.FOLD_ROWS:
+                assert fold_rows(np.array([x]))[0].hex() == fold_sum(x).hex()
+            for n in {len(x) for x in self.FOLD_ROWS}:
+                rows = [x for x in self.FOLD_ROWS if len(x) == n]
+                got = [v.hex() for v in fold_rows(np.array(rows)).tolist()]
+                assert got == [fold_sum(x).hex() for x in rows]
 
     @given(
         st.lists(

@@ -5,7 +5,9 @@ an invalid ``--stop-err``, or a malformed command line (a non-integer
 ``--seed``/``--t-max``, an unknown flag, a missing ``--config``) exits 1, the
 last with the usage line and the error on stderr; a nonzero code leaves the
 files and directories as they were; a successful ``run`` writes the header
-plus one metrics row per reported round.
+plus one metrics row per reported round. Config errors that random
+mutations seldom reach are pinned one by one: exit 1, their one stderr line,
+no file touched.
 
 Documents start from the suite's valid base config and take up to three random
 mutations: a dropped key or section, a wrong type, a non-finite number, an
@@ -24,12 +26,15 @@ import tempfile
 from math import isfinite
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from test_config_cli import BASE_YAML
 from ternary_consensus.cli import METRICS_HEADER, SWEEP_HEADER, main
+from ternary_consensus.config import load_config_data
+from ternary_consensus.errors import ConfigError
 
 GRAPH_KINDS = ["static", "periodic", "explicit", "core_synthetic", "relabeled_line"]
 # values that pass each key's own parsing, so a stray one reaches make_sequence
@@ -272,3 +277,87 @@ def test_bound_keeps_the_exit_contract(ints, floats):
         lines = stdout.splitlines()
         assert len(lines) == 6
         assert all(float(line.split("=")[1]) >= 0 for line in lines)
+
+
+def _graph(**keys):
+    """A patch that puts ``keys`` in place of the base config's graph kind
+    and base."""
+
+    def patch(doc):
+        del doc["graph"]["kind"], doc["graph"]["base"]
+        doc["graph"].update(keys)
+        return doc
+
+    return patch
+
+
+def _set(section, **keys):
+    """A patch that sets ``keys`` in ``section``, adding the section if the
+    document lacks it."""
+
+    def patch(doc):
+        doc.setdefault(section, {}).update(keys)
+        return doc
+
+    return patch
+
+
+SWEEP = ["sweep", "--n-list", "3,4", "--stop-err", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv,patch,line",
+    [
+        (["sweep", "--n-list", "a,b"], None,
+         "--n-list: expected comma-separated integers"),
+        (["sweep", "--n-list", "1"], None, "--n-list: need node counts >= 2"),
+        (SWEEP, _graph(kind="static", n=4, edges=["0-1", "1-2", "2-3"]),
+         "graph.base: sweep over n needs a named base graph"),
+        (SWEEP, _set("init", kind="explicit", values=[1.0, 0.0, 0.0]),
+         "init.kind: sweep over n cannot use an explicit vector"),
+        (["check-core", "--window", "3"],
+         lambda doc: _set("run", t_max=2)(
+             _graph(kind="explicit", rounds=[["0-1"], ["1-2"]])(doc)),
+         "graph: round 3 beyond explicit sequence of length 2"),
+        (["run"], lambda doc: [doc], "config: top level must be a mapping of sections"),
+        (["run"], _set("extra"), "extra: unknown section"),
+        (["run"], _set("graph", B=0), "graph.B: must be >= 1, got 0"),
+        (["run"], _graph(kind="static", edges="0-1"),
+         "graph.edges: expected a list of edges"),
+        (["run"], _graph(kind="periodic", rounds=5),
+         "graph.rounds: expected a list of rounds"),
+        (["run"], _graph(kind="periodic", rounds=[]),
+         "graph: periodic sequence needs at least one round"),
+        (["run"], _set("graph", base="star"), "graph: unknown static base 'star'"),
+        (["run"], _graph(kind="relabeled_line", n=1),
+         "graph: relabeled line needs n >= 2"),
+        (["run"], _set("init", kind="explicit", values=3),
+         "init.values: expected a list of numbers"),
+        (["run"], _set("protocol", alpha="abc"),
+         "protocol.alpha: expected a number, got 'abc'"),
+        (["run"], _set("protocol", variant="bogus"),
+         "protocol: variant must be one of ('theorem', 'practical'), got 'bogus'"),
+        (["run"], _set("protocol", d_policy="bogus"),
+         "protocol: d_policy must be one of ('max_degree', 'global_n', 'fixed'), "
+         "got 'bogus'"),
+    ],
+)
+def test_config_errors_exit_1_with_one_line(argv, patch, line, tmp_path):
+    """Each of these documents or command lines exits 1 with exactly one
+    stderr line, its config error, and leaves the files as they were."""
+    doc = base_doc(tmp_path / "out")
+    if patch is not None:
+        doc = patch(doc)
+    config = tmp_path / "exp.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    before = tree(tmp_path)
+    code, stdout, stderr = call(argv + ["--config", str(config)])
+    assert (code, stdout, stderr) == (1, "", f"config error: {line}\n")
+    assert tree(tmp_path) == before
+
+
+def test_a_document_that_is_not_a_mapping_is_a_config_error():
+    # the loader's own copy of read_config_doc's check
+    with pytest.raises(ConfigError) as err:
+        load_config_data([])
+    assert str(err.value) == "config: top level must be a mapping of sections"

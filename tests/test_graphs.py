@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,20 @@ class TestCoreCheck:
                     if length % MB:
                         continue
                     assert core(window, MB).is_core_connected
+
+    def test_memory_follows_the_edges_not_n_squared(self):
+        # a 3000-node line has 2999 edges; masks over its n*n keys would
+        # take 9 MB each
+        seq = make_sequence("static", 3000, base="line")
+        tracemalloc.start()
+        try:
+            res = fold_core(seq.n, (seq.edge_keys(t) for t in range(1, 11)), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.is_core_connected
+        assert res.core_edges == line_edges(3000)
+        assert peak < 5 * 2**20
 
 
 class TestRoundsText:
