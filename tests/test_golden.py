@@ -1,11 +1,11 @@
 """Bitwise output contract: metrics.csv for every shipped preset, protocol
 and baseline, at seed 1 and 300 rounds, for the two fig1 presets' full
 100,000-round runs, for a fig1-line baseline run past its fixed point, for
-the two theorem presets' full 5,000-round runs,
-checked and unchecked, and for a core_synthetic config,
-which no preset uses, with its check-core output; the draws of the two
-generated sequence kinds; a sweep's sweep.csv; a full-trace
-run's metrics.csv and trace.csv; the summary line of runs that stop at
+the two theorem presets' full 5,000-round runs, checked and unchecked, and
+for a core_synthetic config, which no preset uses, with its check-core
+output; the draws of the two generated sequence kinds; a sweep's
+sweep.csv; the metrics.csv and trace.csv of two full-trace runs, one of
+them computed mostly in blocks; the summary line of runs that stop at
 round 0, stop mid-run, or never stop; and a static graph's metrics.csv
 against the same graph's as a one-round periodic sequence. A refactor that
 changes any byte of these outputs changes behaviour; regenerate the values
@@ -230,23 +230,40 @@ def test_sweep_csv_bytes(tmp_path):
     )
 
 
-def test_full_trace_csv_bytes(tmp_path, monkeypatch):
+# trace.csv of a full-trace run at seed 1 and 300 rounds; its metrics.csv
+# is the preset's GOLDEN one
+TRACE_GOLDEN = {
+    "fig1-line": "7274a59fec413686092010c021b1c7b0cf75426114e0f4c6983f146a413aa7bd",
+    "theorem-a075-b0875": "82b4779067c9017189978dd622a620844face47440fa5b96c212758938a6cdbd",
+}
+
+
+def full_trace_run(tmp_path, monkeypatch, preset):
     def no_record(*args):
         raise AssertionError("a full-trace run built a RoundRecord")
 
     # the trace is written from each round's values; no record is built
     monkeypatch.setattr(engine, "_record", no_record)
-    config = preset_copy(tmp_path, "fig1-line", "record_level", "full_trace")
+    config = preset_copy(tmp_path, preset, "record_level", "full_trace")
     out = tmp_path / "out"
     argv = [
         "run", "--config", config, "--seed", "1", "--t-max", "300",
         "--out", str(out), "--quiet",
     ]
     assert main(argv) == 0
-    assert sha256(out / "metrics.csv") == GOLDEN["fig1-line", False]
-    assert sha256(out / "trace.csv") == (
-        "7274a59fec413686092010c021b1c7b0cf75426114e0f4c6983f146a413aa7bd"
-    )
+    assert sha256(out / "metrics.csv") == GOLDEN[preset, False]
+    assert sha256(out / "trace.csv") == TRACE_GOLDEN[preset]
+
+
+def test_full_trace_csv_bytes(tmp_path, monkeypatch):
+    full_trace_run(tmp_path, monkeypatch, "fig1-line")
+
+
+def test_block_taking_full_trace_csv_bytes(tmp_path, monkeypatch):
+    """The checked preset computes 246 of its 300 rounds in 12 active
+    blocks, so its trace is written from blocks. Recorded while the sink
+    still got one call per block round."""
+    full_trace_run(tmp_path, monkeypatch, "theorem-a075-b0875")
 
 
 @pytest.mark.parametrize("baseline", [False, True], ids=["protocol", "baseline"])
@@ -324,5 +341,6 @@ def test_goldens_hold_under_compensated_builtin_sum(monkeypatch, tmp_path):
         (tmp_path / f"core{baseline}").mkdir()
         test_core_synthetic_csv_bytes(baseline, tmp_path / f"core{baseline}")
     test_sweep_csv_bytes(tmp_path / "sweep")
-    (tmp_path / "trace").mkdir()
-    test_full_trace_csv_bytes(tmp_path / "trace", monkeypatch)
+    for preset in sorted(TRACE_GOLDEN):
+        (tmp_path / preset).mkdir()
+        full_trace_run(tmp_path / preset, monkeypatch, preset)
