@@ -55,7 +55,11 @@ def fold_rows(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, slots=True)
 class MetricsRow:
     """One round's observables: extremes, dispersion, distance to the initial
-    average, and message/activity counters."""
+    average, and message/activity counters. A row of an active block's
+    rounds holds columns instead: t and the five floats as arrays with one
+    entry per round, and the counters, which the block's rounds share, as
+    ints (``engine._drive`` builds it for the stop rule, ``monotone`` and
+    the metrics sink)."""
 
     t: int
     M: float

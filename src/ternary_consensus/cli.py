@@ -15,9 +15,16 @@ import contextlib
 import errno
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
-from .analysis import BoundInputs, compute_metrics, fold_sum, theorem_bound_terms
+from .analysis import (
+    BoundInputs,
+    MetricsRow,
+    compute_metrics,
+    fold_sum,
+    theorem_bound_terms,
+)
 from .config import (
     ExperimentConfig,
     load_config_data,
@@ -46,10 +53,12 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+# a metrics.csv line after its t field; %.17g writes a float as _fmt does
+METRICS_TAIL = "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
+
+
 def _metrics_tail(row) -> str:
-    """A metrics.csv line after its t field; ``%.17g`` writes a float as
-    ``_fmt`` does."""
-    return "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n" % (
+    return METRICS_TAIL % (
         row.M, row.m, row.W, row.V2, row.err_max, row.active_edges,
         row.nonzero_msgs,
     )
@@ -137,22 +146,38 @@ def cmd_run(args) -> int:
     trace_fh = None
 
     def on_row(row, x, last):
-        # one round is one line; rounds row.t..last share row's fields and
-        # the values x: format them once and join each round number in front
         nonlocal last_row, rounds
-        last_row, rounds = row, last
-        if last == row.t:
-            metrics_fh.write(f"{last},{_metrics_tail(row)}")
-        else:
-            sep = "," + _metrics_tail(row)
-            for t in range(row.t, last + 1, STRETCH_CHUNK):
-                chunk = range(t, min(t + STRETCH_CHUNK, last + 1))
-                metrics_fh.write(sep.join(map(str, chunk)) + sep)
+        rounds = last
+        if isinstance(x, tuple):
+            # one round is one line; rounds row.t..last share row's fields
+            # and the values x: format them once and join each round number
+            # in front
+            last_row = row
+            if last == row.t:
+                metrics_fh.write(f"{last},{_metrics_tail(row)}")
+            else:
+                sep = "," + _metrics_tail(row)
+                for t in range(row.t, last + 1, STRETCH_CHUNK):
+                    chunk = range(t, min(t + STRETCH_CHUNK, last + 1))
+                    metrics_fh.write(sep.join(map(str, chunk)) + sep)
+            if trace_fh is not None:
+                lines = [f",{i},{_fmt(v)}\n" for i, v in enumerate(x)]
+                trace_fh.writelines(
+                    f"{s}{line}" for s in range(row.t, last + 1) for line in lines
+                )
+            return
+        # a block: row's fields are columns and x has a row of values per
+        # round; each round's line is one format, and the block one write
+        cols = [c.tolist() for c in (row.t, row.M, row.m, row.W, row.V2, row.err_max)]
+        counts = (row.active_edges, row.nonzero_msgs)
+        lines = zip(*cols, repeat(counts[0]), repeat(counts[1]))
+        metrics_fh.write("".join(map(("%d," + METRICS_TAIL).__mod__, lines)))
+        last_row = MetricsRow(*(c[-1] for c in cols), *counts)
         if trace_fh is not None:
-            lines = [f",{i},{_fmt(v)}\n" for i, v in enumerate(x)]
-            trace_fh.writelines(
-                f"{s}{line}" for s in range(row.t, last + 1) for line in lines
-            )
+            nodes = "".join(f"{{0}},{i},{{{i + 1}:.17g}}\n" for i in range(len(x[0])))
+            trace_fh.write("".join(
+                nodes.format(s, *v) for s, v in zip(cols[0], x.tolist())
+            ))
 
     with _OutputFiles() as files:
         metrics_fh = files.open(out_dir / "metrics.csv")

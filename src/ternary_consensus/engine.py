@@ -12,11 +12,11 @@ node folds its active peers in ascending order, as ``value_update`` does.
 ``run_round`` mutates an ``EdgeState`` and returns nothing; every reader of
 a round takes that state and the round's values before and after it, which
 the run loop hands out. The metrics sink gets each round's row and values,
-in one call for a whole quiet stretch. A checked run screens every round it
-computes with ``analysis.screen_block``, a round it runs as a block of one
-row. ``_record`` turns the state and the two value vectors into a
-``RoundRecord`` only when ``run`` is asked to keep records, or for
-``validate_round`` on a round that the screen does not clear.
+in one call for a whole quiet stretch or active block. A checked run
+screens every round it computes with ``analysis.screen_block``, a round it
+runs as a block of one row. ``_record`` turns the state and the two value
+vectors into a ``RoundRecord`` only when ``run`` is asked to keep records,
+or for ``validate_round`` on a round that the screen does not clear.
 
 On a static graph most rounds of a long run are quiet: no message is
 nonzero and no pair is active. After a quiet round, ``_quiet_until`` bounds
@@ -596,9 +596,14 @@ def _drive(
     rest: ``metrics_sink(row, x, last)`` is called once per round computed,
     with its row, its values as a tuple of floats and the stretch's last
     round, and stands for rounds row.t..last, each with the row's fields and
-    its own t (last == row.t for a round that opens no stretch, and for
-    every round of a block). Kept rows are expanded likewise. Every round
-    that ``step`` computes, and none of a stretch's skipped rounds, is
+    its own t (last == row.t for a round that opens no stretch). A block
+    taken as columns is one call for its k rounds: the row's fields are
+    columns (t and the five floats, one entry per round; the two counts,
+    which every round of a block shares, stay ints), x is the block's (k, n)
+    array of values, one row per round, and last is its last round; the
+    loop reads these arrays after the call, so the sink must not write to
+    them. Kept rows are expanded into one ``MetricsRow`` per round. Every
+    round that ``step`` computes, and none of a stretch's skipped rounds, is
     checked: ``screen(x_pre, x_post, first, **facts)`` gives rounds
     first..first+k-1 a verdict each, from their values before and after,
     the rows of two (k, n) arrays, and only a round that it or ``monotone``
@@ -617,8 +622,9 @@ def _drive(
     raises, validates and stops: there ``compute_metrics`` may raise
     OverflowError, the divergence guard names a value that is not finite,
     and a declined round is screened again alone, its verdict that of the
-    block call. ``MetricsRow`` objects are built only for the sink, for kept
-    rows, and for the rows that ``validate`` and the next step read."""
+    block call. A block taken as columns builds one ``MetricsRow`` of
+    columns, which the stop rule, ``monotone`` and the sink read, and a row
+    per round only when rows are kept."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -652,16 +658,13 @@ def _drive(
                     cleared &= monotone(MetricsRow(ts - 1, *before, *counts), now)
                     clear = cleared.all()
                 if clear:  # nothing to report: the block's rows, as columns
-                    if metrics_sink is not None or keep_metrics:
-                        built = list(map(
+                    if metrics_sink is not None:
+                        metrics_sink(now, values, t + k)
+                    if keep_metrics:
+                        rows.extend(map(
                             MetricsRow, range(t + 1, t + 1 + k), *cols.tolist(),
                             repeat(active_edges, k), repeat(nonzero_msgs, k),
                         ))
-                        if metrics_sink is not None:
-                            for row, v in zip(built, values.tolist()):
-                                metrics_sink(row, tuple(v), row.t)
-                        if keep_metrics:
-                            rows.extend(built)
                     t += k
                     prev_row = MetricsRow(t, *cols[:, -1].tolist(), *counts)
                     x = values[-1]
@@ -722,12 +725,14 @@ def run(
     ``monotone`` of its row clear has no violation, and any other round's
     record goes to ``validate_round``, the one definition of the invariants
     and their messages. ``metrics_sink(row, x, last)`` receives the rows and
-    values as they are produced, one call for rounds row.t..last (see
-    ``_drive``), which keeps very long runs memory-flat when keep_metrics is
-    off. keep_records keeps a ``RoundRecord`` of every round in
-    ``RunResult.records``, with the values of the sink's previous call (the
-    initial values for round 1) as the round's values before it; otherwise
-    records are built only for the checker.
+    values as they are produced, one call for rounds row.t..last, or for a
+    block's rounds, the row's fields then being columns and x a (k, n) array
+    (see ``_drive``), which keeps very long runs memory-flat when
+    keep_metrics is off. keep_records keeps a ``RoundRecord`` of every round
+    in ``RunResult.records``, with the values of the round before it as its
+    values before it: the previous row of a block, or else the values of the
+    sink's previous call (its last row for a block; the initial values for
+    round 1); otherwise records are built only for the checker.
 
     On a static sequence every run skips the quiet stretch after each quiet
     round t (see ``_quiet_until``): ``_drive`` hands the stretch to the sink
@@ -775,8 +780,8 @@ def run(
     Every slot stays live and is marked seen through the block's last round,
     as a run of its rounds would leave it. ``_drive`` takes the block's rows
     as columns with ``compute_metrics``' own float operations
-    (``block_metrics``) when it has nothing to report, and otherwise row by
-    row, and calls the sink once per round.
+    (``block_metrics``) when it has nothing to report, and then calls the
+    sink once for the block, and otherwise row by row, one call per round.
 
     So the state a block leaves is, but for its values, the state that
     running any one of its rounds leaves (estimates, gaps, active mask, no
@@ -831,10 +836,15 @@ def run(
         nonlocal prev_x
         if metrics_sink is not None:
             metrics_sink(row, x, last)
-        rec = _record(state, row.t, params, prev_x, x)
-        records.append(rec)
-        records.extend(replace(rec, t=s) for s in range(row.t + 1, last + 1))
-        prev_x = x
+        if isinstance(x, tuple):  # rounds row.t..last, all with the values x
+            rec = _record(state, row.t, params, prev_x, x)
+            records.append(rec)
+            records.extend(replace(rec, t=s) for s in range(row.t + 1, last + 1))
+            prev_x = x
+        else:  # a block: one row of values per round, ending at last
+            for s, x_post in enumerate(x.tolist(), start=last - len(x) + 1):
+                records.append(_record(state, s, params, prev_x, x_post))
+                prev_x = x_post
 
     result = _drive(
         state.x, config.t_max, step, screen=partial(screen_block, state, params),

@@ -66,12 +66,26 @@ def _same_column(a: list, b: list) -> bool:
 
 def per_round_calls(calls) -> list:
     """The (row, values) pair of every round that metrics-sink calls
-    (row, values, last) stand for: rounds row.t..last, each with the row's
-    fields, its own t and the call's values."""
-    return [
-        (dataclasses.replace(row, t=s), x)
-        for row, x, last in calls for s in range(row.t, last + 1)
-    ]
+    (row, values, last) stand for. A call whose values are a tuple stands
+    for rounds row.t..last, each with the row's fields, its own t and the
+    call's values. A block call, whose values are a (k, n) array, stands for
+    its k rounds, the last of them last: round r of the block gets entry r
+    of each field that is an array (a column), the other fields as they are,
+    and row r of the values as a tuple of floats."""
+    pairs = []
+    for row, x, last in calls:
+        if isinstance(x, tuple):
+            pairs.extend(
+                (dataclasses.replace(row, t=s), x) for s in range(row.t, last + 1)
+            )
+            continue
+        k = len(x)
+        fields = [getattr(row, f.name) for f in dataclasses.fields(row)]
+        cols = [v.tolist() if isinstance(v, np.ndarray) else [v] * k for v in fields]
+        assert list(map(len, cols)) == [k] * len(cols), "a column of another length"
+        assert cols[0] == list(range(last - k + 1, last + 1)), "rows not t..last"
+        pairs.extend(zip(map(type(row), *cols), map(tuple, x.tolist())))
+    return pairs
 
 
 def snapshot_keys(window):

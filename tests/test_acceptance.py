@@ -19,6 +19,7 @@ from oracles import (
     REFERENCE_VALUE,
     bound_oracle,
     connected,
+    per_round_calls,
     snapshot_keys,
 )
 from ternary_consensus.analysis import (
@@ -129,13 +130,13 @@ def test_criterion_2_conservation():
         x0 = cfg.init.build(n)
         tol = 1e-12 * max(1.0, max(abs(v) for v in x0))
 
-        def track(row, x, last, *, avg0=fold_sum(x0) / n, n=n):
-            nonlocal worst
+        calls = []
+        run(cfg, metrics_sink=lambda *call: calls.append(call), keep_metrics=False)
+        avg0 = fold_sum(x0) / n
+        for _, x in per_round_calls(calls):
             drift = abs(fold_sum(x) / n - avg0)
             worst = max(worst, drift)
             assert drift <= tol
-
-        run(cfg, metrics_sink=track, keep_metrics=False)
     _report(
         "criterion 2 (average conservation)", True,
         f"worst per-round mean drift {worst:.2e}",

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
@@ -315,6 +316,46 @@ class TestCmdRun:
         assert out.joinpath("trace.csv").read_text().splitlines()[1:] == [
             f"{row.t},{i},{v:.17g}" for row, x in per_round_calls(calls)
             for i, v in enumerate(x)
+        ]
+
+    def test_a_block_call_writes_a_line_per_round(
+        self, write_config, tmp_path, monkeypatch, capsys
+    ):
+        """cmd_run writes a block call, its row's fields columns and its
+        values a (k, n) array, as the lines of its k rounds, each with its
+        own row and values; the summary takes the block's last round."""
+        block = np.array([[1e-300, -0.0, 0.5], [0.25, 0.0, -1.5], [1 / 3, 2.0, 0.0]])
+        avg0 = 1 / 3
+        rows = [compute_metrics(tuple(v), avg0, t=t, active_edges=2)
+                for t, v in enumerate(block.tolist(), start=2)]
+        columns = MetricsRow(
+            np.arange(2, 5), *(np.array([getattr(r, f) for r in rows])
+                               for f in ("M", "m", "W", "V2", "err_max")), 2, 0,
+        )
+        first = (1.0, 0.0, 0.0)
+        calls = [(compute_metrics(first, avg0, t=1), first, 1), (columns, block, 4)]
+
+        def fake_run(config, *, metrics_sink, **kw):
+            for call in calls:
+                metrics_sink(*call)
+            return SimpleNamespace(final_x=tuple(block[-1].tolist()))
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        text = BASE_YAML.replace("record_level: metrics_only", "record_level: full_trace")
+        assert main(["run", "--config", write_config(text)]) == 0
+        assert capsys.readouterr().out == (
+            f"rounds=4 err_max={rows[-1].err_max:.17g} V2={rows[-1].V2:.17g} "
+            "stop_round=n/a\n"
+        )
+        pairs = per_round_calls(calls)
+        assert [row.t for row, _ in pairs] == [1, 2, 3, 4]
+        out = tmp_path / "out"
+        assert out.joinpath("metrics.csv").read_text().splitlines()[1:] == [
+            f"{r.t},{r.M:.17g},{r.m:.17g},{r.W:.17g},{r.V2:.17g},{r.err_max:.17g},"
+            f"{r.active_edges},{r.nonzero_msgs}" for r, _ in pairs
+        ]
+        assert out.joinpath("trace.csv").read_text().splitlines()[1:] == [
+            f"{row.t},{i},{v:.17g}" for row, x in pairs for i, v in enumerate(x)
         ]
 
     def test_checked_run_passes(self, write_config):

@@ -490,7 +490,8 @@ class TestBlockColumns:
     calls, and only the row loop stops the run or validates a round."""
 
     @staticmethod
-    def drive(rows, as_block, **kw):
+    def sink_calls(rows, as_block, **kw):
+        """The outcome of driving rows[1:] from rows[0], and the sink's calls."""
         x0, rest = np.array(rows[0]), np.array(rows[1:])
 
         def step(t):
@@ -507,6 +508,12 @@ class TestBlockColumns:
         except (OverflowError, DivergenceError) as exc:
             return type(exc), calls
         return (result.metrics, result.final_x, result.rounds, result.stopped_at), calls
+
+    @classmethod
+    def drive(cls, rows, as_block, **kw):
+        """The outcome, and the (row, values) pair of each round sunk."""
+        outcome, calls = cls.sink_calls(rows, as_block, **kw)
+        return outcome, per_round_calls(calls)
 
     @pytest.mark.parametrize("rows, stops", [
         ([[1.0, -0.0, 0.0], [0.5, 0.0, -0.0], [0.25, -0.0, 0.5], [0.25, 0.25, 0.25]], {}),
@@ -551,6 +558,33 @@ class TestBlockColumns:
         validated.clear()
         assert same_bits(block, self.drive(rows, False, **stops, **checks))
         assert validated == ([declined] if declined else [])
+
+    @pytest.mark.parametrize("stops, declined, calls", [
+        ({}, None, [(4, 4)]),  # one call, a (4, n) block ending at round 4
+        ({"stop_err": 0.1}, None, [(None, 1), (None, 2)]),  # a row per call
+        ({"stop_v2": 0.2}, None, [(None, 1), (None, 2)]),
+        ({}, 3, [(None, 1), (None, 2), (None, 3), (None, 4)]),
+    ])
+    def test_a_clear_block_is_one_sink_call(self, stops, declined, calls):
+        """A block taken as columns reaches the sink in one call, its row's
+        fields columns and its values the block's array; a block that goes
+        row by row makes one call per round, as stepped rounds do."""
+        rows = [[1.0, 0.0], [0.75, 0.25], [0.6, 0.4], [0.55, 0.45], [0.5, 0.5]]
+        checks = {
+            "screen": lambda x_pre, x_post, first, **facts:
+                np.arange(first, first + len(x_post)) != declined,
+            "validate": lambda *args, **kw: [],
+        } if declined else {}
+        _, sunk = self.sink_calls(rows, True, **stops, **checks)
+        assert [
+            (len(x) if isinstance(x, np.ndarray) else None, last)
+            for _, x, last in sunk
+        ] == calls
+        if not declined and not stops:
+            (row, x, _), = sunk
+            assert same_bits(x.tolist(), rows[1:])
+            assert row.t.tolist() == [1, 2, 3, 4]
+            assert (row.active_edges, row.nonzero_msgs) == (2, 0)
 
 
 class TestRoundValues:

@@ -13,6 +13,7 @@ surface as a FloatingPointError.
 import numpy as np
 import pytest
 
+from oracles import per_round_calls
 from test_invariant_screen import equal_endpoints
 from ternary_consensus import engine, metropolis
 from ternary_consensus.engine import InitSpec, SimulationConfig, run
@@ -51,7 +52,7 @@ def _overflowing_step(monkeypatch):
 
 
 def _failing_sink(row, x, last):
-    if row.t == 3:
+    if any(r.t == 3 for r, _ in per_round_calls([(row, x, last)])):
         raise SinkFailed
 
 

@@ -4,8 +4,8 @@ round, and in checked runs validates every round's record, and
 ``run_metropolis`` against a plain loop that calls ``_step`` for every round,
 compared bitwise by ``oracles.same_bits`` (floats by their bytes, so signed
 zeros count); and tests of the metrics sink's contract: one call per round
-run or computed in a block, standing for the rounds of the quiet stretch it
-opens."""
+run, standing for the rounds of the quiet stretch it opens, and one per
+block taken as columns."""
 
 import dataclasses
 from math import inf
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import per_round_calls, same_bits
-from test_engine_equivalence import THEOREM_EXPONENTS, block_elements
+from test_engine_equivalence import THEOREM_EXPONENTS, block_elements, preset_run
 from ternary_consensus import analysis, engine, metropolis
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.cli import main
@@ -755,8 +755,9 @@ def sink_config(runner, seq, t_max):
 
 def sink_run(monkeypatch, runner, cfg, stop_err=None):
     """The sink calls (row, values, last) of one run without kept rows, the
-    number of rounds it computed (stepped, or in an active block), its kept
-    records (run_records only) and its final values."""
+    number of its steps (rounds stepped, and active blocks of at least one
+    round), the number of rounds it computed (stepped, or in an active
+    block), its kept records (run_records only) and its final values."""
     calls = []
 
     def sink(*call):
@@ -780,28 +781,30 @@ def sink_run(monkeypatch, runner, cfg, stop_err=None):
         if runner == "run_records":
             records = result.records
     monkeypatch.undo()
-    return calls, len(stepped) + sum(k for _, _, k in blocks), records, final_x
+    steps = len(stepped) + sum(1 for _, _, k in blocks if k)
+    computed = len(stepped) + sum(k for _, _, k in blocks)
+    return calls, steps, computed, records, final_x
 
 
 @pytest.mark.parametrize("kind", SINK_SEQUENCES)
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_one_sink_call_per_round_stepped(monkeypatch, runner, kind):
-    """The calls' ranges row.t..last cover rounds 1..rounds once each, one
-    call per round run or computed in a block, and the rounds they stand
-    for carry the rows, values and records of a loop that runs every round,
-    bitwise."""
+    """The calls cover rounds 1..rounds once each, one call per round run
+    and one per block (no run here stops or declines a block), and the
+    rounds they stand for carry the rows, values and records of a loop that
+    runs every round, bitwise."""
     cfg = sink_config(runner, SINK_SEQUENCES[kind], 1500)
-    calls, stepped, records, final_x = sink_run(monkeypatch, runner, cfg)
+    calls, stepped, computed, records, final_x = sink_run(monkeypatch, runner, cfg)
     if runner == "run_metropolis":
         pairs, x, rounds, _ = metropolis_per_round(cfg)
     else:
         want_records = []
         rows, x, rounds, _ = per_round(cfg, records=want_records)
         pairs = [(row, rec.x_post) for row, rec in zip(rows, want_records)]
-    covered = [t for row, _, last in calls for t in range(row.t, last + 1)]
+    covered = [row.t for row, _ in per_round_calls(calls)]
     assert covered == list(range(1, rounds + 1))
     assert len(calls) == stepped
-    assert (stepped < rounds) == (kind == "static")
+    assert (computed < rounds) == (kind == "static")
     assert same_bits(per_round_calls(calls), pairs)
     if runner == "run_records":
         assert same_bits(records, want_records)
@@ -814,14 +817,17 @@ def test_t_max_inside_a_stretch_truncates_its_call(monkeypatch, runner):
     the same and the stretch's call ends at t_max."""
     seq = SINK_SEQUENCES["static"]
     calls = sink_run(monkeypatch, runner, sink_config(runner, seq, 1500))[0]
-    k = max(range(len(calls)), key=lambda k: calls[k][2] - calls[k][0].t)
+    stretches = [k for k, (_, x, _) in enumerate(calls) if isinstance(x, tuple)]
+    k = max(stretches, key=lambda k: calls[k][2] - calls[k][0].t)
     row, x, last = calls[k]
     assert last - row.t >= 2
     t_max = (row.t + last) // 2
-    cut, stepped, records, _ = sink_run(
+    cut, stepped, _, records, _ = sink_run(
         monkeypatch, runner, sink_config(runner, seq, t_max)
     )
-    assert same_bits(cut, calls[:k] + [(row, x, t_max)])
+    assert same_bits(
+        per_round_calls(cut), per_round_calls(calls[:k] + [(row, x, t_max)])
+    )
     assert stepped == k + 1
     if runner == "run_records":
         assert [rec.t for rec in records] == list(range(1, t_max + 1))
@@ -831,6 +837,55 @@ def test_t_max_inside_a_stretch_truncates_its_call(monkeypatch, runner):
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_a_run_stopped_at_round_0_makes_no_call(monkeypatch, runner, kind):
     cfg = sink_config(runner, SINK_SEQUENCES[kind], 50)
-    calls, stepped, records, final_x = sink_run(monkeypatch, runner, cfg, stop_err=1.0)
+    calls, stepped, _, records, final_x = sink_run(
+        monkeypatch, runner, cfg, stop_err=1.0
+    )
     assert calls == [] and stepped == 0 and records in (None, [])
     assert same_bits(final_x, cfg.init.build(6))
+
+
+COVERAGE_RUNS = {
+    # checked, static: stepped rounds, active blocks and quiet stretches
+    "theorem-a075-b0875": lambda: preset_run("theorem-a075-b0875"),
+    "theorem-a025-b050": lambda: preset_run("theorem-a025-b050"),
+    # practical, static: the benchmark's dense run, which takes one block
+    "fig1-complete": lambda: preset_run("fig1-complete"),
+    # a generated sequence: every round stepped
+    "relabeled_line": lambda: SimulationConfig(
+        make_sequence("relabeled_line", 10, seed=4),
+        ProtocolParams(0.25, 0.5, "theorem", prune_horizon=2),
+        InitSpec("uniform_random", seed=11), 1000, check_invariants=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVERAGE_RUNS))
+def test_sink_calls_cover_every_round_once(monkeypatch, name):
+    """The calls, expanded into rounds by ``oracles.per_round_calls``, stand
+    for rounds 1..rounds in order, with no gap and no overlap: one call per
+    round stepped, standing for the quiet stretch it opens, and one per
+    block. Each round's row is ``compute_metrics`` of its values, bitwise,
+    and the rows are those that keep_metrics keeps."""
+    cfg = COVERAGE_RUNS[name]()
+    stepped = counting_run_round(monkeypatch)
+    blocks = recording_blocks(monkeypatch)
+    calls = []
+    result = run(cfg, metrics_sink=lambda *call: calls.append(call), keep_metrics=False)
+    monkeypatch.undo()
+    kinds = {
+        "block" if isinstance(x, np.ndarray) else "stretch" if last > row.t else "round"
+        for row, x, last in calls
+    }
+    assert kinds == ({"round"} if name == "relabeled_line" else {"block", "stretch", "round"})
+    assert len(calls) == len(stepped) + sum(1 for _, _, k in blocks if k)
+    pairs = per_round_calls(calls)
+    assert [row.t for row, _ in pairs] == list(range(1, result.rounds + 1))
+    x0 = cfg.init.build(cfg.seq.n)
+    avg0 = fold_sum(x0) / len(x0)
+    rows = [row for row, _ in pairs]
+    assert same_bits(rows, [
+        compute_metrics(x, avg0, row.t, row.active_edges, row.nonzero_msgs)
+        for row, x in pairs
+    ])
+    assert same_bits(pairs[-1][1], result.final_x)
+    assert same_bits(run(cfg).metrics, rows)
