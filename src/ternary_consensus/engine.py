@@ -593,10 +593,11 @@ def _drive(
     ``final_x``.
 
     The loop runs the round that opens a quiet stretch and jumps over the
-    rest: ``metrics_sink(row, x, last)`` is called once per round computed,
-    with its row, its values as a tuple of floats and the stretch's last
-    round, and stands for rounds row.t..last, each with the row's fields and
-    its own t (last == row.t for a round that opens no stretch). A block
+    rest: ``metrics_sink(row, x, last)`` is called once per round taken row
+    by row, with its row, its values as a tuple of floats and the stretch's
+    last round, and stands for rounds row.t..last, each with the row's
+    fields and its own t (last == row.t for a round that opens no
+    stretch). A block
     taken as columns is one call for its k rounds: the row's fields are
     columns (t and the five floats, one entry per round; the two counts,
     which every round of a block shares, stay ints), x is the block's (k, n)

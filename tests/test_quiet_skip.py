@@ -876,7 +876,8 @@ def test_sink_calls_cover_every_round_once(monkeypatch, name):
         "block" if isinstance(x, np.ndarray) else "stretch" if last > row.t else "round"
         for row, x, last in calls
     }
-    assert kinds == ({"round"} if name == "relabeled_line" else {"block", "stretch", "round"})
+    static = name != "relabeled_line"
+    assert kinds == ({"block", "stretch", "round"} if static else {"round"})
     assert len(calls) == len(stepped) + sum(1 for _, _, k in blocks if k)
     pairs = per_round_calls(calls)
     assert [row.t for row, _ in pairs] == list(range(1, result.rounds + 1))
