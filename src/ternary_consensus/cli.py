@@ -4,8 +4,8 @@ Verbs: run (simulate and emit CSV), bound (evaluate the convergence-time
 bound), check-core (test a generated window for a connected persistent core),
 sweep (convergence-time vs node count). Exit codes: 0 ok, 1 usage or
 config error (including a fixed degree bound the graph violates), 2
-invariant violation or run failure, 3 core-connectivity check failed.
-``main`` alone maps exceptions to these codes.
+invariant violation, run failure or out of memory, 3 core-connectivity
+check failed. ``main`` alone maps exceptions to these codes.
 """
 
 from __future__ import annotations
@@ -413,6 +413,9 @@ def main(argv=None) -> int:
         return 2
     except (DivergenceError, ProtocolError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("run failed: out of memory", file=sys.stderr)
         return 2
 
 

@@ -151,15 +151,14 @@ def check_known_bounds(
 ) -> None:
     """Reject a fixed degree bound below the max pair degree of a static,
     periodic or explicit snapshot used in rounds 1..t_max, naming the first
-    round that uses it, as the run itself would. Generated sequences
-    (core_synthetic, relabeled_line) are checked as their rounds are run."""
+    round that uses it: its arrays are built as the run builds them, and
+    check the bound. Generated sequences (core_synthetic, relabeled_line)
+    are checked as their rounds are run."""
     if d_policy != "fixed" or seq.kind not in TABULATED_KINDS:
         return
-    seen: set[GraphSnapshot] = set()
-    for t, g in enumerate(seq.rounds[:t_max], start=1):
-        if g not in seen:
-            seen.add(g)
-            check_fixed_bound(d_policy, d_fixed, g.degrees, t)
+    memo: dict[int, EdgeArrays] = {}
+    for t in range(1, min(t_max, len(seq.rounds)) + 1):
+        round_arrays(seq, t, d_policy, d_fixed, memo)
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,7 +398,7 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     if active_edges:
         # inactive edges add +-0.0, which leaves a sum from +0.0 unchanged
         f = arrays.fold(np.where(act, gap / arrays.denom, 0.0))
-        acc = t ** (-params.beta) * f if params.variant == "theorem" else f
+        acc = t ** (-params.beta) * f  # practical: t**-0.0 * f is f
         # nodes with no active peer keep x untouched, signed zeros included
         moved = np.zeros(len(x), dtype=bool)
         moved[arrays.eu[act]] = True
@@ -491,7 +490,7 @@ def _active_block(
     While no message is sent, every estimate, and so every gap, keeps its
     value (``run`` argues why), and with the active mask fixed so do the
     folded vector f and the moved nodes. Round s then moves x by s^-beta * f
-    (theorem variant) or f (practical) on the moved nodes, so the rows are
+    on the moved nodes (f when practical: s^-0.0 is 1.0), so the rows are
     one ``np.add.accumulate``, which adds in sequence as the rounds do. Each
     round's events are tested with its own ``round_scales(s, alpha)`` and
     the engine's expressions, on the values of round s-1; the round scales
@@ -507,8 +506,7 @@ def _active_block(
     steps = np.empty((size + 1, np.count_nonzero(moved)))
     steps[0] = x[moved]
     steps[1:] = state.f[moved]
-    if params.variant == "theorem":
-        steps[1:] *= np.float_power(rounds, -params.beta)[:, None]
+    steps[1:] *= np.float_power(rounds, -params.beta)[:, None]
     values = np.repeat(x[None], size + 1, axis=0)
     values[:, moved] = np.add.accumulate(steps)
     # round s's quantizer inputs s^alpha * (x - x_out), formed in place
@@ -536,15 +534,14 @@ def _record(
     opens, as only a static sequence skips (see ``run``)."""
     arrays = state.arrays
     if arrays.graph is None:
-        arrays.graph = GraphSnapshot(arrays.n, arrays.edges.tolist())
+        edges = arrays.edges.tolist()
+        arrays.graph = GraphSnapshot(arrays.n, edges)
         # records copy this tuple and patch in the few nonzero symbols
         arrays.silent = tuple(
-            m for i, j in arrays.graph.edge_list
-            for m in (Message(i, j, 0), Message(j, i, 0))
+            m for i, j in edges for m in (Message(i, j, 0), Message(j, i, 0))
         )
     g = arrays.graph
     n = g.n
-    edges = g.edge_list
     q = state.q
     act = state.act
     messages = list(arrays.silent)
@@ -553,12 +550,12 @@ def _record(
         messages[h] = Message(src, dst, int(q[h]))
     active_sets: list[set[int]] = [set() for _ in range(n)]
     d_bounds: dict[Edge, float] = {}
-    D = arrays.D
-    for k in np.flatnonzero(act).tolist():
-        i, j = edges[k]
+    for i, j, d in zip(
+        arrays.eu[act].tolist(), arrays.ev[act].tolist(), arrays.D[act].tolist()
+    ):
         active_sets[i].add(j)
         active_sets[j].add(i)
-        d_bounds[i, j] = float(D[k])
+        d_bounds[i, j] = d
     estimates: list[dict[int, tuple[float, float]]] = [{} for _ in range(n)]
     horizon = params.prune_horizon
     live = state.last_seen >= (max(t - horizon, 1) if horizon is not None else 1)
@@ -774,10 +771,10 @@ def run(
     round's own ``round_scales``, and for a change of the active mask, with
     the same threshold, so inside the block the active mask, the folded
     vector f and the moved nodes are those of the round before it. Round s
-    then adds s**(-beta) * f (f, practical variant) to the moved nodes'
-    values, the same IEEE products and sums that ``run_round`` forms
-    (s**(-beta) and the round scales as C ``pow`` columns, which is what
-    ``**`` computes), and ``np.add.accumulate`` adds them in round order.
+    then adds s**(-beta) * f (f when practical: s**-0.0 is 1.0) to the
+    moved nodes' values, the same IEEE products and sums that ``run_round``
+    forms (s**(-beta) and the round scales as C ``pow`` columns, which is
+    what ``**`` computes), and ``np.add.accumulate`` adds them in round order.
     Every slot stays live and is marked seen through the block's last round,
     as a run of its rounds would leave it. ``_drive`` takes the block's rows
     as columns with ``compute_metrics``' own float operations

@@ -2,7 +2,7 @@
 core-connectivity checker.
 
 Nodes are integers 0..n-1. Every node carries an implicit self-loop that is
-never stored in the edge set but is counted in ``degrees``. Sequences are
+never stored in the edge set but is counted in its degree. Sequences are
 1-indexed in the round counter t and fully deterministic: ``snapshot(t)`` is a
 pure function of the sequence parameters, the seed, and t.
 
@@ -75,9 +75,9 @@ class GraphSnapshot:
 
     ``edges`` may be any iterable of int pairs, each in either order; they
     are stored as a frozenset of normalized (low, high) pairs of distinct
-    endpoints. The per-node self-loop is implicit. Derived views (sorted edge
-    list, degrees) are cached, which matters because static sequences hand out
-    the same snapshot every round.
+    endpoints. The per-node self-loop is implicit. A snapshot is ``n`` and
+    its ``edges``: a round's sorted edge array and degrees are its
+    ``engine.EdgeArrays``.
     """
 
     n: int
@@ -99,19 +99,6 @@ class GraphSnapshot:
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
             edges.add((i, j) if i < j else (j, i))
         object.__setattr__(self, "edges", frozenset(edges))
-
-    @cached_property
-    def edge_list(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        # self-loop counts, so an isolated node has degree 1
-        deg = [1] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return tuple(deg)
 
 
 def _connected(n: int, edges: Iterable[Edge]) -> bool:

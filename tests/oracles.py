@@ -95,6 +95,21 @@ def snapshot_keys(window):
         yield np.array([i * g.n + j for i, j in g.edges], dtype=np.intp)
 
 
+def edge_list(g) -> tuple:
+    """A snapshot's edges as a tuple of (i, j) pairs, i < j, in sorted order."""
+    return tuple(sorted(g.edges))
+
+
+def degrees(g) -> tuple:
+    """Each node's degree in a snapshot, its self-loop counted, so an
+    isolated node has degree 1."""
+    deg = [1] * g.n
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    return tuple(deg)
+
+
 def connected(n, edges) -> bool:
     """Whether the graph on nodes 0..n-1 with the given edges is connected,
     by breadth-first search."""

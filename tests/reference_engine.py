@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import isfinite
 from types import MappingProxyType
 
+from oracles import degrees, edge_list
 from ternary_consensus.analysis import (
     MetricsRow,
     compute_metrics,
@@ -83,21 +84,21 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
     nodes = world.nodes
     g = config.seq.snapshot(t)
     n = g.n
-    edge_list = g.edge_list
-    degrees = g.degrees
+    edges = edge_list(g)
+    deg = degrees(g)
     # the practical variant's 2*max(d_i, d_j) denominator ignores d_policy
     d_policy = params.d_policy if params.variant == "theorem" else "max_degree"
     d_fixed = params.d_fixed
-    check_fixed_bound(d_policy, d_fixed, degrees, t)
+    check_fixed_bound(d_policy, d_fixed, deg, t)
 
-    for i, j in edge_list:
+    for i, j in edges:
         nodes[i].ensure_peer(j, t)
         nodes[j].ensure_peer(i, t)
 
     sent: list[list[Message]] = [[] for _ in range(n)]
     received: list[list[Message]] = [[] for _ in range(n)]
     messages: list[Message] = []
-    for i, j in edge_list:
+    for i, j in edges:
         mi = compute_message(nodes[i], j, t, params)
         mj = compute_message(nodes[j], i, t, params)
         sent[i].append(mi)
@@ -133,7 +134,7 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
             key = (i, j) if i < j else (j, i)
             d = d_bounds.get(key)
             if d is None:
-                d = pair_bound(d_policy, d_fixed, n, degrees[i], degrees[j])
+                d = pair_bound(d_policy, d_fixed, n, deg[i], deg[j])
                 d_bounds[key] = d
             dmap[j] = d
         value_update(nodes[i], t, act, dmap, params)
@@ -193,11 +194,11 @@ def metropolis_round(
 ) -> list[float]:
     """One averaging step, edge by edge: each edge moves (x_j - x_i) / D(i,j)
     from j to i, accumulated per node in edge-list order."""
-    degrees = g.degrees
+    deg = degrees(g)
     n = g.n
     dx = [0.0] * n
-    for i, j in g.edge_list:
-        d = pair_bound(d_policy, d_fixed, n, degrees[i], degrees[j])
+    for i, j in edge_list(g):
+        d = pair_bound(d_policy, d_fixed, n, deg[i], deg[j])
         flow = (x[j] - x[i]) / d
         dx[i] += flow
         dx[j] -= flow

@@ -32,6 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from test_config_cli import BASE_YAML
+from ternary_consensus import engine, graphs
 from ternary_consensus.cli import METRICS_HEADER, SWEEP_HEADER, main
 from ternary_consensus.config import load_config_data
 from ternary_consensus.errors import ConfigError
@@ -354,6 +355,32 @@ def test_config_errors_exit_1_with_one_line(argv, patch, line, tmp_path):
     code, stdout, stderr = call(argv + ["--config", str(config)])
     assert (code, stdout, stderr) == (1, "", f"config error: {line}\n")
     assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("where", ["config", "run"])
+def test_out_of_memory_exits_2_with_one_line(where, tmp_path, monkeypatch):
+    """A MemoryError, raised while the config builds its graph or while the
+    run has its metrics file open, exits 2 with one stderr line and leaves
+    the files as they were."""
+    out = tmp_path / "out"
+    config = tmp_path / "exp.yaml"
+    config.write_text(yaml.safe_dump(base_doc(out)))
+    opened = []
+
+    def out_of_memory(*args, **kwargs):
+        opened.append(sorted(p.name for p in out.glob("*")))
+        raise MemoryError
+
+    if where == "config":
+        monkeypatch.setattr(graphs, "complete_edges", out_of_memory)
+    else:
+        monkeypatch.setattr(engine, "run_round", out_of_memory)
+    before = tree(tmp_path)
+    code, stdout, stderr = call(["run", "--config", str(config)])
+    assert (code, stdout, stderr) == (2, "", "run failed: out of memory\n")
+    assert tree(tmp_path) == before
+    # inside the run it raised with a partial metrics file, now removed
+    assert opened == [[f".metrics.csv.{os.getpid()}.tmp"] if where == "run" else []]
 
 
 def test_a_document_that_is_not_a_mapping_is_a_config_error():

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
-from oracles import same_bits
+from oracles import degrees, same_bits
 from ternary_consensus import engine
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.config import load_config, resolve_config
@@ -347,7 +347,7 @@ def reference_metropolis(cfg: MetropolisConfig):
     rows = []
     for t in range(1, cfg.t_max + 1):
         g = cfg.seq.snapshot(t)
-        check_fixed_bound(cfg.d_policy, cfg.d_fixed, g.degrees, t)
+        check_fixed_bound(cfg.d_policy, cfg.d_fixed, degrees(g), t)
         x = ref.metropolis_round(x, g, cfg.d_policy, cfg.d_fixed)
         rows.append(compute_metrics(x, avg0, t=t, active_edges=len(g.edges)))
     return rows, tuple(x)

@@ -22,6 +22,7 @@ import pytest
 import yaml
 
 import ternary_consensus
+from oracles import edge_list
 from ternary_consensus import engine
 from ternary_consensus.cli import METRICS_HEADER, main
 from ternary_consensus.config import resolve_config
@@ -120,7 +121,7 @@ def test_static_graph_writes_the_bytes_of_a_one_round_periodic_one(
     doc = yaml.safe_load(resolve_config(preset).read_text())
     graph = doc["graph"]
     base = make_sequence("static", graph["n"], base=graph.pop("base")).snapshot(1)
-    graph.update(kind="periodic", rounds=[[f"{i}-{j}" for i, j in base.edge_list]])
+    graph.update(kind="periodic", rounds=[[f"{i}-{j}" for i, j in edge_list(base)]])
     periodic = tmp_path / "periodic.yaml"
     periodic.write_text(yaml.safe_dump(doc))
     outputs = []
@@ -195,7 +196,7 @@ def test_generated_sequence_draws(kind):
     else:
         core = [(i, i + 1) for i in range(11)]
         seq = make_sequence(kind, 12, core_edges=core, block_len=4, extra_edge_prob=0.1)
-    rounds = repr([seq.snapshot(t).edge_list for t in range(1, 201)])
+    rounds = repr([edge_list(seq.snapshot(t)) for t in range(1, 201)])
     assert hashlib.sha256(rounds.encode()).hexdigest() == DRAWS_GOLDEN[kind]
 
 

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import connected, snapshot_keys
+from oracles import connected, degrees, edge_list, snapshot_keys
 from reference_engine import core_synthetic_snapshot
 from ternary_consensus import graphs
 from ternary_consensus.config import load_config_data, read_config_doc
+from ternary_consensus.engine import EdgeArrays, round_arrays
 from ternary_consensus.graphs import (
     CHUNK_ROUNDS,
     CoreSyntheticSequence,
@@ -32,6 +33,12 @@ VARYING = Path(__file__).resolve().parents[1] / "perfbench" / "varying.yaml"
 
 def snap(n, edges):
     return GraphSnapshot(n, frozenset(edges))
+
+
+def arrays_of(g) -> EdgeArrays:
+    """The engine's arrays of snapshot g, as a run of g as a static graph
+    builds them."""
+    return round_arrays(ExplicitSequence((g,), "static"), 1, "max_degree", None, {})
 
 
 def core(window, B):
@@ -65,15 +72,34 @@ class TestGraphSnapshot:
 
     def test_degree_counts_self_loop(self):
         # complete graph: n-1 neighbors plus the self-loop
-        g = snap(4, complete_edges(4))
-        assert all(g.degrees[i] == 4 for i in range(4))
+        deg = arrays_of(snap(4, complete_edges(4))).deg
+        assert all(deg[i] == 4 for i in range(4))
         # edgeless: just the self-loop
-        g = snap(5, [])
-        assert all(g.degrees[i] == 1 for i in range(5))
+        deg = arrays_of(snap(5, [])).deg
+        assert all(deg[i] == 1 for i in range(5))
         # middle of a 3-node line: two neighbors plus the self-loop
-        g = snap(3, line_edges(3))
-        assert g.degrees[1] == 3
-        assert g.degrees[0] == 2
+        deg = arrays_of(snap(3, line_edges(3))).deg
+        assert deg[1] == 3
+        assert deg[0] == 2
+
+    @pytest.mark.parametrize("n,p", [(1, 0.0), (2, 1.0), (9, 0.0), (9, 0.4), (30, 0.2),
+                                     (30, 0.9)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_edge_arrays_match_the_oracle_views(self, n, p, seed):
+        """Each round's arrays, as a run builds them from the sequence's
+        universe rows, hold the oracle's sorted edges and degrees."""
+        rng = random.Random(seed)
+        rounds = [
+            [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            for _ in range(3)
+        ]
+        seq = make_sequence("periodic", n, rounds=rounds)
+        memo = {}
+        for t in range(1, 4):
+            g = seq.snapshot(t)
+            arrays = round_arrays(seq, t, "max_degree", None, memo)
+            assert tuple(map(tuple, arrays.edges.tolist())) == edge_list(g)
+            assert tuple(arrays.deg.tolist()) == degrees(g)
 
     def test_connectivity(self):
         # the core of a one-round window is its edge set

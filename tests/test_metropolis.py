@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import degrees, edge_list
 from ternary_consensus.engine import InitSpec
 from ternary_consensus.errors import ConfigError, DivergenceError
 from ternary_consensus.graphs import (
@@ -29,9 +30,10 @@ def update_matrix(g: GraphSnapshot, d_policy="max_degree", d_fixed=None):
     """Dense form of one averaging step, for oracle comparisons."""
     n = g.n
     P = np.eye(n)
-    for i, j in g.edge_list:
+    deg = degrees(g)
+    for i, j in edge_list(g):
         if d_policy == "max_degree":
-            d = max(g.degrees[i], g.degrees[j])
+            d = max(deg[i], deg[j])
         elif d_policy == "global_n":
             d = n
         else:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_round_calls, same_bits
+from oracles import edge_list, per_round_calls, same_bits
 from test_engine_equivalence import THEOREM_EXPONENTS, block_elements, preset_run
 from ternary_consensus import analysis, engine, metropolis
 from ternary_consensus.analysis import compute_metrics, fold_sum
@@ -286,7 +286,7 @@ def test_a_stretch_shares_one_frozen_record(monkeypatch):
         for field in dataclasses.fields(rec):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(rec, field.name, getattr(rec, field.name))
-        for i, j in rec.graph.edge_list:
+        for i, j in edge_list(rec.graph):
             with pytest.raises(TypeError):
                 rec.estimates[i][j] = (0.0, 0.0)
             with pytest.raises(TypeError):
@@ -561,7 +561,7 @@ def metropolis_per_round(cfg, stop_err=None):
         t = row.t + 1
         g = cfg.seq.snapshot(t)
         if arrays is None or g is not last_g:
-            edges = np.array(g.edge_list, dtype=np.intp).reshape(-1, 2)
+            edges = np.array(edge_list(g), dtype=np.intp).reshape(-1, 2)
             arrays, last_g = EdgeArrays(g.n, edges, cfg.d_policy, cfg.d_fixed, t), g
         x = metropolis._step(x, arrays)
         xs = tuple(x.tolist())
