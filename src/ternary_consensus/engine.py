@@ -535,7 +535,7 @@ def _record(
     arrays = state.arrays
     if arrays.graph is None:
         edges = arrays.edges.tolist()
-        arrays.graph = GraphSnapshot(arrays.n, edges)
+        arrays.graph = GraphSnapshot(arrays.n, arrays.edges)
         # records copy this tuple and patch in the few nonzero symbols
         arrays.silent = tuple(
             m for i, j in edges for m in (Message(i, j, 0), Message(j, i, 0))

@@ -13,6 +13,7 @@ that array present in round t. The engine indexes its ledger by these rows.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,6 +26,7 @@ Edge = tuple[int, int]
 SEQUENCE_KINDS = ("static", "periodic", "explicit", "core_synthetic", "relabeled_line")
 
 _MASK64 = (1 << 64) - 1
+MAX_NODES = math.isqrt(2**63 - 1)  # so that every edge key u*n + v fits int64
 
 # the most rounds a core_synthetic sequence draws at once
 CHUNK_ROUNDS = 32
@@ -69,36 +71,56 @@ def parse_edge(tok) -> Edge:
     raise ValueError(f"bad edge {tok!r}, expected 'i-j' or [i, j]")
 
 
-@dataclass(frozen=True)
-class GraphSnapshot:
-    """One round's undirected edge set.
+def check_node_count(n: int) -> None:
+    if not 1 <= n <= MAX_NODES:
+        bound = ">= 1" if n < 1 else f"<= {MAX_NODES} for int64 edge keys"
+        raise ValueError(f"node count must be {bound}, got {n}")
 
-    ``edges`` may be any iterable of int pairs, each in either order; they
-    are stored as a frozenset of normalized (low, high) pairs of distinct
-    endpoints. The per-node self-loop is implicit. A snapshot is ``n`` and
-    its ``edges``: a round's sorted edge array and degrees are its
-    ``engine.EdgeArrays``.
-    """
+
+@dataclass(frozen=True, eq=False)
+class GraphSnapshot:
+    """One round's undirected edge set: ``edges``, an integer (m, 2) array or
+    any iterable of int pairs in either order, is stored as its distinct
+    (low, high) pairs, sorted, in a read-only (m, 2) intp array. The per-node
+    self-loop is implicit. Snapshots compare and hash by n and edge bytes."""
 
     n: int
-    edges: frozenset[Edge]
+    edges: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count must be >= 1, got {self.n}")
-        edges = set()
-        for i, j in self.edges:
-            # bool included; numpy would read 0.5 as node 0 without a word
-            if type(i) is not int or type(j) is not int:
-                raise ValueError(
-                    f"edge ({i!r},{j!r}) has an endpoint that is not an int"
-                )
+        n, a = self.n, self.edges
+        check_node_count(n)
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"
+                and a.shape[1:] == (2,)):  # anything else goes pair by pair
+            a = a.tolist() if isinstance(a, np.ndarray) else list(a)
+            for i, j in a:
+                # bool included; numpy would read 0.5 as node 0 without a word
+                if type(i) is not int or type(j) is not int:
+                    raise ValueError(
+                        f"edge ({i!r},{j!r}) has an endpoint that is not an int"
+                    )
+            a = np.array(a, dtype=object).reshape(-1, 2)  # ints of any size
+        lo, hi = np.minimum(a[:, 0], a[:, 1]), np.maximum(a[:, 0], a[:, 1])
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+        if len(bad):
+            i, j = a[bad[0]].tolist()
             if i == j:
                 raise ValueError(f"self-pair ({i},{j}) must not be stored")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            edges.add((i, j) if i < j else (j, i))
-        object.__setattr__(self, "edges", frozenset(edges))
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        # a sort, as np.unique hashes its keys and is far slower on millions
+        keys = np.sort(lo.astype(np.intp) * n + hi.astype(np.intp))
+        keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+        edges = np.column_stack(np.divmod(keys, n))
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphSnapshot):
+            return NotImplemented
+        return (self.n, self.edges.tobytes()) == (other.n, other.edges.tobytes())
+
+    def __hash__(self):
+        return hash((self.n, self.edges.tobytes()))
 
 
 def _connected(n: int, edges: Iterable[Edge]) -> bool:
@@ -108,33 +130,23 @@ def _connected(n: int, edges: Iterable[Edge]) -> bool:
     for i, j in edges:
         nbrs.setdefault(i, []).append(j)
         nbrs.setdefault(j, []).append(i)
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
-        u = stack.pop()
-        for v in nbrs.get(u, ()):
+        for v in nbrs.get(stack.pop(), ()):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == n
 
 
-def complete_edges(n: int) -> frozenset[Edge]:
-    return frozenset((i, j) for i in range(n) for j in range(i + 1, n))
-
-
-def line_edges(n: int) -> frozenset[Edge]:
-    return frozenset((i, i + 1) for i in range(n - 1))
-
-
-def _edge_array(edges: Iterable[Edge]) -> np.ndarray:
-    """Normalized edges as a sorted (m, 2) intp array."""
-    return np.array(sorted(edges), dtype=np.intp).reshape(-1, 2)
-
-
-def _all_pairs(n: int) -> np.ndarray:
+def complete_edges(n: int) -> np.ndarray:
     """Every pair (i, j), i < j, of n nodes as a sorted (m, 2) intp array."""
-    return np.column_stack(np.triu_indices(n, 1)).astype(np.intp)
+    return np.column_stack(np.triu_indices(n, 1))
+
+
+def line_edges(n: int) -> np.ndarray:
+    """The pairs (i, i + 1) of n nodes as a sorted (n - 1, 2) intp array."""
+    return np.column_stack((np.arange(n - 1), np.arange(1, n)))
 
 
 def _check_round(t: int) -> None:
@@ -198,7 +210,7 @@ class GraphSequence:
         raise NotImplementedError
 
     def _snapshot(self, t: int) -> GraphSnapshot:
-        return GraphSnapshot(self.n, self.universe[self._edge_ids(t)].tolist())
+        return GraphSnapshot(self.n, self.universe[self._edge_ids(t)])
 
 
 @dataclass(frozen=True)
@@ -230,16 +242,18 @@ class ExplicitSequence(GraphSequence):
         return len(self.rounds)
 
     def _universe(self) -> np.ndarray:
-        return _edge_array(frozenset().union(*(g.edges for g in self.rounds)))
+        if len(self.rounds) == 1:
+            return self.rounds[0].edges
+        edges = np.concatenate([g.edges for g in self.rounds])
+        return GraphSnapshot(self.n, edges).edges
 
     @cached_property
     def _ids(self) -> tuple[np.ndarray, ...]:
         """Each round's ids, one read-only array per distinct snapshot."""
         ids = {}
         for g in dict.fromkeys(self.rounds):
-            edges = _edge_array(g.edges)
-            ids[g] = self._rows(edges[:, 0], edges[:, 1])
-            ids[g].setflags(write=False)
+            ids[g] = rows = self._rows(g.edges[:, 0], g.edges[:, 1])
+            rows.setflags(write=False)
         return tuple(ids[g] for g in self.rounds)
 
     def _index(self, t: int) -> int:
@@ -272,7 +286,7 @@ class RelabeledLineSequence(GraphSequence):
             raise ValueError("relabeled line needs n >= 2")
 
     def _universe(self) -> np.ndarray:
-        return _all_pairs(self.n)
+        return complete_edges(self.n)
 
     def _edge_ids(self, t: int) -> np.ndarray:
         rng = random.Random(derive_seed(self.seed, t))
@@ -298,10 +312,11 @@ class CoreSyntheticSequence(GraphSequence):
     """
 
     n: int
-    core_edges: frozenset[Edge]
+    core_edges: np.ndarray = field(compare=False)  # compared as ``_core``
     block_len: int
     extra_edge_prob: float = 0.0
     seed: int = 0
+    _core: GraphSnapshot = field(init=False, repr=False)
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
     kind = "core_synthetic"
 
@@ -314,21 +329,19 @@ class CoreSyntheticSequence(GraphSequence):
             raise ValueError(
                 f"extra_edge_prob must be in [0,1], got {self.extra_edge_prob}"
             )
-        core = GraphSnapshot(self.n, self.core_edges).edges
-        object.__setattr__(self, "core_edges", core)
-        if not _connected(self.n, self.core_edges):
+        core = GraphSnapshot(self.n, self.core_edges)
+        object.__setattr__(self, "_core", core)
+        object.__setattr__(self, "core_edges", core.edges)
+        if not _connected(self.n, core.edges.tolist()):
             raise ValueError("core edge set must form a connected graph on all nodes")
 
     def _universe(self) -> np.ndarray:
-        if self.extra_edge_prob > 0.0:
-            return _all_pairs(self.n)
-        return _edge_array(self.core_edges)
+        return complete_edges(self.n) if self.extra_edge_prob > 0.0 else self.core_edges
 
     @cached_property
     def _core_rows(self) -> np.ndarray:
         """The universe rows of the core edges, in sorted edge order."""
-        core = _edge_array(self.core_edges)
-        return self._rows(core[:, 0], core[:, 1])
+        return self._rows(self.core_edges[:, 0], self.core_edges[:, 1])
 
     @cached_property
     def _non_core_rows(self) -> np.ndarray:
@@ -494,6 +507,7 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
     relabeled_line: (no extra parameters)
     explicit:       rounds=[[(i,j), ...], ...] or path=<edge-list text file>
     """
+    check_node_count(n)  # before a named base is built for n
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown sequence kind {kind!r}")
     if kind == "static":
@@ -505,15 +519,11 @@ def make_sequence(kind: str, n: int, seed: int = 0, **kw) -> GraphSequence:
                 "static sequence needs exactly one of base='complete'|'line' "
                 "or an edges list"
             )
-        if base == "complete":
-            snap = GraphSnapshot(n, complete_edges(n))
-        elif base == "line":
-            snap = GraphSnapshot(n, line_edges(n))
-        elif base is not None:
-            raise ValueError(f"unknown static base {base!r}")
-        else:
-            snap = GraphSnapshot(n, edges)
-        return ExplicitSequence((snap,), "static")
+        if base is not None:
+            if base not in ("complete", "line"):
+                raise ValueError(f"unknown static base {base!r}")
+            edges = complete_edges(n) if base == "complete" else line_edges(n)
+        return ExplicitSequence((GraphSnapshot(n, edges),), "static")
     if kind in ("periodic", "explicit"):
         rounds = kw.pop("rounds", None)
         path = kw.pop("path", None) if kind == "explicit" else None

@@ -21,9 +21,9 @@ _EXACT = frozenset({int, bool, str, type(None)})  # == on these is bitwise
 def same_bits(a, b) -> bool:
     """Whether a and b are equal bit for bit. Floats compare by their 8
     bytes, so -0.0 differs from 0.0 and a nan equals a nan of the same bits.
-    Mappings compare key by key, in any order; sequences item by item and
-    dataclasses field by field; anything else by ==. Types must match at
-    every level."""
+    Mappings compare key by key, in any order; sequences item by item,
+    dataclasses field by field and numpy arrays by dtype, shape and bytes;
+    anything else by ==. Types must match at every level."""
     return _same_column([a], [b])
 
 
@@ -50,6 +50,11 @@ def _same_column(a: list, b: list) -> bool:
     if issubclass(kind, (tuple, list)):
         return list(map(len, a)) == list(map(len, b)) and _same_column(
             list(chain.from_iterable(a)), list(chain.from_iterable(b))
+        )
+    if issubclass(kind, np.ndarray):
+        return all(
+            x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            for x, y in zip(a, b)
         )
     if issubclass(kind, Mapping):
         return all(x.keys() == y.keys() for x, y in zip(a, b)) and _same_column(
@@ -92,19 +97,24 @@ def snapshot_keys(window):
     """Each snapshot's edge keys u*n + v, as ``graphs.fold_core`` takes a
     round."""
     for g in window:
-        yield np.array([i * g.n + j for i, j in g.edges], dtype=np.intp)
+        yield np.array([i * g.n + j for i, j in g.edges.tolist()], dtype=np.intp)
+
+
+def edge_set(edges) -> frozenset:
+    """The rows of an (m, 2) edge array as a frozenset of (i, j) tuples."""
+    return frozenset(map(tuple, edges.tolist()))
 
 
 def edge_list(g) -> tuple:
     """A snapshot's edges as a tuple of (i, j) pairs, i < j, in sorted order."""
-    return tuple(sorted(g.edges))
+    return tuple(sorted(edge_set(g.edges)))
 
 
 def degrees(g) -> tuple:
     """Each node's degree in a snapshot, its self-loop counted, so an
     isolated node has degree 1."""
     deg = [1] * g.n
-    for i, j in g.edges:
+    for i, j in g.edges.tolist():
         deg[i] += 1
         deg[j] += 1
     return tuple(deg)

@@ -214,13 +214,14 @@ def core_synthetic_snapshot(seq: CoreSyntheticSequence, t: int) -> GraphSnapshot
     block = (t - 1) // B
     offset = (t - 1) % B
     block_rng = random.Random(derive_seed(seq.seed, 1, block))
-    edges = {e for e in sorted(seq.core_edges) if block_rng.randrange(B) == offset}
+    core = sorted(map(tuple, seq.core_edges.tolist()))
+    edges = {e for e in core if block_rng.randrange(B) == offset}
     if seq.extra_edge_prob > 0.0:
         round_rng = random.Random(derive_seed(seq.seed, 2, t))
         p = seq.extra_edge_prob
         non_core = sorted(
             {(i, j) for i in range(seq.n) for j in range(i + 1, seq.n)}
-            - seq.core_edges
+            - set(core)
         )
         edges.update(e for e in non_core if round_rng.random() < p)
     return GraphSnapshot(seq.n, frozenset(edges))

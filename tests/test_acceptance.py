@@ -19,6 +19,7 @@ from oracles import (
     REFERENCE_VALUE,
     bound_oracle,
     connected,
+    edge_set,
     per_round_calls,
     snapshot_keys,
 )
@@ -64,14 +65,14 @@ CONFIG_GRAPHS = [
         "core-B1-8",
         make_sequence(
             "core_synthetic", 8, 7,
-            core_edges=list(line_edges(8)), block_len=1, extra_edge_prob=0.15,
+            core_edges=line_edges(8).tolist(), block_len=1, extra_edge_prob=0.15,
         ),
     ),
     (
         "core-B3-8",
         make_sequence(
             "core_synthetic", 8, 7,
-            core_edges=list(line_edges(8)), block_len=3, extra_edge_prob=0.15,
+            core_edges=line_edges(8).tolist(), block_len=3, extra_edge_prob=0.15,
         ),
     ),
 ]
@@ -359,11 +360,11 @@ def test_criterion_7_sweep_trends(tmp_path):
 
 
 def _brute_force_core(window, block_len, n):
-    universe = sorted(set().union(*(g.edges for g in window)))
+    universe = sorted(set().union(*(edge_set(g.edges) for g in window)))
     blocks = len(window) // block_len
     unions = [
         frozenset().union(
-            *(g.edges for g in window[k * block_len : (k + 1) * block_len])
+            *(edge_set(g.edges) for g in window[k * block_len : (k + 1) * block_len])
         )
         for k in range(blocks)
     ]
@@ -386,7 +387,7 @@ def test_criterion_8_core_checker_vs_brute_force():
     subsets3 = [
         frozenset(c)
         for r in range(4)
-        for c in itertools.combinations(sorted(complete_edges(3)), r)
+        for c in itertools.combinations(sorted(edge_set(complete_edges(3))), r)
     ]
     for length in (2, 3):
         for rounds in itertools.product(subsets3, repeat=length):
@@ -400,7 +401,7 @@ def test_criterion_8_core_checker_vs_brute_force():
                 checked += 1
     # seeded random: 4-node windows of length 8
     rng = random.Random(88)
-    universe4 = sorted(complete_edges(4))
+    universe4 = sorted(edge_set(complete_edges(4)))
     for trial in range(400):
         p = rng.choice([0.15, 0.3, 0.5, 0.7])
         window = [

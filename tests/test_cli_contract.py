@@ -341,6 +341,15 @@ SWEEP = ["sweep", "--n-list", "3,4", "--stop-err", "0.1"]
         (["run"], _set("protocol", d_policy="bogus"),
          "protocol: d_policy must be one of ('max_degree', 'global_n', 'fixed'), "
          "got 'bogus'"),
+        # an edge key u*n + v beyond int64 would wrap: check-core printed the
+        # core 0-5 1-2, as the wrapped key of 3000000000-3000000001 took the
+        # row of 0-5 in round 1
+        (["check-core", "--window", "3"],
+         lambda doc: _set("graph", B=3)(_graph(
+             kind="periodic", n=4_000_000_000,
+             rounds=[["3000000000-3000000001"], ["1-2"], ["0-5"]])(doc)),
+         "graph: node count must be <= 3037000499 for int64 edge keys, "
+         "got 4000000000"),
     ],
 )
 def test_config_errors_exit_1_with_one_line(argv, patch, line, tmp_path):
@@ -381,6 +390,23 @@ def test_out_of_memory_exits_2_with_one_line(where, tmp_path, monkeypatch):
     assert tree(tmp_path) == before
     # inside the run it raised with a partial metrics file, now removed
     assert opened == [[f".metrics.csv.{os.getpid()}.tmp"] if where == "run" else []]
+
+
+def test_a_sweep_past_the_node_limit_exits_1_and_writes_no_csv(tmp_path):
+    """A sweep whose --n-list holds an n past the int64 key limit exits 1
+    with the limit's config error once it reaches that n, and removes the
+    sweep.csv of the sizes before it; no complete graph on 10**12 nodes is
+    started."""
+    out = tmp_path / "out"
+    code, stdout, stderr = call([
+        "sweep", "--config", "fig2-sweep", "--n-list", "2,1000000000000",
+        "--out", str(out), "--quiet",
+    ])
+    assert (code, stdout, stderr) == (1, "", (
+        "config error: graph: node count must be <= 3037000499 for int64 edge "
+        "keys, got 1000000000000\n"
+    ))
+    assert not (out / "sweep.csv").exists()
 
 
 def test_a_document_that_is_not_a_mapping_is_a_config_error():

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
-from oracles import degrees, same_bits
+from oracles import degrees, edge_set, same_bits
 from ternary_consensus import engine
 from ternary_consensus.analysis import compute_metrics, fold_sum
 from ternary_consensus.config import load_config, resolve_config
@@ -328,7 +328,7 @@ def test_never_seen_slots_stay_out_of_records(horizon):
     got = run(cfg, keep_records=True)
     met = set()
     for t, rec in enumerate(got.records, start=1):
-        met |= seq.snapshot(t).edges
+        met |= edge_set(seq.snapshot(t).edges)
         if t <= 8:  # the first prune horizon still has slots never seen
             assert len(met) < len(seq.universe)
         held = {(i, j) for i, peers in enumerate(rec.estimates) for j in peers if i < j}

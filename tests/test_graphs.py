@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import connected, degrees, edge_list, snapshot_keys
+from oracles import connected, degrees, edge_list, edge_set, snapshot_keys
 from reference_engine import core_synthetic_snapshot
 from ternary_consensus import graphs
 from ternary_consensus.config import load_config_data, read_config_doc
@@ -50,9 +50,9 @@ def core(window, B):
 class TestGraphSnapshot:
     def test_normalizes_and_dedupes(self):
         g = GraphSnapshot(3, {(1, 0), (0, 1), (2, 1)})
-        assert g.edges == {(0, 1), (1, 2)}
+        assert edge_set(g.edges) == {(0, 1), (1, 2)}
         g = GraphSnapshot(3, frozenset({(1, 0), (1, 2)}))
-        assert g.edges == {(0, 1), (1, 2)}
+        assert edge_set(g.edges) == {(0, 1), (1, 2)}
 
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError, match="self-pair"):
@@ -60,11 +60,76 @@ class TestGraphSnapshot:
 
     @pytest.mark.parametrize(
         "edges", [[(0, 0.5), (1, 2)], frozenset({(0, 0.5), (1, 2)}), [(True, 2)],
-                  [(0, 2.0)]],
+                  [(0, 2.0)], [(np.int64(0), 1)]],
     )
     def test_rejects_endpoints_that_are_not_ints(self, edges):
         with pytest.raises(ValueError, match="not an int"):
             GraphSnapshot(3, edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stores_the_sorted_set_of_low_high_pairs(self, n, seed):
+        """Pairs in any order, with duplicates and reversed copies, given as
+        a list, an int64 array or a uint array, are stored as the sorted set
+        of their (low, high) pairs, in a read-only intp array."""
+        rng = random.Random(seed)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n * seed)]
+        pairs = [(i, j) for i, j in pairs if i != j]
+        pairs += [(j, i) for i, j in pairs[::2]] + pairs[::3]
+        rng.shuffle(pairs)
+        want = [list(e) for e in sorted({(min(i, j), max(i, j)) for i, j in pairs})]
+        for edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                      np.array(pairs, dtype=np.uint64).reshape(-1, 2)):
+            g = GraphSnapshot(n, edges)
+            assert g.edges.tolist() == want
+            assert g.edges.dtype == np.intp and g.edges.shape == (len(want), 2)
+            assert not g.edges.flags.writeable
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            (np.array([[0, 1], [1, 2]], dtype=float),
+             "edge (0.0,1.0) has an endpoint that is not an int"),
+            (np.array([[0, 1], [2, 2], [1, 1], [0, 5]]),
+             "self-pair (2,2) must not be stored"),
+            (np.array([[0, 1], [1, 3], [2, 2]]), "edge (1,3) out of range for n=3"),
+            (np.array([[0, 1], [2**64 - 1, 0]], dtype=np.uint64),
+             f"edge ({2**64 - 1},0) out of range for n=3"),
+            ([(0, 1), (0, 2**70), (1, 1)], f"edge (0,{2**70}) out of range for n=3"),
+        ],
+    )
+    def test_an_array_error_names_the_first_offending_edge(self, edges, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            GraphSnapshot(3, edges)
+
+    def test_snapshots_of_one_edge_set_are_one_value(self):
+        """Snapshots of the same edges, given in different orders and forms,
+        are equal and hash alike, and a periodic sequence of them hands out
+        one ids array for both."""
+        a = GraphSnapshot(4, [(0, 1), (2, 3), (1, 2)])
+        b = GraphSnapshot(4, np.array([[3, 2], [1, 0], [2, 1], [0, 1]]))
+        assert a == b and hash(a) == hash(b)
+        assert a != GraphSnapshot(5, a.edges) and a != GraphSnapshot(4, [(0, 1)])
+        seq = ExplicitSequence((a, GraphSnapshot(4, [(0, 1)]), b), "periodic")
+        assert seq.edge_ids(1) is seq.edge_ids(3)
+        assert seq.edge_ids(2) is not seq.edge_ids(1)
+
+    def test_node_count_limit(self):
+        """Every key u*n + v fits in int64 up to MAX_NODES nodes; past it, a
+        snapshot and make_sequence refuse n before building anything."""
+        n = graphs.MAX_NODES
+        assert n == 3_037_000_499
+        seq = make_sequence("static", n, edges=[(0, n - 1), (n - 2, n - 1)])
+        assert seq.edge_keys(1).tolist() == [n - 1, (n - 2) * n + n - 1]
+        want = f"^node count must be <= {n} for int64 edge keys, got {n + 1}$"
+        with pytest.raises(ValueError, match=want):
+            GraphSnapshot(n + 1, [])
+        for kind, kw in [("static", {"edges": [(0, 1), (2, 3)]}),
+                         ("static", {"base": "complete"}), ("relabeled_line", {})]:
+            with pytest.raises(ValueError, match="edge keys, got 10000000000$"):
+                make_sequence(kind, 10**10, **kw)
+        with pytest.raises(ValueError, match="^node count must be >= 1, got 0$"):
+            GraphSnapshot(0, [])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -72,13 +137,13 @@ class TestGraphSnapshot:
 
     def test_degree_counts_self_loop(self):
         # complete graph: n-1 neighbors plus the self-loop
-        deg = arrays_of(snap(4, complete_edges(4))).deg
+        deg = arrays_of(snap(4, edge_set(complete_edges(4)))).deg
         assert all(deg[i] == 4 for i in range(4))
         # edgeless: just the self-loop
         deg = arrays_of(snap(5, [])).deg
         assert all(deg[i] == 1 for i in range(5))
         # middle of a 3-node line: two neighbors plus the self-loop
-        deg = arrays_of(snap(3, line_edges(3))).deg
+        deg = arrays_of(snap(3, edge_set(line_edges(3)))).deg
         assert deg[1] == 3
         assert deg[0] == 2
 
@@ -103,7 +168,7 @@ class TestGraphSnapshot:
 
     def test_connectivity(self):
         # the core of a one-round window is its edge set
-        assert core([snap(3, line_edges(3))], 1).is_core_connected
+        assert core([snap(3, edge_set(line_edges(3)))], 1).is_core_connected
         assert not core([snap(3, [(0, 1)])], 1).is_core_connected
         assert core([snap(1, [])], 1).is_core_connected
 
@@ -111,33 +176,33 @@ class TestGraphSnapshot:
 class TestSequences:
     def test_static_is_constant(self):
         seq = make_sequence("static", 3, base="complete")
-        assert seq.snapshot(7).edges == {(0, 1), (0, 2), (1, 2)}
+        assert edge_set(seq.snapshot(7).edges) == {(0, 1), (0, 2), (1, 2)}
         assert seq.snapshot(1) is seq.snapshot(7)
 
     def test_periodic_cycles(self):
         seq = make_sequence("periodic", 3, rounds=[[(0, 1)], [(1, 2)]])
-        assert seq.snapshot(1).edges == {(0, 1)}
-        assert seq.snapshot(2).edges == {(1, 2)}
-        assert seq.snapshot(3).edges == {(0, 1)}
+        assert edge_set(seq.snapshot(1).edges) == {(0, 1)}
+        assert edge_set(seq.snapshot(2).edges) == {(1, 2)}
+        assert edge_set(seq.snapshot(3).edges) == {(0, 1)}
 
     def test_explicit_out_of_range(self):
         seq = make_sequence("explicit", 3, rounds=[[(0, 1)], []])
-        assert seq.snapshot(2).edges == frozenset()
+        assert edge_set(seq.snapshot(2).edges) == frozenset()
         with pytest.raises(ValueError, match="beyond explicit sequence"):
             seq.snapshot(3)
 
     @pytest.mark.parametrize("kind", ["static", "periodic", "explicit"])
     def test_cached_ids_are_read_only(self, kind):
-        rounds = [line_edges(3)] * 6
+        rounds = [line_edges(3).tolist()] * 6
         seq = (make_sequence(kind, 3, base="line") if kind == "static"
                else make_sequence(kind, 3, rounds=rounds))
         with pytest.raises(ValueError, match="read-only"):
             seq.edge_ids(1)[0] = 1
         assert seq.edge_ids(5).tolist() == [0, 1]
-        assert seq.snapshot(5).edges == line_edges(3)
+        assert edge_set(seq.snapshot(5).edges) == edge_set(line_edges(3))
 
     def test_tabulated_kinds(self):
-        g = snap(3, line_edges(3))
+        g = snap(3, edge_set(line_edges(3)))
         assert ExplicitSequence((g,), "static").kind == "static"
         with pytest.raises(ValueError, match="exactly one round, got 2"):
             ExplicitSequence((g, g), "static")
@@ -180,30 +245,32 @@ class TestSequences:
             if kind == "core_synthetic":
                 return make_sequence(
                     "core_synthetic", 5, seed,
-                    core_edges=list(line_edges(5)), block_len=3, extra_edge_prob=0.4,
+                    core_edges=line_edges(5).tolist(), block_len=3, extra_edge_prob=0.4,
                 )
             return make_sequence("relabeled_line", 5, seed)
 
-        assert build().snapshot(t).edges == build().snapshot(t).edges
+        a, b = build().snapshot(t), build().snapshot(t)
+        assert edge_set(a.edges) == edge_set(b.edges)
 
     def test_core_synthetic_places_each_core_edge_once_per_block(self):
         B = 4
         seq = CoreSyntheticSequence(
-            6, frozenset(line_edges(6)), B, extra_edge_prob=0.0, seed=9
+            6, edge_set(line_edges(6)), B, extra_edge_prob=0.0, seed=9
         )
         for block in range(6):
-            counts = {e: 0 for e in line_edges(6)}
+            counts = {e: 0 for e in edge_set(line_edges(6))}
             for t in range(block * B + 1, (block + 1) * B + 1):
-                for e in seq.snapshot(t).edges:
+                for e in edge_set(seq.snapshot(t).edges):
                     counts[e] += 1
             assert all(c == 1 for c in counts.values())
 
     def test_core_synthetic_extras_only_off_core(self):
         seq = CoreSyntheticSequence(
-            5, frozenset(line_edges(5)), 2, extra_edge_prob=1.0, seed=3
+            5, edge_set(line_edges(5)), 2, extra_edge_prob=1.0, seed=3
         )
         g = seq.snapshot(1)
-        assert complete_edges(5) - frozenset(line_edges(5)) <= g.edges
+        off_core = edge_set(complete_edges(5)) - edge_set(line_edges(5))
+        assert off_core <= edge_set(g.edges)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -227,7 +294,8 @@ class TestSequences:
         else:
             # a random spanning tree plus a few more core edges
             tree = {(data.draw(st.integers(0, k - 1)), k) for k in range(1, n)}
-            more = data.draw(st.sets(st.sampled_from(sorted(complete_edges(n)))))
+            pairs = sorted(edge_set(complete_edges(n)))
+            more = data.draw(st.sets(st.sampled_from(pairs)))
             core_edges = frozenset(tree | more)
         seq = CoreSyntheticSequence(n, core_edges, B, p, seed)
         words = data.draw(st.sampled_from([None, 0, 1]), label="words per core edge")
@@ -239,7 +307,7 @@ class TestSequences:
                 mp.setattr(graphs, "_core_words", lambda c: words * c)
             for t in [*range(1, span + 1), *shuffled, *sorted(ts, reverse=True)]:
                 assert not seq.edge_ids(t).flags.writeable
-                assert seq.snapshot(t).edges == core_synthetic_snapshot(seq, t).edges
+                assert seq.snapshot(t) == core_synthetic_snapshot(seq, t)
 
     @pytest.mark.parametrize("B", [4, 7, 2**33 + 1])
     def test_core_synthetic_short_blocks_fall_back_to_randrange(self, B):
@@ -255,9 +323,9 @@ class TestSequences:
                 random.Random, "randrange",
                 lambda rng, *args: calls.append(args) or randrange(rng, *args),
             )
-            got = [seq.snapshot(t).edges for t in range(1, 120)]
+            got = [seq.snapshot(t) for t in range(1, 120)]
         assert calls
-        assert got == [core_synthetic_snapshot(seq, t).edges for t in range(1, 120)]
+        assert got == [core_synthetic_snapshot(seq, t) for t in range(1, 120)]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_core_synthetic_long_window_matches_the_calls(self, seed):
@@ -270,10 +338,11 @@ class TestSequences:
         doc, base_dir = read_config_doc(VARYING)
         doc["graph"]["seed"] = seed
         seq = load_config_data(doc, base_dir).seq
-        pairs = sorted(complete_edges(seq.n))
+        pairs = sorted(edge_set(complete_edges(seq.n)))
         assert seq.universe.tolist() == [list(e) for e in pairs]
-        core_rows = [k for k, e in enumerate(pairs) if e in seq.core_edges]
-        rest = [k for k, e in enumerate(pairs) if e not in seq.core_edges]
+        core_edges = edge_set(seq.core_edges)
+        core_rows = [k for k, e in enumerate(pairs) if e in core_edges]
+        rest = [k for k, e in enumerate(pairs) if e not in core_edges]
         B, p = seq.block_len, seq.extra_edge_prob
         for t in range(1, 15_001):
             block, offset = divmod(t - 1, B)
@@ -296,12 +365,12 @@ class TestSequences:
     def test_core_synthetic_self_check(self, B, seed):
         seq = make_sequence(
             "core_synthetic", 8, seed,
-            core_edges=list(line_edges(8)), block_len=B, extra_edge_prob=0.2,
+            core_edges=line_edges(8).tolist(), block_len=B, extra_edge_prob=0.2,
         )
         window = [seq.snapshot(t) for t in range(1, 4 * B + 1)]
         result = core(window, B)
         assert result.is_core_connected
-        assert frozenset(line_edges(8)) <= result.core_edges
+        assert edge_set(line_edges(8)) <= result.core_edges
 
 
 @st.composite
@@ -357,12 +426,12 @@ class TestEdgeUniverse:
             assert ((0 <= ids) & (ids < len(universe))).all()
             assert GraphSnapshot(seq.n, map(tuple, universe[ids].tolist())) == g
             assert ids_of.setdefault(id(g), (g, ids))[1] is ids
-            shown |= g.edges
+            shown |= edge_set(g.edges)
         assert shown <= set(rows)
 
     def test_universe_by_kind(self):
-        line = list(line_edges(4))
-        all_pairs = sorted(complete_edges(4))
+        line = sorted(edge_set(line_edges(4)))
+        all_pairs = sorted(edge_set(complete_edges(4)))
         cases = [
             (make_sequence("static", 4, base="line"), sorted(line)),
             (make_sequence("periodic", 4, rounds=[[(2, 3)], [], [(0, 1), (2, 3)]]),
@@ -397,7 +466,9 @@ class TestMakeSequenceParameters:
         path = tmp_path / "rounds.txt"
         path.write_text("0-1\n\n1-2\n")
         seq = make_sequence("explicit", 3, path=path)
-        assert [seq.snapshot(t).edges for t in (1, 2, 3)] == [{(0, 1)}, set(), {(1, 2)}]
+        assert [edge_set(seq.snapshot(t).edges) for t in (1, 2, 3)] == [
+            {(0, 1)}, set(), {(1, 2)}
+        ]
         with pytest.raises(ValueError, match="not both"):
             make_sequence("explicit", 3, path=path, rounds=[[(0, 1)]])
         with pytest.raises(OSError):
@@ -406,10 +477,10 @@ class TestMakeSequenceParameters:
 
 class TestCoreCheck:
     def test_constant_complete(self):
-        window = [snap(3, complete_edges(3))] * 4
+        window = [snap(3, edge_set(complete_edges(3)))] * 4
         res = core(window, 1)
         assert res.is_core_connected
-        assert res.core_edges == complete_edges(3)
+        assert res.core_edges == edge_set(complete_edges(3))
 
     def test_alternating_pair(self):
         window = [snap(3, [(0, 1)]), snap(3, [(1, 2)])] * 4
@@ -439,7 +510,7 @@ class TestCoreCheck:
 
     def test_a_generator_window_gives_the_list_result(self):
         seq = make_sequence(
-            "core_synthetic", 6, seed=2, core_edges=list(line_edges(6)),
+            "core_synthetic", 6, seed=2, core_edges=line_edges(6).tolist(),
             block_len=3, extra_edge_prob=0.3,
         )
         window = list(snapshot_keys(seq.snapshot(t) for t in range(1, 32)))
@@ -464,7 +535,7 @@ class TestCoreCheck:
         # passing at block length B implies passing at any multiple of B
         # that still divides the window (brute-forced over random windows)
         rng = random.Random(123)
-        all_edges = sorted(complete_edges(5))
+        all_edges = sorted(edge_set(complete_edges(5)))
         for trial in range(40):
             length = rng.choice([12, 16, 24])
             window = [
@@ -493,7 +564,7 @@ class TestCoreCheck:
         finally:
             tracemalloc.stop()
         assert res.is_core_connected
-        assert res.core_edges == line_edges(3000)
+        assert res.core_edges == edge_set(line_edges(3000))
         assert peak < 5 * 2**20
 
 
@@ -504,7 +575,7 @@ class TestRoundsText:
 
     def test_blank_line_is_edgeless(self):
         rounds = parse_rounds_text("0-1\n\n1-2\n", 3)
-        assert rounds[1].edges == frozenset()
+        assert edge_set(rounds[1].edges) == frozenset()
 
     def test_bad_token(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -548,12 +619,12 @@ def test_edges_partition_of_windows():
 
 def test_brute_force_core_agreement_small():
     # checker agrees with explicit subset search on every tiny 3-node window
-    universe = sorted(complete_edges(3))
+    universe = sorted(edge_set(complete_edges(3)))
 
     def brute(window, B):
         blocks = len(window) // B
         unions = [
-            frozenset().union(*(g.edges for g in window[k * B : (k + 1) * B]))
+            frozenset().union(*(edge_set(g.edges) for g in window[k * B : (k + 1) * B]))
             for k in range(blocks)
         ]
         for r in range(len(universe), 0, -1):

@@ -71,7 +71,7 @@ class TestRound:
     def test_mean_preserved(self, xs, seed):
         n = len(xs)
         rng = random.Random(seed)
-        edges = [e for e in complete_edges(n) if rng.random() < 0.6]
+        edges = [(i, j) for i, j in complete_edges(n).tolist() if rng.random() < 0.6]
         g = GraphSnapshot(n, frozenset(edges))
         out = metropolis_round(xs, g)
         assert sum(out) / n == pytest.approx(sum(xs) / n, abs=1e-12 * max(1, max(map(abs, xs))))
@@ -87,7 +87,9 @@ class TestRound:
     def test_matches_dense_matrix(self):
         rng = random.Random(11)
         for n in (3, 5, 7):
-            edges = [e for e in complete_edges(n) if rng.random() < 0.5]
+            edges = [
+                (i, j) for i, j in complete_edges(n).tolist() if rng.random() < 0.5
+            ]
             g = GraphSnapshot(n, frozenset(edges))
             x = [rng.uniform(-2, 2) for _ in range(n)]
             P = update_matrix(g)
@@ -204,7 +206,7 @@ class TestSharedDegreeBound:
         from ternary_consensus.errors import PolicyViolationError
         from ternary_consensus.protocol import pair_bound
 
-        line = np.array(sorted(line_edges(3)))  # degrees 2, 3, 2 with self-loops
+        line = line_edges(3)  # degrees 2, 3, 2 with self-loops
         with pytest.raises(PolicyViolationError, match="pair degree 3 at round 7"):
             EdgeArrays(3, line, "fixed", 2.0, 7)
         assert EdgeArrays(3, line, "fixed", 3.0, 7).D.tolist() == [3.0, 3.0]
