@@ -386,10 +386,13 @@ def screen_block(
     summation order), and 1 - s_i, with s_i the per-node ``np.bincount``
     of a here (bins r*n + node, per row), differs from d_i by at most
     2 g (1 + A_i). The clause 4 Delta u (1 + (Delta - 1) max a) <=
-    MATRIX_TOL / 2 bounds both rounding gaps by half the tolerance: the
-    rows and columns then pass, and s_i <= 1/2 + MATRIX_TOL / 2 here gives
-    d_i >= 1/2 - MATRIX_TOL there (dominance, theorem variant). On a
-    complete graph Delta is n.
+    MATRIX_TOL / 2, taken as max a <= (MATRIX_TOL / (8 Delta u) - 1) /
+    (Delta - 1) (whose rounding moves the limit by a few u relative, far
+    inside the gap between g (3 + g) and 4 Delta u), bounds both rounding
+    gaps by half the tolerance: the rows and columns then pass, and s_i <=
+    1/2 + MATRIX_TOL / 2 here gives d_i >= 1/2 - MATRIX_TOL there
+    (dominance, theorem variant). On a complete graph Delta is n; it is
+    computed once per snapshot's arrays.
     """
     k, n = x_post.shape
     horizon = params.prune_horizon
@@ -414,13 +417,13 @@ def screen_block(
     ok &= np.logical_and.reduce(in_range, axis=1)
     a = w / arrays.denom[act]
     a_max = np.maximum.reduce(a, axis=1)
-    delta = np.maximum.reduce(arrays.deg)
-    ok &= 4.0 * delta * 2.0**-53 * (1.0 + (delta - 1) * a_max) <= MATRIX_TOL / 2
+    delta = arrays.max_degree()  # >= 2: a pair is active
+    ok &= a_max <= (MATRIX_TOL / 2 / (4.0 * delta * 2.0**-53) - 1.0) / (delta - 1)
     if theorem:
         bins = np.arange(0, k * n, n)[:, None]
-        s = np.bincount((bins + u).ravel(), a.ravel(), k * n) + np.bincount(
-            (bins + v).ravel(), a.ravel(), k * n
-        )
+        a = a.ravel()
+        s = np.bincount((bins + u).ravel(), a, k * n)
+        s += np.bincount((bins + v).ravel(), a, k * n)
         ok &= np.maximum.reduce(s.reshape(k, n), axis=1) <= 0.5 + MATRIX_TOL / 2
     return ok
 

@@ -38,7 +38,7 @@ from .errors import (
     InvariantViolationError,
     ProtocolError,
 )
-from .graphs import fold_core
+from .graphs import check_node_count, fold_core
 from .metropolis import run_metropolis
 
 METRICS_HEADER = "t,M,m,W,V2,err_max,active_edges,nonzero_msgs"
@@ -288,6 +288,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError("init.kind: sweep over n cannot use an explicit vector")
     if base_cfg.stop_err is None:
         raise ConfigError("--stop-err: required when run.stop_err is null")
+    for n in n_list:  # every size, before the first run
+        try:
+            check_node_count(n)
+        except ValueError as exc:
+            raise ConfigError(f"graph: {exc}") from None
 
     with _OutputFiles() as files:
         sweep_fh = files.open(Path(base_cfg.out_dir) / "sweep.csv")

@@ -203,7 +203,7 @@ class EdgeArrays:
     """
 
     __slots__ = ("n", "edges", "ends", "eu", "ev", "deg", "D", "denom", "h_node",
-                 "ids", "graph", "silent")
+                 "ids", "graph", "silent", "delta")
 
     def __init__(
         self, n: int, edges: np.ndarray, d_policy: str, d_fixed: float | None,
@@ -226,6 +226,16 @@ class EdgeArrays:
         self.h_node = np.concatenate((ev, eu))
         self.ids = ids
         self.graph = self.silent = None
+
+    def max_degree(self) -> int:
+        """Delta, the largest degree counting the self-loop, computed on the
+        first call (a checked run's screen) and kept, so that unchecked runs
+        pay nothing for it."""
+        try:
+            return self.delta
+        except AttributeError:  # the slot is set here only
+            self.delta = int(np.maximum.reduce(self.deg))
+            return self.delta
 
     def fold(self, per_edge: np.ndarray) -> np.ndarray:
         """Per-node sums of +per_edge[k] at eu[k] and -per_edge[k] at ev[k],
@@ -582,12 +592,13 @@ def _drive(
     nonzero message counts, and the last round, at most t_max, through
     which it proves the run quiet, every round after the last one computed
     repeating its values and counts (that round itself when it proves
-    nothing). Only this loop computes the t=0 facts (avg0, the spread w0 and
-    the sup-norm xinf0), builds each round's row with ``compute_metrics``
-    (or a clear block's as columns, below), applies the stop rule after each
-    row, guards node values against divergence, hands the facts to
-    ``screen`` and ``validate`` and calls the sink; the last values are
-    ``final_x``.
+    nothing); a step that runs a round and opens a block returns that
+    round's values as the block's first row. Only this loop computes the
+    t=0 facts (avg0, the spread w0 and the sup-norm xinf0), builds each
+    round's row with ``compute_metrics`` (or a clear block's as columns,
+    below), applies the stop rule after each row, guards node values
+    against divergence, hands the facts to ``screen`` and ``validate`` and
+    calls the sink; the last values are ``final_x``.
 
     The loop runs the round that opens a quiet stretch and jumps over the
     rest: ``metrics_sink(row, x, last)`` is called once per round taken row
@@ -762,7 +773,10 @@ def run(
     min(t + BLOCK_AFTER, t_max), stay so, ``_active_block`` computes the
     next rounds, as many as BLOCK_ELEMENTS allows, up to the first event; a
     block that ends on that cap is followed by another, and the event round
-    is run by ``run_round``, so its errors are the per-round ones. A block
+    is run by ``run_round``, so its errors are the per-round ones. The block
+    is opened in round t's own step, which returns round t's values as the
+    block's first row, so ``_drive`` screens, measures and hands to the sink
+    round t and its block at once (round t alone if the block is empty). A
     reads only the state of the round before it and tests each of its
     rounds, so at any size and after any round it is bitwise the rounds it
     stands for. A round without a nonzero message changes no estimate, as a
@@ -789,7 +803,16 @@ def run(
     ``screen_block`` takes the block's rounds as its rows, each verdict
     that of the round alone. So a block round gets the per-round verdict
     and messages, and a checked run raises at the round, with the
-    violations, of checking every round.
+    violations, of checking every round. The round t that opens a block in
+    its step shares that state too: it sent no nonzero message, so its
+    symbols q are all zero, as the block's rounds' are, and the block ends
+    at the first change of the active mask, so round t has the block's
+    estimates, gaps, mask, snapshot and live slots (every slot, marked seen
+    through a later round). Its record, screen verdict and row, rebuilt from
+    the block's state, are therefore those of running it alone; its values
+    before it are still those of the row before. A stop row, a value that
+    is not finite or a declined round at t sends the whole step through the
+    row loop, which handles it at t.
 
     The quiet skip is the prediction's f = 0 case: ``_quiet_until`` solves
     its two clauses for the last round in closed form, with a margin, and
@@ -802,26 +825,32 @@ def run(
     state = init_state(config)
     records: list[RoundRecord] = []
     skips = config.seq.kind == "static"
-    ahead = False  # a calm stretch is predicted, or the last block ended on its cap
+    ahead = False  # the last block ended on its cap
+
+    def block(t: int) -> np.ndarray:
+        """The values of round t-1, the last one computed, then of a block
+        of k >= 0 rounds from t."""
+        nonlocal ahead
+        width = max(len(state.arrays.ends), len(state.x))
+        cap = min(max(1, BLOCK_ELEMENTS // width), config.t_max - t + 1)
+        values = _active_block(state, t, params, cap)
+        ahead = len(values) - 1 == cap  # otherwise round t+k has an event: run it
+        return values
 
     def step(t: int):
-        nonlocal ahead
-        if ahead:
-            width = max(len(state.arrays.ends), len(state.x))
-            cap = min(max(1, BLOCK_ELEMENTS // width), config.t_max - t + 1)
-            values = _active_block(state, t, params, cap)
-            k = len(values) - 1
-            ahead = k == cap  # otherwise round t+k has an event: run it
-            if k:
-                return values[1:], state.active_edges, 0, t + k - 1
+        if ahead and len(values := block(t)) > 1:
+            return values[1:], state.active_edges, 0, t + len(values) - 2
         run_round(state, t, config)
         quiet_to = t
         if skips and not state.nonzero_msgs:
             if not state.active_edges:
                 quiet_to = _quiet_until(state, t, params.alpha, config.t_max)
-            elif t < config.t_max:
-                s = min(t + BLOCK_AFTER, config.t_max)
-                ahead = _calm_through(state, t, s, params)
+            elif (
+                t < config.t_max
+                and _calm_through(state, t, min(t + BLOCK_AFTER, config.t_max), params)
+                and len(values := block(t + 1)) > 1
+            ):  # round t and its block, in one step
+                return values, state.active_edges, 0, t + len(values) - 1
         return state.x, state.active_edges, state.nonzero_msgs, quiet_to
 
     def validate(prev_row, x_pre, x_post, *, row, **facts):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -82,10 +83,12 @@ class GraphSnapshot:
     """One round's undirected edge set: ``edges``, an integer (m, 2) array or
     any iterable of int pairs in either order, is stored as its distinct
     (low, high) pairs, sorted, in a read-only (m, 2) intp array. The per-node
-    self-loop is implicit. Snapshots compare and hash by n and edge bytes."""
+    self-loop is implicit. Snapshots compare and hash by n and edge bytes;
+    the hash is computed on first use and kept in ``_hash``."""
 
     n: int
     edges: np.ndarray
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, a = self.n, self.edges
@@ -117,10 +120,12 @@ class GraphSnapshot:
     def __eq__(self, other):
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
-        return (self.n, self.edges.tobytes()) == (other.n, other.edges.tobytes())
+        return self.n == other.n and bool(np.array_equal(self.edges, other.edges))
 
     def __hash__(self):
-        return hash((self.n, self.edges.tobytes()))
+        if self._hash is None:  # a CRC of the edges' bytes, read in place
+            object.__setattr__(self, "_hash", hash((self.n, zlib.crc32(self.edges))))
+        return self._hash
 
 
 def _connected(n: int, edges: Iterable[Edge]) -> bool:

@@ -22,7 +22,8 @@ def same_bits(a, b) -> bool:
     """Whether a and b are equal bit for bit. Floats compare by their 8
     bytes, so -0.0 differs from 0.0 and a nan equals a nan of the same bits.
     Mappings compare key by key, in any order; sequences item by item,
-    dataclasses field by field and numpy arrays by dtype, shape and bytes;
+    dataclasses field by field (a field kept out of comparisons, such as a
+    cached hash, is skipped) and numpy arrays by dtype, shape and bytes;
     anything else by ==. Types must match at every level."""
     return _same_column([a], [b])
 
@@ -64,7 +65,7 @@ def _same_column(a: list, b: list) -> bool:
     if dataclasses.is_dataclass(kind):
         return all(
             _same_column(list(map(get, a)), list(map(get, b)))
-            for get in (attrgetter(f.name) for f in dataclasses.fields(kind))
+            for get in (attrgetter(f.name) for f in dataclasses.fields(kind) if f.compare)
         )
     return a == b
 

@@ -32,7 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from test_config_cli import BASE_YAML
-from ternary_consensus import engine, graphs
+from ternary_consensus import cli, engine, graphs
 from ternary_consensus.cli import METRICS_HEADER, SWEEP_HEADER, main
 from ternary_consensus.config import load_config_data
 from ternary_consensus.errors import ConfigError
@@ -394,9 +394,8 @@ def test_out_of_memory_exits_2_with_one_line(where, tmp_path, monkeypatch):
 
 def test_a_sweep_past_the_node_limit_exits_1_and_writes_no_csv(tmp_path):
     """A sweep whose --n-list holds an n past the int64 key limit exits 1
-    with the limit's config error once it reaches that n, and removes the
-    sweep.csv of the sizes before it; no complete graph on 10**12 nodes is
-    started."""
+    with the limit's config error before its first run, and writes no
+    sweep.csv; no complete graph on 10**12 nodes is started."""
     out = tmp_path / "out"
     code, stdout, stderr = call([
         "sweep", "--config", "fig2-sweep", "--n-list", "2,1000000000000",
@@ -406,6 +405,25 @@ def test_a_sweep_past_the_node_limit_exits_1_and_writes_no_csv(tmp_path):
         "config error: graph: node count must be <= 3037000499 for int64 edge "
         "keys, got 1000000000000\n"
     ))
+    assert not (out / "sweep.csv").exists()
+
+
+def test_a_sweep_checks_every_size_before_its_first_run(tmp_path, monkeypatch):
+    """Without --quiet too, a size past the node limit after a size that
+    runs stops the sweep before any run: one error line, no output line,
+    no sweep.csv."""
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+    out = tmp_path / "out"
+    code, stdout, stderr = call([
+        "sweep", "--config", "fig2-sweep", "--n-list", "400,1000000000000",
+        "--out", str(out),
+    ])
+    assert (code, stdout, stderr) == (1, "", (
+        "config error: graph: node count must be <= 3037000499 for int64 edge "
+        "keys, got 1000000000000\n"
+    ))
+    assert len(runs) == 0
     assert not (out / "sweep.csv").exists()
 
 

@@ -265,23 +265,34 @@ def preset_run(name):
 
 # the run_round calls of each preset run, pinned exactly
 STEPPED_ROUNDS = {"theorem-a075-b0875": 125, "theorem-a025-b050": 13, "fig1-complete": 470}
+# and the screen_block calls, one per step of a checked run
+SCREENS = {"theorem-a075-b0875": 139, "theorem-a025-b050": 13, "fig1-complete": 0}
 
 
 @pytest.mark.parametrize("name", sorted(STEPPED_ROUNDS))
 def test_stepped_rounds_are_pinned(monkeypatch, name):
     """A block starts as soon as a calm stretch is predicted, so a run steps
     only its events and the rounds whose next BLOCK_AFTER rounds are not
-    predicted calm."""
+    predicted calm. A checked run screens each step once: a round run
+    alone, a block, or a round run with the block it predicts, so on
+    theorem-a075-b0875 125 rounds run and 61 blocks take 139 screens."""
     stepped = []
-    run_round = engine.run_round
+    screened = []
+    run_round, screen_block = engine.run_round, engine.screen_block
 
     def counted(state, t, config):
         stepped.append(t)
         run_round(state, t, config)
 
+    def screen(*args, **facts):
+        screened.append(args[4])
+        return screen_block(*args, **facts)
+
     monkeypatch.setattr(engine, "run_round", counted)
+    monkeypatch.setattr(engine, "screen_block", screen)
     run(preset_run(name), keep_metrics=False)
     assert len(stepped) == STEPPED_ROUNDS[name]
+    assert len(screened) == SCREENS[name]
 
 
 @pytest.mark.parametrize("name", [*sorted(STEPPED_ROUNDS), "complete-32"])

@@ -2,7 +2,9 @@ import itertools
 import random
 import re
 import tracemalloc
+import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,6 +115,35 @@ class TestGraphSnapshot:
         seq = ExplicitSequence((a, GraphSnapshot(4, [(0, 1)]), b), "periodic")
         assert seq.edge_ids(1) is seq.edge_ids(3)
         assert seq.edge_ids(2) is not seq.edge_ids(1)
+
+    def test_a_snapshot_hashes_its_edges_once(self, monkeypatch):
+        """Equal snapshots given in different edge orders are == and hash
+        alike; each snapshot object reads its edges for a hash once, and a
+        periodic sequence with repeated rounds hands out one ids object per
+        distinct snapshot."""
+        hashed = []
+
+        def crc32(buf):
+            hashed.append(buf)
+            return zlib.crc32(buf)
+
+        monkeypatch.setattr(graphs, "zlib", SimpleNamespace(crc32=crc32))
+        a = [GraphSnapshot(5, [(0, 1), (3, 4), (1, 2)]),
+             GraphSnapshot(5, [(2, 1), (4, 3), (1, 0)]),
+             GraphSnapshot(5, np.array([[4, 3], [0, 1], [1, 2], [3, 4]]))]
+        b = [GraphSnapshot(5, [(0, 4), (2, 3)]), GraphSnapshot(5, [(3, 2), (4, 0)])]
+        c = GraphSnapshot(5, [(0, 1), (1, 2), (3, 4), (2, 3)])
+        for same in (a, b):
+            assert all(g == same[0] and hash(g) == hash(same[0]) for g in same)
+        assert a[0] != b[0] and a[0] != c and b[0] != c
+        rounds = (a[0], b[0], a[1], c, b[1], a[2])
+        seq = ExplicitSequence(rounds, "periodic")
+        ids = [seq.edge_ids(t) for t in range(1, 13)]
+        assert len({id(x) for x in ids}) == 3
+        assert all(ids[t] is ids[t + 6] for t in range(6))
+        assert ids[0] is ids[2] is ids[5] and ids[1] is ids[4]
+        assert len(hashed) == len(a) + len(b) + 1  # once per snapshot object
+        assert all(g._hash == hash(g) for g in rounds)
 
     def test_node_count_limit(self):
         """Every key u*n + v fits in int64 up to MAX_NODES nodes; past it, a

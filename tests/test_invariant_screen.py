@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import ternary_consensus.engine as engine_mod
 from oracles import same_bits
-from test_engine_equivalence import block_elements
+from test_engine_equivalence import block_elements, preset_run
 from test_quiet_skip import per_round
 from ternary_consensus import analysis
 from ternary_consensus.analysis import (
@@ -307,6 +307,66 @@ def test_declined_round_raises_the_record_checkers_message(
         run(cfg)
     assert str(exc.value) == message
     assert "np." not in str(exc.value)
+
+
+def test_a_violation_at_a_predicting_round_raises_there(monkeypatch):
+    """A stepped round t0 that predicts a calm stretch is screened with the
+    block opened in its step, as that block's first row. If the screen
+    declines that row and the record checker finds a violation in it, the
+    run raises at t0, and the record checked is the one a loop running
+    every round builds for t0."""
+    cfg = preset_run("theorem-a075-b0875")
+    predicted = []
+    blocks = []
+    calm_through, active_block = engine_mod._calm_through, engine_mod._active_block
+
+    def predicts(state, t, s, params):
+        calm = calm_through(state, t, s, params)
+        if calm:
+            predicted.append(t)
+        return calm
+
+    def block(state, t, params, size):
+        values = active_block(state, t, params, size)
+        blocks.append((t, len(values) - 1))
+        return values
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_mod, "_calm_through", predicts)
+        mp.setattr(engine_mod, "_active_block", block)
+        run(cfg, keep_metrics=False)
+    opened = {t for t, k in blocks if k}
+    merged = [t for t in predicted if t + 1 in opened]
+    t0 = merged[len(merged) // 2]
+
+    screen, validate = engine_mod.screen_block, engine_mod.validate_round
+    rows_with_t0 = []
+    validated = []
+
+    def declines_t0(state, params, x_pre, x_post, first, **facts):
+        ok = screen(state, params, x_pre, x_post, first, **facts)
+        if first <= t0 < first + len(ok):
+            rows_with_t0.append(len(ok))
+            ok[t0 - first] = False
+        return ok
+
+    def flags_t0(record, *args, **kwargs):
+        validated.append(record)
+        if record.t == t0:
+            return [f"planted at t={t0}"]
+        return validate(record, *args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "screen_block", declines_t0)
+    monkeypatch.setattr(engine_mod, "validate_round", flags_t0)
+    with pytest.raises(InvariantViolationError) as exc:
+        run(cfg, keep_metrics=False)
+    assert (exc.value.t, exc.value.violations) == (t0, [f"planted at t={t0}"])
+    assert rows_with_t0[0] > 1  # t0 shared its screen with its block
+    assert [rec.t for rec in validated] == [t0]
+    monkeypatch.undo()
+    records = []
+    per_round(dataclasses.replace(cfg, t_max=t0, check_invariants=False), records=records)
+    assert same_bits(validated[0], records[-1])
 
 
 def test_clean_checked_run_builds_no_record(monkeypatch):

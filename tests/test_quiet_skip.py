@@ -755,9 +755,9 @@ def sink_config(runner, seq, t_max):
 
 def sink_run(monkeypatch, runner, cfg, stop_err=None):
     """The sink calls (row, values, last) of one run without kept rows, the
-    number of its steps (rounds stepped, and active blocks of at least one
-    round), the number of rounds it computed (stepped, or in an active
-    block), its kept records (run_records only) and its final values."""
+    number of its steps (see ``steps``), the number of rounds it computed
+    (stepped, or in an active block), its kept records (run_records only)
+    and its final values."""
     calls = []
 
     def sink(*call):
@@ -781,18 +781,26 @@ def sink_run(monkeypatch, runner, cfg, stop_err=None):
         if runner == "run_records":
             records = result.records
     monkeypatch.undo()
-    steps = len(stepped) + sum(1 for _, _, k in blocks if k)
     computed = len(stepped) + sum(k for _, _, k in blocks)
-    return calls, steps, computed, records, final_x
+    return calls, steps(stepped, blocks), computed, records, final_x
+
+
+def steps(stepped, blocks):
+    """The steps of a run, from the rounds it ran with ``run_round`` and its
+    (t, size, k) blocks: one per round run and one per block of at least one
+    round, less the blocks opened in the step of the round t-1 that
+    predicted them, which return round t-1 and the block together. A block
+    that follows a block ended on its cap is a step of its own."""
+    return len(stepped) + sum(1 for t, _, k in blocks if k and t - 1 not in stepped)
 
 
 @pytest.mark.parametrize("kind", SINK_SEQUENCES)
 @pytest.mark.parametrize("runner", RUNNERS)
 def test_one_sink_call_per_round_stepped(monkeypatch, runner, kind):
-    """The calls cover rounds 1..rounds once each, one call per round run
-    and one per block (no run here stops or declines a block), and the
-    rounds they stand for carry the rows, values and records of a loop that
-    runs every round, bitwise."""
+    """The calls cover rounds 1..rounds once each, one call per step (a
+    round run, a block, or a round run with the block it predicts; no run
+    here stops or declines a block), and the rounds they stand for carry
+    the rows, values and records of a loop that runs every round, bitwise."""
     cfg = sink_config(runner, SINK_SEQUENCES[kind], 1500)
     calls, stepped, computed, records, final_x = sink_run(monkeypatch, runner, cfg)
     if runner == "run_metropolis":
@@ -863,9 +871,10 @@ COVERAGE_RUNS = {
 def test_sink_calls_cover_every_round_once(monkeypatch, name):
     """The calls, expanded into rounds by ``oracles.per_round_calls``, stand
     for rounds 1..rounds in order, with no gap and no overlap: one call per
-    round stepped, standing for the quiet stretch it opens, and one per
-    block. Each round's row is ``compute_metrics`` of its values, bitwise,
-    and the rows are those that keep_metrics keeps."""
+    step, standing for a round run and the quiet stretch it opens, for a
+    block, or for a round run and the block it predicts. Each round's row
+    is ``compute_metrics`` of its values, bitwise, and the rows are those
+    that keep_metrics keeps."""
     cfg = COVERAGE_RUNS[name]()
     stepped = counting_run_round(monkeypatch)
     blocks = recording_blocks(monkeypatch)
@@ -878,7 +887,7 @@ def test_sink_calls_cover_every_round_once(monkeypatch, name):
     }
     static = name != "relabeled_line"
     assert kinds == ({"block", "stretch", "round"} if static else {"round"})
-    assert len(calls) == len(stepped) + sum(1 for _, _, k in blocks if k)
+    assert len(calls) == steps(stepped, blocks)
     pairs = per_round_calls(calls)
     assert [row.t for row, _ in pairs] == list(range(1, result.rounds + 1))
     x0 = cfg.init.build(cfg.seq.n)
