@@ -12,11 +12,11 @@ node folds its active peers in ascending order, as ``value_update`` does.
 ``run_round`` mutates an ``EdgeState`` and returns nothing; every reader of
 a round takes that state and the round's values before and after it, which
 the run loop hands out. The metrics sink gets each round's row and values,
-in one call for a whole quiet stretch or active block. A checked run
-screens every round it computes with ``analysis.screen_block``, a round it
-runs as a block of one row. ``_record`` turns the state and the two value
-vectors into a ``RoundRecord`` only when ``run`` is asked to keep records,
-or for ``validate_round`` on a round that the screen does not clear.
+in one call for a whole quiet stretch or active block. A checked run screens
+each step's rounds in one ``analysis.screen_block`` call, a round run alone
+being one row. ``_record`` turns the state and the two value vectors into a
+``RoundRecord`` only when ``run`` is asked to keep records, or for
+``validate_round`` on a round that the screen does not clear.
 
 On a static graph most rounds of a long run are quiet: no message is
 nonzero and no pair is active. After a quiet round, ``_quiet_until`` bounds
@@ -188,18 +188,20 @@ class EdgeArrays:
     Edge k is ``edges[k] = (eu[k], ev[k])`` with eu < ev, its universe row
     ids[k] (``ids`` is the sequence's ``edge_ids`` array), D[k] its pair
     bound under the given policy and denom[k] = scale * D[k] the update's
-    denominator; deg[i] is node i's degree counting the self-loop. ``ends``
-    lists eu[0], ev[0], eu[1], ev[1], ... The snapshot ``graph`` and its
-    all-zero messages ``silent`` are built by its first record. The
-    half-edges list every edge once from each endpoint: first every edge
-    from its high end ev[k], then every edge from its low end eu[k], both in
-    edge order; half-edge h belongs to node h_node[h]. The
-    edges are sorted, so a node's half-edges in the first part name its lower
-    peers in ascending order and those in the second part its higher peers
-    in ascending order. ``np.bincount`` adds its weights in array order
-    starting from +0.0, so a fold over the half-edges adds each node's terms
-    in ascending peer order, as the per-node loops do (``np.sum`` adds
-    pairwise and rounds differently once a node has 8 or more terms).
+    denominator; deg[i] is node i's degree counting the self-loop, and
+    ``max_degree()`` their largest, Delta, which a fixed bound's check and
+    the invariant screen read. ``ends`` lists eu[0], ev[0], eu[1], ev[1],
+    ... The snapshot ``graph`` and its all-zero messages ``silent`` are
+    built by its first record. The half-edges list every edge once from
+    each endpoint: first every edge from its high end ev[k], then every edge
+    from its low end eu[k], both in edge order; half-edge h belongs to node
+    h_node[h]. The edges are sorted, so a node's half-edges in the first
+    part name its lower peers in ascending order and those in the second
+    part its higher peers in ascending order. ``np.bincount`` adds its
+    weights in array order starting from +0.0, so a fold over the
+    half-edges adds each node's terms in ascending peer order, as the
+    per-node loops do (``np.sum`` adds pairwise and rounds differently once
+    a node has 8 or more terms).
     """
 
     __slots__ = ("n", "edges", "ends", "eu", "ev", "deg", "D", "denom", "h_node",
@@ -209,18 +211,14 @@ class EdgeArrays:
         self, n: int, edges: np.ndarray, d_policy: str, d_fixed: float | None,
         t: int, scale: float = 1.0, ids: np.ndarray | None = None,
     ):
-        ends = edges.ravel()
-        eu = ends[0::2]
-        ev = ends[1::2]
-        deg = np.bincount(ends, minlength=n) + 1  # the self-loop counts
-        if d_policy == "fixed":
-            check_fixed_bound(d_policy, d_fixed, deg.tolist(), t)
         self.n = n
         self.edges = edges
-        self.ends = ends
-        self.eu = eu
-        self.ev = ev
-        self.deg = deg
+        self.ends = ends = edges.ravel()
+        self.eu = eu = ends[0::2]
+        self.ev = ev = ends[1::2]
+        self.deg = deg = np.bincount(ends, minlength=n) + 1  # the self-loop counts
+        if d_policy == "fixed":
+            check_fixed_bound(d_policy, d_fixed, self.max_degree(), t)
         self.D = pair_bound(d_policy, d_fixed, n, deg[eu], deg[ev])
         self.denom = scale * self.D
         self.h_node = np.concatenate((ev, eu))
@@ -229,8 +227,8 @@ class EdgeArrays:
 
     def max_degree(self) -> int:
         """Delta, the largest degree counting the self-loop, computed on the
-        first call (a checked run's screen) and kept, so that unchecked runs
-        pay nothing for it."""
+        first call and kept: a fixed bound's check in ``__init__`` and a
+        checked run's screen read it, so other runs pay nothing for it."""
         try:
             return self.delta
         except AttributeError:  # the slot is set here only
@@ -293,9 +291,11 @@ class EdgeState:
     built on.
 
     The last round run leaves its per-edge symbols q (u -> v at 2k, v -> u at
-    2k+1), estimate gaps b - a, active mask and fold f here, for
-    ``analysis.screen_block``, ``_record`` and the blocks; an active block
-    leaves those of its last round, which are those of each of its rounds.
+    2k+1), estimate gaps b - a, active mask, fold f and ``moved`` mask of the
+    nodes with an active peer (f and ``moved`` are None without an active
+    pair) here, for ``analysis.screen_block``, ``_record`` and the blocks,
+    which read the mask rather than rebuild it; an active block leaves
+    those of its last round, which are those of each of its rounds.
     The values before a round are not kept: ``x`` is replaced, never changed
     in place, so a caller keeps them by holding ``x`` before the round.
     ``memo`` holds the arrays ``round_arrays`` built.
@@ -312,6 +312,7 @@ class EdgeState:
     gap: np.ndarray | None = None
     act: np.ndarray | None = None
     f: np.ndarray | None = None  # fold of active gap/denom, before t^-beta
+    moved: np.ndarray | None = None  # the nodes with an active peer
     nonzero_msgs: int = 0
     active_edges: int = 0
 
@@ -404,7 +405,7 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     gap = x_out[1::2] - x_out[0::2]  # b - a: x_in - x_out at u, negated at v
     act = (q.view(np.int16) == 0) & (np.abs(gap) > threshold)  # both symbols 0
     active_edges = int(np.count_nonzero(act))
-    f = None
+    f = moved = None
     if active_edges:
         # inactive edges add +-0.0, which leaves a sum from +0.0 unchanged
         f = arrays.fold(np.where(act, gap / arrays.denom, 0.0))
@@ -419,6 +420,7 @@ def run_round(state: EdgeState, t: int, config: SimulationConfig) -> None:
     state.gap = gap
     state.act = act
     state.f = f
+    state.moved = moved
     state.nonzero_msgs = int(np.count_nonzero(q))
     state.active_edges = active_edges
 
@@ -499,20 +501,18 @@ def _active_block(
 
     While no message is sent, every estimate, and so every gap, keeps its
     value (``run`` argues why), and with the active mask fixed so do the
-    folded vector f and the moved nodes. Round s then moves x by s^-beta * f
-    on the moved nodes (f when practical: s^-0.0 is 1.0), so the rows are
-    one ``np.add.accumulate``, which adds in sequence as the rounds do. Each
+    folded vector f and the moved nodes, both read from the state. Round s
+    then moves x by s^-beta * f on the moved nodes (f when practical:
+    s^-0.0 is 1.0), so the rows are one ``np.add.accumulate``, which adds
+    in sequence as the rounds do. Each
     round's events are tested with its own ``round_scales(s, alpha)`` and
     the engine's expressions, on the values of round s-1; the round scales
     and s^-beta are C ``pow`` columns, as ``run_round`` computes them.
     """
     arrays = state.arrays
-    act, gap, x = state.act, state.gap, state.x
+    act, gap, x, moved = state.act, state.gap, state.x, state.moved
     rounds = np.arange(t, t + size, dtype=float)
     t_alpha, _, threshold = round_scales(rounds, params.alpha)
-    moved = np.zeros(len(x), dtype=bool)
-    moved[arrays.eu[act]] = True
-    moved[arrays.ev[act]] = True
     steps = np.empty((size + 1, np.count_nonzero(moved)))
     steps[0] = x[moved]
     steps[1:] = state.f[moved]
@@ -604,36 +604,37 @@ def _drive(
     rest: ``metrics_sink(row, x, last)`` is called once per round taken row
     by row, with its row, its values as a tuple of floats and the stretch's
     last round, and stands for rounds row.t..last, each with the row's
-    fields and its own t (last == row.t for a round that opens no
-    stretch). A block
-    taken as columns is one call for its k rounds: the row's fields are
-    columns (t and the five floats, one entry per round; the two counts,
-    which every round of a block shares, stay ints), x is the block's (k, n)
-    array of values, one row per round, and last is its last round; the
-    loop reads these arrays after the call, so the sink must not write to
-    them. Kept rows are expanded into one ``MetricsRow`` per round. Every
-    round that ``step`` computes, and none of a stretch's skipped rounds, is
-    checked: ``screen(x_pre, x_post, first, **facts)`` gives rounds
-    first..first+k-1 a verdict each, from their values before and after,
-    the rows of two (k, n) arrays, and only a round that it or ``monotone``
-    of its row declines goes to ``validate(prev_row, x_pre, x_post, *, row,
-    **facts)``. The values before round 1 are x, and before any later round
-    those after the round before it: the row before it in a block, or the
-    values a stretch repeats. Why that is the output of running every round is
-    argued in ``run``. ``step``, ``screen``, ``validate`` and the sink run
-    under ``silent_float_errors``, entered once for the whole loop.
+    fields and its own t (last == row.t for a round that opens no stretch).
+    A block taken as columns is one call for its k rounds: the row's fields
+    are columns (t and the five floats, one entry per round; the two
+    counts, which every round of a block shares, stay ints), x is the
+    block's (k, n) array of values, one row per round, and last is its last
+    round; the loop reads these arrays after the call, so the sink must not
+    write to them. Kept rows are expanded into one ``MetricsRow`` per round.
+    Every round that ``step`` computes, and none of a stretch's skipped
+    rounds, is checked: one ``screen(x_pre, x_post, first, **facts)`` call
+    per step, made before either path below, gives rounds first..first+k-1
+    a verdict each, from their values before and after, the rows of two
+    (k, n) arrays (k = 1 for a round run alone), and only a round that its
+    verdict or ``monotone`` of its row declines goes to ``validate(prev_row,
+    x_pre, x_post, *, row, **facts)``. The values before round 1 are x, and
+    before any later round those after the round before it: the row before
+    it in a block, or the values a stretch repeats. Why that is the output
+    of running every round is argued in ``run``. ``step``, ``screen``,
+    ``validate`` and the sink run under ``silent_float_errors``, entered
+    once for the whole loop.
 
     A block is taken as columns, bitwise the rows ``compute_metrics`` would
     build (see ``analysis.block_metrics``), only when it has nothing to
     report: every row is finite, no row meets the stop rule, and in a checked
-    run ``screen`` and ``monotone`` over the columns clear every row. Any
-    other block goes row by row, as stepped rounds do, so only the row loop
-    raises, validates and stops: there ``compute_metrics`` may raise
-    OverflowError, the divergence guard names a value that is not finite,
-    and a declined round is screened again alone, its verdict that of the
-    block call. A block taken as columns builds one ``MetricsRow`` of
-    columns, which the stop rule, ``monotone`` and the sink read, and a row
-    per round only when rows are kept."""
+    run the step's verdicts and ``monotone`` over the columns clear every
+    row. Any other block goes row by row, as stepped rounds do, so only the
+    row loop raises, validates and stops: there ``compute_metrics`` may
+    raise OverflowError, the divergence guard names a value that is not
+    finite, and each round reads its verdict from the step's call. A block
+    taken as columns builds one ``MetricsRow`` of columns, which the stop
+    rule, ``monotone`` and the sink read, and a row per round only when
+    rows are kept."""
     xs = tuple(x.tolist())
     avg0 = fold_sum(xs) / len(xs)
     try:
@@ -654,6 +655,9 @@ def _drive(
             values, active_edges, nonzero_msgs, last = step(t + 1)
             computed = values if values.ndim == 2 else (values,)
             k = len(computed)
+            if validate is not None:  # a verdict per round computed, in one call
+                pre = np.concatenate((x[None], values[:-1])) if k > 1 else x[None]
+                cleared = screen(pre, values.reshape(k, -1), t + 1, **facts)
             if k > 1 and (cols := block_metrics(values, avg0)) is not None:
                 counts = (active_edges, nonzero_msgs)
                 ts = np.arange(t + 1, t + 1 + k)
@@ -661,11 +665,8 @@ def _drive(
                 clear = not np.any(stop_reached(now, stop_err, stop_v2))
                 if clear and validate is not None:
                     head = (prev_row.M, prev_row.m, prev_row.W, prev_row.V2, prev_row.err_max)
-                    before = np.column_stack((head, cols[:, :-1]))
-                    pre = np.concatenate((x[None], values[:-1]))
-                    cleared = screen(pre, values, t + 1, **facts)
-                    cleared &= monotone(MetricsRow(ts - 1, *before, *counts), now)
-                    clear = cleared.all()
+                    before = MetricsRow(ts - 1, *np.column_stack((head, cols[:, :-1])), *counts)
+                    clear = (cleared & monotone(before, now)).all()
                 if clear:  # nothing to report: the block's rows, as columns
                     if metrics_sink is not None:
                         metrics_sink(now, values, t + k)
@@ -679,7 +680,7 @@ def _drive(
                     x = values[-1]
                     continue
             final = t + k
-            for x_post in computed:
+            for r, x_post in enumerate(computed):
                 t += 1
                 xs = tuple(x_post.tolist())
                 row = compute_metrics(
@@ -692,10 +693,7 @@ def _drive(
                             raise DivergenceError(
                                 f"node {i} became non-finite at round {t}: {v!r}"
                             )
-                if validate is not None and not (
-                    monotone(prev_row, row)
-                    and screen(x[None], x_post[None], t, **facts)[0]
-                ):
+                if validate is not None and not (monotone(prev_row, row) and cleared[r]):
                     violations = validate(prev_row, x, x_post, row=row, **facts)
                     if violations:
                         raise InvariantViolationError(t, violations)
@@ -729,8 +727,9 @@ def run(
     """Run rounds 1..t_max, or fewer if a stop threshold is met first.
 
     With check_invariants set, every round is checked and the first violating
-    round raises InvariantViolationError naming each failed check: a round
-    that ``analysis.screen_block`` (a round run is a block of one row) and
+    round raises InvariantViolationError naming each failed check: each
+    step's rounds are screened once, in one ``analysis.screen_block`` call (a
+    round run is a block of one row), a round that the screen and
     ``monotone`` of its row clear has no violation, and any other round's
     record goes to ``validate_round``, the one definition of the invariants
     and their messages. ``metrics_sink(row, x, last)`` receives the rows and
@@ -777,7 +776,7 @@ def run(
     is opened in round t's own step, which returns round t's values as the
     block's first row, so ``_drive`` screens, measures and hands to the sink
     round t and its block at once (round t alone if the block is empty). A
-    reads only the state of the round before it and tests each of its
+    block reads only the state of the round before it and tests each of its
     rounds, so at any size and after any round it is bitwise the rounds it
     stands for. A round without a nonzero message changes no estimate, as a
     quiet round does, so every gap keeps its value; ``_active_block`` tests

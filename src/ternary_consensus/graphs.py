@@ -254,10 +254,12 @@ class ExplicitSequence(GraphSequence):
 
     @cached_property
     def _ids(self) -> tuple[np.ndarray, ...]:
-        """Each round's ids, one read-only array per distinct snapshot."""
+        """Each round's ids, one read-only array per distinct snapshot: 0..m-1,
+        unsearched, for a round whose edge array is the universe (static)."""
         ids = {}
         for g in dict.fromkeys(self.rounds):
-            ids[g] = rows = self._rows(g.edges[:, 0], g.edges[:, 1])
+            full = g.edges is self.universe
+            ids[g] = rows = np.arange(len(g.edges)) if full else self._rows(*g.edges.T)
             rows.setflags(write=False)
         return tuple(ids[g] for g in self.rounds)
 

@@ -49,14 +49,13 @@ def pair_bound(
 
 
 def check_fixed_bound(
-    d_policy: str, d_fixed: float | None, degrees: tuple[int, ...], t: int
+    d_policy: str, d_fixed: float | None, m: int, t: int
 ) -> None:
-    """Reject round t's graph if a fixed bound is below any edge's pair degree
-    max. That max is the largest node degree whenever the round has an edge
-    (degree > 1); edgeless rounds never violate."""
+    """Reject round t's graph, whose largest node degree is m, if a fixed
+    bound is below any edge's pair degree max. That max is m whenever the
+    round has an edge (m > 1); edgeless rounds never violate."""
     if d_policy != "fixed":
         return
-    m = max(degrees)
     if m > 1 and d_fixed < m:
         raise PolicyViolationError(
             f"fixed degree bound {d_fixed} is below the max pair degree {m} "

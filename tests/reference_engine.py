@@ -89,7 +89,7 @@ def run_round(world: World, t: int, config: SimulationConfig) -> RoundRecord:
     # the practical variant's 2*max(d_i, d_j) denominator ignores d_policy
     d_policy = params.d_policy if params.variant == "theorem" else "max_degree"
     d_fixed = params.d_fixed
-    check_fixed_bound(d_policy, d_fixed, deg, t)
+    check_fixed_bound(d_policy, d_fixed, max(deg), t)
 
     for i, j in edges:
         nodes[i].ensure_peer(j, t)

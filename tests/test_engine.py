@@ -181,6 +181,29 @@ class TestRunProperties:
         for rec in run(cfg, keep_records=True).records:
             assert abs(sum(rec.x_post) / 3 - 1.0) <= 1e-9
 
+    def test_run_round_keeps_the_moved_nodes(self):
+        """``EdgeState.moved`` marks the endpoints of the round's active pairs,
+        the only nodes whose values the round may change, and is None in a
+        round without an active pair."""
+        cfg = sim(make_sequence("static", 6, base="line"), THEOREM_FAST,
+                  InitSpec("uniform_random", seed=3, lo=-3.0, hi=5.0), 200)
+        state = edge_engine.init_state(cfg)
+        kinds = set()
+        with edge_engine.silent_float_errors():
+            for t in range(1, 201):
+                x_pre = state.x
+                edge_engine.run_round(state, t, cfg)
+                kinds.add(state.moved is None)
+                if state.moved is None:
+                    assert state.active_edges == 0
+                    continue
+                act, arrays = state.act, state.arrays
+                want = np.zeros(6, dtype=bool)
+                want[arrays.eu[act]] = want[arrays.ev[act]] = True
+                assert state.moved.tolist() == want.tolist()
+                assert same_bits(state.x[~want].tolist(), x_pre[~want].tolist())
+        assert kinds == {True, False}
+
     def test_budget_contract(self):
         seq = make_sequence("static", 3, base="complete")
         with pytest.raises(ConfigError, match="t_max"):
@@ -591,9 +614,9 @@ class TestRoundValues:
     """``_drive`` hands ``screen`` and ``validate`` each round's values before
     and after it: before round 1 the initial values, and before any later
     round the values after the round before it, whether that round was
-    stepped, opened a quiet stretch, or sat in a block screened as columns
-    and then, declined, taken row by row, or in one taken row by row because
-    its V2 is not finite."""
+    stepped, opened a quiet stretch, or sat in a block that, declined, was
+    taken row by row, or in one taken row by row because its V2 is not
+    finite. ``screen`` sees each computed round once."""
 
     X0 = [1.0, -0.0, 0.5]
     # the step of each round it starts at, and the last round it stands for
@@ -637,10 +660,10 @@ class TestRoundValues:
             assert block_metrics(np.array(self.STEPS[8][0]), 0.0) is None
         computed = [1, 2, 5, 6, 7, 8, 9, 10]  # every round but the stretch's 3 and 4
         assert [t for t, _, _ in validated] == computed
-        # the block 5-7 is screened as columns, declined, and then goes row by
-        # row: rounds 5 and 6 are screened again, while round 7 (its V2 grows)
-        # and rounds 8 and 9 fail monotone, which the screen is not asked after
-        assert [t for t, _, _ in screened] == [1, 2, 5, 6, 7, 5, 6, 10]
+        # each step is screened once, before its rows are taken: the block 5-7
+        # is declined and goes row by row on those verdicts, and so does the
+        # block 8-9, whose V2 is not finite
+        assert [t for t, _, _ in screened] == computed
         for t, x_pre, x_post in screened + validated:
             assert same_bits((x_pre, x_post), (after[t - 1], after[t])), t
         assert same_bits(sunk, [(t, after[t], 4 if t == 2 else t) for t in computed])

@@ -358,7 +358,7 @@ def reference_metropolis(cfg: MetropolisConfig):
     rows = []
     for t in range(1, cfg.t_max + 1):
         g = cfg.seq.snapshot(t)
-        check_fixed_bound(cfg.d_policy, cfg.d_fixed, degrees(g), t)
+        check_fixed_bound(cfg.d_policy, cfg.d_fixed, max(degrees(g)), t)
         x = ref.metropolis_round(x, g, cfg.d_policy, cfg.d_fixed)
         rows.append(compute_metrics(x, avg0, t=t, active_edges=len(g.edges)))
     return rows, tuple(x)

@@ -460,6 +460,28 @@ class TestEdgeUniverse:
             shown |= edge_set(g.edges)
         assert shown <= set(rows)
 
+    @pytest.mark.parametrize("make", [
+        lambda: make_sequence("static", 50, base="complete"),
+        lambda: make_sequence("static", 50, base="line"),
+        lambda: make_sequence("periodic", 6, rounds=[[(0, 1), (4, 2), (3, 5)]]),
+    ], ids=["static-complete-50", "static-line-50", "periodic-one-round"])
+    def test_a_round_that_is_its_universe_needs_no_search(self, monkeypatch, make):
+        """A tabulated round whose edge array is the universe, as every static
+        sequence's is, has the ids 0..m-1 without a search of the universe:
+        read-only, one object every round, and the rows the search gives."""
+        searched = make()
+        want = searched._rows(*searched.universe.T).tolist()
+
+        def refused(*args):
+            raise AssertionError("the universe was searched")
+
+        monkeypatch.setattr(graphs.GraphSequence, "_rows", refused)
+        seq = make()
+        ids = seq.edge_ids(1)
+        assert ids.dtype == np.intp and not ids.flags.writeable
+        assert ids.tolist() == list(range(len(seq.universe))) == want
+        assert all(seq.edge_ids(t) is ids for t in (2, 3, 1000))
+
     def test_universe_by_kind(self):
         line = sorted(edge_set(line_edges(4)))
         all_pairs = sorted(edge_set(complete_edges(4)))

@@ -899,3 +899,51 @@ def test_sink_calls_cover_every_round_once(monkeypatch, name):
     ])
     assert same_bits(pairs[-1][1], result.final_x)
     assert same_bits(run(cfg).metrics, rows)
+
+
+def static_theorem(n, base, alpha, beta):
+    return SimulationConfig(
+        make_sequence("static", n, base=base), ProtocolParams(alpha, beta, "theorem"),
+        InitSpec("uniform_random", seed=3), t_max=200_000,
+    )
+
+
+# each run's config, stop_err and screen calls, where pinned: the presets, a
+# line-32 run that stops at round 778 inside a block, which then goes row by
+# row, and a complete-8 run that stops at round 1,450, also inside a block
+SCREEN_RUNS = {
+    "fig1-complete": (lambda: preset_run("fig1-complete"), None, None),
+    "theorem-a025-b050": (lambda: preset_run("theorem-a025-b050"), None, None),
+    "theorem-a075-b0875": (lambda: preset_run("theorem-a075-b0875"), None, None),
+    "line-32": (lambda: static_theorem(32, "line", 0.25, 0.5), 0.5, 33),
+    "complete-8": (lambda: static_theorem(8, "complete", 0.5, 0.75), 0.05, 186),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_RUNS))
+def test_a_checked_run_screens_each_step_once(monkeypatch, name):
+    """A checked run makes one ``screen_block`` call per step, before it
+    takes the step's rows as columns or one by one, so each round it
+    computes is screened exactly once: a block that holds the stop round
+    is not screened again row by row."""
+    make, stop_err, calls = SCREEN_RUNS[name]
+    cfg = dataclasses.replace(make(), check_invariants=True)
+    stepped = counting_run_round(monkeypatch)
+    blocks = recording_blocks(monkeypatch)
+    screened = []
+    screen_block = engine.screen_block
+
+    def screen(state, params, x_pre, x_post, first, **facts):
+        screened.append(range(first, first + len(x_post)))
+        return screen_block(state, params, x_pre, x_post, first, **facts)
+
+    monkeypatch.setattr(engine, "screen_block", screen)
+    result = run(cfg, stop_err=stop_err, keep_metrics=False)
+    monkeypatch.undo()
+    assert len(screened) == steps(stepped, blocks)
+    computed = set(stepped) | {s for t, _, k in blocks for s in range(t, t + k)}
+    assert [s for rounds in screened for s in rounds] == sorted(computed)
+    if calls is not None:
+        assert len(screened) == calls
+    if stop_err is not None:  # the stop round sits in a block
+        assert any(t <= result.stopped_at < t + k for t, _, k in blocks)
